@@ -13,25 +13,38 @@ namespace {
 using namespace ecrpq;
 using namespace ecrpq_bench;
 
+// Args: {base size, k}. Base 4 is the DNA alphabet of the alignment cases
+// below; base 16 is the alphabet of the 16-label grid workloads, where the
+// tuple alphabet of the k = 2 composition has 17^3 letters.
 void BM_EditDist_RelationConstruction(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
+  const int base = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
   int states = 0;
   MedianTimer timer;
   for (auto _ : state) {
     timer.Begin();
-    RegularRelation rel = EditDistanceAtMostRelation(4, k);
+    RegularRelation rel = EditDistanceAtMostRelation(base, k);
     timer.End();
     states = rel.nfa().num_states();
     benchmark::DoNotOptimize(states);
   }
   state.counters["k"] = static_cast<double>(k);
   state.counters["automaton_states"] = static_cast<double>(states);
-  RecordBenchCase("EditDist_RelationConstruction/" + std::to_string(k), timer,
-                  {{"k", static_cast<double>(k)},
+  // Base-4 cases keep their unprefixed names from earlier baselines.
+  const std::string prefix =
+      base == 4 ? "" : "base" + std::to_string(base) + "/";
+  RecordBenchCase("EditDist_RelationConstruction/" + prefix + std::to_string(k),
+                  timer,
+                  {{"base", static_cast<double>(base)},
+                   {"k", static_cast<double>(k)},
                    {"states", static_cast<double>(states)}});
 }
 BENCHMARK(BM_EditDist_RelationConstruction)
-    ->DenseRange(1, 3)
+    ->Args({4, 1})
+    ->Args({4, 2})
+    ->Args({4, 3})
+    ->Args({16, 1})
+    ->Args({16, 2})
     ->Unit(benchmark::kMillisecond);
 
 void BM_EditDist_AlignmentQuery(benchmark::State& state) {

@@ -4,6 +4,7 @@
 #include <map>
 #include <queue>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace ecrpq {
 
@@ -22,6 +23,11 @@ StateId AppendStates(const Nfa& src, Nfa* dst, bool keep_initial,
     }
   }
   return offset;
+}
+
+// One hash key for a pair of non-negative ids.
+uint64_t PairKey(int32_t x, int32_t y) {
+  return (static_cast<uint64_t>(x) << 32) | static_cast<uint32_t>(y);
 }
 
 std::vector<bool> ReachableStates(const Nfa& nfa) {
@@ -71,6 +77,33 @@ std::vector<bool> CoReachableStates(const Nfa& nfa) {
 }
 
 }  // namespace
+
+ArcsBySymbol::ArcsBySymbol(const Nfa& nfa) {
+  offsets_.reserve(nfa.num_states() + 1);
+  arcs_.reserve(nfa.num_transitions());
+  offsets_.push_back(0);
+  for (StateId s = 0; s < nfa.num_states(); ++s) {
+    const auto& arcs = nfa.ArcsFrom(s);
+    arcs_.insert(arcs_.end(), arcs.begin(), arcs.end());
+    std::stable_sort(arcs_.begin() + offsets_.back(), arcs_.end(),
+                     [](const Nfa::Arc& x, const Nfa::Arc& y) {
+                       return x.first < y.first;
+                     });
+    offsets_.push_back(arcs_.size());
+  }
+}
+
+std::span<const Nfa::Arc> ArcsBySymbol::On(StateId state,
+                                           Symbol symbol) const {
+  std::span<const Nfa::Arc> arcs = From(state);
+  auto lo = std::lower_bound(
+      arcs.begin(), arcs.end(), symbol,
+      [](const Nfa::Arc& arc, Symbol sym) { return arc.first < sym; });
+  auto hi = std::upper_bound(
+      lo, arcs.end(), symbol,
+      [](Symbol sym, const Nfa::Arc& arc) { return sym < arc.first; });
+  return {lo, hi};
+}
 
 Nfa RemoveEpsilons(const Nfa& nfa) {
   if (!nfa.HasEpsilonArcs()) return nfa;
@@ -194,21 +227,18 @@ Nfa IntersectNfa(const Nfa& a_in, const Nfa& b_in) {
   ECRPQ_DCHECK(a_in.num_symbols() == b_in.num_symbols());
   const Nfa a = RemoveEpsilons(a_in);
   const Nfa b = RemoveEpsilons(b_in);
+  const ArcsBySymbol b_arcs(b);
   Nfa out(a.num_symbols());
 
-  // On-the-fly product over reachable pairs only.
+  // On-the-fly product over reachable pairs only, numbered in BFS order;
+  // pairs[id] is the (a-state, b-state) of product state id.
   std::unordered_map<uint64_t, StateId> ids;
   std::vector<std::pair<StateId, StateId>> pairs;
-  auto key = [&](StateId x, StateId y) {
-    return (static_cast<uint64_t>(x) << 32) | static_cast<uint32_t>(y);
-  };
-  std::queue<std::pair<StateId, StateId>> work;
   auto get = [&](StateId x, StateId y) {
-    auto [it, inserted] = ids.emplace(key(x, y), 0);
+    auto [it, inserted] = ids.emplace(PairKey(x, y), 0);
     if (inserted) {
       it->second = out.AddState();
       pairs.emplace_back(x, y);
-      work.emplace(x, y);
       if (a.IsAccepting(x) && b.IsAccepting(y)) out.SetAccepting(it->second);
     }
     return it->second;
@@ -218,16 +248,13 @@ Nfa IntersectNfa(const Nfa& a_in, const Nfa& b_in) {
       out.SetInitial(get(x, y));
     }
   }
-  while (!work.empty()) {
-    auto [x, y] = work.front();
-    work.pop();
-    StateId from = ids[key(x, y)];
-    // Group b's arcs by symbol for pairing.
+  // A product state's arcs follow a's arc order, and b's arc order within
+  // one arc of a.
+  for (StateId from = 0; from < out.num_states(); ++from) {
+    auto [x, y] = pairs[from];
     for (const Nfa::Arc& ax : a.ArcsFrom(x)) {
-      for (const Nfa::Arc& by : b.ArcsFrom(y)) {
-        if (ax.first == by.first) {
-          out.AddTransition(from, ax.first, get(ax.second, by.second));
-        }
+      for (const Nfa::Arc& by : b_arcs.On(y, ax.first)) {
+        out.AddTransition(from, ax.first, get(ax.second, by.second));
       }
     }
   }
@@ -387,8 +414,76 @@ bool IsInfinite(const Nfa& nfa_in) {
   return false;
 }
 
-bool IsSubsetOf(const Nfa& a, const Nfa& b) {
-  return IsEmpty(IntersectNfa(a, ComplementNfa(b)));
+bool IsSubsetOf(const Nfa& a_in, const Nfa& b_in) {
+  ECRPQ_DCHECK(a_in.num_symbols() == b_in.num_symbols());
+  const Nfa a = RemoveEpsilons(a_in);
+  const Nfa b = RemoveEpsilons(b_in);
+  const ArcsBySymbol a_arcs(a);
+  const ArcsBySymbol b_arcs(b);
+
+  // b-subsets are interned (sorted state sets) with their acceptance;
+  // successors are memoized per (subset, symbol), as many a-states meet
+  // the same subset.
+  std::map<std::vector<StateId>, int> subset_ids;
+  std::vector<const std::vector<StateId>*> subsets;
+  std::vector<bool> subset_accepting;
+  auto intern = [&](std::vector<StateId> set) {
+    auto [it, inserted] = subset_ids.emplace(std::move(set), 0);
+    if (inserted) {
+      it->second = static_cast<int>(subsets.size());
+      subsets.push_back(&it->first);
+      bool acc = false;
+      for (StateId y : it->first) acc = acc || b.IsAccepting(y);
+      subset_accepting.push_back(acc);
+    }
+    return it->second;
+  };
+  std::unordered_map<uint64_t, int> successor;
+  std::vector<StateId> next;
+  auto step = [&](int sub, Symbol symbol) {
+    auto [it, inserted] = successor.emplace(PairKey(sub, symbol), 0);
+    if (inserted) {
+      next.clear();
+      for (StateId y : *subsets[sub]) {
+        for (const Nfa::Arc& arc : b_arcs.On(y, symbol)) {
+          next.push_back(arc.second);
+        }
+      }
+      std::sort(next.begin(), next.end());
+      next.erase(std::unique(next.begin(), next.end()), next.end());
+      it->second = intern(next);
+    }
+    return it->second;
+  };
+
+  // Depth-first over reachable (a-state, b-subset) pairs. A pair where a
+  // accepts and the subset does not is reached by a word of L(a) \ L(b).
+  std::unordered_set<uint64_t> seen;
+  std::vector<std::pair<StateId, int>> stack;
+  auto counterexample = [&](StateId x, int sub) {
+    if (!seen.insert(PairKey(x, sub)).second) return false;
+    if (a.IsAccepting(x) && !subset_accepting[sub]) return true;
+    stack.emplace_back(x, sub);
+    return false;
+  };
+  const int initial = intern(b.InitialStates());
+  for (StateId x : a.InitialStates()) {
+    if (counterexample(x, initial)) return false;
+  }
+  while (!stack.empty()) {
+    auto [x, sub] = stack.back();
+    stack.pop_back();
+    // One b-successor subset per symbol on x's arcs (sorted by symbol).
+    std::span<const Nfa::Arc> arcs = a_arcs.From(x);
+    for (size_t i = 0; i < arcs.size();) {
+      const Symbol symbol = arcs[i].first;
+      const int next_sub = step(sub, symbol);
+      for (; i < arcs.size() && arcs[i].first == symbol; ++i) {
+        if (counterexample(arcs[i].second, next_sub)) return false;
+      }
+    }
+  }
+  return true;
 }
 
 bool AreEquivalent(const Nfa& a, const Nfa& b) {

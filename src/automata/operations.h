@@ -9,12 +9,35 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "automata/dfa.h"
 #include "automata/nfa.h"
 
 namespace ecrpq {
+
+/// The arcs of an NFA grouped by symbol: per state, a copy of its arcs
+/// stably sorted by symbol, so the arcs of one state on one symbol form a
+/// contiguous range in insertion order. Products look up partner arcs here
+/// instead of scanning every arc pair.
+class ArcsBySymbol {
+ public:
+  explicit ArcsBySymbol(const Nfa& nfa);
+
+  /// All arcs of `state`, sorted by symbol (stable).
+  std::span<const Nfa::Arc> From(StateId state) const {
+    return {arcs_.data() + offsets_[state],
+            arcs_.data() + offsets_[state + 1]};
+  }
+
+  /// Arcs of `state` labelled `symbol`, in insertion order.
+  std::span<const Nfa::Arc> On(StateId state, Symbol symbol) const;
+
+ private:
+  std::vector<Nfa::Arc> arcs_;
+  std::vector<size_t> offsets_;  // state s owns [offsets_[s], offsets_[s+1])
+};
 
 /// Equivalent NFA without ε-transitions.
 Nfa RemoveEpsilons(const Nfa& nfa);
@@ -62,7 +85,9 @@ bool IsEmpty(const Nfa& nfa);
 /// True iff L(nfa) is infinite (a useful cycle exists in the trimmed NFA).
 bool IsInfinite(const Nfa& nfa);
 
-/// True iff L(a) ⊆ L(b).
+/// True iff L(a) ⊆ L(b). Searches a × (subsets of b) on the fly and stops
+/// at the first reachable pair where `a` accepts and the b-subset does not;
+/// b is never determinized or complemented as a whole.
 bool IsSubsetOf(const Nfa& a, const Nfa& b);
 
 /// True iff L(a) = L(b).

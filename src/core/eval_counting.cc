@@ -28,11 +28,8 @@ Status EvaluateCounting(const GraphDb& graph, const Query& query,
   GraphIndexPtr shared_index = resolved_or.value().index;
 
   stats.engine = "counting";
-  if (options.cancellation != nullptr &&
-      options.cancellation->cancelled()) {
-    return Status::Cancelled("query execution cancelled");
-  }
-
+  // Polled per node assignment σ and inside each σ's branch & bound.
+  const CancellationToken* cancel = options.cancellation.get();
 
   const int num_vars = static_cast<int>(query.node_variables().size());
   const int base = graph.alphabet().size();
@@ -55,6 +52,10 @@ Status EvaluateCounting(const GraphDb& graph, const Query& query,
 
   std::function<void(int)> enumerate = [&](int var) {
     if (!failure.ok() || stop) return;
+    if (cancel != nullptr && cancel->cancelled()) {
+      failure = Status::Cancelled("query execution cancelled");
+      return;
+    }
     if (var < num_vars) {
       for (NodeId v = 0; v < graph.num_nodes(); ++v) {
         assignment[var] = v;
@@ -149,7 +150,7 @@ Status EvaluateCounting(const GraphDb& graph, const Query& query,
     stats.ilp_constraints = builder.problem().constraints().size();
 
     ++check_op.rows_in;
-    auto solution = builder.Solve();
+    auto solution = builder.Solve(cancel);
     if (!solution.ok()) {
       failure = solution.status();
       return;

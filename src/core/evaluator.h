@@ -150,10 +150,11 @@ struct EvalOptions {
   /// morsel/config granularity and return Status::Cancelled once it
   /// trips; it also fans early termination (limit / exists, worker
   /// errors, budget exhaustion) out to all workers of the execution.
-  /// The counting/qlen/bruteforce engines (serial; num_threads is a
-  /// no-op there) currently check only at entry, so a mid-run cancel
-  /// takes effect at their next engine-level boundary. Use one token per
-  /// execution — a tripped token stays tripped.
+  /// The counting engine polls it per node assignment and before every
+  /// branch & bound node of its ILPs. The qlen/bruteforce engines
+  /// (serial; num_threads is a no-op there) check only at entry, so a
+  /// mid-run cancel takes effect at their next engine-level boundary. Use
+  /// one token per execution — a tripped token stays tripped.
   std::shared_ptr<CancellationToken> cancellation;
 
   /// Product-configuration budget (kProduct); exceeding returns

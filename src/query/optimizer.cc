@@ -17,13 +17,17 @@ std::string OptimizerReport::Describe() const {
 
 namespace {
 
-// A relation is universal iff its complement (within valid convolutions)
-// is empty. Cheap for the sizes the optimizer sees; skipped for automata
-// above a size cutoff (determinization cost).
+// A relation is universal iff it accepts every valid convolution of its
+// tuple alphabet. The inclusion check walks (pad mask, relation-subset)
+// pairs and stops at the first valid word the relation rejects; for the
+// constraining builtins it meets one within two letters (eq rejects (a,b),
+// edit1 two substitutions). Confirming a universal relation visits every
+// reachable subset, exponentially many in the worst case, so automata
+// above a size cutoff are not checked and are kept as atoms.
 bool IsUniversalRelation(const RegularRelation& rel) {
   constexpr int kCutoffStates = 64;
   if (rel.nfa().num_states() > kCutoffStates) return false;
-  return rel.Complement().IsEmpty();
+  return IsSubsetOf(ValidConvolutionNfa(rel.tuple_alphabet()), rel.nfa());
 }
 
 }  // namespace

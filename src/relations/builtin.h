@@ -56,7 +56,12 @@ RegularRelation OneEditOrEqualRelation(int base_size);
 
 /// D≤k: pairs with edit distance at most k, built by composing
 /// OneEditOrEqualRelation k times (regular because bounded-delay, cf.
-/// Frougny & Sakarovitch). k >= 0; k = 0 is equality.
+/// Frougny & Sakarovitch). k >= 0; k = 0 is equality. Each composition
+/// joins over the (|Σ|+1)³-letter tuple alphabet, so size and compile
+/// cost grow fast: at |Σ| = 16, D≤1 has 35 states / 1,360 transitions and
+/// D≤2 has 715 states / 89,888 transitions, built in about 45 ms on a
+/// shared 4-vCPU Xeon VM (most of it the 988-state join product and the
+/// projection's ε-removal).
 RegularRelation EditDistanceAtMostRelation(int base_size, int k);
 
 /// Hamming distance <= k: equal length and at most k position-wise

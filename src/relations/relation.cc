@@ -170,13 +170,20 @@ Result<RegularRelation> RegularRelation::Cylindrify(
     }
   }
 
-  // Enumerate output letters; for each, find the projected own-letter and
-  // translate transitions. Output alphabet size is (|Σ|+1)^new_arity; this
-  // is only materialized for small arities (callers keep new_arity small).
+  // Base arcs grouped by own letter, in (state, arc) order, so each state's
+  // arcs come out ordered by output letter and then by base arc order. The
+  // output alphabet has (|Σ|+1)^new_arity letters (callers keep new_arity
+  // small).
   TupleAlphabet own_ta(base_size(), arity());
+  std::vector<std::vector<Nfa::Arc>> by_own(own_ta.num_symbols());
+  for (StateId s = 0; s < base.num_states(); ++s) {
+    for (const Nfa::Arc& arc : base.ArcsFrom(s)) {
+      by_own[arc.first].emplace_back(s, arc.second);
+    }
+  }
+  TupleLetter own(arity());
   for (Symbol letter = 0; letter < out_ta.num_symbols(); ++letter) {
     TupleLetter full = out_ta.Decode(letter);
-    TupleLetter own(arity());
     bool own_all_pad = true;
     for (int t = 0; t < arity(); ++t) {
       own[t] = full[positions[t]];
@@ -187,11 +194,8 @@ Result<RegularRelation> RegularRelation::Cylindrify(
       out.AddTransition(done, letter, done);
       continue;
     }
-    Symbol own_id = own_ta.Encode(own);
-    for (StateId s = 0; s < base.num_states(); ++s) {
-      for (const Nfa::Arc& arc : base.ArcsFrom(s)) {
-        if (arc.first == own_id) out.AddTransition(s, letter, arc.second);
-      }
+    for (const auto& [s, target] : by_own[own_ta.Encode(own)]) {
+      out.AddTransition(s, letter, target);
     }
   }
   // Untrusted: restrict to valid convolutions of the larger arity (also

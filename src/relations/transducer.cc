@@ -19,6 +19,7 @@ void Transducer::AddRule(StateId from, Word input, Word output, StateId to) {
 
 Nfa Transducer::Apply(const Nfa& input_in) const {
   const Nfa input = RemoveEpsilons(input_in);
+  const ArcsBySymbol input_arcs(input);
   // Product states (transducer state, input-NFA state). A rule
   // (q, u, v, q') yields transitions that consume u through the input NFA
   // and emit v into the output NFA, using intermediate chain states.
@@ -53,8 +54,8 @@ Nfa Transducer::Apply(const Nfa& input_in) const {
       for (Symbol a : rule.input) {
         std::vector<StateId> next;
         for (StateId s : current) {
-          for (const Nfa::Arc& arc : input.ArcsFrom(s)) {
-            if (arc.first == a) next.push_back(arc.second);
+          for (const Nfa::Arc& arc : input_arcs.On(s, a)) {
+            next.push_back(arc.second);
           }
         }
         std::sort(next.begin(), next.end());

@@ -184,7 +184,8 @@ bool SatisfiesAll(const IlpProblem& problem,
 
 Result<IlpSolution> MinimizeIlp(const IlpProblem& problem,
                                 const std::vector<int64_t>& objective,
-                                const IlpOptions& options) {
+                                const IlpOptions& options,
+                                const CancellationToken* cancellation) {
   const int n = problem.num_variables();
   const std::vector<int64_t>* obj = objective.empty() ? nullptr : &objective;
   ECRPQ_DCHECK(objective.empty() ||
@@ -203,6 +204,9 @@ Result<IlpSolution> MinimizeIlp(const IlpProblem& problem,
   std::vector<Node> stack = {std::move(root)};
   int64_t nodes = 0;
   while (!stack.empty()) {
+    if (cancellation != nullptr && cancellation->cancelled()) {
+      return Status::Cancelled("ILP branch & bound cancelled");
+    }
     if (++nodes > options.max_nodes) {
       return Status::ResourceExhausted(
           "ILP branch & bound exceeded node budget (" +
@@ -281,8 +285,9 @@ Result<IlpSolution> MinimizeIlp(const IlpProblem& problem,
 }
 
 Result<IlpSolution> SolveIlp(const IlpProblem& problem,
-                             const IlpOptions& options) {
-  return MinimizeIlp(problem, {}, options);
+                             const IlpOptions& options,
+                             const CancellationToken* cancellation) {
+  return MinimizeIlp(problem, {}, options, cancellation);
 }
 
 }  // namespace ecrpq

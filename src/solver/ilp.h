@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "solver/rational.h"
+#include "util/cancellation.h"
 #include "util/status.h"
 
 namespace ecrpq {
@@ -65,14 +66,19 @@ struct IlpSolution {
 };
 
 /// Decides feasibility; returns a witness assignment when feasible.
+/// Branch & bound polls `cancellation` (when non-null) before every node
+/// and returns Status::Cancelled once it trips.
 Result<IlpSolution> SolveIlp(const IlpProblem& problem,
-                             const IlpOptions& options = {});
+                             const IlpOptions& options = {},
+                             const CancellationToken* cancellation = nullptr);
 
 /// Minimizes `objective`·x over the feasible set (empty objective = pure
 /// feasibility). Returns infeasible solution when the program is empty.
-Result<IlpSolution> MinimizeIlp(const IlpProblem& problem,
-                                const std::vector<int64_t>& objective,
-                                const IlpOptions& options = {});
+/// Polls `cancellation` like SolveIlp.
+Result<IlpSolution> MinimizeIlp(
+    const IlpProblem& problem, const std::vector<int64_t>& objective,
+    const IlpOptions& options = {},
+    const CancellationToken* cancellation = nullptr);
 
 }  // namespace ecrpq
 

@@ -126,13 +126,14 @@ int ParikhConstraintBuilder::AddVariable(int64_t lower, int64_t upper) {
   return problem_.AddVariable(lower, upper);
 }
 
-Result<IlpSolution> ParikhConstraintBuilder::Solve() {
+Result<IlpSolution> ParikhConstraintBuilder::Solve(
+    const CancellationToken* cancellation) {
   // Lazy connectivity cuts: with flow conservation in force, a genuine run
   // exists iff every arc with positive flow is weakly connected to the
   // source through the positive-flow support (Euler-run condition; the
   // sink is tied back to the source by the unit of s->t flow).
   for (int round = 0; round < options_.max_cut_rounds; ++round) {
-    auto solution = SolveIlp(problem_, options_.ilp);
+    auto solution = SolveIlp(problem_, options_.ilp, cancellation);
     if (!solution.ok()) return solution;
     if (!solution.value().feasible) return solution;
     const std::vector<int64_t>& values = solution.value().values;

@@ -75,8 +75,10 @@ class ParikhConstraintBuilder {
   /// Introduces a fresh bounded helper variable.
   int AddVariable(int64_t lower, int64_t upper);
 
-  /// Solves with lazy connectivity cuts.
-  Result<IlpSolution> Solve();
+  /// Solves with lazy connectivity cuts. Each round's branch & bound polls
+  /// `cancellation` (when non-null); a tripped token returns
+  /// Status::Cancelled.
+  Result<IlpSolution> Solve(const CancellationToken* cancellation = nullptr);
 
   const IlpProblem& problem() const { return problem_; }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <string>
+#include <unordered_map>
+
 #include "automata/operations.h"
 #include "automata/regex.h"
 #include "util/random.h"
@@ -213,6 +217,126 @@ TEST_P(RandomRegexTest, DeterminizePreservesLanguage) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomRegexTest, ::testing::Range(0, 12));
+
+// Differential sweep: the symbol-indexed product and the early-exit
+// inclusion check against the constructions they replaced.
+class SymbolIndexedProductTest : public ::testing::TestWithParam<int> {};
+
+// Random NFA with ε-arcs, several (or no) initial states, duplicate arcs
+// and arcs in no particular symbol order.
+Nfa RandomNfa(Rng* rng, int num_symbols, int num_states) {
+  Nfa nfa(num_symbols);
+  nfa.AddStates(num_states);
+  for (StateId s = 0; s < num_states; ++s) {
+    nfa.SetInitial(s, rng->Chance(0.3));
+    nfa.SetAccepting(s, rng->Chance(0.3));
+    const int arcs = static_cast<int>(rng->Below(2 * num_symbols + 2));
+    for (int i = 0; i < arcs; ++i) {
+      Symbol symbol = rng->Chance(0.15)
+                          ? kEpsilon
+                          : static_cast<Symbol>(rng->Below(num_symbols));
+      nfa.AddTransition(s, symbol,
+                        static_cast<StateId>(rng->Below(num_states)));
+    }
+  }
+  return nfa;
+}
+
+// Every state with its flags and its arcs in order.
+std::string Dump(const Nfa& nfa) {
+  std::string out = std::to_string(nfa.num_symbols()) + " symbols\n";
+  for (StateId s = 0; s < nfa.num_states(); ++s) {
+    out += std::to_string(s);
+    if (nfa.IsInitial(s)) out += " I";
+    if (nfa.IsAccepting(s)) out += " F";
+    out += ":";
+    for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) {
+      out += " ";
+      out += std::to_string(arc.first);
+      out += ">";
+      out += std::to_string(arc.second);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+// The reference product: every arc of x against every arc of y.
+Nfa ReferenceIntersect(const Nfa& a_in, const Nfa& b_in) {
+  const Nfa a = RemoveEpsilons(a_in);
+  const Nfa b = RemoveEpsilons(b_in);
+  Nfa out(a.num_symbols());
+  std::unordered_map<uint64_t, StateId> ids;
+  std::queue<std::pair<StateId, StateId>> work;
+  auto key = [](StateId x, StateId y) {
+    return (static_cast<uint64_t>(x) << 32) | static_cast<uint32_t>(y);
+  };
+  auto get = [&](StateId x, StateId y) {
+    auto [it, inserted] = ids.emplace(key(x, y), 0);
+    if (inserted) {
+      it->second = out.AddState();
+      work.emplace(x, y);
+      if (a.IsAccepting(x) && b.IsAccepting(y)) out.SetAccepting(it->second);
+    }
+    return it->second;
+  };
+  for (StateId x : a.InitialStates()) {
+    for (StateId y : b.InitialStates()) out.SetInitial(get(x, y));
+  }
+  while (!work.empty()) {
+    auto [x, y] = work.front();
+    work.pop();
+    StateId from = ids[key(x, y)];
+    for (const Nfa::Arc& ax : a.ArcsFrom(x)) {
+      for (const Nfa::Arc& by : b.ArcsFrom(y)) {
+        if (ax.first == by.first) {
+          out.AddTransition(from, ax.first, get(ax.second, by.second));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// The reference inclusion check: L(a) ∩ complement(L(b)) = ∅.
+bool ReferenceIsSubsetOf(const Nfa& a, const Nfa& b) {
+  return IsEmpty(ReferenceIntersect(a, ComplementNfa(b)));
+}
+
+TEST_P(SymbolIndexedProductTest, IntersectMatchesArcPairScan) {
+  Rng rng(GetParam() + 7000);
+  for (int round = 0; round < 8; ++round) {
+    const int symbols = 1 + static_cast<int>(rng.Below(4));
+    Nfa a = RandomNfa(&rng, symbols, 1 + static_cast<int>(rng.Below(9)));
+    Nfa b = RandomNfa(&rng, symbols, 1 + static_cast<int>(rng.Below(9)));
+    EXPECT_EQ(Dump(IntersectNfa(a, b)), Dump(ReferenceIntersect(a, b)));
+    EXPECT_EQ(Dump(IntersectNfa(b, a)), Dump(ReferenceIntersect(b, a)));
+  }
+}
+
+TEST_P(SymbolIndexedProductTest, InclusionMatchesComplementCheck) {
+  Rng rng(GetParam() + 8000);
+  for (int round = 0; round < 8; ++round) {
+    const int symbols = 1 + static_cast<int>(rng.Below(3));
+    Nfa a = RandomNfa(&rng, symbols, 1 + static_cast<int>(rng.Below(7)));
+    Nfa b = RandomNfa(&rng, symbols, 1 + static_cast<int>(rng.Below(7)));
+    // Random pairs are rarely included; the derived pairs always are.
+    const Nfa both = IntersectNfa(a, b);
+    const Nfa either = UnionNfa(a, b);
+    for (const auto& [x, y] :
+         std::vector<std::pair<const Nfa*, const Nfa*>>{
+             {&a, &b}, {&b, &a}, {&both, &a}, {&a, &either}, {&either, &a},
+             {&a, &a}}) {
+      EXPECT_EQ(IsSubsetOf(*x, *y), ReferenceIsSubsetOf(*x, *y))
+          << "a:\n" << Dump(*x) << "b:\n" << Dump(*y);
+    }
+    EXPECT_TRUE(IsSubsetOf(both, b));
+    EXPECT_TRUE(IsSubsetOf(b, either));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SymbolIndexedProductTest,
+                         ::testing::Range(0, 16));
 
 }  // namespace
 }  // namespace ecrpq

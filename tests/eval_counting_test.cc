@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <thread>
+
 #include "core/eval_bruteforce.h"
 #include "core/eval_counting.h"
 #include "core/evaluator.h"
@@ -158,6 +162,36 @@ TEST_P(CountingVsBruteForce, Agrees) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CountingVsBruteForce, ::testing::Range(0, 4));
+
+// A counting query whose one σ needs an ILP branch & bound that runs for
+// over a minute before exhausting its node budget: city1 -> city1 on the
+// seed-12 six-city flight network. Cancelling from another thread must
+// stop it promptly with a typed error, not after the budget runs out.
+TEST(Counting, CancelStopsSlowIlpPromptly) {
+  Rng rng(12);
+  GraphDb g = FlightNetwork(6, 12, 3, {"sq", "other"}, &rng);
+  auto query = ParseQuery(
+      R"(Ans() <- ("city1", p, "city1"), )"
+      R"(occ(p, sq) - 4*occ(p, 'other') >= 0, len(p) >= 1)",
+      g.alphabet());
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  EvalOptions options;
+  options.cancellation = std::make_shared<CancellationToken>();
+  auto run = std::async(std::launch::async, [&] {
+    return EvaluateCounting(g, query.value(), options);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto cancelled_at = std::chrono::steady_clock::now();
+  options.cancellation->Cancel();
+  auto result = run.get();
+  const auto latency = std::chrono::steady_clock::now() - cancelled_at;
+  ASSERT_FALSE(result.ok()) << "the query finished within 200 ms";
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+      << result.status().ToString();
+  // One branch & bound node is a small LP: milliseconds. The bound is
+  // generous for sanitizer builds.
+  EXPECT_LT(latency, std::chrono::seconds(5));
+}
 
 TEST(Counting, AutoDispatch) {
   auto alphabet = Alphabet::FromLabels({"a"});

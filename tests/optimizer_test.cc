@@ -50,6 +50,40 @@ TEST(Optimizer, DropsUniversalRelations) {
   EXPECT_EQ(analysis.components.size(), 2u);
 }
 
+// The universality test is an inclusion check of the valid convolutions
+// in the relation; its verdicts must equal the complement-emptiness check
+// it replaced (same 64-state cutoff) over the builtin catalogue.
+TEST(Optimizer, UniversalVerdictsMatchComplementCheck) {
+  for (int base = 2; base <= 4; ++base) {
+    const std::vector<std::pair<std::string, RegularRelation>> catalogue = {
+        {"eq", EqualityRelation(base)},
+        {"el", EqualLengthRelation(base)},
+        {"prefix", PrefixRelation(base)},
+        {"edit1", EditDistanceAtMostRelation(base, 1)},
+        {"edit2", EditDistanceAtMostRelation(base, 2)},
+        {"hamming", HammingDistanceAtMostRelation(base, 1)},
+        {"universal", UniversalRelation(base, 2)},
+    };
+    for (const auto& [name, rel] : catalogue) {
+      SCOPED_TRACE(name + " at base " + std::to_string(base));
+      const bool reference =
+          rel.nfa().num_states() <= 64 && rel.Complement().IsEmpty();
+      auto query = QueryBuilder()
+                       .Atom("x", "p", "y")
+                       .Atom("x", "q", "y")
+                       .Relation(std::make_shared<RegularRelation>(rel),
+                                 {"p", "q"}, name)
+                       .Head({"x"})
+                       .Build();
+      ASSERT_TRUE(query.ok());
+      auto optimized = OptimizeQuery(query.value());
+      ASSERT_TRUE(optimized.ok());
+      EXPECT_EQ(optimized.value().report.dropped_universal, reference ? 1 : 0);
+      EXPECT_EQ(reference, name == "universal");
+    }
+  }
+}
+
 TEST(Optimizer, KeepsConstrainingRelations) {
   auto alphabet = Ab();
   auto query = ParseQuery(

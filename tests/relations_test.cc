@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "automata/operations.h"
 #include "relations/builtin.h"
 #include "relations/relation.h"
 #include "relations/tuple_regex.h"
+#include "util/random.h"
 
 namespace ecrpq {
 namespace {
@@ -129,6 +134,122 @@ TEST(RelationAlgebra, CylindrifyIgnoresOtherTapes) {
   EXPECT_TRUE(lifted.value().Contains(
       {W({0, 1}), W({1, 1, 1, 1, 1}), W({0, 1})}));
   EXPECT_FALSE(lifted.value().Contains({W({0, 1}), W({}), W({0, 0})}));
+}
+
+// Every state with its flags and its arcs in order.
+std::string Dump(const Nfa& nfa) {
+  std::string out = std::to_string(nfa.num_symbols()) + " symbols\n";
+  for (StateId s = 0; s < nfa.num_states(); ++s) {
+    out += std::to_string(s);
+    if (nfa.IsInitial(s)) out += " I";
+    if (nfa.IsAccepting(s)) out += " F";
+    out += ":";
+    for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) {
+      out += " ";
+      out += std::to_string(arc.first);
+      out += ">";
+      out += std::to_string(arc.second);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+// The reference Cylindrify: for every output letter, scan every state and
+// arc of the relation for the letter's own-tape projection.
+RegularRelation ReferenceCylindrify(const RegularRelation& rel, int new_arity,
+                                    const std::vector<int>& positions) {
+  const Nfa base = RemoveEpsilons(rel.nfa());
+  TupleAlphabet out_ta(rel.base_size(), new_arity);
+  TupleAlphabet own_ta(rel.base_size(), rel.arity());
+  Nfa out(out_ta.num_symbols());
+  out.AddStates(base.num_states() + 1);
+  const StateId done = base.num_states();
+  out.SetAccepting(done);
+  for (StateId s = 0; s < base.num_states(); ++s) {
+    if (base.IsInitial(s)) out.SetInitial(s);
+    if (base.IsAccepting(s)) {
+      out.SetAccepting(s);
+      out.AddTransition(s, kEpsilon, done);
+    }
+  }
+  for (Symbol letter = 0; letter < out_ta.num_symbols(); ++letter) {
+    TupleLetter full = out_ta.Decode(letter);
+    TupleLetter own(rel.arity());
+    bool own_all_pad = true;
+    for (int t = 0; t < rel.arity(); ++t) {
+      own[t] = full[positions[t]];
+      if (own[t] != kPad) own_all_pad = false;
+    }
+    if (own_all_pad) {
+      out.AddTransition(done, letter, done);
+      continue;
+    }
+    Symbol own_id = own_ta.Encode(own);
+    for (StateId s = 0; s < base.num_states(); ++s) {
+      for (const Nfa::Arc& arc : base.ArcsFrom(s)) {
+        if (arc.first == own_id) out.AddTransition(s, letter, arc.second);
+      }
+    }
+  }
+  return RegularRelation(rel.base_size(), new_arity, std::move(out),
+                         /*trusted_valid=*/false);
+}
+
+// A random relation: a random NFA (ε-arcs, several initial states) over the
+// tuple alphabet, made valid by the untrusted constructor.
+RegularRelation RandomRelation(Rng* rng, int base_size, int arity) {
+  TupleAlphabet ta(base_size, arity);
+  Nfa nfa(ta.num_symbols());
+  const int states = 1 + static_cast<int>(rng->Below(6));
+  nfa.AddStates(states);
+  for (StateId s = 0; s < states; ++s) {
+    nfa.SetInitial(s, rng->Chance(0.4));
+    nfa.SetAccepting(s, rng->Chance(0.4));
+    const int arcs = static_cast<int>(rng->Below(ta.num_symbols() + 2));
+    for (int i = 0; i < arcs; ++i) {
+      Symbol symbol = rng->Chance(0.1)
+                          ? kEpsilon
+                          : static_cast<Symbol>(rng->Below(ta.num_symbols()));
+      nfa.AddTransition(s, symbol, static_cast<StateId>(rng->Below(states)));
+    }
+  }
+  return RegularRelation(base_size, arity, std::move(nfa));
+}
+
+TEST(RelationAlgebra, CylindrifyMatchesPerLetterScan) {
+  Rng rng(4242);
+  for (int round = 0; round < 40; ++round) {
+    const int base = 2 + static_cast<int>(rng.Below(2));
+    const int arity = 1 + static_cast<int>(rng.Below(2));
+    const int new_arity = arity + 1 + static_cast<int>(rng.Below(2));
+    // `arity` distinct positions in [0, new_arity), in random order.
+    std::vector<int> positions;
+    while (static_cast<int>(positions.size()) < arity) {
+      int pos = static_cast<int>(rng.Below(new_arity));
+      if (std::find(positions.begin(), positions.end(), pos) ==
+          positions.end()) {
+        positions.push_back(pos);
+      }
+    }
+    RegularRelation rel = RandomRelation(&rng, base, arity);
+    auto lifted = rel.Cylindrify(new_arity, positions);
+    ASSERT_TRUE(lifted.ok());
+    EXPECT_EQ(Dump(lifted.value().nfa()),
+              Dump(ReferenceCylindrify(rel, new_arity, positions).nfa()))
+        << "round " << round;
+  }
+  // The builtins the edit-distance composition lifts.
+  for (const RegularRelation& rel :
+       {OneEditOrEqualRelation(3), PrefixRelation(2), EqualityRelation(3)}) {
+    for (const std::vector<int>& positions :
+         std::vector<std::vector<int>>{{0, 1}, {1, 2}, {2, 0}}) {
+      auto lifted = rel.Cylindrify(3, positions);
+      ASSERT_TRUE(lifted.ok());
+      EXPECT_EQ(Dump(lifted.value().nfa()),
+                Dump(ReferenceCylindrify(rel, 3, positions).nfa()));
+    }
+  }
 }
 
 TEST(RelationAlgebra, ProjectDropsTapes) {

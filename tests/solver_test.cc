@@ -142,6 +142,22 @@ TEST(Ilp, NodeBudgetExhaustion) {
   }
 }
 
+TEST(Ilp, CancelledTokenStopsBranchAndBound) {
+  IlpProblem problem;
+  int x = problem.AddVariable(0, 10);
+  problem.AddGe(x, 3);
+  CancellationToken token;
+  token.Cancel();
+  auto solution = SolveIlp(problem, IlpOptions{}, &token);
+  ASSERT_FALSE(solution.ok());
+  EXPECT_EQ(solution.status().code(), StatusCode::kCancelled);
+  // An untripped token changes nothing.
+  CancellationToken idle;
+  auto solved = SolveIlp(problem, IlpOptions{}, &idle);
+  ASSERT_TRUE(solved.ok());
+  EXPECT_TRUE(solved.value().feasible);
+}
+
 TEST(Ilp, NegativeCoefficientTightening) {
   // x - 2y >= 0, y >= 3  =>  min x is 6.
   IlpProblem problem;
