@@ -30,6 +30,10 @@
 //   ReadThroughput/{fresh,compacted,chain/32}
 //       200k row probes against a fresh-built index, a compacted one,
 //       and a 32-segment delta chain (the overlay-directory tax).
+//   Checkpoint/{encode,decode}, DurableReopen
+//       the full-graph checkpoint every compaction and MutateGraph
+//       publishes: encoding the 3M-edge graph, decoding the image, and
+//       Database::OpenDurable on a data dir holding it (recovery time).
 
 #include <benchmark/benchmark.h>
 
@@ -46,6 +50,7 @@
 #include "graph/index.h"
 #include "wal/durable.h"
 #include "wal/wal.h"
+#include "wal/wal_format.h"
 
 namespace {
 
@@ -308,6 +313,88 @@ void DurableNeverWriteToRead(benchmark::State& state) {
   DurableWriteToRead(state, FsyncPolicy::kNever, "never");
 }
 BENCHMARK(DurableNeverWriteToRead)->Arg(1000)->Unit(benchmark::kMillisecond);
+
+// ---- Checkpoint codec and recovery time -----------------------------------
+
+BenchProps CheckpointProps(const GraphDb& g, size_t image_bytes) {
+  return {{"nodes", static_cast<double>(g.num_nodes())},
+          {"edges", static_cast<double>(g.num_edges())},
+          {"bytes", static_cast<double>(image_bytes)}};
+}
+
+void CheckpointEncode(benchmark::State& state) {
+  const GraphDb& g = BaseGraph();
+  size_t bytes = 0;
+  MedianTimer timer;
+  for (auto _ : state) {
+    timer.Begin();
+    std::string image = EncodeCheckpoint(g);
+    timer.End();
+    bytes = image.size();
+    benchmark::DoNotOptimize(image.data());
+  }
+  state.counters["bytes_per_edge"] =
+      static_cast<double>(bytes) / g.num_edges();
+  RecordBenchCase("Checkpoint/encode", timer, CheckpointProps(g, bytes));
+}
+BENCHMARK(CheckpointEncode)->Unit(benchmark::kMillisecond);
+
+void CheckpointDecode(benchmark::State& state) {
+  const GraphDb& g = BaseGraph();
+  const std::string image = EncodeCheckpoint(g);
+  MedianTimer timer;
+  for (auto _ : state) {
+    timer.Begin();
+    auto decoded = DecodeCheckpoint(image);
+    timer.End();
+    if (!decoded.ok() || decoded.value().num_edges() != g.num_edges()) {
+      state.SkipWithError("checkpoint did not round-trip");
+      return;
+    }
+  }
+  RecordBenchCase("Checkpoint/decode", timer,
+                  CheckpointProps(g, image.size()));
+}
+BENCHMARK(CheckpointDecode)->Unit(benchmark::kMillisecond);
+
+// Reopens a data dir whose newest checkpoint holds the base graph (no
+// log tail): flock, checkpoint read + decode, empty WAL scan. The
+// Database teardown stays outside the timer.
+void DurableReopen(benchmark::State& state) {
+  char tmpl[] = "/tmp/ecrpq-bench-reopen-XXXXXX";
+  char* dir = mkdtemp(tmpl);
+  if (dir == nullptr) {
+    state.SkipWithError("mkdtemp failed");
+    return;
+  }
+  DurabilityOptions durability;
+  Status seeded =
+      Database::OpenDurable(dir, durability, BenchDbOptions(), BaseGraph())
+          .status();
+  MedianTimer timer;
+  for (auto _ : state) {
+    if (!seeded.ok()) {
+      state.SkipWithError(seeded.ToString().c_str());
+      break;
+    }
+    timer.Begin();
+    auto reopened =
+        Database::OpenDurable(dir, durability, BenchDbOptions(), GraphDb());
+    timer.End();
+    if (!reopened.ok() ||
+        reopened.value()->graph().num_edges() != BaseGraph().num_edges()) {
+      state.SkipWithError("reopen did not recover the base graph");
+      break;
+    }
+  }
+  const GraphDb& g = BaseGraph();
+  RecordBenchCase("DurableReopen", timer,
+                  {{"nodes", static_cast<double>(g.num_nodes())},
+                   {"edges", static_cast<double>(g.num_edges())}});
+  std::string cmd = "rm -rf '" + std::string(dir) + "'";
+  [[maybe_unused]] int rc = std::system(cmd.c_str());
+}
+BENCHMARK(DurableReopen)->Unit(benchmark::kMillisecond);
 
 // ---- ReadThroughput: overlay tax and compaction ---------------------------
 

@@ -86,10 +86,10 @@ Result<std::unique_ptr<Database>> Database::OpenDurable(
     DatabaseOptions options, GraphDb seed, WalRecoveryInfo* recovery) {
   std::unique_ptr<Database> db(new Database(GraphDb(), options));
   bool loaded_checkpoint = false;
-  auto load = [&](const std::string& text) -> Status {
-    auto parsed = DecodeCheckpoint(text);
-    if (!parsed.ok()) return parsed.status();
-    db->graph_ = std::move(parsed).value();
+  auto load = [&](const std::string& image) -> Status {
+    auto decoded = DecodeCheckpoint(image);
+    if (!decoded.ok()) return decoded.status();
+    db->graph_ = std::move(decoded).value();
     loaded_checkpoint = true;
     return Status::OK();
   };

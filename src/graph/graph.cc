@@ -33,11 +33,13 @@ NodeId GraphDb::AddNode(std::string_view name) {
   // instead of interning "" (which would collapse every such node into
   // one and break text-format round-trips).
   if (name.empty()) return AddNode();
-  auto it = name_index_.find(std::string(name));
-  if (it != name_index_.end()) return it->second;
+  // One hash and one probe: the slot is claimed with the id the node
+  // will get, and only a fresh slot creates the node.
+  auto [it, inserted] =
+      name_index_.try_emplace(std::string(name), num_nodes());
+  if (!inserted) return it->second;
   NodeId id = AddNode();
-  names_[id] = std::string(name);
-  name_index_.emplace(names_[id], id);
+  names_[id] = it->first;
   return id;
 }
 

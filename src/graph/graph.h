@@ -87,6 +87,11 @@ class GraphDb {
   /// Node name, or "n<id>" for anonymous nodes.
   std::string NodeName(NodeId node) const;
 
+  /// The name `node` was created with; empty for anonymous nodes (so,
+  /// unlike NodeName, a name that merely looks like "n<id>" is never
+  /// synthesized).
+  const std::string& StoredName(NodeId node) const { return names_[node]; }
+
   /// Adds an edge with an already-interned label symbol.
   void AddEdge(NodeId from, Symbol label, NodeId to);
 

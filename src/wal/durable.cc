@@ -55,10 +55,10 @@ Result<std::unique_ptr<DurableLog>> DurableLog::Open(
   }
 
   if (have_ckpt) {
-    std::string text;
+    std::string image;
     ECRPQ_RETURN_IF_ERROR(
-        fs->ReadFile(dir + "/" + CheckpointName(newest_ckpt), &text));
-    ECRPQ_RETURN_IF_ERROR(load_checkpoint(text));
+        fs->ReadFile(dir + "/" + CheckpointName(newest_ckpt), &image));
+    ECRPQ_RETURN_IF_ERROR(load_checkpoint(image));
     log->checkpoint_lsn_ = newest_ckpt;
     log->has_checkpoint_ = true;
     log->recovery_.checkpoint_lsn = newest_ckpt;
@@ -210,7 +210,7 @@ Status DurableLog::AppendEdgeDelta(const std::vector<Edge>& add,
   return AppendLocked(WalRecordType::kEdgeDelta, payload, lsn);
 }
 
-Status DurableLog::WriteCheckpoint(const std::string& checkpoint_text,
+Status DurableLog::WriteCheckpoint(const std::string& checkpoint,
                                    uint64_t applied_lsn) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::string final_path = dir_ + "/" + CheckpointName(applied_lsn);
@@ -220,7 +220,7 @@ Status DurableLog::WriteCheckpoint(const std::string& checkpoint_text,
     auto file = fs_->NewWritableFile(tmp_path, /*truncate=*/true);
     if (!file.ok()) return file.status();
     ECRPQ_RETURN_IF_ERROR(
-        file.value()->Append(checkpoint_text.data(), checkpoint_text.size()));
+        file.value()->Append(checkpoint.data(), checkpoint.size()));
     ECRPQ_RETURN_IF_ERROR(file.value()->Sync());
     ECRPQ_RETURN_IF_ERROR(file.value()->Close());
     // Atomic publish: the snapshot appears under its final name fully

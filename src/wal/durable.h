@@ -94,7 +94,7 @@ class DurableLog {
  public:
   /// Replay callbacks apply one recovered record to the caller's graph
   /// state; a non-ok return aborts Open.
-  using CheckpointLoadFn = std::function<Status(const std::string& text)>;
+  using CheckpointLoadFn = std::function<Status(const std::string& image)>;
   using MutationReplayFn = std::function<Status(GraphMutation&&)>;
   using EdgeDeltaReplayFn =
       std::function<Status(std::vector<Edge>&&, std::vector<Edge>&&)>;
@@ -116,10 +116,11 @@ class DurableLog {
   Status AppendEdgeDelta(const std::vector<Edge>& add,
                          const std::vector<Edge>& remove, uint64_t* lsn);
 
-  /// Publishes `checkpoint_text` as the snapshot covering
-  /// lsn <= applied_lsn, then prunes. The caller guarantees the text
-  /// was serialized from a graph with exactly that LSN applied.
-  Status WriteCheckpoint(const std::string& checkpoint_text,
+  /// Publishes `checkpoint` (an EncodeCheckpoint image) as the
+  /// snapshot covering lsn <= applied_lsn, then prunes. The caller
+  /// guarantees the image was encoded from a graph with exactly that
+  /// LSN applied.
+  Status WriteCheckpoint(const std::string& checkpoint,
                          uint64_t applied_lsn);
 
   /// fsyncs outstanding records now, regardless of policy.

@@ -1,17 +1,30 @@
 #include "wal/wal_format.h"
 
-#include <charconv>
 #include <cstring>
 #include <limits>
-#include <unordered_map>
+
+#include "util/crc32c.h"
 
 namespace ecrpq {
 
 namespace {
 
+char* StoreU32(char* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  return p + 4;
+}
+
+uint32_t LoadU32(const char* p) {
+  uint32_t r = 0;
+  for (int i = 0; i < 4; ++i) {
+    r |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+  }
+  return r;
+}
+
 void PutU32(std::string* out, uint32_t v) {
   char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  StoreU32(buf, v);
   out->append(buf, 4);
 }
 
@@ -27,28 +40,33 @@ class PayloadReader {
 
   bool U32(uint32_t* v) {
     if (data_.size() - pos_ < 4) return ok_ = false;
-    uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) {
-      r |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
+    *v = LoadU32(data_.data() + pos_);
     pos_ += 4;
-    *v = r;
+    return true;
+  }
+
+  /// A length-prefixed string, viewed in place.
+  bool Str(std::string_view* s) {
+    uint32_t n;
+    if (!U32(&n)) return false;
+    if (data_.size() - pos_ < n) return ok_ = false;
+    *s = data_.substr(pos_, n);
+    pos_ += n;
     return true;
   }
 
   bool Str(std::string* s) {
-    uint32_t n;
-    if (!U32(&n)) return false;
-    if (data_.size() - pos_ < n) return ok_ = false;
-    s->assign(data_.data() + pos_, n);
-    pos_ += n;
+    std::string_view view;
+    if (!Str(&view)) return false;
+    s->assign(view);
     return true;
   }
 
   bool ok() const { return ok_; }
   bool done() const { return pos_ == data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }
+  /// The unread bytes.
+  std::string_view rest() const { return data_.substr(pos_); }
 
   /// Reads an element count whose elements occupy at least
   /// `min_element_bytes` each. Rejecting counts the remaining bytes
@@ -167,145 +185,179 @@ Status DecodeEdgeDeltaPayload(std::string_view payload, std::vector<Edge>* add,
 
 // ---- checkpoint codec ----
 
-std::string EncodeCheckpoint(const GraphDb& graph) {
-  std::string out = "ecrpq-checkpoint 1\n";
-  out += "counts " + std::to_string(graph.num_nodes()) + " " +
-         std::to_string(graph.num_edges()) + " " +
-         std::to_string(graph.alphabet().size()) + "\n";
-  for (Symbol s = 0; s < graph.alphabet().size(); ++s) {
-    out += "l " + graph.alphabet().Label(s) + "\n";
-  }
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    // NodeName falls back to "n<id>" for anonymous nodes; FindNode
-    // distinguishes a real name from the fallback.
-    std::string name = graph.NodeName(v);
-    auto found = graph.FindNode(name);
-    if (found.has_value() && *found == v) {
-      out += "n " + std::to_string(v) + " " + name + "\n";
-    }
-  }
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    for (const auto& [label, to] : graph.Out(v)) {
-      out += "e " + std::to_string(v) + " " + std::to_string(label) + " " +
-             std::to_string(to) + "\n";
-    }
-  }
-  return out;
-}
-
 namespace {
+
+// The retired text format began "ecrpq-checkpoint 1\n"; it fails the
+// magic check.
+constexpr char kCheckpointMagic[8] = {'E', 'C', 'R', 'P', 'Q', 'C', 'K', 'P'};
+constexpr uint32_t kCheckpointVersion = 2;
+// Magic, version, and the node, edge, label and named-node counts.
+constexpr size_t kCheckpointHeader = sizeof(kCheckpointMagic) + 5 * 4;
+constexpr size_t kCheckpointCrc = 4;
+
+char* StoreStr(char* p, const std::string& s) {
+  p = StoreU32(p, static_cast<uint32_t>(s.size()));
+  std::memcpy(p, s.data(), s.size());
+  return p + s.size();
+}
 
 Status CheckpointError(const char* what) {
   return Status::InvalidArgument(std::string("corrupt checkpoint: ") + what);
 }
 
-bool ParseInt(std::string_view token, int64_t* out) {
-  auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(),
-                                   *out);
-  return ec == std::errc() && ptr == token.data() + token.size();
-}
-
-// Splits off the next whitespace-delimited token of `line`.
-std::string_view NextToken(std::string_view* line) {
-  size_t start = line->find_first_not_of(' ');
-  if (start == std::string_view::npos) {
-    *line = {};
-    return {};
-  }
-  size_t end = line->find(' ', start);
-  std::string_view token = line->substr(start, end - start);
-  *line = end == std::string_view::npos ? std::string_view{}
-                                        : line->substr(end + 1);
-  return token;
-}
-
 }  // namespace
 
-Result<GraphDb> DecodeCheckpoint(std::string_view text) {
-  size_t pos = 0;
-  auto next_line = [&](std::string_view* line) {
-    if (pos >= text.size()) return false;
-    size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) end = text.size();
-    *line = text.substr(pos, end - pos);
-    pos = end + 1;
-    return true;
-  };
+std::string EncodeCheckpoint(const GraphDb& graph) {
+  const Alphabet& alphabet = graph.alphabet();
+  const NodeId num_nodes = graph.num_nodes();
 
-  std::string_view line;
-  if (!next_line(&line) || line != "ecrpq-checkpoint 1") {
-    return CheckpointError("bad header");
+  // Sizing pass, so the image is allocated once at its exact length.
+  size_t size = kCheckpointHeader + 4 * static_cast<size_t>(num_nodes) +
+                8 * static_cast<size_t>(graph.num_edges()) + kCheckpointCrc;
+  for (Symbol s = 0; s < alphabet.size(); ++s) {
+    size += 4 + alphabet.Label(s).size();
   }
-  if (!next_line(&line)) return CheckpointError("missing counts");
-  if (NextToken(&line) != "counts") return CheckpointError("missing counts");
-  int64_t num_nodes, num_edges, num_labels;
-  if (!ParseInt(NextToken(&line), &num_nodes) ||
-      !ParseInt(NextToken(&line), &num_edges) ||
-      !ParseInt(NextToken(&line), &num_labels) || num_nodes < 0 ||
-      num_edges < 0 || num_labels < 0) {
+  uint32_t num_named = 0;
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    const std::string& name = graph.StoredName(v);
+    if (name.empty()) continue;
+    ++num_named;
+    size += 8 + name.size();
+  }
+
+  std::string out(size, '\0');
+  char* p = out.data();
+  std::memcpy(p, kCheckpointMagic, sizeof(kCheckpointMagic));
+  p += sizeof(kCheckpointMagic);
+  p = StoreU32(p, kCheckpointVersion);
+  p = StoreU32(p, static_cast<uint32_t>(num_nodes));
+  p = StoreU32(p, static_cast<uint32_t>(graph.num_edges()));
+  p = StoreU32(p, static_cast<uint32_t>(alphabet.size()));
+  p = StoreU32(p, num_named);
+  for (Symbol s = 0; s < alphabet.size(); ++s) {
+    p = StoreStr(p, alphabet.Label(s));
+  }
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    const std::string& name = graph.StoredName(v);
+    if (name.empty()) continue;
+    p = StoreU32(p, static_cast<uint32_t>(v));
+    p = StoreStr(p, name);
+  }
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    p = StoreU32(p, static_cast<uint32_t>(graph.Out(v).size()));
+  }
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    for (const auto& [label, to] : graph.Out(v)) {
+      p = StoreU32(p, static_cast<uint32_t>(label));
+      p = StoreU32(p, static_cast<uint32_t>(to));
+    }
+  }
+  const size_t body = size - kCheckpointCrc;
+  ECRPQ_DCHECK(p == out.data() + body);
+  StoreU32(p, crc32c::Mask(crc32c::Value(out.data(), body)));
+  return out;
+}
+
+Result<GraphDb> DecodeCheckpoint(std::string_view image) {
+  if (image.size() < sizeof(kCheckpointMagic) ||
+      std::memcmp(image.data(), kCheckpointMagic, sizeof(kCheckpointMagic)) !=
+          0) {
+    return Status::InvalidArgument("unsupported checkpoint format");
+  }
+  if (image.size() < kCheckpointHeader + kCheckpointCrc) {
+    return CheckpointError("truncated header");
+  }
+  const std::string_view body = image.substr(0, image.size() - kCheckpointCrc);
+  if (crc32c::Unmask(LoadU32(body.data() + body.size())) !=
+      crc32c::Value(body.data(), body.size())) {
+    return CheckpointError("crc mismatch");
+  }
+
+  // The header reads cannot fail: its size was checked above.
+  PayloadReader reader(body.substr(sizeof(kCheckpointMagic)));
+  uint32_t version = 0, num_nodes = 0, num_edges = 0, num_labels = 0;
+  uint32_t num_named = 0;
+  reader.U32(&version);
+  reader.U32(&num_nodes);
+  reader.U32(&num_edges);
+  reader.U32(&num_labels);
+  reader.U32(&num_named);
+  if (version != kCheckpointVersion) {
+    return Status::InvalidArgument("unsupported checkpoint version " +
+                                   std::to_string(version));
+  }
+  // Counts are bounded before anything is allocated: ids are NodeId-
+  // ranged, a GraphDb counts edges in an int, and every label and named
+  // node costs at least its length prefix (plus an id), every node its
+  // out-degree and every edge its (label, to) pair.
+  if (num_nodes > static_cast<uint32_t>(std::numeric_limits<NodeId>::max()) ||
+      num_edges > static_cast<uint32_t>(std::numeric_limits<int>::max()) ||
+      num_named > num_nodes) {
     return CheckpointError("bad counts");
   }
-  // Corrupt counts must not drive allocations: ids are NodeId-ranged,
-  // and every edge ("e 0 0 0") and label ("l x") costs a line of text.
-  if (num_nodes > std::numeric_limits<NodeId>::max() ||
-      num_edges > static_cast<int64_t>(text.size() / 8) ||
-      num_labels > static_cast<int64_t>(text.size() / 4)) {
-    return CheckpointError("bad counts");
+  const uint64_t adjacency_bytes = 4 * uint64_t{num_nodes} +
+                                   8 * uint64_t{num_edges};
+  if (4 * uint64_t{num_labels} + 8 * uint64_t{num_named} + adjacency_bytes >
+      reader.remaining()) {
+    return CheckpointError("counts exceed the checkpoint size");
   }
 
   auto alphabet = std::make_shared<Alphabet>();
-  for (int64_t i = 0; i < num_labels; ++i) {
-    if (!next_line(&line)) return CheckpointError("missing label line");
-    if (line.size() < 2 || line[0] != 'l' || line[1] != ' ') {
-      return CheckpointError("bad label line");
+  for (uint32_t i = 0; i < num_labels; ++i) {
+    std::string_view label;
+    if (!reader.Str(&label)) return CheckpointError("bad label");
+    if (alphabet->Intern(label) != static_cast<Symbol>(i)) {
+      return CheckpointError("duplicate label");
     }
-    alphabet->Intern(line.substr(2));
   }
 
-  // Named nodes, then fill the id space in order (anonymous between).
-  std::unordered_map<int64_t, std::string> names;
-  while (pos < text.size() && pos + 1 < text.size() && text[pos] == 'n' &&
-         text[pos + 1] == ' ') {
-    next_line(&line);
-    std::string_view rest = line.substr(2);
-    int64_t id;
-    std::string_view id_token = NextToken(&rest);
-    if (!ParseInt(id_token, &id) || id < 0 || id >= num_nodes ||
-        rest.empty()) {
-      return CheckpointError("bad name line");
-    }
-    names[id] = std::string(rest);
-  }
-
+  // Named nodes in increasing id order; the anonymous ones between them
+  // are created in bulk.
   GraphDb graph(alphabet);
-  for (int64_t v = 0; v < num_nodes; ++v) {
-    auto it = names.find(v);
-    NodeId assigned =
-        it == names.end() ? graph.AddNode() : graph.AddNode(it->second);
-    if (assigned != static_cast<NodeId>(v)) {
+  for (uint32_t i = 0; i < num_named; ++i) {
+    uint32_t id;
+    std::string_view name;
+    if (!reader.U32(&id) || !reader.Str(&name)) {
+      return CheckpointError("bad node name");
+    }
+    const uint32_t next = static_cast<uint32_t>(graph.num_nodes());
+    if (id < next || id >= num_nodes || name.empty()) {
+      return CheckpointError("bad node name");
+    }
+    if (id > next) graph.AddNodes(static_cast<int>(id - next));
+    if (graph.AddNode(name) != static_cast<NodeId>(id)) {
       return CheckpointError("duplicate node name");
     }
   }
+  graph.AddNodes(static_cast<int>(num_nodes) - graph.num_nodes());
+
+  if (reader.remaining() != adjacency_bytes) {
+    return CheckpointError("adjacency size mismatch");
+  }
+  const char* degrees = reader.rest().data();
+  const char* arcs = degrees + 4 * size_t{num_nodes};
+  uint64_t degree_sum = 0;
+  for (uint32_t v = 0; v < num_nodes; ++v) {
+    degree_sum += LoadU32(degrees + 4 * size_t{v});
+  }
+  if (degree_sum != num_edges) {
+    return CheckpointError("out-degrees do not sum to the edge count");
+  }
 
   std::vector<Edge> edges;
-  edges.reserve(static_cast<size_t>(num_edges));
-  for (int64_t i = 0; i < num_edges; ++i) {
-    if (!next_line(&line)) return CheckpointError("missing edge line");
-    if (line.size() < 2 || line[0] != 'e' || line[1] != ' ') {
-      return CheckpointError("bad edge line");
+  edges.reserve(num_edges);
+  for (uint32_t v = 0; v < num_nodes; ++v) {
+    for (uint32_t k = LoadU32(degrees + 4 * size_t{v}); k > 0; --k) {
+      const uint32_t label = LoadU32(arcs);
+      const uint32_t to = LoadU32(arcs + 4);
+      arcs += 8;
+      if (label >= num_labels || to >= num_nodes) {
+        return CheckpointError("edge out of range");
+      }
+      edges.push_back({static_cast<NodeId>(v), static_cast<Symbol>(label),
+                       static_cast<NodeId>(to)});
     }
-    std::string_view rest = line.substr(2);
-    int64_t from, label, to;
-    if (!ParseInt(NextToken(&rest), &from) ||
-        !ParseInt(NextToken(&rest), &label) ||
-        !ParseInt(NextToken(&rest), &to) || from < 0 || from >= num_nodes ||
-        to < 0 || to >= num_nodes || label < 0 || label >= num_labels) {
-      return CheckpointError("bad edge line");
-    }
-    edges.push_back({static_cast<NodeId>(from), static_cast<Symbol>(label),
-                     static_cast<NodeId>(to)});
   }
-  if (pos < text.size()) return CheckpointError("trailing lines");
   graph.AddEdges(edges);
   return graph;
 }

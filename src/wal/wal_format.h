@@ -10,13 +10,13 @@
 //                log because the checkpoint codec below round-trips
 //                node ids and symbol ids exactly.
 //
-// The checkpoint is a line-oriented text snapshot of a GraphDb that —
-// unlike graph/io.h's GraphToText — preserves *anonymity*: an
-// anonymous node is written as an id, not materialized as a name, so
-// replaying a post-checkpoint mutation that mentions "n5" resolves
-// exactly as it did originally (creating a node, not aliasing node 5).
-// Node ids, symbol ids, names, and the per-node edge order all
-// round-trip.
+// The checkpoint is a binary snapshot of a GraphDb that — unlike
+// graph/io.h's GraphToText — preserves *anonymity*: an anonymous node
+// has no name entry, so replaying a post-checkpoint mutation that
+// mentions "n5" resolves exactly as it did originally (creating a node,
+// not aliasing node 5). Node ids, symbol ids, names, and the per-node
+// edge order all round-trip, and since every string is length-prefixed
+// a name or label may hold any bytes (spaces, newlines, NULs).
 
 #ifndef ECRPQ_WAL_WAL_FORMAT_H_
 #define ECRPQ_WAL_WAL_FORMAT_H_
@@ -39,20 +39,24 @@ Status DecodeEdgeDeltaPayload(std::string_view payload,
                               std::vector<Edge>* add,
                               std::vector<Edge>* remove);
 
-/// Checkpoint snapshot text:
+/// Checkpoint image, little-endian, allocated at its exact size:
 ///
-///   ecrpq-checkpoint 1
-///   counts <num_nodes> <num_edges> <num_labels>
-///   l <label>              (num_labels lines, symbol-id order)
-///   n <id> <name>          (named nodes only, id order)
-///   e <from> <label> <to>  (num_edges lines, per-node out order)
+///   "ECRPQCKP" | u32 version (2)
+///   u32 num_nodes | u32 num_edges | u32 num_labels | u32 num_named
+///   num_labels x (u32 len | bytes)          labels in symbol order
+///   num_named  x (u32 id | u32 len | bytes) named nodes, ids increasing
+///   num_nodes  x u32 out-degree
+///   num_edges  x (u32 label | u32 to)       per-node Out() order
+///   u32 crc32c (masked, see util/crc32c.h) of every preceding byte
 ///
-/// Label and name fields run to end-of-line (spaces survive; newlines
-/// cannot appear — GraphDb names/labels are single-line tokens in
-/// every ingest path, and Decode treats the line structure as
-/// authoritative).
+/// Decode checks the magic and the CRC before anything else, bounds
+/// every count by the bytes present before allocating, and rejects
+/// duplicate labels or names, unordered ids, out-of-range labels or
+/// targets, a degree sum other than num_edges, and trailing bytes — all
+/// as InvalidArgument. The retired line-oriented text checkpoint is not
+/// read: it fails as "unsupported checkpoint format".
 std::string EncodeCheckpoint(const GraphDb& graph);
-Result<GraphDb> DecodeCheckpoint(std::string_view text);
+Result<GraphDb> DecodeCheckpoint(std::string_view image);
 
 }  // namespace ecrpq
 

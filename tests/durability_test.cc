@@ -165,6 +165,36 @@ TEST(Durability, IdLevelCommitValidatesAndRecovers) {
   EXPECT_EQ(Fingerprint(*reopened.value()), fingerprint);
 }
 
+// Names and labels are arbitrary byte strings. An acked write whose
+// node name or label holds a newline must survive the next checkpoint
+// publish, which also prunes the log segments that held the write.
+TEST(Durability, NewlineInNameOrLabelSurvivesCheckpoint) {
+  TempDir dir;
+  DurabilityOptions durability;
+  std::string fingerprint;
+  {
+    auto opened = Database::OpenDurable(dir.path(), durability,
+                                        DeterministicOptions(), GraphDb());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    Database& db = *opened.value();
+    GraphMutation m;
+    m.add_edges.push_back({"ann\nbob", "knows", "carl"});
+    m.add_edges.push_back({"carl", "knows\nwell", "ann\nbob"});
+    auto committed = db.CommitDelta(m);
+    ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+    db.MutateGraph([](GraphDb&) {});  // publishes a checkpoint
+    fingerprint = Fingerprint(db);
+  }
+  auto reopened = Database::OpenDurable(dir.path(), durability,
+                                        DeterministicOptions(), GraphDb());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const GraphDb& g = reopened.value()->graph();
+  EXPECT_EQ(Fingerprint(*reopened.value()), fingerprint);
+  EXPECT_EQ(g.FindNode("ann\nbob"), std::optional<NodeId>(0));
+  EXPECT_EQ(g.alphabet().Find("knows\nwell"), std::optional<Symbol>(1));
+  EXPECT_EQ(g.num_edges(), 2);
+}
+
 // ---- crash-point matrix -----------------------------------------------------
 
 // Runs the standard workload (seed + kBatches CommitDeltas) against a

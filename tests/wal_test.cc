@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -145,6 +148,249 @@ TEST(WalFormat, CheckpointRejectsCorruptText) {
   EXPECT_FALSE(DecodeCheckpoint("bogus header\n").ok());
   EXPECT_FALSE(DecodeCheckpoint(text + "trailing junk\n").ok());
   EXPECT_FALSE(DecodeCheckpoint(text.substr(0, text.size() / 2)).ok());
+}
+
+// Names and labels that a line- or token-oriented codec would mangle.
+const std::vector<std::string>& AwkwardStrings() {
+  static const std::vector<std::string> strings = {
+      "n0",  "n3",         "n17",           "with space", " lead",
+      "a\nb", "\n",        std::string("nul\0byte", 8), std::string(1, '\0'),
+      "ünïcødé → λ",       "tab\there",     "x"};
+  return strings;
+}
+
+// A random graph mixing named and anonymous nodes, with awkward names
+// and labels, duplicate edges, self loops, and removals (so per-node
+// out order is not insertion order).
+GraphDb RandomCheckpointGraph(uint32_t seed) {
+  std::mt19937 rng(seed);
+  const auto& awkward = AwkwardStrings();
+  GraphDb g;
+  const int nodes = 1 + static_cast<int>(rng() % 40);
+  for (int i = 0; i < nodes; ++i) {
+    switch (rng() % 3) {
+      case 0:
+        g.AddNode();
+        break;
+      case 1:
+        g.AddNode(awkward[rng() % awkward.size()]);  // may repeat a name
+        break;
+      default:
+        g.AddNode("v" + std::to_string(rng() % 1000) + "\n" +
+                  awkward[rng() % awkward.size()]);
+    }
+  }
+  const int n = g.num_nodes();
+  const int edges = static_cast<int>(rng() % 120);
+  for (int i = 0; i < edges; ++i) {
+    const std::string& label = awkward[rng() % awkward.size()];
+    g.AddEdge(static_cast<NodeId>(rng() % n), label,
+              static_cast<NodeId>(rng() % n));
+  }
+  for (int i = 0; i < edges / 4; ++i) {
+    const NodeId from = static_cast<NodeId>(rng() % n);
+    if (g.Out(from).empty()) continue;
+    const auto [label, to] = g.Out(from)[rng() % g.Out(from).size()];
+    g.RemoveEdge(from, label, to);
+  }
+  return g;
+}
+
+// In lists as decoding builds them: by source id, then source out order.
+std::vector<std::vector<std::pair<Symbol, NodeId>>> InBySource(
+    const GraphDb& g) {
+  std::vector<std::vector<std::pair<Symbol, NodeId>>> in(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const auto& [label, to] : g.Out(v)) in[to].emplace_back(label, v);
+  }
+  return in;
+}
+
+TEST(WalFormat, CheckpointRoundTripsRandomGraphsWithAwkwardNames) {
+  for (uint32_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const GraphDb g = RandomCheckpointGraph(seed);
+    const std::string image = EncodeCheckpoint(g);
+    auto decoded = DecodeCheckpoint(image);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    const GraphDb& d = decoded.value();
+    ASSERT_EQ(d.num_nodes(), g.num_nodes());
+    ASSERT_EQ(d.num_edges(), g.num_edges());
+    ASSERT_EQ(d.alphabet().size(), g.alphabet().size());
+    for (Symbol s = 0; s < g.alphabet().size(); ++s) {
+      EXPECT_EQ(d.alphabet().Label(s), g.alphabet().Label(s));
+    }
+    const auto in_by_source = InBySource(g);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      EXPECT_EQ(d.StoredName(v), g.StoredName(v));
+      EXPECT_EQ(d.NodeName(v), g.NodeName(v));
+      if (!g.StoredName(v).empty()) {
+        EXPECT_EQ(d.FindNode(g.StoredName(v)), std::optional<NodeId>(v));
+      }
+      EXPECT_EQ(d.Out(v), g.Out(v));
+      // The image stores out lists only, so in lists come back ordered
+      // by source; as multisets they equal the original's.
+      EXPECT_EQ(d.In(v), in_by_source[v]);
+      auto sorted_in = g.In(v);
+      std::sort(sorted_in.begin(), sorted_in.end());
+      auto sorted_decoded = d.In(v);
+      std::sort(sorted_decoded.begin(), sorted_decoded.end());
+      EXPECT_EQ(sorted_decoded, sorted_in);
+    }
+    // Anonymous nodes stay anonymous even where a real name looks like
+    // the synthetic "n<id>" display name.
+    for (const std::string& name : AwkwardStrings()) {
+      EXPECT_EQ(d.FindNode(name), g.FindNode(name));
+    }
+    EXPECT_EQ(EncodeCheckpoint(d), image);
+  }
+}
+
+TEST(WalFormat, CheckpointRejectsEveryTruncationAndByteFlip) {
+  GraphDb g;
+  NodeId a = g.AddNode("a");
+  NodeId anon = g.AddNode();
+  NodeId b = g.AddNode("b\nc");
+  g.AddEdge(a, "l", anon);
+  g.AddEdge(anon, "m m", b);
+  g.AddEdge(b, "l", a);
+  const std::string image = EncodeCheckpoint(g);
+  ASSERT_TRUE(DecodeCheckpoint(image).ok());
+  for (size_t len = 0; len < image.size(); ++len) {
+    auto decoded = DecodeCheckpoint(image.substr(0, len));
+    ASSERT_FALSE(decoded.ok()) << "prefix of " << len << " bytes";
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+  for (size_t i = 0; i < image.size(); ++i) {
+    for (uint8_t mask : {0x01, 0x80, 0xff}) {
+      std::string flipped = image;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      auto decoded = DecodeCheckpoint(flipped);
+      ASSERT_FALSE(decoded.ok()) << "byte " << i << " ^ " << int{mask};
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+void OverwriteU32(std::string* image, size_t offset, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    (*image)[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+// Re-signs a tampered image so that only the structural checks can
+// reject it.
+void ResealCrc(std::string* image) {
+  const size_t body = image->size() - 4;
+  OverwriteU32(image, body, crc32c::Mask(crc32c::Value(image->data(), body)));
+}
+
+TEST(WalFormat, CheckpointForgedCountsRejectedBeforeAllocating) {
+  GraphDb g;
+  g.AddEdge(g.AddNode("a"), "l", g.AddNode());
+  const std::string image = EncodeCheckpoint(g);
+  // Header offsets: magic 0, version 8, nodes 12, edges 16, labels 20,
+  // named 24.
+  struct Forgery {
+    size_t offset;
+    uint32_t value;
+  };
+  const std::vector<std::vector<Forgery>> forgeries = {
+      {{12, 0x7fffffffu}, {16, 0xffffffffu}},
+      {{12, 0x7fffffffu}},
+      {{12, 0x80000000u}},
+      {{16, 0x7fffffffu}},
+      {{20, 0xffffffffu}},
+      {{24, 0x7fffffffu}},
+      {{12, 0x7fffffffu}, {24, 0x7fffffffu}},
+  };
+  for (const auto& forgery : forgeries) {
+    std::string forged = image;
+    for (const Forgery& f : forgery) OverwriteU32(&forged, f.offset, f.value);
+    ResealCrc(&forged);
+    auto decoded = DecodeCheckpoint(forged);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(decoded.status().message().find("crc"), std::string::npos)
+        << decoded.status().message();
+  }
+  // Resealing an untampered image changes nothing.
+  std::string resealed = image;
+  ResealCrc(&resealed);
+  EXPECT_TRUE(DecodeCheckpoint(resealed).ok());
+}
+
+TEST(WalFormat, CheckpointRejectsStructuralLies) {
+  // Each image carries a valid CRC, so only the structural checks see
+  // the problem.
+  auto reject = [](std::string image, const char* why) {
+    ResealCrc(&image);
+    auto decoded = DecodeCheckpoint(image);
+    ASSERT_FALSE(decoded.ok()) << why;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << why;
+  };
+  GraphDb g;
+  const NodeId a = g.AddNode("a");
+  const NodeId b = g.AddNode("b");
+  g.AddEdge(a, "x", b);
+  g.AddEdge(a, "y", b);
+  std::string image = EncodeCheckpoint(g);
+  // Labels start at 28: (u32 1, "x"), (u32 1, "y").
+  image[28 + 4 + 1 + 4] = 'x';
+  reject(image, "duplicate label");
+
+  image = EncodeCheckpoint(g);
+  // Named nodes follow at 38: (id 0, "a"), (id 1, "b"). Repeating the
+  // first entry names no node twice, but ids must strictly increase.
+  OverwriteU32(&image, 38 + 9, 0);
+  image[38 + 9 + 8] = 'a';
+  reject(image, "named-node entry repeated");
+
+  image = EncodeCheckpoint(g);
+  image[38 + 9 + 8] = 'a';
+  reject(image, "duplicate node name");
+
+  image = EncodeCheckpoint(g);
+  image.erase(38 + 9 + 8, 1);
+  OverwriteU32(&image, 38 + 9 + 4, 0);
+  reject(image, "empty node name");
+
+  image = EncodeCheckpoint(g);
+  // Out-degrees at 56 (node 0: 2, node 1: 0); move one edge to node 1.
+  OverwriteU32(&image, 56, 1);
+  OverwriteU32(&image, 60, 1);
+  ResealCrc(&image);
+  ASSERT_TRUE(DecodeCheckpoint(image).ok()) << "control: still consistent";
+  OverwriteU32(&image, 60, 2);
+  reject(image, "degree sum above the edge count");
+  OverwriteU32(&image, 60, 0);
+  reject(image, "degree sum below the edge count");
+
+  image = EncodeCheckpoint(g);
+  // Edges at 64: (label, to) pairs.
+  OverwriteU32(&image, 64, 2);
+  reject(image, "label out of range");
+  image = EncodeCheckpoint(g);
+  OverwriteU32(&image, 68, 2);
+  reject(image, "target out of range");
+
+  image = EncodeCheckpoint(g);
+  image.insert(image.size() - 4, "z");
+  reject(image, "trailing byte");
+
+  image = EncodeCheckpoint(g);
+  OverwriteU32(&image, 8, 1);
+  reject(image, "unknown version");
+}
+
+TEST(WalFormat, TextCheckpointIsAnUnsupportedFormat) {
+  auto decoded = DecodeCheckpoint(
+      "ecrpq-checkpoint 1\ncounts 2 1 1\nl a\nn 0 x\ne 0 0 1\n");
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("unsupported checkpoint format"),
+            std::string::npos)
+      << decoded.status().message();
 }
 
 // ---- segment naming ---------------------------------------------------------

@@ -2,14 +2,15 @@
 //
 //   $ wal_dump <data-dir> [--records]
 //
-// Prints the newest checkpoint, every WAL segment with its LSN range
-// and record count, and whether the log tail is torn/corrupt (and
-// where). Never writes — safe to run against a live server's dir (it
-// does not take the LOCK). With --records, every record's lsn, type,
-// and payload size is listed.
+// Prints the checkpoints, decodes the newest one (node, edge, label and
+// named-node counts, and "crc ok" or "CORRUPT <reason>"), every WAL
+// segment with its LSN range and record count, and whether the log
+// tail is torn/corrupt (and where). Never writes — safe to run against
+// a live server's dir (it does not take the LOCK). With --records,
+// every record's lsn, type, and payload size is listed.
 //
-// Exit codes: 0 log intact, 1 truncation/corruption detected, 2 usage
-// or I/O error.
+// Exit codes: 0 checkpoint and log intact, 1 corrupt newest checkpoint
+// or truncated/corrupt log, 2 usage or I/O error.
 
 #include <cinttypes>
 #include <cstdio>
@@ -20,6 +21,7 @@
 
 #include "util/io.h"
 #include "wal/wal.h"
+#include "wal/wal_format.h"
 
 using namespace ecrpq;
 
@@ -80,7 +82,31 @@ int main(int argc, char** argv) {
       have_ckpt = true;
     }
   }
-  if (!have_ckpt) std::printf("checkpoint  (none)\n");
+  bool ckpt_corrupt = false;
+  if (!have_ckpt) {
+    std::printf("checkpoint  (none)\n");
+  } else {
+    std::string image;
+    Status read = fs->ReadFile(dir + "/" + CheckpointName(newest_ckpt), &image);
+    if (!read.ok()) {
+      std::fprintf(stderr, "error: %s\n", read.ToString().c_str());
+      return 2;
+    }
+    auto decoded = DecodeCheckpoint(image);
+    if (decoded.ok()) {
+      const GraphDb& g = decoded.value();
+      int named = 0;
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        if (!g.StoredName(v).empty()) ++named;
+      }
+      std::printf("newest      nodes=%d edges=%d labels=%d named=%d  crc ok\n",
+                  g.num_nodes(), g.num_edges(), g.alphabet().size(), named);
+    } else {
+      ckpt_corrupt = true;
+      std::printf("newest      CORRUPT %s\n",
+                  decoded.status().message().c_str());
+    }
+  }
 
   auto segments = ListWalSegments(fs, dir);
   if (!segments.ok()) {
@@ -157,5 +183,5 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("intact      no torn or corrupt records\n");
-  return 0;
+  return ckpt_corrupt ? 1 : 0;
 }
