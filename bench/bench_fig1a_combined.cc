@@ -3,9 +3,10 @@
 //   * CRPQs: NP-complete, but chain-shaped instances scale polynomially
 //   * ECRPQs: PSPACE-complete — the Theorem 6.3 REI family grows
 //     exponentially with the number of intersected expressions.
-// Each family runs twice — against the CSR GraphIndex and against the
-// pre-index adjacency-scan path — and the indexed-vs-scan comparison is
-// printed (and written to BENCH_bench_fig1a_combined.json) at exit.
+// Medians are written to BENCH_bench_fig1a_combined.json at exit. The
+// "/indexed/" segment of the CrpqChain and EcrpqRei case names is kept so
+// the recorded trajectory stays comparable; every engine reads the CSR
+// GraphIndex now.
 
 #include <benchmark/benchmark.h>
 
@@ -20,12 +21,11 @@ using namespace ecrpq_bench;
 // layered DAG keeps the per-atom reachability relations sparse — on dense
 // graphs the enumeration-join's intermediate results explode, which is the
 // NP-hardness (join width) shape, shown separately below.
-void CrpqChain(benchmark::State& state, bool use_index) {
+void BM_CrpqChain(benchmark::State& state) {
   GraphDb g = MakeLayeredGraph(48, 5);
   Query query = MustParse(g, ChainCrpq(static_cast<int>(state.range(0))));
   EvalOptions options;
   options.build_path_answers = false;
-  options.use_graph_index = use_index;
   Evaluator evaluator(&g, options);
   MedianTimer timer;
   for (auto _ : state) {
@@ -36,26 +36,20 @@ void CrpqChain(benchmark::State& state, bool use_index) {
     benchmark::DoNotOptimize(result.value().tuples().size());
   }
   state.counters["atoms"] = static_cast<double>(state.range(0));
-  RecordBenchCase("Fig1aCombined_CrpqChain/" +
-                      std::string(use_index ? "indexed" : "scan") + "/" +
-                      std::to_string(state.range(0)),
-                  timer,
-                  {{"atoms", static_cast<double>(state.range(0))},
-                   {"nodes", static_cast<double>(g.num_nodes())},
-                   {"edges", static_cast<double>(g.num_edges())}});
+  RecordBenchCase(
+      "Fig1aCombined_CrpqChain/indexed/" + std::to_string(state.range(0)),
+      timer,
+      {{"atoms", static_cast<double>(state.range(0))},
+       {"nodes", static_cast<double>(g.num_nodes())},
+       {"edges", static_cast<double>(g.num_edges())}});
 }
-BENCHMARK_CAPTURE(CrpqChain, indexed, true)
-    ->DenseRange(1, 8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(CrpqChain, scan, false)
-    ->DenseRange(1, 8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CrpqChain)->DenseRange(1, 8)->Unit(benchmark::kMillisecond);
 
 // The REI family (Theorem 6.3's PSPACE-hardness): intersections of m
 // periodic languages via equality relations, evaluated on the universal
 // word graph. Time grows exponentially with m (the joint period is
 // lcm(2,3,5,...)).
-void EcrpqRei(benchmark::State& state, bool use_index) {
+void BM_EcrpqRei(benchmark::State& state) {
   auto alphabet = Alphabet::FromLabels({"a", "b"});
   GraphDb g = UniversalWordGraph(alphabet);
   Query query = MustParse(g, ReiQuery(static_cast<int>(state.range(0))));
@@ -63,7 +57,6 @@ void EcrpqRei(benchmark::State& state, bool use_index) {
   options.build_path_answers = false;
   options.max_configs = 100000000;
   options.engine = Engine::kProduct;
-  options.use_graph_index = use_index;
   Evaluator evaluator(&g, options);
   uint64_t configs = 0;
   MedianTimer timer;
@@ -76,21 +69,15 @@ void EcrpqRei(benchmark::State& state, bool use_index) {
   }
   state.counters["expressions"] = static_cast<double>(state.range(0));
   state.counters["configs"] = static_cast<double>(configs);
-  RecordBenchCase("Fig1aCombined_EcrpqRei/" +
-                      std::string(use_index ? "indexed" : "scan") + "/" +
-                      std::to_string(state.range(0)),
-                  timer,
-                  {{"expressions", static_cast<double>(state.range(0))},
-                   {"nodes", static_cast<double>(g.num_nodes())},
-                   {"edges", static_cast<double>(g.num_edges())},
-                   {"configs", static_cast<double>(configs)}});
+  RecordBenchCase(
+      "Fig1aCombined_EcrpqRei/indexed/" + std::to_string(state.range(0)),
+      timer,
+      {{"expressions", static_cast<double>(state.range(0))},
+       {"nodes", static_cast<double>(g.num_nodes())},
+       {"edges", static_cast<double>(g.num_edges())},
+       {"configs", static_cast<double>(configs)}});
 }
-BENCHMARK_CAPTURE(EcrpqRei, indexed, true)
-    ->DenseRange(1, 4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(EcrpqRei, scan, false)
-    ->DenseRange(1, 4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EcrpqRei)->DenseRange(1, 4)->Unit(benchmark::kMillisecond);
 
 // NP-hardness shape for CRPQs: clique-style join (variables fully
 // connected) vs chain on the same graph — join width drives the cost.

@@ -3,12 +3,10 @@
 // combined complexity. Measured shapes: polynomial growth in the graph for
 // a fixed constrained query, and moderate growth in the number of
 // constraint rows (the NP certificate is the ILP witness). The σ-product
-// family additionally runs both with the CSR GraphIndex and against the
-// pre-index scan path: the counting engine's data-dependent kernel is the
-// per-assignment product construction (BuildComponentProducts), which is
-// exactly what the index accelerates — the end-to-end families are
-// ILP-solve-dominated, so the indexed-vs-scan comparison is measured on
-// the kernel and printed (plus BENCH_bench_fig1b_linear.json) at exit.
+// family times the counting engine's data-dependent kernel alone: the
+// per-assignment product construction (BuildComponentProducts) over the
+// CSR GraphIndex — the end-to-end families are ILP-solve-dominated.
+// Medians are written to BENCH_bench_fig1b_linear.json at exit.
 
 #include <benchmark/benchmark.h>
 
@@ -59,9 +57,9 @@ BENCHMARK(BM_Fig1bLinear_DataComplexity)
 // The counting engine's data-dependent kernel in isolation: one component
 // product per node assignment σ (Thm 8.5 builds |V|^k of these). A routed
 // query ('sq'-only paths) makes the relation state-set restrict the live
-// letters, so the indexed run pulls only the matching label slices while
-// the scan run touches every out-edge of every frontier node.
-void SigmaProducts(benchmark::State& state, bool use_index) {
+// letters, so the search pulls only the matching label slices. The
+// "/indexed/" case-name segment is kept for trajectory continuity.
+void BM_SigmaProducts(benchmark::State& state) {
   Rng rng(17);
   int cities = static_cast<int>(state.range(0));
   GraphDb g = FlightNetwork(cities, 3 * cities, 3, {"sq", "other"}, &rng);
@@ -74,7 +72,6 @@ void SigmaProducts(benchmark::State& state, bool use_index) {
   }
   auto index = GraphIndex::Build(g);
   EvalOptions options;
-  options.use_graph_index = use_index;
   MedianTimer timer;
   int64_t states = 0;
   for (auto _ : state) {
@@ -83,8 +80,7 @@ void SigmaProducts(benchmark::State& state, bool use_index) {
     for (NodeId v = 0; v + 1 < g.num_nodes(); v += 3) {
       std::vector<NodeId> assignment = {v, static_cast<NodeId>(v + 1)};
       auto products = BuildComponentProducts(
-          g, query, options, assignment, compiled.value(),
-          use_index ? index : nullptr);
+          g, query, options, assignment, compiled.value(), index);
       if (!products.ok()) {
         state.SkipWithError(products.status().ToString().c_str());
         return;
@@ -97,20 +93,13 @@ void SigmaProducts(benchmark::State& state, bool use_index) {
   }
   state.counters["nodes"] = g.num_nodes();
   state.counters["product_states"] = static_cast<double>(states);
-  RecordBenchCase("Fig1bLinear_SigmaProducts/" +
-                      std::string(use_index ? "indexed" : "scan") + "/" +
-                      std::to_string(cities),
+  RecordBenchCase("Fig1bLinear_SigmaProducts/indexed/" + std::to_string(cities),
                   timer,
                   {{"nodes", static_cast<double>(g.num_nodes())},
                    {"edges", static_cast<double>(g.num_edges())},
                    {"product_states", static_cast<double>(states)}});
 }
-BENCHMARK_CAPTURE(SigmaProducts, indexed, true)
-    ->Arg(16)
-    ->Arg(32)
-    ->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(SigmaProducts, scan, false)
+BENCHMARK(BM_SigmaProducts)
     ->Arg(16)
     ->Arg(32)
     ->Arg(64)

@@ -32,11 +32,11 @@ using namespace ecrpq;
 //                               "props": {"nodes": ..., ...}}]}
 // median_ns is the median of per-iteration wall times sampled inside the
 // benchmark loop; props carry graph sizes / query shape, so the perf
-// trajectory across PRs is trackable by tooling. Case names of the form
-// "<base>/indexed/..." and "<base>/scan/..." are twins measuring the same
-// workload with and without the CSR GraphIndex; the writer prints an
-// indexed-vs-scan comparison for each twin pair at exit, so the speedup
-// is measured by the bench itself rather than asserted.
+// trajectory across PRs is trackable by tooling. Case names differing in
+// one path segment (e.g. ".../delta/..." and ".../rebuild/...") are twins
+// measuring the same workload two ways; the writer prints a comparison
+// for each twin pair at exit, so the speedup is measured by the bench
+// itself rather than asserted.
 
 /// Per-iteration wall-clock sampler (Begin/End around the measured work).
 class MedianTimer {
@@ -89,11 +89,10 @@ class BenchResultLog {
   ~BenchResultLog() {
     if (entries_.empty()) return;
     WriteJson();
-    // Twin-case comparisons measured by the bench itself: the CSR index
-    // vs. the adjacency scan, the cost-based planner vs. the legacy and
-    // monolithic execution modes (bench_planner_join), and the
-    // direction-aware searches vs. forward-only (bench_bidirectional).
-    PrintTwinSpeedups("/indexed", "/scan", "indexed-vs-scan");
+    // Twin-case comparisons measured by the bench itself: the cost-based
+    // planner vs. the legacy and monolithic execution modes
+    // (bench_planner_join), and the direction-aware searches vs.
+    // forward-only (bench_bidirectional).
     PrintTwinSpeedups("/planned", "/monolithic", "planned-vs-monolithic");
     PrintTwinSpeedups("/planned", "/legacy", "planned-vs-legacy");
     PrintTwinSpeedups("/threads/2", "/threads/1", "parallel-1to2");
@@ -183,7 +182,7 @@ class BenchResultLog {
   }
 
   // Prints `fast` vs `slow` medians for every case pair differing only in
-  // that path segment (e.g. ".../indexed/4" against ".../scan/4").
+  // that path segment (e.g. ".../delta/..." against ".../rebuild/...").
   void PrintTwinSpeedups(const std::string& fast, const std::string& slow,
                          const char* tag) const {
     const char* fast_label = fast.c_str() + (fast[0] == '/' ? 1 : 0);

@@ -297,7 +297,7 @@ MutationSummary Database::FinishDeltaLocked(
       cache_.clear();
       lru_.clear();
     }
-    // next == nullptr (no index yet / stale / indexing off) drops the
+    // next == nullptr (no index yet / stale) drops the
     // snapshot; the next reader full-builds, coalesced by build_mutex_.
     index_ = next;
   }

@@ -109,8 +109,8 @@ struct MutationSummary {
   int num_edges = 0;
   uint64_t version = 0;
   /// True when the index advanced via the O(delta) overlay path; false
-  /// when there was no index to advance (first use, indexing disabled,
-  /// or a stale snapshot) and the next reader full-builds lazily.
+  /// when there was no index to advance (first use or a stale snapshot)
+  /// and the next reader full-builds lazily.
   bool delta_applied = false;
   /// True when a durable Database rejected the batch (degraded WAL):
   /// nothing was applied. Only the legacy ApplyDelta wrappers report
@@ -256,9 +256,8 @@ class Database {
   /// mutation. A snapshot whose node/edge/label counters no longer match
   /// the graph is rebuilt here too (GraphDb is append-only, so the
   /// counters detect mutation through a retained mutable_graph()
-  /// reference). Null when the session disables indexing
-  /// (eval.use_graph_index = false). Thread-safe: the returned snapshot
-  /// is immutable and stays valid after later invalidations.
+  /// reference). Never null. Thread-safe: the returned snapshot is
+  /// immutable and stays valid after later invalidations.
   GraphIndexPtr graph_index() const {
     std::shared_lock<std::shared_mutex> lock(graph_mutex_);
     return graph_index_locked();
@@ -364,7 +363,6 @@ class Database {
   /// OUTSIDE cache_mutex_, so concurrent plan-cache hits never wait on
   /// it. Lock order: graph_mutex_ → build_mutex_ → cache_mutex_.
   GraphIndexPtr graph_index_locked() const {
-    if (!options_.eval.use_graph_index) return nullptr;
     {
       std::lock_guard<std::mutex> lock(cache_mutex_);
       if (IndexFresh(index_)) return index_;

@@ -16,7 +16,7 @@ PhysicalPlanPtr PreparedQuery::PlanForIndex(GraphIndexPtr index) const {
   std::lock_guard<std::mutex> lock(plan_->memo_mutex);
   if (plan_->physical == nullptr || plan_->physical_index.lock() != index) {
     plan_->physical = std::make_shared<PhysicalPlan>(PlanQuery(
-        plan_->query, *plan_->compiled, index.get(), db_->eval_options()));
+        plan_->query, *plan_->compiled, *index, db_->eval_options()));
     plan_->physical_index = index;
   }
   return plan_->physical;

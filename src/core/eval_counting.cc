@@ -20,7 +20,7 @@ Status EvaluateCounting(const GraphDb& graph, const Query& query,
   auto resolved_or =
       ResolveQuery(graph, query, std::move(compiled), std::move(index));
   if (!resolved_or.ok()) return resolved_or.status();
-  if (options.use_graph_index && resolved_or.value().index == nullptr) {
+  if (resolved_or.value().index == nullptr) {
     resolved_or.value().index = GraphIndex::Build(graph);
   }
   // Reuse the compiled relations and the CSR index across every σ below.

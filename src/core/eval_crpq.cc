@@ -26,23 +26,17 @@ bool CrpqFastPathApplies(const Query& query, const QueryAnalysis& analysis) {
 std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
     const GraphDb& graph,
     const std::vector<const RegularRelation*>& languages) {
-  return ReachabilityPairs(graph, languages, /*index=*/nullptr);
+  return ReachabilityPairs(graph, languages, *GraphIndex::Build(graph));
 }
 
 std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
     const GraphDb& graph, const std::vector<const RegularRelation*>& languages,
-    const GraphIndex* index) {
-  return ReachabilityPairs(graph, languages, index, /*sources=*/nullptr,
-                           /*scan_stats=*/nullptr);
-}
-
-std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
-    const GraphDb& graph, const std::vector<const RegularRelation*>& languages,
-    const GraphIndex* index, const std::vector<NodeId>* sources,
-    ReachabilityScanStats* scan_stats) {
-  return ReachabilityPairs(graph, languages, index, sources, scan_stats,
-                           /*num_threads=*/1, /*cancel=*/nullptr,
-                           /*deterministic=*/true);
+    const GraphIndex& index) {
+  return ReachabilityPairsDirected(
+      graph, languages, index, /*sources=*/nullptr, /*targets=*/nullptr,
+      SearchDirection::kForward, /*scan_stats=*/nullptr,
+      /*meet_checks=*/nullptr, /*num_threads=*/1, /*cancel=*/nullptr,
+      /*deterministic=*/true);
 }
 
 namespace {
@@ -68,7 +62,7 @@ Nfa BuildScanLanguage(const GraphDb& graph,
 // thousand expansions so even a single-anchor scan over a huge graph
 // unwinds promptly (the caller treats the partial result as void once
 // the token has tripped).
-void ScanFromSource(const GraphDb& graph, const GraphIndex* index,
+void ScanFromSource(const GraphDb& graph, const GraphIndex& index,
                     const Nfa& lang, const std::vector<StateId>& lang_initial,
                     NodeId start, bool backward, std::vector<bool>* seen,
                     std::set<NodeId>* ends, ReachabilityScanStats* stats,
@@ -96,21 +90,12 @@ void ScanFromSource(const GraphDb& graph, const GraphIndex* index,
     }
     auto [q, v] = work.front();
     work.pop();
-    if (index != nullptr) {
-      // CSR label slices: touch only the neighbors carrying exactly
-      // the letters the language state can read.
-      for (const Nfa::Arc& arc : lang.ArcsFrom(q)) {
-        std::span<const NodeId> slice =
-            backward ? index->In(v, arc.first) : index->Out(v, arc.first);
-        for (NodeId to : slice) push(arc.second, to);
-      }
-    } else {
-      const auto& adjacency = backward ? graph.In(v) : graph.Out(v);
-      for (const Nfa::Arc& arc : lang.ArcsFrom(q)) {
-        for (const auto& [label, to] : adjacency) {
-          if (label == arc.first) push(arc.second, to);
-        }
-      }
+    // CSR label slices: touch only the neighbors carrying exactly the
+    // letters the language state can read.
+    for (const Nfa::Arc& arc : lang.ArcsFrom(q)) {
+      std::span<const NodeId> slice =
+          backward ? index.In(v, arc.first) : index.Out(v, arc.first);
+      for (NodeId to : slice) push(arc.second, to);
     }
   }
 }
@@ -125,7 +110,7 @@ void ScanFromSource(const GraphDb& graph, const GraphIndex* index,
 // side exhausting first proves unreachability (every accepting run meets
 // at all of its splits, including the opposite side's seed). Returns
 // true when a path from `s` to `t` matches the language.
-bool BidirectionalReachProbe(const GraphDb& graph, const GraphIndex* index,
+bool BidirectionalReachProbe(const GraphDb& graph, const GraphIndex& index,
                              const Nfa& lang, const Nfa& rlang, NodeId s,
                              NodeId t, std::vector<bool>* seen_f,
                              std::vector<bool>* seen_b,
@@ -162,20 +147,10 @@ bool BidirectionalReachProbe(const GraphDb& graph, const GraphIndex* index,
     next.clear();
     for (const auto& [q, v] : frontier) {
       if (met) break;
-      if (index != nullptr) {
-        for (const Nfa::Arc& arc : stepper.ArcsFrom(q)) {
-          std::span<const NodeId> slice = step_fwd
-                                              ? index->Out(v, arc.first)
-                                              : index->In(v, arc.first);
-          for (NodeId to : slice) push(step_fwd, arc.second, to, &next);
-        }
-      } else {
-        const auto& adjacency = step_fwd ? graph.Out(v) : graph.In(v);
-        for (const Nfa::Arc& arc : stepper.ArcsFrom(q)) {
-          for (const auto& [label, to] : adjacency) {
-            if (label == arc.first) push(step_fwd, arc.second, to, &next);
-          }
-        }
+      for (const Nfa::Arc& arc : stepper.ArcsFrom(q)) {
+        std::span<const NodeId> slice = step_fwd ? index.Out(v, arc.first)
+                                                 : index.In(v, arc.first);
+        for (NodeId to : slice) push(step_fwd, arc.second, to, &next);
       }
     }
     frontier.swap(next);
@@ -185,21 +160,9 @@ bool BidirectionalReachProbe(const GraphDb& graph, const GraphIndex* index,
 
 }  // namespace
 
-std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
-    const GraphDb& graph, const std::vector<const RegularRelation*>& languages,
-    const GraphIndex* index, const std::vector<NodeId>* sources,
-    ReachabilityScanStats* scan_stats, int num_threads,
-    CancellationToken* cancel, bool deterministic) {
-  return ReachabilityPairsDirected(graph, languages, index, sources,
-                                   /*targets=*/nullptr,
-                                   SearchDirection::kForward, scan_stats,
-                                   /*meet_checks=*/nullptr, num_threads,
-                                   cancel, deterministic);
-}
-
 std::vector<std::pair<NodeId, NodeId>> ReachabilityPairsDirected(
     const GraphDb& graph, const std::vector<const RegularRelation*>& languages,
-    const GraphIndex* index, const std::vector<NodeId>* sources,
+    const GraphIndex& index, const std::vector<NodeId>* sources,
     const std::vector<NodeId>* targets, SearchDirection direction,
     ReachabilityScanStats* scan_stats, uint64_t* meet_checks,
     int num_threads, CancellationToken* cancel, bool deterministic) {
@@ -457,9 +420,7 @@ Status EvaluateCrpq(const GraphDb& graph, const Query& query,
         "query is outside the CRPQ fast-path fragment (multi-ary relations, "
         "repeated path variables or linear atoms present)");
   }
-  if (options.use_graph_index && rq.index == nullptr) {
-    rq.index = GraphIndex::Build(graph);
-  }
+  if (rq.index == nullptr) rq.index = GraphIndex::Build(graph);
 
   stats.engine = "crpq";
 
@@ -527,7 +488,7 @@ Status EvaluateCrpq(const GraphDb& graph, const Query& query,
     ReachabilityScanStats scan_stats;
     uint64_t meet_checks = 0;
     atoms[i].pairs = ReachabilityPairsDirected(
-        graph, languages, rq.index.get(), sources, targets, dir,
+        graph, languages, *rq.index, sources, targets, dir,
         &scan_stats, &meet_checks, num_threads, cancel,
         options.deterministic);
     if (cancel != nullptr && cancel->cancelled()) {

@@ -42,54 +42,44 @@ struct ReachabilityScanStats {
 
 /// The per-atom reachability relation: all (u, v) pairs connected by a path
 /// whose label lies in every language of `languages` (an intersection; the
-/// empty list means Σ*). Exposed for tests and benches. The overload with
-/// `index` expands the (language state, node) frontier through CSR label
-/// slices — only edges carrying a letter some language arc reads — instead
-/// of scanning full adjacency lists per arc; null falls back to the scan.
-/// `sources` (when non-null) restricts the scan to paths starting at the
-/// listed nodes — the sideways-seeded form the planner emits; null scans
-/// from every node. `scan_stats` (optional) receives frontier counters.
-///
-/// With num_threads > 1 the per-source BFSes run morsel-parallel: lanes
-/// claim source morsels off a shared cursor and write each source's end
-/// set into its own slot. With `deterministic` (the default) slots are
-/// concatenated in source order, making the output identical to the
-/// serial scan's; otherwise lanes append finished morsels in completion
-/// order (same pair set, order may vary). `cancel` (optional) stops all
-/// lanes promptly; the caller must treat the result as partial once the
-/// token has tripped.
+/// empty list means Σ*), in (u, v) order. Exposed for tests. The
+/// (language state, node) frontier expands through `index`'s CSR label
+/// slices — only edges carrying a letter some language arc reads; the
+/// overload without `index` builds one.
 std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
     const GraphDb& graph, const std::vector<const RegularRelation*>& languages);
 std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
     const GraphDb& graph, const std::vector<const RegularRelation*>& languages,
-    const GraphIndex* index);
-std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
-    const GraphDb& graph, const std::vector<const RegularRelation*>& languages,
-    const GraphIndex* index, const std::vector<NodeId>* sources,
-    ReachabilityScanStats* scan_stats);
-std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
-    const GraphDb& graph, const std::vector<const RegularRelation*>& languages,
-    const GraphIndex* index, const std::vector<NodeId>* sources,
-    ReachabilityScanStats* scan_stats, int num_threads,
-    CancellationToken* cancel, bool deterministic);
+    const GraphIndex& index);
 
 /// Direction-aware reachability scan (the ReachabilityScan leaf's
-/// executable). kForward is exactly the overload above (per-source BFS;
-/// `targets` is ignored — callers filter ends). kBackward mirrors it: one
+/// executable). kForward runs one BFS per source node (`targets` is
+/// ignored — callers filter ends); `sources` (when non-null) restricts it
+/// to paths starting at the listed nodes — the sideways-seeded form the
+/// planner emits; null scans from every node. kBackward mirrors it: one
 /// BFS per TARGET over the reversed intersection NFA and the graph's
-/// in-edges (GraphIndex::In slices when indexed), emitting every
+/// in-edges (GraphIndex::In slices), emitting every
 /// (source, target) pair whose path label lies in the intersection — one
 /// backward BFS replaces |V| forward BFSes when only the target side is
 /// anchored. kBidirectional (requires both `sources` and `targets`) runs
 /// one meet-in-the-middle probe per (source, target) pair over
 /// (NFA state, node) configurations, alternating on the smaller frontier
 /// and stopping at the first meet; `meet_checks` (optional) counts the
-/// opposite-side probes. Bidirectional probes run serially per pair
-/// (anchored pairs are few); forward/backward sweeps honor
-/// `num_threads`/`deterministic` as documented above.
+/// opposite-side probes. `scan_stats` (optional) receives frontier
+/// counters.
+///
+/// Bidirectional probes run serially per pair (anchored pairs are few).
+/// With num_threads > 1 the forward/backward per-anchor BFSes run
+/// morsel-parallel: lanes claim anchor morsels off a shared cursor and
+/// write each anchor's end set into its own slot. With `deterministic`
+/// slots are concatenated in anchor order, making the output identical
+/// to the serial scan's; otherwise lanes append finished morsels in
+/// completion order (same pair set, order may vary). `cancel` (optional)
+/// stops all lanes promptly; the caller must treat the result as partial
+/// once the token has tripped.
 std::vector<std::pair<NodeId, NodeId>> ReachabilityPairsDirected(
     const GraphDb& graph, const std::vector<const RegularRelation*>& languages,
-    const GraphIndex* index, const std::vector<NodeId>* sources,
+    const GraphIndex& index, const std::vector<NodeId>* sources,
     const std::vector<NodeId>* targets, SearchDirection direction,
     ReachabilityScanStats* scan_stats, uint64_t* meet_checks,
     int num_threads, CancellationToken* cancel, bool deterministic);

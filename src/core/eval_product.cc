@@ -201,9 +201,7 @@ Status EvaluateProduct(const GraphDb& graph, const Query& query,
       ResolveQuery(graph, query, std::move(compiled), std::move(index));
   if (!resolved_or.ok()) return resolved_or.status();
   ResolvedQuery& rq = resolved_or.value();
-  if (options.use_graph_index && rq.index == nullptr) {
-    rq.index = GraphIndex::Build(graph);
-  }
+  if (rq.index == nullptr) rq.index = GraphIndex::Build(graph);
 
   stats.engine = "product";
 
@@ -216,7 +214,7 @@ Status EvaluateProduct(const GraphDb& graph, const Query& query,
   if (plan == nullptr || plan->engine != Engine::kProduct) {
     EvalOptions planning = options;
     planning.engine = Engine::kProduct;
-    local_plan = PlanQuery(query, *rq.compiled, rq.index.get(), planning);
+    local_plan = PlanQuery(query, *rq.compiled, *rq.index, planning);
     plan = &local_plan;
   }
 
@@ -328,12 +326,12 @@ Status EvaluateProduct(const GraphDb& graph, const Query& query,
   // dropping them shrinks the streamed join's search space (Yannakakis'
   // first phase, at component granularity).
   if (tables.size() > 1) {
-    // A costed plan demotes the reduction to inline-serial when the total
+    // The plan demotes the reduction to inline-serial when the total
     // estimated table volume is too small to amortize lanes; the decision
     // lives in the plan (not the thread count), so the executed pipeline
     // is identical at any session parallelism.
     const int semijoin_threads =
-        (options.use_planner && plan->costed && !plan->semijoin_parallel_ok)
+        (options.use_planner && !plan->semijoin_parallel_ok)
             ? 1
             : num_threads;
     bool changed = true;
@@ -363,7 +361,7 @@ Status EvaluateProduct(const GraphDb& graph, const Query& query,
   // same as the streamed path's. Whether to fold depends only on the
   // plan's cardinality estimates, never the thread count.
   bool fold_join = false;
-  if (options.use_planner && plan->costed && tables.size() > 1 &&
+  if (options.use_planner && tables.size() > 1 &&
       plan->components.size() == tables.size()) {
     for (const PlannedComponent& pc : plan->components) {
       if (pc.join_parallel_ok) fold_join = true;
@@ -405,7 +403,7 @@ Status EvaluateProduct(const GraphDb& graph, const Query& query,
     return emitter.status();
   }
 
-  // Small-estimate (and uncosted / planner-off) plans stream the
+  // Small-estimate (and planner-off) plans stream the
   // multi-way join instead: each new head projection goes to the sink as
   // soon as it is found — early termination (limit / exists) stops the
   // join itself, and path answers (when requested) are built per emitted
@@ -479,9 +477,7 @@ Result<std::vector<ComponentProductGraph>> BuildComponentProducts(
       ResolveQuery(graph, query, std::move(compiled), std::move(index));
   if (!resolved_or.ok()) return resolved_or.status();
   ResolvedQuery& rq = resolved_or.value();
-  if (options.use_graph_index && rq.index == nullptr) {
-    rq.index = GraphIndex::Build(graph);
-  }
+  if (rq.index == nullptr) rq.index = GraphIndex::Build(graph);
   if (assignment.size() != query.node_variables().size()) {
     return Status::InvalidArgument(
         "assignment arity does not match node variable count");
@@ -526,9 +522,7 @@ Result<PathAnswerSet> BuildPathAnswerSet(
       ResolveQuery(graph, query, std::move(compiled), std::move(index));
   if (!resolved_or.ok()) return resolved_or.status();
   ResolvedQuery& rq = resolved_or.value();
-  if (options.use_graph_index && rq.index == nullptr) {
-    rq.index = GraphIndex::Build(graph);
-  }
+  if (rq.index == nullptr) rq.index = GraphIndex::Build(graph);
 
   if (head_nodes.size() != query.head_nodes().size()) {
     return Status::InvalidArgument(

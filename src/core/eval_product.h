@@ -109,8 +109,8 @@ struct ResolvedQuery {
 /// Resolves and checks (constants exist, no unbound parameters, relation
 /// alphabets match). `compiled` reuses a prior CompileQuery result for
 /// this query; when null it is built here. `index` (optional) is a
-/// prebuilt CSR view of `graph`; when null and `options.use_graph_index`
-/// holds, engines build a per-run index after resolving.
+/// prebuilt CSR view of `graph`; when null, engines that read one build a
+/// per-run index after resolving.
 Result<ResolvedQuery> ResolveQuery(const GraphDb& graph, const Query& query,
                                    CompiledQueryPtr compiled = nullptr,
                                    GraphIndexPtr index = nullptr);

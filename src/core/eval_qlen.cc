@@ -19,18 +19,10 @@ namespace {
 // Distinct successors of `v` with labels ignored (ascending): the unary
 // abstraction of a node's out-neighbourhood, shared by the product
 // fallback's graph construction and the arithmetic path's skeleton NFA.
-void DistinctSuccessors(const GraphDb& graph, const GraphIndex* index,
-                        NodeId v, std::vector<NodeId>* targets) {
+void DistinctSuccessors(const GraphDb& graph, NodeId v,
+                        std::vector<NodeId>* targets) {
   targets->clear();
-  if (index != nullptr) {
-    auto slice = index->OutTargets(v);
-    targets->assign(slice.begin(), slice.end());
-  } else {
-    for (const auto& [label, to] : graph.Out(v)) {
-      (void)label;
-      targets->push_back(to);
-    }
-  }
+  for (const auto& [label, to] : graph.Out(v)) targets->push_back(to);
   std::sort(targets->begin(), targets->end());
   targets->erase(std::unique(targets->begin(), targets->end()),
                  targets->end());
@@ -85,7 +77,7 @@ bool IsEqualLengthLike(const RegularRelation& rel) {
 // run the product engine.
 Status EvaluateQlenProduct(const GraphDb& graph, const Query& query,
                            const EvalOptions& options, ResultSink& sink,
-                           EvalStats& stats, const GraphIndex* index) {
+                           EvalStats& stats) {
   auto unary_alphabet = Alphabet::FromLabels({"."});
   GraphDb named_unary(unary_alphabet);
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
@@ -93,7 +85,7 @@ Status EvaluateQlenProduct(const GraphDb& graph, const Query& query,
   }
   std::vector<NodeId> targets;
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    DistinctSuccessors(graph, index, v, &targets);
+    DistinctSuccessors(graph, v, &targets);
     for (NodeId to : targets) named_unary.AddEdge(v, Symbol{0}, to);
   }
 
@@ -133,11 +125,11 @@ Status EvaluateQlenProduct(const GraphDb& graph, const Query& query,
 // flags in O(|starts| + |ends|) and shares the transition structure.
 class UnaryGraphView {
  public:
-  UnaryGraphView(const GraphDb& graph, const GraphIndex* index) : nfa_(1) {
+  explicit UnaryGraphView(const GraphDb& graph) : nfa_(1) {
     nfa_.AddStates(graph.num_nodes());
     std::vector<NodeId> targets;
     for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-      DistinctSuccessors(graph, index, v, &targets);
+      DistinctSuccessors(graph, v, &targets);
       for (NodeId to : targets) nfa_.AddTransition(v, 0, to);
     }
   }
@@ -182,8 +174,7 @@ class UnionFind {
 
 Status EvaluateQlen(const GraphDb& graph, const Query& query,
                     const EvalOptions& options, ResultSink& sink,
-                    EvalStats& stats, CompiledQueryPtr compiled,
-                    GraphIndexPtr index) {
+                    EvalStats& stats, CompiledQueryPtr compiled) {
   if (!query.head_paths().empty()) {
     return Status::Unimplemented(
         "Q_len abstracts paths to lengths; path outputs are undefined "
@@ -194,18 +185,15 @@ Status EvaluateQlen(const GraphDb& graph, const Query& query,
         "linear atoms belong to the counting engine, not Q_len");
   }
 
-  auto resolved_or =
-      ResolveQuery(graph, query, std::move(compiled), std::move(index));
+  auto resolved_or = ResolveQuery(graph, query, std::move(compiled));
   if (!resolved_or.ok()) return resolved_or.status();
   ResolvedQuery& rq = resolved_or.value();
 
   // Arithmetic fast path (the progression machinery of Claim 6.7.1/2):
   // applicable when every >=2-ary relation abstracts to equal-length.
-  // The index is built only once an engine path is committed.
   for (const ResolvedRelation& rel : rq.relations()) {
     if (rel.relation->arity() >= 2 && !IsEqualLengthLike(*rel.relation)) {
-      return EvaluateQlenProduct(graph, query, options, sink, stats,
-                                 rq.index.get());
+      return EvaluateQlenProduct(graph, query, options, sink, stats);
     }
   }
 
@@ -215,10 +203,7 @@ Status EvaluateQlen(const GraphDb& graph, const Query& query,
     return Status::Cancelled("query execution cancelled");
   }
 
-  if (options.use_graph_index && rq.index == nullptr) {
-    rq.index = GraphIndex::Build(graph);
-  }
-  UnaryGraphView length_view(graph, rq.index.get());
+  UnaryGraphView length_view(graph);
 
   const int num_tracks = static_cast<int>(query.path_variables().size());
   const int num_vars = static_cast<int>(query.node_variables().size());

@@ -27,8 +27,7 @@ namespace ecrpq {
 /// heads and Boolean queries are.
 Status EvaluateQlen(const GraphDb& graph, const Query& query,
                     const EvalOptions& options, ResultSink& sink,
-                    EvalStats& stats, CompiledQueryPtr compiled = nullptr,
-                    GraphIndexPtr index = nullptr);
+                    EvalStats& stats, CompiledQueryPtr compiled = nullptr);
 
 /// Materializing convenience wrapper (sorted tuples).
 Result<QueryResult> EvaluateQlen(const GraphDb& graph, const Query& query,

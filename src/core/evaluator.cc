@@ -77,11 +77,10 @@ Status Evaluator::Evaluate(const Query& query, ResultSink& sink,
   // Build (or refresh) the cached index. GraphDb is append-only, so a
   // snapshot is stale iff one of its counters moved — revalidating here
   // keeps a reused Evaluator correct when the graph was grown between
-  // Evaluate calls. Brute force never reads the index; skip it there.
-  // With use_graph_index off, engines get no index at all (the scan
-  // path), even when one was attached externally.
+  // Evaluate calls. Brute force and Q_len never read the index; skip it
+  // there.
   GraphIndexPtr index;
-  if (options_.use_graph_index && engine != Engine::kBruteForce) {
+  if (engine != Engine::kBruteForce && engine != Engine::kQlen) {
     if (index_ == nullptr || index_->num_nodes() != graph_->num_nodes() ||
         index_->num_edges() != graph_->num_edges() ||
         index_->num_labels() != graph_->alphabet().size()) {
@@ -101,7 +100,7 @@ Status Evaluator::Evaluate(const Query& query, ResultSink& sink,
                               std::move(compiled), std::move(index));
     case Engine::kQlen:
       return EvaluateQlen(*graph_, query, options_, sink, stats,
-                          std::move(compiled), std::move(index));
+                          std::move(compiled));
     case Engine::kBruteForce:
       return EvaluateBruteForce(*graph_, query, options_, sink, stats,
                                 std::move(compiled));

@@ -18,6 +18,12 @@
 // kAuto picks kCrpq when applicable, kCounting for queries with linear
 // atoms, and kProduct otherwise.
 //
+// kProduct, kCrpq and kCounting read the graph only through a GraphIndex
+// snapshot (graph/index.h: label-sliced CSR expansion, degree-ordered
+// seeding) — the caller's, or one built per run; there is no
+// adjacency-scan path. kQlen needs only unlabeled successor sets and
+// kBruteForce enumerates GraphDb out-lists, so neither takes an index.
+//
 // Engines stream distinct answer tuples through a ResultSink (see
 // core/result_sink.h); the sink can stop evaluation early. The
 // Result<QueryResult> overloads materialize the full sorted answer set.
@@ -113,16 +119,10 @@ struct EvalOptions {
 
   /// Search direction of component leaves. kAuto lets the planner choose
   /// per leaf (forward unless statistics or anchoring favor backward /
-  /// bidirectional; requires use_planner and an index — the legacy path
-  /// stays forward-only). Any other value forces that direction on every
+  /// bidirectional; requires use_planner — the legacy path stays
+  /// forward-only). Any other value forces that direction on every
   /// leaf where it is feasible (benchmark / ablation hook).
   SearchDirection direction = SearchDirection::kAuto;
-
-  /// Evaluate against a CSR GraphIndex (label-sliced frontier expansion,
-  /// degree-ordered seeding). Engines build one per run when the caller
-  /// supplies none; Database shares a cached index across executions.
-  /// Off = the pre-index adjacency-scan path (benchmark baseline).
-  bool use_graph_index = true;
 
   /// Build Prop 5.2 answer automata for head path variables.
   bool build_path_answers = true;
@@ -225,8 +225,8 @@ class Evaluator {
 
   /// Attaches a prebuilt CSR index for `graph` (api::Database shares its
   /// cached one this way). Without it, the evaluator builds one lazily on
-  /// the first Evaluate call when options().use_graph_index is set and
-  /// reuses it afterwards; a snapshot whose node/edge/label counters no
+  /// the first Evaluate call of an engine that reads it and reuses it
+  /// afterwards; a snapshot whose node/edge/label counters no
   /// longer match the graph is rebuilt automatically (GraphDb is
   /// append-only, so the counters detect every mutation). Not
   /// thread-safe: concurrent Evaluate calls on one Evaluator race on the

@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <numeric>
 #include <queue>
 #include <span>
 #include <string>
@@ -310,7 +309,7 @@ class ComponentSearchT {
     const int T = static_cast<int>(comp_.tracks.size());
     ComputeLiveMasks(current);
     scratch_cands_.resize(T);
-    for (int t = 0; t < T; ++t) GatherCandidates(t, current, *rq_.graph);
+    for (int t = 0; t < T; ++t) GatherCandidates(t, current);
     scratch_letter_.assign(T, kPad);
     scratch_next_nodes_.assign(T, -1);
     auto counted = [&](ProductConfig next,
@@ -502,7 +501,7 @@ class ComponentSearchT {
   // current state-sets accept on that tape (Thm 6.1's restriction).
   void ComputeLiveMasks(const ProductConfig& current) {
     live_.assign(comp_.tracks.size(), ~0ULL);
-    if (index_ == nullptr || !use_masks_) return;
+    if (!use_masks_) return;
     for (size_t i = 0; i < comp_.relation_indices.size(); ++i) {
       const std::vector<uint64_t>& masks =
           SubsetMasks(i, current.subset_ids[i]);
@@ -609,15 +608,13 @@ class ComponentSearchT {
   //     than reading a handful of edges;
   //   * masked large rows: live letters in ascending label order via
   //     countr_zero, each label's slice ascending by target;
-  //   * unmasked index rows: the full CSR row;
-  //   * no index: GraphDb adjacency in stored order (legacy path).
-  void GatherCandidates(int t, const ProductConfig& current,
-                        const GraphDb& graph) {
+  //   * unmasked rows: the full CSR row.
+  void GatherCandidates(int t, const ProductConfig& current) {
     std::vector<std::pair<Symbol, NodeId>>& cands = scratch_cands_[t];
     cands.clear();
     if (!backward_ && (current.padmask & (1u << t)) != 0) return;
     const NodeId v = current.nodes[t];
-    if (index_ != nullptr && use_masks_) {
+    if (use_masks_) {
       const uint64_t node_mask =
           backward_ ? index_->InLabelMask(v) : index_->OutLabelMask(v);
       const uint64_t mask = live_[t] & node_mask;
@@ -646,18 +643,13 @@ class ComponentSearchT {
           for (NodeId to : slice) cands.emplace_back(label, to);
         }
       }
-    } else if (index_ != nullptr) {
+    } else {
       std::span<const Symbol> labels =
           backward_ ? index_->InLabels(v) : index_->OutLabels(v);
       std::span<const NodeId> targets =
           backward_ ? index_->InSources(v) : index_->OutTargets(v);
       for (size_t i = 0; i < labels.size(); ++i) {
         cands.emplace_back(labels[i], targets[i]);
-      }
-    } else {
-      const auto& adjacency = backward_ ? graph.In(v) : graph.Out(v);
-      for (const auto& [label, to] : adjacency) {
-        cands.emplace_back(label, to);
       }
     }
   }
@@ -666,7 +658,7 @@ class ComponentSearchT {
   const ComponentSpec& comp_;
   const EvalOptions& options_;
   Pool* pool_;
-  const GraphIndex* index_;  // null = scan GraphDb adjacency (legacy path)
+  const GraphIndex* index_;  // the snapshot every expansion reads
   bool use_masks_;           // base alphabet fits the 64-bit letter masks
   bool backward_;            // this context runs the reversed-tape mirror
   std::vector<std::vector<int>> rel_local_tracks_;
@@ -735,7 +727,6 @@ Status EnumerateAndRun(const ResolvedQuery& rq, ComponentSearch& search,
                        std::atomic<uint64_t>* configs_budget,
                        CancellationToken* cancel) {
   const ComponentSpec& comp = search.component();
-  const GraphDb& graph = *rq.graph;
   const bool backward = search.backward();
 
   std::vector<NodeId> binding(rq.query->node_variables().size(), -1);
@@ -764,21 +755,13 @@ Status EnumerateAndRun(const ResolvedQuery& rq, ComponentSearch& search,
     // in-degree-descending one for backward searches): under early
     // termination the densest frontiers reach answers soonest. The
     // answer set is order-independent (results is a set).
-    if (rq.index != nullptr) {
-      const std::vector<NodeId>& order = backward
-                                             ? rq.index->NodesByInDegree()
-                                             : rq.index->NodesByDegree();
-      for (NodeId v : order) {
-        binding[var] = v;
-        Status st = enumerate(i + 1);
-        if (!st.ok()) return st;
-      }
-    } else {
-      for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-        binding[var] = v;
-        Status st = enumerate(i + 1);
-        if (!st.ok()) return st;
-      }
+    const std::vector<NodeId>& order = backward
+                                           ? rq.index->NodesByInDegree()
+                                           : rq.index->NodesByDegree();
+    for (NodeId v : order) {
+      binding[var] = v;
+      Status st = enumerate(i + 1);
+      if (!st.ok()) return st;
     }
     binding[var] = -1;
     return Status::OK();
@@ -1193,14 +1176,8 @@ Status MorselStartNodesExpand(const ResolvedQuery& rq,
                               OperatorStats& op,
                               std::set<std::vector<NodeId>>* results) {
   const bool backward = direction == SearchDirection::kBackward;
-  std::vector<NodeId> order;
-  if (rq.index != nullptr) {
-    order = backward ? rq.index->NodesByInDegree()
-                     : rq.index->NodesByDegree();
-  } else {
-    order.resize(rq.graph->num_nodes());
-    std::iota(order.begin(), order.end(), 0);
-  }
+  const std::vector<NodeId>& order = backward ? rq.index->NodesByInDegree()
+                                             : rq.index->NodesByDegree();
   std::vector<ExpandLane> lanes(num_lanes);
   std::atomic<bool> failed{false};
   const size_t grain = std::max<size_t>(1, order.size() / (num_lanes * 8));
@@ -1490,7 +1467,7 @@ Status ScanComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
   ReachabilityScanStats scan_stats;
   uint64_t meet_checks = 0;
   std::vector<std::pair<NodeId, NodeId>> pairs = ReachabilityPairsDirected(
-      *rq.graph, languages, rq.index.get(), source_ptr, target_ptr,
+      *rq.graph, languages, *rq.index, source_ptr, target_ptr,
       direction, &scan_stats, &meet_checks, num_threads, cancel,
       options.deterministic);
   if (cancel != nullptr && cancel->cancelled()) {

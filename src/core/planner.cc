@@ -231,10 +231,9 @@ double EstimateComponentCardinality(const Query& query,
 }
 
 PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
-                       const GraphIndex* index, const EvalOptions& options) {
+                       const GraphIndex& index, const EvalOptions& options) {
   PhysicalPlan plan;
   plan.engine = SelectEngine(query, compiled.analysis, options.engine);
-  plan.costed = (index != nullptr);
   plan.linear_check = !query.linear_atoms().empty();
 
   // The conjunct groups the leaves evaluate over:
@@ -263,7 +262,7 @@ PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
   plan.decomposed = groups.size() > 1;
   plan.num_threads = ResolveNumThreads(options.num_threads);
 
-  const double V = (index != nullptr) ? std::max(1, index->num_nodes()) : 1.0;
+  const double V = std::max(1, index.num_nodes());
   // Per-component expansion-work proxies, parallel to plan.components
   // until the cheapest-first reorder (carried inside the component via
   // est_cost / est_cost_bwd afterwards).
@@ -275,25 +274,22 @@ PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
     pc.start_vars = cv.start_vars;
     pc.end_vars = cv.end_vars;
     pc.leaf = LeafKind(query, compiled, group, cv.tracks);
-    if (index != nullptr) {
-      double expand_work = 0.0;
-      double bwd_expand_work = 0.0;
-      EstimateComponent(compiled, cv, *index, &pc.est_rows, &expand_work,
-                        &bwd_expand_work);
-      pc.est_cost =
-          std::pow(V, static_cast<double>(pc.start_vars.size())) *
-          expand_work;
-      pc.est_cost_bwd =
-          std::pow(V, static_cast<double>(pc.end_vars.size())) *
-          bwd_expand_work;
-    }
+    double expand_work = 0.0;
+    double bwd_expand_work = 0.0;
+    EstimateComponent(compiled, cv, index, &pc.est_rows, &expand_work,
+                      &bwd_expand_work);
+    pc.est_cost =
+        std::pow(V, static_cast<double>(pc.start_vars.size())) * expand_work;
+    pc.est_cost_bwd =
+        std::pow(V, static_cast<double>(pc.end_vars.size())) *
+        bwd_expand_work;
     // Chosen parallelism: the resolved lane count, demoted to serial when
     // the cost estimate says the leaf cannot amortize lane startup (a
     // distinct flag, so a serial-session plan is not mistaken for a
     // demotion by later num_threads overrides). The product executor
     // honors the demotion per leaf; the crpq executor applies the
     // resolved count to every scan.
-    pc.demoted_serial = plan.engine == Engine::kProduct && plan.costed &&
+    pc.demoted_serial = plan.engine == Engine::kProduct &&
                         pc.est_cost >= 0.0 && pc.est_cost < 20000.0;
     pc.threads = pc.demoted_serial ? 1 : plan.num_threads;
     plan.components.push_back(std::move(pc));
@@ -329,9 +325,8 @@ PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
   }
 
   // Cheapest-first ordering (stable: analysis order breaks ties), only
-  // when statistics are available and the planner is enabled; the legacy
-  // path keeps the analysis order.
-  if (plan.costed && options.use_planner && plan.components.size() > 1) {
+  // when the planner is enabled; the legacy path keeps the analysis order.
+  if (options.use_planner && plan.components.size() > 1) {
     std::stable_sort(plan.components.begin(), plan.components.end(),
                      [](const PlannedComponent& a, const PlannedComponent& b) {
                        if (a.est_rows != b.est_rows) {
@@ -382,38 +377,36 @@ PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
           ++free_ends;
         }
       }
-      if (plan.costed) {
-        if (free_starts == 0 && free_ends == 0) {
-          pc.direction = SearchDirection::kBidirectional;
-        } else {
-          // Recover the directional work proxies from the stored full
-          // costs and re-scale by the free (unseeded) variable counts.
-          const double fwd_work =
-              pc.est_cost /
-              std::pow(V, static_cast<double>(pc.start_vars.size()));
-          const double bwd_work =
-              pc.est_cost_bwd /
-              std::pow(V, static_cast<double>(pc.end_vars.size()));
-          const double cost_fwd =
-              std::pow(V, static_cast<double>(free_starts)) * fwd_work;
-          const double cost_bwd =
-              std::pow(V, static_cast<double>(free_ends)) * bwd_work;
-          if (cost_bwd * 1.25 < cost_fwd) {
-            pc.direction = SearchDirection::kBackward;
-          }
+      if (free_starts == 0 && free_ends == 0) {
+        pc.direction = SearchDirection::kBidirectional;
+      } else {
+        // Recover the directional work proxies from the stored full
+        // costs and re-scale by the free (unseeded) variable counts.
+        const double fwd_work =
+            pc.est_cost /
+            std::pow(V, static_cast<double>(pc.start_vars.size()));
+        const double bwd_work =
+            pc.est_cost_bwd /
+            std::pow(V, static_cast<double>(pc.end_vars.size()));
+        const double cost_fwd =
+            std::pow(V, static_cast<double>(free_starts)) * fwd_work;
+        const double cost_bwd =
+            std::pow(V, static_cast<double>(free_ends)) * bwd_work;
+        if (cost_bwd * 1.25 < cost_fwd) {
+          pc.direction = SearchDirection::kBackward;
         }
-        // Re-evaluate the serial demotion for the chosen direction: the
-        // initial decision used the forward cost, but a leaf flipped to
-        // backward (or bidirectional, bounded by the cheaper cone)
-        // should amortize lanes against the search it actually runs.
-        if (pc.direction != SearchDirection::kForward) {
-          const double dir_cost =
-              pc.direction == SearchDirection::kBackward
-                  ? pc.est_cost_bwd
-                  : std::min(pc.est_cost, pc.est_cost_bwd);
-          pc.demoted_serial = dir_cost >= 0.0 && dir_cost < 20000.0;
-          pc.threads = pc.demoted_serial ? 1 : plan.num_threads;
-        }
+      }
+      // Re-evaluate the serial demotion for the chosen direction: the
+      // initial decision used the forward cost, but a leaf flipped to
+      // backward (or bidirectional, bounded by the cheaper cone)
+      // should amortize lanes against the search it actually runs.
+      if (pc.direction != SearchDirection::kForward) {
+        const double dir_cost =
+            pc.direction == SearchDirection::kBackward
+                ? pc.est_cost_bwd
+                : std::min(pc.est_cost, pc.est_cost_bwd);
+        pc.demoted_serial = dir_cost >= 0.0 && dir_cost < 20000.0;
+        pc.threads = pc.demoted_serial ? 1 : plan.num_threads;
       }
       const bool shares_anchor =
           pc.direction == SearchDirection::kBidirectional
@@ -434,7 +427,7 @@ PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
   // cardinality estimates (never the thread count), so the executor's
   // pipeline shape — and with it every reported counter — is identical
   // at any session parallelism.
-  if (plan.costed && options.use_planner && plan.components.size() > 1) {
+  if (options.use_planner && plan.components.size() > 1) {
     constexpr double kJoinInlineRowsEstimate = 4096.0;  // kParallelJoinRows
     double acc = std::max(plan.components[0].est_rows, 0.0);
     double total = acc;
@@ -477,7 +470,7 @@ std::string PhysicalPlan::Describe(const Query& query) const {
 
   std::string out = "engine: ";
   out += EngineName(engine);
-  out += costed ? " (cost-based plan)" : " (uncosted plan)";
+  out += " (cost-based plan)";
   if (num_threads > 1) {
     out += " threads=" + std::to_string(num_threads);
   }

@@ -60,7 +60,7 @@ struct PlannedComponent {
   /// Seed this component's execution from the accumulated bindings
   /// (sideways information passing) instead of full node enumeration.
   bool sideways = false;
-  double est_rows = -1.0;  ///< cardinality estimate (-1: no statistics)
+  double est_rows = -1.0;  ///< cardinality estimate (-1: not estimated)
   double est_cost = -1.0;  ///< full-seeding work estimate
   /// Worker lanes the planner chose for this leaf (morsel-driven
   /// execution, core/parallel.h): the plan's resolved num_threads, or 1
@@ -82,12 +82,12 @@ struct PlannedComponent {
   /// seeding assumption fell through; EvalOptions::direction overrides.
   SearchDirection direction = SearchDirection::kForward;
   /// Backward mirror of est_cost (end-side enumeration × reversed-tape
-  /// expansion work); -1 without statistics.
+  /// expansion work); -1 until estimated.
   double est_cost_bwd = -1.0;
   /// Worker lanes for the HashJoin that merges this component's table
   /// into the accumulated join pipeline (Explain: the `parallelism=` of
   /// the HashJoin line above this leaf). 0 = no merge join (the first
-  /// component in plan order, or an unplanned/uncosted plan); 1 =
+  /// component in plan order, or an unplanned plan); 1 =
   /// inline-serial, the estimated join input is below the partitioned
   /// threshold (mirroring AdaptiveGrain's stay-inline rule for small
   /// item counts); >= 2 = the radix-partitioned parallel join. Like
@@ -104,22 +104,20 @@ struct PlannedComponent {
 
 struct PhysicalPlan {
   Engine engine = Engine::kProduct;
-  /// Components in execution order (cheapest-first when statistics were
-  /// available). Size 1 with every atom = monolithic evaluation.
+  /// Components in execution order (cheapest-first when the planner is
+  /// enabled). Size 1 with every atom = monolithic evaluation.
   std::vector<PlannedComponent> components;
   /// Whether the conjunction was decomposed at all.
   bool decomposed = false;
   /// A LinearConstraintCheck operator gates emission (counting engine).
   bool linear_check = false;
-  /// True when GraphIndex statistics informed ordering/estimates.
-  bool costed = false;
   /// The parallelism EvalOptions::num_threads resolved to at plan time
   /// (ECRPQ_THREADS / hardware concurrency); per-leaf choices are in
   /// PlannedComponent::threads and rendered by Describe/Explain.
   int num_threads = 1;
   /// Worker lanes for the cross-component SemiJoinFilter fixpoint
   /// (Explain: `parallelism=` on the SemiJoinFilter line). 0 = not
-  /// applicable (fewer than two components, or an uncosted plan); 1 =
+  /// applicable (fewer than two components, or an unplanned plan); 1 =
   /// inline-serial (total estimated table volume below the partitioned
   /// threshold); >= 2 = partitioned parallel reduction. The eligibility
   /// that survives num_threads overrides is semijoin_parallel_ok.
@@ -145,10 +143,9 @@ double EstimateComponentCardinality(const Query& query,
 /// Builds the physical plan for `query`: resolves kAuto against the
 /// analysis, decomposes into synchronization components (unless
 /// options.use_components is off), costs and orders them, and marks
-/// sideways-seeded components. `index` may be null (no statistics: the
-/// analysis order is kept and estimates stay at -1).
+/// sideways-seeded components from `index`'s statistics.
 PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
-                       const GraphIndex* index, const EvalOptions& options);
+                       const GraphIndex& index, const EvalOptions& options);
 
 }  // namespace ecrpq
 

@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace ecrpq {
 
@@ -13,7 +14,6 @@ GraphDb::GraphDb() : alphabet_(std::make_shared<Alphabet>()) {}
 NodeId GraphDb::AddNode() {
   ++version_;
   out_.emplace_back();
-  in_.emplace_back();
   names_.emplace_back();
   return static_cast<NodeId>(out_.size() - 1);
 }
@@ -23,9 +23,36 @@ NodeId GraphDb::AddNodes(int count) {
   ++version_;
   const NodeId first = static_cast<NodeId>(out_.size());
   out_.resize(out_.size() + count);
-  in_.resize(in_.size() + count);
   names_.resize(names_.size() + count);
   return first;
+}
+
+uint32_t GraphDb::NameHash(std::string_view name) {
+  const uint64_t h = std::hash<std::string_view>{}(name);
+  return static_cast<uint32_t>(h ^ (h >> 32));
+}
+
+size_t GraphDb::FindSlot(std::string_view name, uint32_t hash) const {
+  const size_t mask = name_slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const uint64_t slot = name_slots_[i];
+    if (slot == 0 || (static_cast<uint32_t>(slot >> 32) == hash &&
+                      names_[static_cast<uint32_t>(slot) - 1] == name)) {
+      return i;
+    }
+  }
+}
+
+void GraphDb::GrowNameTable() {
+  std::vector<uint64_t> old = std::move(name_slots_);
+  name_slots_.assign(std::max<size_t>(16, 2 * old.size()), 0);
+  const size_t mask = name_slots_.size() - 1;
+  for (uint64_t slot : old) {
+    if (slot == 0) continue;
+    size_t i = (slot >> 32) & mask;
+    while (name_slots_[i] != 0) i = (i + 1) & mask;
+    name_slots_[i] = slot;
+  }
 }
 
 NodeId GraphDb::AddNode(std::string_view name) {
@@ -33,20 +60,26 @@ NodeId GraphDb::AddNode(std::string_view name) {
   // instead of interning "" (which would collapse every such node into
   // one and break text-format round-trips).
   if (name.empty()) return AddNode();
-  // One hash and one probe: the slot is claimed with the id the node
-  // will get, and only a fresh slot creates the node.
-  auto [it, inserted] =
-      name_index_.try_emplace(std::string(name), num_nodes());
-  if (!inserted) return it->second;
-  NodeId id = AddNode();
-  names_[id] = it->first;
+  if (num_named_ >= name_slots_.size() / 2) GrowNameTable();
+  // One hash and one probe: a hit returns the existing id, a miss ends on
+  // the empty slot the new node claims.
+  const uint32_t hash = NameHash(name);
+  const size_t i = FindSlot(name, hash);
+  if (name_slots_[i] != 0) {
+    return static_cast<NodeId>(static_cast<uint32_t>(name_slots_[i]) - 1);
+  }
+  const NodeId id = AddNode();
+  names_[id] = name;
+  name_slots_[i] = uint64_t{hash} << 32 | static_cast<uint32_t>(id + 1);
+  ++num_named_;
   return id;
 }
 
 std::optional<NodeId> GraphDb::FindNode(std::string_view name) const {
-  auto it = name_index_.find(std::string(name));
-  if (it == name_index_.end()) return std::nullopt;
-  return it->second;
+  if (name_slots_.empty()) return std::nullopt;
+  const uint64_t slot = name_slots_[FindSlot(name, NameHash(name))];
+  if (slot == 0) return std::nullopt;
+  return static_cast<NodeId>(static_cast<uint32_t>(slot) - 1);
 }
 
 std::string GraphDb::NodeName(NodeId node) const {
@@ -60,7 +93,6 @@ void GraphDb::AddEdge(NodeId from, Symbol label, NodeId to) {
   ECRPQ_DCHECK(to >= 0 && to < num_nodes());
   ECRPQ_DCHECK(label >= 0 && label < alphabet_->size());
   out_[from].emplace_back(label, to);
-  in_[to].emplace_back(label, from);
   ++num_edges_;
   ++version_;
 }
@@ -71,11 +103,7 @@ bool GraphDb::RemoveEdge(NodeId from, Symbol label, NodeId to) {
   auto& out = out_[from];
   auto out_it = std::find(out.begin(), out.end(), std::pair(label, to));
   if (out_it == out.end()) return false;
-  auto& in = in_[to];
-  auto in_it = std::find(in.begin(), in.end(), std::pair(label, from));
-  ECRPQ_DCHECK(in_it != in.end());
   out.erase(out_it);
-  in.erase(in_it);
   --num_edges_;
   ++version_;
   return true;
@@ -87,22 +115,17 @@ void GraphDb::AddEdge(NodeId from, std::string_view label, NodeId to) {
 
 void GraphDb::AddEdges(const std::vector<Edge>& edges) {
   const int n = num_nodes();
-  std::vector<int32_t> out_deg(n, 0), in_deg(n, 0);
+  std::vector<int32_t> out_deg(n, 0);
   for (const Edge& e : edges) {
     ECRPQ_DCHECK(e.from >= 0 && e.from < n);
     ECRPQ_DCHECK(e.to >= 0 && e.to < n);
     ECRPQ_DCHECK(e.label >= 0 && e.label < alphabet_->size());
     ++out_deg[e.from];
-    ++in_deg[e.to];
   }
   for (NodeId v = 0; v < n; ++v) {
     if (out_deg[v] > 0) out_[v].reserve(out_[v].size() + out_deg[v]);
-    if (in_deg[v] > 0) in_[v].reserve(in_[v].size() + in_deg[v]);
   }
-  for (const Edge& e : edges) {
-    out_[e.from].emplace_back(e.label, e.to);
-    in_[e.to].emplace_back(e.label, e.from);
-  }
+  for (const Edge& e : edges) out_[e.from].emplace_back(e.label, e.to);
   num_edges_ += static_cast<int>(edges.size());
   ++version_;
 }

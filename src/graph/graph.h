@@ -5,6 +5,8 @@
 // viewed as an NFA over Σ without initial/final states (the paper uses this
 // equivalence throughout); `ToNfa` realizes that view with a chosen set of
 // initial/final nodes.
+// Each edge is stored once, in its source's out-list (GraphIndex derives
+// the in-side), and each node name once, in a table of names by id.
 
 #ifndef ECRPQ_GRAPH_GRAPH_H_
 #define ECRPQ_GRAPH_GRAPH_H_
@@ -13,7 +15,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "automata/alphabet.h"
@@ -81,7 +82,7 @@ class GraphDb {
   /// id. Bulk-construction companion of AddEdges.
   NodeId AddNodes(int count);
 
-  /// Looks up a node by name.
+  /// Looks up a node by name (no allocation).
   std::optional<NodeId> FindNode(std::string_view name) const;
 
   /// Node name, or "n<id>" for anonymous nodes.
@@ -109,7 +110,7 @@ class GraphDb {
   /// exact reservation per touched node, one fill pass — no per-edge
   /// vector reallocation. Equivalent to calling AddEdge per element in
   /// order (per-node adjacency order is identical), but O(V + E) with
-  /// ~2 allocations per touched node instead of the amortized-doubling
+  /// one allocation per touched node instead of the amortized-doubling
   /// churn that dominates multi-million-edge loads.
   void AddEdges(const std::vector<Edge>& edges);
 
@@ -132,13 +133,9 @@ class GraphDb {
   const Alphabet& alphabet() const { return *alphabet_; }
   const AlphabetPtr& alphabet_ptr() const { return alphabet_; }
 
-  /// Outgoing (label, target) pairs of `node`.
+  /// Outgoing (label, target) pairs of `node`, in insertion order.
   const std::vector<std::pair<Symbol, NodeId>>& Out(NodeId node) const {
     return out_[node];
-  }
-  /// Incoming (label, source) pairs of `node`.
-  const std::vector<std::pair<Symbol, NodeId>>& In(NodeId node) const {
-    return in_[node];
   }
 
   /// True if the edge (from, label, to) exists.
@@ -154,11 +151,19 @@ class GraphDb {
   Nfa ToNfaAllStates() const;
 
  private:
+  static uint32_t NameHash(std::string_view name);
+  /// The slot holding `name`, or the empty slot where it would go.
+  size_t FindSlot(std::string_view name, uint32_t hash) const;
+  void GrowNameTable();
+
   AlphabetPtr alphabet_;
   std::vector<std::vector<std::pair<Symbol, NodeId>>> out_;
-  std::vector<std::vector<std::pair<Symbol, NodeId>>> in_;
   std::vector<std::string> names_;  // empty string = anonymous
-  std::unordered_map<std::string, NodeId> name_index_;
+  // Open-addressing name table over names_: each slot holds
+  // hash32 << 32 | (id + 1), 0 = empty. Power-of-two size, at most half
+  // full; growth rehashes the stored hashes, never the names.
+  std::vector<uint64_t> name_slots_;
+  size_t num_named_ = 0;
   int num_edges_ = 0;
   uint64_t version_ = 0;
 };

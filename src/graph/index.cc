@@ -21,22 +21,18 @@ uint64_t PackKey(Symbol label, NodeId other) {
          static_cast<uint32_t>(other);
 }
 
-// Size-then-fill CSR construction. The offsets pass sizes every array
-// exactly; the fill pass sorts each node's adjacency as packed
-// (label << 32 | target) uint64 keys — one flat scratch buffer reused
-// across nodes, same (label, target) order the old per-node permutation
-// sort produced, a fraction of its comparisons and allocations. Every
-// node writes only its own [offsets[v], offsets[v+1]) slice, so the fill
-// parallelizes over contiguous node ranges with byte-identical output at
-// any lane count.
-void BuildCsr(const GraphDb& graph, bool out_side, int num_threads,
-              std::vector<int32_t>* offsets, std::vector<Symbol>* labels,
-              std::vector<NodeId>* targets, std::vector<uint64_t>* masks) {
+// Size-then-fill out-side CSR: the offsets pass sizes every array exactly,
+// then each row is sorted as packed (label << 32 | target) keys in a
+// reused scratch buffer and written to its own slice — so the fill
+// parallelizes over node ranges with byte-identical output.
+void BuildOutCsr(const GraphDb& graph, int num_threads,
+                 std::vector<int32_t>* offsets, std::vector<Symbol>* labels,
+                 std::vector<NodeId>* targets, std::vector<uint64_t>* masks) {
   const int n = graph.num_nodes();
   offsets->assign(n + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
-    const auto& adj = out_side ? graph.Out(v) : graph.In(v);
-    (*offsets)[v + 1] = (*offsets)[v] + static_cast<int32_t>(adj.size());
+    (*offsets)[v + 1] =
+        (*offsets)[v] + static_cast<int32_t>(graph.Out(v).size());
   }
   const int e = (*offsets)[n];
   labels->resize(e);
@@ -46,9 +42,8 @@ void BuildCsr(const GraphDb& graph, bool out_side, int num_threads,
   auto fill_range = [&](NodeId vbegin, NodeId vend,
                         std::vector<uint64_t>& keys) {
     for (NodeId v = vbegin; v < vend; ++v) {
-      const auto& adj = out_side ? graph.Out(v) : graph.In(v);
       keys.clear();
-      for (const auto& [label, other] : adj) {
+      for (const auto& [label, other] : graph.Out(v)) {
         keys.push_back(PackKey(label, other));
       }
       std::sort(keys.begin(), keys.end());
@@ -82,7 +77,89 @@ void BuildCsr(const GraphDb& graph, bool out_side, int num_threads,
   });
 }
 
+// Every node once, by descending degree(v), ties by ascending id: a stable
+// counting sort in O(V + max degree). The exact std::stable_sort order
+// that GraphIndex::RepairDegreeOrder maintains on delta snapshots.
+template <typename DegreeFn>
+std::vector<NodeId> OrderByDegree(int n, DegreeFn degree) {
+  int max_degree = 0;
+  for (NodeId v = 0; v < n; ++v) max_degree = std::max(max_degree, degree(v));
+  // start[max_degree - d] = number of nodes with degree > d.
+  std::vector<int32_t> start(max_degree + 2, 0);
+  for (NodeId v = 0; v < n; ++v) ++start[max_degree - degree(v) + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<NodeId> order(n);
+  for (NodeId v = 0; v < n; ++v) order[start[max_degree - degree(v)]++] = v;
+  return order;
+}
+
 }  // namespace
+
+// The in-side CSR, dealt from the finished out-side by two stable counting
+// passes instead of a per-row sort: bucketing the out edges by label keeps
+// each bucket in source order, so dealing the buckets label by label into
+// their target rows leaves every in-row (label, source)-sorted. The only
+// edge-sized scratch is the buckets, 8 bytes per edge. The sequential
+// passes also give the label statistics.
+void GraphIndex::InvertOutSide(const Side& out, Side* in) {
+  const int n = num_nodes_;
+  const int e = out.offsets[n];
+  const int stats_size = std::max(num_labels_, 1);
+  label_source_counts_.assign(stats_size, 0);
+  label_target_counts_.assign(stats_size, 0);
+  std::vector<int32_t> bucket_end(num_labels_ + 1, 0);
+  in->offsets.assign(n + 1, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    Symbol prev = -1;
+    for (int32_t i = out.offsets[v]; i < out.offsets[v + 1]; ++i) {
+      const Symbol label = out.labels[i];
+      ++bucket_end[label + 1];
+      ++in->offsets[out.targets[i] + 1];
+      if (label != prev) ++label_source_counts_[label];
+      prev = label;
+    }
+  }
+  label_counts_.assign(bucket_end.begin() + 1, bucket_end.end());
+  label_counts_.resize(stats_size, 0);
+  std::partial_sum(bucket_end.begin(), bucket_end.end(), bucket_end.begin());
+  std::partial_sum(in->offsets.begin(), in->offsets.end(),
+                   in->offsets.begin());
+
+  in->labels.resize(e);
+  in->targets.resize(e);
+  {
+    // Filling advances each label's start to its end.
+    std::vector<std::pair<NodeId, NodeId>> by_label(e);  // (source, target)
+    for (NodeId v = 0; v < n; ++v) {
+      for (int32_t i = out.offsets[v]; i < out.offsets[v + 1]; ++i) {
+        by_label[bucket_end[out.labels[i]]++] = {v, out.targets[i]};
+      }
+    }
+    std::vector<int32_t> cursor(in->offsets.begin(), in->offsets.end() - 1);
+    int32_t i = 0;
+    for (Symbol label = 0; label < num_labels_; ++label) {
+      for (; i < bucket_end[label]; ++i) {
+        const auto [source, target] = by_label[i];
+        const int32_t at = cursor[target]++;
+        in->labels[at] = label;
+        in->targets[at] = source;
+      }
+    }
+  }
+
+  in->masks.assign(n, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    Symbol prev = -1;
+    uint64_t mask = 0;
+    for (int32_t j = in->offsets[v]; j < in->offsets[v + 1]; ++j) {
+      const Symbol label = in->labels[j];
+      if (label != prev) ++label_target_counts_[label];
+      prev = label;
+      mask |= 1ULL << std::min<Symbol>(label, 63);
+    }
+    in->masks[v] = mask;
+  }
+}
 
 GraphIndexPtr GraphIndex::Build(const GraphDb& graph) {
   return Build(graph, /*num_threads=*/0);
@@ -102,50 +179,23 @@ GraphIndexPtr GraphIndex::Build(const GraphDb& graph, int num_threads) {
 
   auto base = std::make_shared<Base>();
   base->num_nodes = graph.num_nodes();
-  BuildCsr(graph, /*out_side=*/true, num_threads, &base->out.offsets,
-           &base->out.labels, &base->out.targets, &base->out.masks);
-  BuildCsr(graph, /*out_side=*/false, num_threads, &base->in.offsets,
-           &base->in.labels, &base->in.targets, &base->in.masks);
+  BuildOutCsr(graph, num_threads, &base->out.offsets, &base->out.labels,
+              &base->out.targets, &base->out.masks);
+  index->InvertOutSide(base->out, &base->in);
   index->base_ = base;
   index->bout_ = &base->out;
   index->bin_ = &base->in;
   index->base_num_nodes_ = graph.num_nodes();
   index->base_num_edges_ = graph.num_edges();
 
-  index->label_counts_.assign(std::max(index->num_labels_, 1), 0);
-  for (Symbol label : base->out.labels) ++index->label_counts_[label];
-
-  // Distinct-source/target counts per label: CSR rows are sorted by
-  // label, so each node contributes one increment per distinct label run.
-  auto distinct_endpoint_counts = [&](const Side& side,
-                                      std::vector<int64_t>* counts) {
-    counts->assign(std::max(index->num_labels_, 1), 0);
-    for (NodeId v = 0; v < index->num_nodes_; ++v) {
-      Symbol prev = -1;
-      for (int32_t i = side.offsets[v]; i < side.offsets[v + 1]; ++i) {
-        if (side.labels[i] != prev) {
-          prev = side.labels[i];
-          ++(*counts)[prev];
-        }
-      }
-    }
-  };
-  distinct_endpoint_counts(base->out, &index->label_source_counts_);
-  distinct_endpoint_counts(base->in, &index->label_target_counts_);
-
-  index->by_degree_.resize(index->num_nodes_);
-  std::iota(index->by_degree_.begin(), index->by_degree_.end(), 0);
-  std::stable_sort(index->by_degree_.begin(), index->by_degree_.end(),
-                   [&](NodeId a, NodeId b) {
-                     return index->out_degree(a) + index->in_degree(a) >
-                            index->out_degree(b) + index->in_degree(b);
-                   });
-  index->by_in_degree_.resize(index->num_nodes_);
-  std::iota(index->by_in_degree_.begin(), index->by_in_degree_.end(), 0);
-  std::stable_sort(index->by_in_degree_.begin(), index->by_in_degree_.end(),
-                   [&](NodeId a, NodeId b) {
-                     return index->in_degree(a) > index->in_degree(b);
-                   });
+  const std::vector<int32_t>& out_off = base->out.offsets;
+  const std::vector<int32_t>& in_off = base->in.offsets;
+  index->by_degree_ = OrderByDegree(index->num_nodes_, [&](NodeId v) {
+    return out_off[v + 1] - out_off[v] + in_off[v + 1] - in_off[v];
+  });
+  index->by_in_degree_ = OrderByDegree(index->num_nodes_, [&](NodeId v) {
+    return in_off[v + 1] - in_off[v];
+  });
   index->orders_ready_.store(true, std::memory_order_release);
   return index;
 }

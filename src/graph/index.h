@@ -4,10 +4,10 @@
 // product configuration holds one graph node per path variable plus one
 // NFA state-set per relation, and a step only needs the edges of those
 // nodes *restricted to the letters the relation states can currently
-// read*. GraphDb's adjacency (one unsorted (label, target) vector per
-// node) forces every step to scan a node's full out-list even when the
+// read*. GraphDb's out-lists (one unsorted (label, target) vector per
+// node) force every step to scan a node's full out-list even when the
 // live letter set is a fraction of the alphabet. GraphIndex realizes the
-// restricted-edge access the theorem assumes:
+// restricted-edge access the theorem assumes, and holds the only in-edges:
 //
 //   * out- and in-edges in CSR form (one offsets array, one labels array,
 //     one targets array), sorted by (node, label, target) — the
@@ -26,8 +26,8 @@
 // An index is an immutable snapshot; engines never see it change. Two
 // ways a snapshot comes to exist:
 //
-//   * Build(graph): a sealed BASE — the full parallel size-then-fill CSR
-//     construction, O(V + E).
+//   * Build(graph): a sealed BASE — size-then-fill CSR construction,
+//     O(V + E + max degree) plus each out-row's own sort.
 //   * snapshot->ApplyDelta(batch): a DELTA snapshot layered on the same
 //     base. The batch's touched nodes get fully *merged* logical rows
 //     (previous view of the row ⊎ adds ∖ removes, kept (label, target)-
@@ -52,9 +52,9 @@
 // snapshot shared_ptr for their whole run and finish against it even as
 // writers chain new delta snapshots; the serving layer's result cache
 // keys on the snapshot pointer, so every ApplyDelta (and every
-// compaction) is a distinct cache generation. Engines fall back to
-// GraphDb scans when no index is supplied (EvalOptions::use_graph_index
-// = false).
+// compaction) is a distinct cache generation. Every engine except brute
+// force reads the graph through a snapshot; one that is handed none
+// builds its own.
 
 #ifndef ECRPQ_GRAPH_INDEX_H_
 #define ECRPQ_GRAPH_INDEX_H_
@@ -93,15 +93,15 @@ class GraphIndex : public std::enable_shared_from_this<GraphIndex> {
   };
 
   /// Builds a sealed base index (CSR arrays, masks, counts, permutation)
-  /// from the current state of `graph`. Size-then-fill construction: one
-  /// degree pass sizes the CSR arrays exactly, then each node's slice is
-  /// filled by sorting packed (label << 32 | target) keys — no per-edge
-  /// reallocation and no per-node permutation buffers. Auto-parallelizes
-  /// the fill above ~512k edges (see the overload).
+  /// from the current state of `graph`: each out-row is filled by sorting
+  /// packed (label << 32 | target) keys, the in-side is dealt from the
+  /// finished out-side by stable counting passes (no sort; 8 B/edge of
+  /// scratch, freed on return), and both degree orders are counting sorts.
+  /// Auto-parallelizes the out-side fill above ~512k edges.
   static GraphIndexPtr Build(const GraphDb& graph);
 
-  /// As Build, with the CSR fill explicitly split over contiguous node
-  /// ranges on `num_threads` pool lanes (0 = auto). Each node owns a
+  /// As Build, with the out-side CSR fill explicitly split over contiguous
+  /// node ranges on `num_threads` pool lanes (0 = auto). Each node owns a
   /// disjoint output slice, so the built index is byte-identical at any
   /// lane count.
   static GraphIndexPtr Build(const GraphDb& graph, int num_threads);
@@ -320,6 +320,9 @@ class GraphIndex : public std::enable_shared_from_this<GraphIndex> {
             side.targets.data() + side.offsets[node + 1]};
   }
 
+  /// Build helper: fills `in` as the transpose of the finished `out`
+  /// side, plus the three label statistics (see index.cc).
+  void InvertOutSide(const Side& out, Side* in);
   /// ApplyDelta helper: merges one side's batch into a new SegSide and
   /// splices the touched rows into `next`'s overlay (see index.cc).
   static void ApplySide(const GraphIndex& prev, bool out_side,

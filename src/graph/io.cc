@@ -162,6 +162,13 @@ Result<GraphDb> ParseEdgeListText(std::string_view text,
     }
     alphabet->Intern(name);
   }
+  // Each edge line holds three integers, each after a separator: at least
+  // 6 bytes. Bound the declared count by what is left before reserving.
+  if (num_edges > (end - p) / 6) {
+    return error("header declares " + std::to_string(num_edges) +
+                 " edges but only " + std::to_string(end - p) +
+                 " bytes remain (an edge takes at least 6)");
+  }
   std::vector<Edge> edges;
   edges.reserve(num_edges);
   for (int64_t i = 0; i < num_edges; ++i) {

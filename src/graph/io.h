@@ -52,7 +52,12 @@ std::string GraphToDot(const GraphDb& graph);
 // '#' starts a comment anywhere; blank lines are skipped. The declared
 // counts let the loader reserve everything up front and hand the whole
 // edge array to GraphDb::FromEdges (size-then-fill, no per-edge
-// reallocation); integers are parsed with std::from_chars. Node names are
+// reallocation); integers are parsed with std::from_chars. The edge count
+// is checked against the input size first (an edge takes at least 6
+// bytes), so a forged header cannot make the loader over-allocate. The
+// node count cannot be bounded that way — isolated nodes take no bytes —
+// so it is trusted up to INT32_MAX: a short input may still declare
+// nodes worth gigabytes of adjacency and name slots. Node names are
 // NOT preserved (every node imports as anonymous) — by design: the format
 // targets the synthetic large tiers and external bulk dumps, where names
 // are dead weight. GraphToEdgeListText -> ParseEdgeListText round-trips

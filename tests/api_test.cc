@@ -287,7 +287,6 @@ TEST(PreparedQuery, ExplainReportsPlanAndEstimates) {
   EXPECT_EQ(explanation.engine, prepared.value().engine());
   EXPECT_EQ(explanation.engine_name, "product");
   ASSERT_NE(explanation.plan, nullptr);
-  EXPECT_TRUE(explanation.plan->costed);
   ASSERT_EQ(explanation.plan->components.size(), 2u);
   for (const PlannedComponent& pc : explanation.plan->components) {
     EXPECT_GE(pc.est_rows, 0.0);
@@ -318,7 +317,6 @@ TEST(PreparedQuery, PhysicalPlanCachedAndRecostedOnIndexInvalidation) {
   db.mutable_graph().AddEdge(0, "advisor", 3);
   PhysicalPlanPtr recosted = prepared.value().plan();
   EXPECT_NE(recosted.get(), first.get());
-  EXPECT_TRUE(recosted->costed);
 }
 
 TEST(ResultCursor, PerOperatorStatsExposed) {

@@ -271,7 +271,7 @@ TEST(BidirectionalSearch, PlannerPicksAndReportsDirections) {
     // path intentionally stays forward-only).
     options.use_planner = true;
     PhysicalPlan plan =
-        PlanQuery(query.value(), *compiled.value(), index.get(), options);
+        PlanQuery(query.value(), *compiled.value(), *index, options);
     std::string described = plan.Describe(query.value());
     EXPECT_NE(described.find(std::string("direction=") + c.direction),
               std::string::npos)

@@ -32,25 +32,13 @@ std::vector<Edge> RandomEdges(int num_nodes, int num_edges, int num_labels,
   return edges;
 }
 
-// `exact_in` relaxes the in-adjacency check to multiset equality: the
-// edge-list text orders edges by source node, so a reparse rebuilds each
-// in-list in file order, not the original insertion order (the out-lists
-// and the edge multiset are preserved exactly either way).
-void ExpectSameAdjacency(const GraphDb& a, const GraphDb& b,
-                         bool exact_in = true) {
+// GraphDb stores out-lists only, so equal out-lists (order included) mean
+// equal edge multisets.
+void ExpectSameAdjacency(const GraphDb& a, const GraphDb& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
   ASSERT_EQ(a.num_edges(), b.num_edges());
   for (NodeId v = 0; v < a.num_nodes(); ++v) {
     ASSERT_EQ(a.Out(v), b.Out(v)) << "out-adjacency of node " << v;
-    if (exact_in) {
-      ASSERT_EQ(a.In(v), b.In(v)) << "in-adjacency of node " << v;
-    } else {
-      auto lhs = a.In(v);
-      auto rhs = b.In(v);
-      std::sort(lhs.begin(), lhs.end());
-      std::sort(rhs.begin(), rhs.end());
-      ASSERT_EQ(lhs, rhs) << "in-adjacency of node " << v;
-    }
   }
 }
 
@@ -113,7 +101,7 @@ TEST(GraphBulk, EdgeListRoundTrip) {
   auto parsed = ParseEdgeListText(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed.value().alphabet().size(), g.alphabet().size());
-  ExpectSameAdjacency(g, parsed.value(), /*exact_in=*/false);
+  ExpectSameAdjacency(g, parsed.value());
 }
 
 // The header's declared node count preserves trailing isolated nodes,
@@ -125,6 +113,24 @@ TEST(GraphBulk, EdgeListPreservesIsolatedNodes) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.value().num_nodes(), 10);
   EXPECT_EQ(parsed.value().num_edges(), 1);
+}
+
+// A forged header edge count is checked against the bytes that follow
+// before anything is reserved: INT32_MAX declared edges would otherwise
+// reserve ~24 GB ahead of the first edge line.
+TEST(GraphBulk, EdgeListEdgeCountBoundedByInputSize) {
+  const std::string text = "ecrpq-edgelist 2 2147483647 1\na\n0 0 1\n";
+  auto parsed = ParseEdgeListText(text);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("bytes remain"),
+            std::string::npos)
+      << parsed.status().ToString();
+  // The bound is tight enough for the densest valid input: six bytes per
+  // edge, no trailing newline.
+  auto dense = ParseEdgeListText("ecrpq-edgelist 2 2 1 a 0 0 1 1 0 0");
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  EXPECT_EQ(dense.value().num_edges(), 2);
 }
 
 // The parallel CSR fill writes disjoint per-node slices, so the built

@@ -1,11 +1,15 @@
 // GraphIndex correctness: the CSR label slices must be exactly the
-// GraphDb adjacency (as multisets, per node and label), and the engines
-// must compute identical answer sets with and without the index.
+// GraphDb adjacency (as multisets, per node and label; the in-side is its
+// transpose), Build must reproduce the sort-based reference construction
+// byte for byte, and the indexed engines must match brute force.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <numeric>
+#include <queue>
+#include <set>
 #include <vector>
 
 #include "core/eval_bruteforce.h"
@@ -19,13 +23,18 @@
 namespace ecrpq {
 namespace {
 
-// Per-(node, label) target multiset straight from the GraphDb.
+// Per-(node, label) target multiset straight from the GraphDb; the
+// in-side transposes the out-lists.
 std::map<std::pair<NodeId, Symbol>, std::vector<NodeId>> Reference(
     const GraphDb& g, bool out_side) {
   std::map<std::pair<NodeId, Symbol>, std::vector<NodeId>> ref;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (const auto& [label, other] : out_side ? g.Out(v) : g.In(v)) {
-      ref[{v, label}].push_back(other);
+    for (const auto& [label, other] : g.Out(v)) {
+      if (out_side) {
+        ref[{v, label}].push_back(other);
+      } else {
+        ref[{other, label}].push_back(v);
+      }
     }
   }
   for (auto& [key, targets] : ref) std::sort(targets.begin(), targets.end());
@@ -114,8 +123,174 @@ TEST(GraphIndex, EmptyAndEdgelessGraphs) {
   CheckIndexMatchesGraph(isolated);
 }
 
+// The sort-based construction, recomputed independently of Build: each
+// row (the in-side from the transposed out-lists) sorted as packed
+// (label << 32 | other) keys, std::stable_sort for both degree orders.
+struct SortedReference {
+  std::vector<std::vector<uint64_t>> out, in;
+  std::vector<uint64_t> out_masks, in_masks;
+  std::vector<int64_t> counts, sources, targets;
+  std::vector<NodeId> by_degree, by_in_degree;
+};
+
+SortedReference BuildSortedReference(const GraphDb& g) {
+  const int n = g.num_nodes();
+  const int labels = std::max(g.alphabet().size(), 1);
+  SortedReference ref;
+  ref.out.resize(n);
+  ref.in.resize(n);
+  for (NodeId v = 0; v < n; ++v) {
+    for (const auto& [label, to] : g.Out(v)) {
+      ref.out[v].push_back(static_cast<uint64_t>(label) << 32 |
+                           static_cast<uint32_t>(to));
+      ref.in[to].push_back(static_cast<uint64_t>(label) << 32 |
+                           static_cast<uint32_t>(v));
+    }
+  }
+  ref.counts.assign(labels, 0);
+  ref.sources.assign(labels, 0);
+  ref.targets.assign(labels, 0);
+  auto finish_side = [&](std::vector<std::vector<uint64_t>>& rows,
+                         std::vector<uint64_t>* masks,
+                         std::vector<int64_t>* endpoints) {
+    masks->assign(n, 0);
+    for (NodeId v = 0; v < n; ++v) {
+      std::sort(rows[v].begin(), rows[v].end());
+      std::set<Symbol> distinct;
+      for (uint64_t key : rows[v]) {
+        const Symbol label = static_cast<Symbol>(key >> 32);
+        (*masks)[v] |= 1ULL << std::min<Symbol>(label, 63);
+        distinct.insert(label);
+      }
+      for (Symbol label : distinct) ++(*endpoints)[label];
+    }
+  };
+  finish_side(ref.out, &ref.out_masks, &ref.sources);
+  finish_side(ref.in, &ref.in_masks, &ref.targets);
+  for (NodeId v = 0; v < n; ++v) {
+    for (uint64_t key : ref.out[v]) ++ref.counts[key >> 32];
+  }
+  ref.by_degree.resize(n);
+  std::iota(ref.by_degree.begin(), ref.by_degree.end(), 0);
+  std::stable_sort(ref.by_degree.begin(), ref.by_degree.end(),
+                   [&](NodeId a, NodeId b) {
+                     return ref.out[a].size() + ref.in[a].size() >
+                            ref.out[b].size() + ref.in[b].size();
+                   });
+  ref.by_in_degree.resize(n);
+  std::iota(ref.by_in_degree.begin(), ref.by_in_degree.end(), 0);
+  std::stable_sort(ref.by_in_degree.begin(), ref.by_in_degree.end(),
+                   [&](NodeId a, NodeId b) {
+                     return ref.in[a].size() > ref.in[b].size();
+                   });
+  return ref;
+}
+
+void ExpectMatchesSortedReference(const GraphIndex& index,
+                                  const SortedReference& ref) {
+  auto row_keys = [](std::span<const Symbol> labels,
+                     std::span<const NodeId> others) {
+    std::vector<uint64_t> keys;
+    for (size_t i = 0; i < labels.size(); ++i) {
+      keys.push_back(static_cast<uint64_t>(labels[i]) << 32 |
+                     static_cast<uint32_t>(others[i]));
+    }
+    return keys;
+  };
+  for (NodeId v = 0; v < index.num_nodes(); ++v) {
+    ASSERT_EQ(row_keys(index.OutLabels(v), index.OutTargets(v)), ref.out[v])
+        << "out row " << v;
+    ASSERT_EQ(row_keys(index.InLabels(v), index.InSources(v)), ref.in[v])
+        << "in row " << v;
+    ASSERT_EQ(index.OutLabelMask(v), ref.out_masks[v]) << v;
+    ASSERT_EQ(index.InLabelMask(v), ref.in_masks[v]) << v;
+  }
+  for (Symbol label = 0; label < index.num_labels(); ++label) {
+    EXPECT_EQ(index.LabelCount(label), ref.counts[label]) << label;
+    EXPECT_EQ(index.LabelSourceCount(label), ref.sources[label]) << label;
+    EXPECT_EQ(index.LabelTargetCount(label), ref.targets[label]) << label;
+  }
+  EXPECT_EQ(index.NodesByDegree(), ref.by_degree);
+  EXPECT_EQ(index.NodesByInDegree(), ref.by_in_degree);
+}
+
+// A random multigraph with every shape the counting passes must keep in
+// order: duplicate edges, self-loops, three hubs (heavy rows and degree
+// ties at the top of the orders), an isolated tail of nodes, edges added
+// one by one in random order (unsorted out-lists), and a few removals.
+GraphDb RandomMultigraph(uint64_t seed, int num_labels, int num_nodes,
+                         int num_edges) {
+  Rng rng(seed);
+  std::vector<std::string> names;
+  for (int l = 0; l < num_labels; ++l) names.push_back("l" + std::to_string(l));
+  GraphDb g(Alphabet::FromLabels(names));
+  g.AddNodes(num_nodes);
+  const int active = std::max(1, num_nodes - num_nodes / 8);
+  const int hubs = std::min(3, active);
+  std::vector<Edge> edges;
+  for (int i = 0; i < num_edges; ++i) {
+    const uint64_t kind = rng.Below(10);
+    if (kind == 0 && !edges.empty()) {
+      const Edge duplicate = rng.Pick(edges);
+      edges.push_back(duplicate);
+      continue;
+    }
+    Edge e{static_cast<NodeId>(rng.Below(active)),
+           static_cast<Symbol>(rng.Below(num_labels)),
+           static_cast<NodeId>(rng.Below(active))};
+    if (kind == 1) e.from = static_cast<NodeId>(rng.Below(hubs));
+    if (kind == 2) e.to = static_cast<NodeId>(rng.Below(hubs));
+    if (kind == 3) e.to = e.from;  // self-loop
+    edges.push_back(e);
+  }
+  if (seed % 2 == 0) {
+    g.AddEdges(edges);
+  } else {
+    for (const Edge& e : edges) g.AddEdge(e.from, e.label, e.to);
+  }
+  for (int i = 0; i < num_edges / 20; ++i) {
+    const Edge& e = rng.Pick(edges);
+    g.RemoveEdge(e.from, e.label, e.to);
+  }
+  return g;
+}
+
+TEST(GraphIndex, BuildMatchesSortedReference) {
+  uint64_t seed = 1;
+  for (int num_labels : {1, 3, 8, 70}) {
+    for (int num_nodes : {1, 2, 17, 300}) {
+      for (int num_edges : {0, 1, 50, 3000}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "labels " << num_labels << " nodes " << num_nodes
+                     << " edges " << num_edges << " seed " << seed);
+        GraphDb g = RandomMultigraph(seed++, num_labels, num_nodes, num_edges);
+        const SortedReference ref = BuildSortedReference(g);
+        for (int lanes : {1, 4}) {
+          ExpectMatchesSortedReference(*GraphIndex::Build(g, lanes), ref);
+        }
+      }
+    }
+  }
+  GraphDb empty;
+  ExpectMatchesSortedReference(*GraphIndex::Build(empty),
+                               BuildSortedReference(empty));
+}
+
+// Above the auto-parallel threshold, so 4 lanes really split the out-side
+// fill.
+TEST(GraphIndex, BuildMatchesSortedReferenceOnLargeGraph) {
+  for (int num_labels : {3, 70}) {
+    SCOPED_TRACE(num_labels);
+    GraphDb g = RandomMultigraph(99 + num_labels, num_labels, 40000, 600000);
+    const SortedReference ref = BuildSortedReference(g);
+    for (int lanes : {1, 4}) {
+      ExpectMatchesSortedReference(*GraphIndex::Build(g, lanes), ref);
+    }
+  }
+}
+
 // Engine equivalence: indexed evaluation returns exactly the same answer
-// sets as the index-free scan path and as brute force on small graphs.
+// sets as brute force on small graphs.
 const char* kEquivalenceQueries[] = {
     "Ans(x, y) <- (x, p, y), a*(p)",
     "Ans(x, z) <- (x, p, y), (y, q, z), a+(p), b*(q)",
@@ -126,7 +301,7 @@ const char* kEquivalenceQueries[] = {
 
 class EngineIndexEquivalence : public ::testing::TestWithParam<int> {};
 
-TEST_P(EngineIndexEquivalence, ProductMatchesScanAndBruteForce) {
+TEST_P(EngineIndexEquivalence, ProductMatchesBruteForce) {
   Rng rng(GetParam());
   auto alphabet = Alphabet::FromLabels({"a", "b"});
   GraphDb g = LayeredGraph(alphabet, 4, 2, 2, &rng);
@@ -135,24 +310,21 @@ TEST_P(EngineIndexEquivalence, ProductMatchesScanAndBruteForce) {
     auto query = ParseQuery(text, g.alphabet());
     ASSERT_TRUE(query.ok()) << query.status().ToString();
 
-    EvalOptions indexed;
-    indexed.build_path_answers = false;
-    indexed.bruteforce_max_len = 4;
-    EvalOptions scan = indexed;
-    scan.use_graph_index = false;
+    EvalOptions options;
+    options.build_path_answers = false;
+    options.bruteforce_max_len = 4;
 
-    auto with_index = EvaluateProduct(g, query.value(), indexed);
-    auto without = EvaluateProduct(g, query.value(), scan);
-    auto brute = EvaluateBruteForce(g, query.value(), indexed);
+    auto with_index = EvaluateProduct(g, query.value(), options);
+    auto brute = EvaluateBruteForce(g, query.value(), options);
     ASSERT_TRUE(with_index.ok()) << with_index.status().ToString();
-    ASSERT_TRUE(without.ok()) << without.status().ToString();
     ASSERT_TRUE(brute.ok()) << brute.status().ToString();
-    EXPECT_EQ(with_index.value().tuples(), without.value().tuples());
     EXPECT_EQ(with_index.value().tuples(), brute.value().tuples());
   }
 }
 
-TEST_P(EngineIndexEquivalence, CrpqMatchesScan) {
+// kCrpq's per-atom scans against the monolithic product (Thm 5.1): one
+// search over both atoms at once, no joins.
+TEST_P(EngineIndexEquivalence, CrpqMatchesMonolithicProduct) {
   Rng rng(GetParam() + 31);
   auto alphabet = Alphabet::FromLabels({"a", "b"});
   GraphDb g = RandomGraph(alphabet, 8, 20, &rng);
@@ -160,32 +332,46 @@ TEST_P(EngineIndexEquivalence, CrpqMatchesScan) {
                           g.alphabet());
   ASSERT_TRUE(query.ok());
 
-  EvalOptions indexed;
-  indexed.build_path_answers = false;
-  EvalOptions scan = indexed;
-  scan.use_graph_index = false;
+  EvalOptions options;
+  options.build_path_answers = false;
+  EvalOptions monolithic = options;
+  monolithic.use_components = false;
 
-  auto with_index = EvaluateCrpq(g, query.value(), indexed);
-  auto without = EvaluateCrpq(g, query.value(), scan);
-  ASSERT_TRUE(with_index.ok()) << with_index.status().ToString();
-  ASSERT_TRUE(without.ok()) << without.status().ToString();
-  EXPECT_EQ(with_index.value().tuples(), without.value().tuples());
+  auto crpq = EvaluateCrpq(g, query.value(), options);
+  auto product = EvaluateProduct(g, query.value(), monolithic);
+  ASSERT_TRUE(crpq.ok()) << crpq.status().ToString();
+  ASSERT_TRUE(product.ok()) << product.status().ToString();
+  EXPECT_EQ(crpq.value().tuples(), product.value().tuples());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineIndexEquivalence,
                          ::testing::Range(0, 10));
 
-// ReachabilityPairs (the CRPQ building block) agrees slice-by-slice with
-// the scan implementation, pair-for-pair.
-TEST(GraphIndex, ReachabilityPairsMatchScan) {
+// ReachabilityPairs (the CRPQ building block) under Σ* is plain
+// reachability: pair-for-pair, in (source, target) order, what a BFS over
+// the GraphDb out-lists finds — empty paths included.
+TEST(GraphIndex, ReachabilityPairsMatchOutListBfs) {
   for (int seed = 0; seed < 20; ++seed) {
     Rng rng(seed);
     auto alphabet = Alphabet::FromLabels({"a", "b", "c"});
     GraphDb g = RandomGraph(alphabet, 10, 30, &rng);
+    std::vector<std::pair<NodeId, NodeId>> want;
+    for (NodeId s = 0; s < g.num_nodes(); ++s) {
+      std::set<NodeId> seen = {s};
+      std::queue<NodeId> work;
+      work.push(s);
+      while (!work.empty()) {
+        const NodeId v = work.front();
+        work.pop();
+        for (const auto& [label, to] : g.Out(v)) {
+          if (seen.insert(to).second) work.push(to);
+        }
+      }
+      for (NodeId t : seen) want.emplace_back(s, t);
+    }
     auto index = GraphIndex::Build(g);
-    auto scan = ReachabilityPairs(g, {});
-    auto sliced = ReachabilityPairs(g, {}, index.get());
-    EXPECT_EQ(scan, sliced) << "seed " << seed;
+    EXPECT_EQ(ReachabilityPairs(g, {}, *index), want) << "seed " << seed;
+    EXPECT_EQ(ReachabilityPairs(g, {}), want) << "seed " << seed;
   }
 }
 

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -152,6 +154,102 @@ TEST(GraphDb, EmptyNameAddsAnonymousNode) {
   NodeId b = g.AddNode("");
   EXPECT_NE(a, b);  // empty names must not dedupe into one node
   EXPECT_EQ(g.FindNode(""), std::nullopt);
+}
+
+// GraphDb's open-addressing name table against a std::unordered_map
+// reference over 120k random AddNode(name) / FindNode operations. The
+// names stress it: empty names, repeats, names past the small-string
+// buffer, names that differ only after a '\0', "n<id>" look-alikes of
+// anonymous display names. After every insert that brings the name count
+// to a power of two (the table has just grown or is about to), every
+// name is looked up again. A copy taken midway must keep resolving its
+// own names, and grow on its own, whatever the original does later.
+TEST(GraphDb, NameTableMatchesUnorderedMap) {
+  Rng rng(2024);
+  GraphDb g;
+  std::unordered_map<std::string, NodeId> ref;
+  std::vector<std::string> used;
+  auto random_name = [&]() -> std::string {
+    switch (rng.Below(7)) {
+      case 0:
+        return "";
+      case 1:
+        if (!used.empty()) return rng.Pick(used);
+        return "r";
+      case 2:
+        return "n" + std::to_string(rng.Below(g.num_nodes() + 1));
+      case 3: {
+        std::string name = "x";
+        name += '\0';
+        return name + std::to_string(rng.Below(5000));
+      }
+      case 4:
+        return std::string(16 + rng.Below(40), 'a' + rng.Below(3)) +
+               std::to_string(rng.Below(100000));
+      default:
+        return "v" + std::to_string(rng.Below(200000));
+    }
+  };
+  auto expect_all_found = [](const GraphDb& db,
+                             const std::unordered_map<std::string, NodeId>&
+                                 names) {
+    for (const auto& [name, id] : names) {
+      ASSERT_EQ(db.FindNode(name), std::optional<NodeId>(id));
+      ASSERT_EQ(db.StoredName(id), name);
+    }
+  };
+
+  std::optional<GraphDb> copy;
+  std::unordered_map<std::string, NodeId> copy_ref;
+  for (int op = 0; op < 120000; ++op) {
+    const std::string name = random_name();
+    if (rng.Chance(0.4)) {
+      auto it = ref.find(name);
+      ASSERT_EQ(g.FindNode(name), it == ref.end()
+                                      ? std::nullopt
+                                      : std::optional<NodeId>(it->second))
+          << "op " << op;
+      continue;
+    }
+    const int before = g.num_nodes();
+    const NodeId id = g.AddNode(name);
+    if (name.empty()) {
+      ASSERT_EQ(id, before);
+      ASSERT_EQ(g.StoredName(id), "");
+      continue;
+    }
+    auto [it, inserted] = ref.try_emplace(name, before);
+    ASSERT_EQ(id, it->second) << "op " << op;
+    ASSERT_EQ(g.num_nodes(), before + (inserted ? 1 : 0));
+    if (!inserted) continue;
+    used.push_back(name);
+    if ((ref.size() & (ref.size() - 1)) == 0) expect_all_found(g, ref);
+    if (ref.size() == 4096) {
+      copy = g;
+      copy_ref = ref;
+    }
+  }
+  ASSERT_GE(ref.size(), 1u << 15);
+  expect_all_found(g, ref);
+  EXPECT_EQ(g.FindNode(""), std::nullopt);
+
+  // The copy kept its own table: names added to the original later are
+  // unknown to it, and it grows independently.
+  ASSERT_TRUE(copy.has_value());
+  expect_all_found(*copy, copy_ref);
+  for (const auto& [name, id] : ref) {
+    if (copy_ref.count(name) == 0) {
+      ASSERT_EQ(copy->FindNode(name), std::nullopt);
+    }
+  }
+  for (int i = 0; i < 20000; ++i) {
+    const std::string name = "copy" + std::to_string(i);
+    const NodeId id = copy->AddNode(name);
+    copy_ref.emplace(name, id);
+    ASSERT_EQ(g.FindNode(name), std::nullopt);
+  }
+  expect_all_found(*copy, copy_ref);
+  expect_all_found(g, ref);
 }
 
 // GraphToText → ParseGraphText must preserve node names, the edge

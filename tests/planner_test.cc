@@ -203,8 +203,8 @@ TEST(PlannerProperty, RandomQueriesMatchBruteForceUnderAnyJoinOrder) {
     GraphIndexPtr index = GraphIndex::Build(g);
     EvalOptions planning = options;
     planning.engine = Engine::kProduct;
-    PhysicalPlan plan = PlanQuery(query.value(), *compiled.value(),
-                                  index.get(), planning);
+    PhysicalPlan plan =
+        PlanQuery(query.value(), *compiled.value(), *index, planning);
     for (size_t i = plan.components.size(); i > 1; --i) {
       std::swap(plan.components[i - 1],
                 plan.components[rng.Next() % i]);
@@ -375,9 +375,8 @@ TEST(PlannerPlans, OrdersCheapestFirstAndMarksSeeding) {
   options.use_planner = true;  // the subject under test, even in the
                                // ECRPQ_NO_PLANNER ablation run
   PhysicalPlan plan =
-      PlanQuery(query.value(), *compiled.value(), index.get(), options);
+      PlanQuery(query.value(), *compiled.value(), *index, options);
   ASSERT_EQ(plan.components.size(), 2u);
-  EXPECT_TRUE(plan.costed);
   // The selective (b) component, atom index 1, must run first.
   EXPECT_EQ(plan.components[0].atom_indices, std::vector<int>{1});
   EXPECT_LT(plan.components[0].est_rows, plan.components[1].est_rows);
@@ -502,7 +501,7 @@ TEST(PlannerPlans, NonProductEnginesKeepAtomOrderWithoutSeeding) {
   EvalOptions options;
   options.use_planner = true;
   PhysicalPlan plan =
-      PlanQuery(query.value(), *compiled.value(), index.get(), options);
+      PlanQuery(query.value(), *compiled.value(), *index, options);
   EXPECT_EQ(plan.engine, Engine::kCrpq);
   ASSERT_EQ(plan.components.size(), 2u);
   // Atom order preserved, no seeding claims.
