@@ -3,19 +3,17 @@
 //
 // The query joins a highly selective single-atom component (a rare label)
 // with an expensive eq-synchronized component through a shared start
-// variable. Three execution modes over the same query and graph:
+// variable. Two execution modes over the same query and graph:
 //
 //   planned     decomposed + cost-ordered + sideways-seeded (default):
 //               the selective component runs first and its bindings seed
 //               the expensive component's start enumeration
-//   legacy      decomposed, analysis order, full seeding per component
-//               (the pre-planner engine behavior; ECRPQ_NO_PLANNER mode)
 //   monolithic  ONE product over all tracks (EvalOptions::use_components
 //               off) — the paper's Theorem 5.1 evaluation
 //
 // BENCH_bench_planner_join.json records each case; the writer prints the
-// planned-vs-monolithic and planned-vs-legacy speedups at exit, so CI
-// measures the planner's win instead of asserting it.
+// planned-vs-monolithic speedups at exit, so CI measures the planner's
+// win instead of asserting it.
 
 #include <benchmark/benchmark.h>
 
@@ -51,7 +49,7 @@ GraphDb CrossComponentGraph(int nodes, int rare, uint64_t seed = 42) {
 const char* kCrossQuery =
     "Ans(x, w) <- (x, p, u), c(p), (x, q, v), (v, r, w), eq(q, r)";
 
-enum class Mode { kPlanned, kLegacy, kMonolithic };
+enum class Mode { kPlanned, kMonolithic };
 
 void CrossComponent(benchmark::State& state, Mode mode) {
   const int nodes = static_cast<int>(state.range(0));
@@ -62,7 +60,6 @@ void CrossComponent(benchmark::State& state, Mode mode) {
   options.build_path_answers = false;
   options.max_configs = 500000000;
   options.use_components = (mode != Mode::kMonolithic);
-  options.use_planner = (mode == Mode::kPlanned);
   Evaluator evaluator(&g, options);
   size_t answers = 0;
   MedianTimer timer;
@@ -78,9 +75,8 @@ void CrossComponent(benchmark::State& state, Mode mode) {
     benchmark::DoNotOptimize(answers);
   }
   state.counters["answers"] = static_cast<double>(answers);
-  const char* mode_name = mode == Mode::kPlanned     ? "planned"
-                          : mode == Mode::kLegacy    ? "legacy"
-                                                     : "monolithic";
+  const char* mode_name =
+      mode == Mode::kPlanned ? "planned" : "monolithic";
   RecordBenchCase("PlannerJoin_Cross/" + std::string(mode_name) + "/" +
                       std::to_string(nodes),
                   timer,
@@ -89,10 +85,6 @@ void CrossComponent(benchmark::State& state, Mode mode) {
                    {"answers", static_cast<double>(answers)}});
 }
 BENCHMARK_CAPTURE(CrossComponent, planned, Mode::kPlanned)
-    ->Arg(24)
-    ->Arg(36)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(CrossComponent, legacy, Mode::kLegacy)
     ->Arg(24)
     ->Arg(36)
     ->Unit(benchmark::kMillisecond);
@@ -113,7 +105,6 @@ void ScanPipeline(benchmark::State& state, Mode mode) {
   options.engine = Engine::kProduct;
   options.build_path_answers = false;
   options.use_components = (mode != Mode::kMonolithic);
-  options.use_planner = (mode == Mode::kPlanned);
   options.max_configs = 500000000;
   Evaluator evaluator(&g, options);
   size_t answers = 0;
@@ -130,9 +121,8 @@ void ScanPipeline(benchmark::State& state, Mode mode) {
     benchmark::DoNotOptimize(answers);
   }
   state.counters["answers"] = static_cast<double>(answers);
-  const char* mode_name = mode == Mode::kPlanned     ? "planned"
-                          : mode == Mode::kLegacy    ? "legacy"
-                                                     : "monolithic";
+  const char* mode_name =
+      mode == Mode::kPlanned ? "planned" : "monolithic";
   RecordBenchCase("PlannerJoin_ScanPipeline/" + std::string(mode_name) + "/" +
                       std::to_string(nodes),
                   timer,
@@ -144,12 +134,8 @@ BENCHMARK_CAPTURE(ScanPipeline, planned, Mode::kPlanned)
     ->Arg(64)
     ->Arg(128)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(ScanPipeline, legacy, Mode::kLegacy)
-    ->Arg(64)
-    ->Arg(128)
-    ->Unit(benchmark::kMillisecond);
 // The monolithic 3-track product at 128 nodes takes tens of seconds —
-// measured once at 64; the planned/legacy pair still scales to 128.
+// measured once at 64; the planned case still scales to 128.
 BENCHMARK_CAPTURE(ScanPipeline, monolithic, Mode::kMonolithic)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond);

@@ -90,11 +90,9 @@ class BenchResultLog {
     if (entries_.empty()) return;
     WriteJson();
     // Twin-case comparisons measured by the bench itself: the cost-based
-    // planner vs. the legacy and monolithic execution modes
-    // (bench_planner_join), and the direction-aware searches vs.
-    // forward-only (bench_bidirectional).
+    // planner vs. the monolithic execution mode (bench_planner_join), and
+    // the direction-aware searches vs. forward-only (bench_bidirectional).
     PrintTwinSpeedups("/planned", "/monolithic", "planned-vs-monolithic");
-    PrintTwinSpeedups("/planned", "/legacy", "planned-vs-legacy");
     PrintTwinSpeedups("/threads/2", "/threads/1", "parallel-1to2");
     PrintTwinSpeedups("/threads/4", "/threads/1", "parallel-1to4");
     PrintTwinSpeedups("/threads/8", "/threads/1", "parallel-1to8");

@@ -4,9 +4,12 @@
 // atom (x, L(π), y) reduces independently to the binary reachability
 // relation r = { (u, v) : some path u→v has label in L }, computed by a
 // product of the graph with L's NFA. The query then becomes a relational
-// conjunctive query over the r_i, evaluated by backtracking join; for
-// acyclic queries a semi-join (Yannakakis) reduction runs first, giving the
-// PTIME combined complexity of Theorem 6.5.
+// conjunctive query over the r_i. kCrpq is the all-scan plan: PlanQuery
+// gives it one ReachabilityScan leaf per atom, and the executor it shares
+// with kProduct (ExecutePlan, core/eval_product.h) orders and seeds the
+// scans, reduces the tables to a semi-join fixpoint and projects early
+// (Yannakakis) before the final join, giving the PTIME combined
+// complexity of Theorem 6.5 on acyclic queries.
 
 #ifndef ECRPQ_CORE_EVAL_CRPQ_H_
 #define ECRPQ_CORE_EVAL_CRPQ_H_
@@ -23,11 +26,14 @@ bool CrpqFastPathApplies(const Query& query);
 bool CrpqFastPathApplies(const Query& query, const QueryAnalysis& analysis);
 
 /// Evaluates a fast-path CRPQ, streaming distinct tuples into `sink`.
-/// FailedPrecondition outside the fragment.
+/// FailedPrecondition outside the fragment. `plan` (optional) is a cached
+/// kCrpq PhysicalPlan for this query; when null (or made for another
+/// engine) the query is planned here.
 Status EvaluateCrpq(const GraphDb& graph, const Query& query,
                     const EvalOptions& options, ResultSink& sink,
                     EvalStats& stats, CompiledQueryPtr compiled = nullptr,
-                    GraphIndexPtr index = nullptr);
+                    GraphIndexPtr index = nullptr,
+                    const PhysicalPlan* plan = nullptr);
 
 /// Materializing convenience wrapper (sorted tuples).
 Result<QueryResult> EvaluateCrpq(const GraphDb& graph, const Query& query,
@@ -71,18 +77,16 @@ std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
 /// Bidirectional probes run serially per pair (anchored pairs are few).
 /// With num_threads > 1 the forward/backward per-anchor BFSes run
 /// morsel-parallel: lanes claim anchor morsels off a shared cursor and
-/// write each anchor's end set into its own slot. With `deterministic`
-/// slots are concatenated in anchor order, making the output identical
-/// to the serial scan's; otherwise lanes append finished morsels in
-/// completion order (same pair set, order may vary). `cancel` (optional)
-/// stops all lanes promptly; the caller must treat the result as partial
-/// once the token has tripped.
+/// write each anchor's end set into its own slot; the slots are
+/// concatenated in anchor order, making the output identical to the
+/// serial scan's. `cancel` (optional) stops all lanes promptly; the
+/// caller must treat the result as partial once the token has tripped.
 std::vector<std::pair<NodeId, NodeId>> ReachabilityPairsDirected(
     const GraphDb& graph, const std::vector<const RegularRelation*>& languages,
     const GraphIndex& index, const std::vector<NodeId>* sources,
     const std::vector<NodeId>* targets, SearchDirection direction,
     ReachabilityScanStats* scan_stats, uint64_t* meet_checks,
-    int num_threads, CancellationToken* cancel, bool deterministic);
+    int num_threads, CancellationToken* cancel);
 
 }  // namespace ecrpq
 

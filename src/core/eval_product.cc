@@ -188,32 +188,20 @@ bool HeadTupleEmitter::Emit(const std::vector<NodeId>& head) {
   return keep_going;
 }
 
-Status EvaluateProduct(const GraphDb& graph, const Query& query,
-                       const EvalOptions& options, ResultSink& sink,
-                       EvalStats& stats, CompiledQueryPtr compiled,
-                       GraphIndexPtr index, const PhysicalPlan* plan) {
-  if (!query.linear_atoms().empty()) {
-    return Status::FailedPrecondition(
-        "the product engine does not handle linear atoms; use the counting "
-        "engine (Engine::kCounting)");
-  }
-  auto resolved_or =
-      ResolveQuery(graph, query, std::move(compiled), std::move(index));
-  if (!resolved_or.ok()) return resolved_or.status();
-  ResolvedQuery& rq = resolved_or.value();
-  if (rq.index == nullptr) rq.index = GraphIndex::Build(graph);
+Status ExecutePlan(const ResolvedQuery& rq, Engine engine,
+                   const EvalOptions& options, const PhysicalPlan* plan,
+                   ResultSink& sink, EvalStats& stats) {
+  const Query& query = *rq.query;
+  const GraphDb& graph = *rq.graph;
 
-  stats.engine = "product";
-
-  // Obtain the physical plan. A caller-supplied plan (the prepared-query
-  // path) is used as-is when it targets this engine; otherwise plan here,
-  // forcing the product shape — direct EvaluateProduct calls on queries
-  // whose auto-selected engine would differ must still get product-style
-  // component groups.
+  // A caller-supplied plan (the prepared-query path) is used as-is when
+  // it targets this engine; otherwise plan here with the engine forced —
+  // a direct EvaluateProduct call on a query whose auto-selected engine
+  // would differ must still get product-style component groups.
   PhysicalPlan local_plan;
-  if (plan == nullptr || plan->engine != Engine::kProduct) {
+  if (plan == nullptr || plan->engine != engine) {
     EvalOptions planning = options;
-    planning.engine = Engine::kProduct;
+    planning.engine = engine;
     local_plan = PlanQuery(query, *rq.compiled, *rq.index, planning);
     plan = &local_plan;
   }
@@ -223,12 +211,13 @@ Status EvaluateProduct(const GraphDb& graph, const Query& query,
   // component, its shared variables are seeded from the prior tables that
   // bind them (exact when one table binds them all; a sound superset of
   // the join projection otherwise — the final join re-enforces equality).
-  // A runtime guard keeps ProductExpand re-runs (one search per seed row)
-  // cheaper than one full-seeded search; scan leaves filter in a single
-  // pass, so seeding them never hurts. Each leaf runs morsel-parallel on
+  // A runtime guard keeps seeding cheaper than the enumeration it
+  // replaces (one search per seed row for ProductExpand, one seed-set
+  // filter for a scan). Each leaf runs morsel-parallel on
   // the lanes the planner recorded for it (capped by the session's
-  // resolved num_threads; 1 = the legacy serial path).
+  // resolved num_threads; 1 = the serial path).
   const int num_threads = ResolveNumThreads(options.num_threads);
+  CancellationToken* cancel = options.cancellation.get();
   const double V = std::max(1, graph.num_nodes());
   constexpr size_t kMaxSeedRows = 1 << 16;
   std::vector<BindingTable> tables;
@@ -237,71 +226,62 @@ Status EvaluateProduct(const GraphDb& graph, const Query& query,
     ComponentSpec comp = BuildComponentSpec(rq, pc.atom_indices);
     BindingTable seeds;
     const BindingTable* seeds_ptr = nullptr;
-    if (pc.sideways && options.use_planner && !pc.shared_vars.empty()) {
-      // Group the shared vars by the earliest prior table binding them;
-      // project each group, then cross the groups (usually there is one).
+    if (pc.sideways && !pc.shared_vars.empty()) {
+      // Group the shared vars by the earliest prior table binding them
+      // and project each group; the seed table is the cross of the groups
+      // (usually there is one). Seeding pays when replaying its rows is
+      // cheaper than enumerating the anchors it covers — a scan filters
+      // both ends; a product search anchors start vars forward, end vars
+      // backward, both when bidirectional — so the cross is only built
+      // when it is.
       std::map<size_t, std::vector<int>> groups;
+      std::set<int> seeded_vars;
       for (int v : pc.shared_vars) {
         for (size_t j = 0; j < tables.size(); ++j) {
           if (tables[j].ColumnOf(v) >= 0) {
             groups[j].push_back(v);
+            seeded_vars.insert(v);
             break;
           }
         }
       }
-      seeds = BindingTable::Unit();
-      bool usable = true;
+      std::set<int> anchor_vars;
+      if (IsReachabilityScanComponent(rq, comp)) {
+        anchor_vars.insert(comp.vars.begin(), comp.vars.end());
+      }
+      if (pc.direction != SearchDirection::kBackward) {
+        anchor_vars.insert(comp.start_vars.begin(), comp.start_vars.end());
+      }
+      if (pc.direction == SearchDirection::kBackward ||
+          pc.direction == SearchDirection::kBidirectional) {
+        anchor_vars.insert(comp.end_vars.begin(), comp.end_vars.end());
+      }
+      int covered = 0;
+      for (int v : anchor_vars) covered += seeded_vars.count(v);
+      std::vector<BindingTable> parts;
+      double rows = 1.0;
       for (const auto& [j, vars] : groups) {
-        BindingTable proj = ProjectDistinct(tables[j], vars);
-        if (seeds.vars.empty()) {
-          seeds = std::move(proj);
-        } else {
+        if (covered == 0) break;
+        parts.push_back(ProjectDistinct(tables[j], vars));
+        rows *= static_cast<double>(parts.back().rows.size());
+      }
+      if (covered > 0 && rows <= kMaxSeedRows && rows < std::pow(V, covered)) {
+        seeds = std::move(parts[0]);
+        for (size_t k = 1; k < parts.size(); ++k) {
           BindingTable crossed;
           crossed.vars = seeds.vars;
-          crossed.vars.insert(crossed.vars.end(), proj.vars.begin(),
-                              proj.vars.end());
+          crossed.vars.insert(crossed.vars.end(), parts[k].vars.begin(),
+                              parts[k].vars.end());
           for (const std::vector<NodeId>& a : seeds.rows) {
-            for (const std::vector<NodeId>& b : proj.rows) {
+            for (const std::vector<NodeId>& b : parts[k].rows) {
               std::vector<NodeId> row = a;
               row.insert(row.end(), b.begin(), b.end());
               crossed.rows.push_back(std::move(row));
             }
-            if (crossed.rows.size() > kMaxSeedRows) break;
           }
           seeds = std::move(crossed);
         }
-        if (seeds.rows.size() > kMaxSeedRows) {
-          usable = false;  // seeding would cost more than it prunes
-          break;
-        }
-      }
-      if (usable && !seeds.vars.empty()) {
-        if (IsReachabilityScanComponent(rq, comp)) {
-          seeds_ptr = &seeds;
-        } else {
-          // Count seeded coverage of the vars the leaf's direction
-          // anchors (start vars forward, end vars backward, both for a
-          // bidirectional leaf): seeding pays when replaying the rows is
-          // cheaper than enumerating the covered anchors.
-          std::set<int> anchor_vars;
-          if (pc.direction != SearchDirection::kBackward) {
-            anchor_vars.insert(comp.start_vars.begin(),
-                               comp.start_vars.end());
-          }
-          if (pc.direction == SearchDirection::kBackward ||
-              pc.direction == SearchDirection::kBidirectional) {
-            anchor_vars.insert(comp.end_vars.begin(), comp.end_vars.end());
-          }
-          int covered = 0;
-          for (int v : anchor_vars) {
-            if (seeds.ColumnOf(v) >= 0) ++covered;
-          }
-          if (covered > 0 &&
-              static_cast<double>(seeds.rows.size()) <
-                  std::pow(V, covered)) {
-            seeds_ptr = &seeds;
-          }
-        }
+        seeds_ptr = &seeds;
       }
     }
     // The runtime-resolved lane count wins (a per-execution num_threads
@@ -322,37 +302,61 @@ Status EvaluateProduct(const GraphDb& graph, const Query& query,
   }
 
   // Semi-join reduction between the component tables before the join:
-  // rows with no partner on a shared variable can never contribute, and
-  // dropping them shrinks the streamed join's search space (Yannakakis'
-  // first phase, at component granularity).
-  if (tables.size() > 1) {
-    // The plan demotes the reduction to inline-serial when the total
-    // estimated table volume is too small to amortize lanes; the decision
-    // lives in the plan (not the thread count), so the executed pipeline
-    // is identical at any session parallelism.
-    const int semijoin_threads =
-        (options.use_planner && !plan->semijoin_parallel_ok)
-            ? 1
-            : num_threads;
-    bool changed = true;
-    int rounds = 0;
-    while (changed && rounds < static_cast<int>(tables.size()) + 2) {
-      changed = false;
-      ++rounds;
-      for (size_t i = 0; i < tables.size(); ++i) {
-        for (size_t j = 0; j < tables.size(); ++j) {
-          if (i == j) continue;
-          if (SemiJoinFilterOp(&tables[i], tables[j], stats,
-                               semijoin_threads)) {
-            changed = true;
-          }
-          if (tables[i].rows.empty()) return Status::OK();  // empty answer
+  // rows with no partner on a shared variable can never contribute
+  // (Yannakakis' first phase, at component granularity). The plan
+  // demotes the reduction to inline-serial when the total estimated
+  // table volume is too small to amortize lanes; the decision lives in
+  // the plan (not the thread count), so the executed pipeline is
+  // identical at any session parallelism.
+  const int semijoin_threads = plan->semijoin_parallel_ok ? num_threads : 1;
+  bool changed = tables.size() > 1;
+  for (int rounds = 0;
+       changed && rounds < static_cast<int>(tables.size()) + 2; ++rounds) {
+    changed = false;
+    for (size_t i = 0; i < tables.size(); ++i) {
+      for (size_t j = 0; j < tables.size(); ++j) {
+        if (i == j) continue;
+        if (SemiJoinFilterOp(&tables[i], tables[j], stats,
+                             semijoin_threads)) {
+          changed = true;
         }
+        if (tables[i].rows.empty()) return Status::OK();  // empty answer
       }
     }
   }
 
-  // Large-estimate plans fold the component tables pairwise through the
+  // Early projection (Yannakakis' second phase, PhysicalPlan::projections):
+  // private non-head columns go, and two tables sharing a private
+  // non-head variable are replaced by their joined projection, so
+  // intermediate results stay bounded by the projected tables instead of
+  // enumerating every embedding. `origins` tracks the component whose
+  // join annotations each surviving table carries.
+  std::vector<size_t> origins(tables.size());
+  for (size_t i = 0; i < origins.size(); ++i) origins[i] = i;
+  for (const ProjectionStep& step : plan->projections) {
+    BindingTable& left = tables[step.left];
+    if (step.right < 0) {
+      OperatorStats op;
+      op.op = "Project";
+      op.detail = "onto";
+      for (int v : step.keep) op.detail += " v" + std::to_string(v);
+      op.rows_in = left.rows.size();
+      left = ProjectDistinct(left, step.keep);
+      op.rows_out = left.rows.size();
+      stats.operators.push_back(std::move(op));
+    } else {
+      left = HashJoinOp(left, tables[step.right], stats,
+                        step.join_parallel_ok ? num_threads : 1, &step.keep);
+      tables.erase(tables.begin() + step.right);
+      origins.erase(origins.begin() + step.right);
+    }
+    if (cancel != nullptr && cancel->cancelled()) {
+      return Status::Cancelled("query execution cancelled");
+    }
+    if (tables[step.left].rows.empty()) return Status::OK();  // empty answer
+  }
+
+  // Large-estimate plans fold the remaining tables pairwise through the
   // (radix-partitioned) HashJoinOp in plan order and emit head projections
   // from the folded table. The pairwise fold produces rows in exactly the
   // streamed recursion's nested left-row-major order (each probe preserves
@@ -361,19 +365,15 @@ Status EvaluateProduct(const GraphDb& graph, const Query& query,
   // same as the streamed path's. Whether to fold depends only on the
   // plan's cardinality estimates, never the thread count.
   bool fold_join = false;
-  if (options.use_planner && tables.size() > 1 &&
-      plan->components.size() == tables.size()) {
-    for (const PlannedComponent& pc : plan->components) {
-      if (pc.join_parallel_ok) fold_join = true;
-    }
+  for (size_t k = 1; k < tables.size(); ++k) {
+    if (plan->components[origins[k]].join_parallel_ok) fold_join = true;
   }
   if (fold_join) {
-    CancellationToken* cancel = options.cancellation.get();
     BindingTable joined = std::move(tables[0]);
-    for (size_t i = 1; i < tables.size(); ++i) {
+    for (size_t k = 1; k < tables.size(); ++k) {
       const int join_threads =
-          plan->components[i].join_parallel_ok ? num_threads : 1;
-      joined = HashJoinOp(joined, tables[i], stats, join_threads);
+          plan->components[origins[k]].join_parallel_ok ? num_threads : 1;
+      joined = HashJoinOp(joined, tables[k], stats, join_threads);
       if (cancel != nullptr && cancel->cancelled()) {
         return Status::Cancelled("query execution cancelled");
       }
@@ -403,19 +403,18 @@ Status EvaluateProduct(const GraphDb& graph, const Query& query,
     return emitter.status();
   }
 
-  // Small-estimate (and planner-off) plans stream the
-  // multi-way join instead: each new head projection goes to the sink as
-  // soon as it is found — early termination (limit / exists) stops the
-  // join itself, and path answers (when requested) are built per emitted
-  // tuple only. One HashJoin operator entry profiles the streamed join.
+  // Small-estimate plans stream the multi-way join instead: each new head
+  // projection goes to the sink as soon as it is found — early
+  // termination (limit / exists) stops the join itself, and path answers
+  // (when requested) are built per emitted tuple only. One HashJoin
+  // operator entry profiles the streamed join.
   HeadTupleEmitter emitter(rq, options, sink);
   OperatorStats join_op;
   join_op.op = "HashJoin";
   join_op.detail = "streamed over " + std::to_string(tables.size()) +
-                   " components";
+                   " tables";
   for (const BindingTable& t : tables) join_op.rows_in += t.rows.size();
   std::vector<NodeId> global(query.node_variables().size(), -1);
-  CancellationToken* cancel = options.cancellation.get();
   bool stop = false;
   std::function<void(size_t)> join = [&](size_t i) {
     if (stop) return;
@@ -460,6 +459,24 @@ Status EvaluateProduct(const GraphDb& graph, const Query& query,
     return Status::Cancelled("query execution cancelled");
   }
   return emitter.status();
+}
+
+Status EvaluateProduct(const GraphDb& graph, const Query& query,
+                       const EvalOptions& options, ResultSink& sink,
+                       EvalStats& stats, CompiledQueryPtr compiled,
+                       GraphIndexPtr index, const PhysicalPlan* plan) {
+  if (!query.linear_atoms().empty()) {
+    return Status::FailedPrecondition(
+        "the product engine does not handle linear atoms; use the counting "
+        "engine (Engine::kCounting)");
+  }
+  auto resolved_or =
+      ResolveQuery(graph, query, std::move(compiled), std::move(index));
+  if (!resolved_or.ok()) return resolved_or.status();
+  ResolvedQuery& rq = resolved_or.value();
+  if (rq.index == nullptr) rq.index = GraphIndex::Build(graph);
+  stats.engine = "product";
+  return ExecutePlan(rq, Engine::kProduct, options, plan, sink, stats);
 }
 
 Result<QueryResult> EvaluateProduct(const GraphDb& graph, const Query& query,

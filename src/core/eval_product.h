@@ -148,6 +148,19 @@ class HeadTupleEmitter {
   Status status_;
 };
 
+/// The plan executor kProduct and kCrpq share: runs the plan's leaves
+/// (ReachabilityScan / ProductExpand, sideways-seeded where marked) into
+/// BindingTables, reduces them with the SemiJoinFilter fixpoint, applies
+/// the plan's early projection steps, then joins the remaining tables —
+/// streamed, or folded through HashJoinOp when the plan's estimates call
+/// for the partitioned join — and streams distinct head tuples into
+/// `sink`. `plan` is used when it was made for `engine`; otherwise (or
+/// when null) the query is planned here for `engine`. `rq.index` must be
+/// set.
+Status ExecutePlan(const ResolvedQuery& rq, Engine engine,
+                   const EvalOptions& options, const PhysicalPlan* plan,
+                   ResultSink& sink, EvalStats& stats);
+
 /// Evaluates with the product engine, streaming distinct tuples into
 /// `sink`. Rejects linear atoms (FailedPrecondition) — those belong to
 /// the counting engine. `plan` (optional) is a PhysicalPlan for this

@@ -1,7 +1,5 @@
 #include "core/evaluator.h"
 
-#include <cstdlib>
-
 #include "core/eval_bruteforce.h"
 #include "core/eval_counting.h"
 #include "core/eval_crpq.h"
@@ -10,15 +8,6 @@
 #include "core/planner.h"
 
 namespace ecrpq {
-
-bool DefaultUsePlanner() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("ECRPQ_NO_PLANNER");
-    return env == nullptr || env[0] == '\0' ||
-           (env[0] == '0' && env[1] == '\0');
-  }();
-  return enabled;
-}
 
 Engine SelectEngine(const Query& query, const QueryAnalysis& analysis,
                     Engine requested) {
@@ -94,7 +83,7 @@ Status Evaluator::Evaluate(const Query& query, ResultSink& sink,
                              std::move(compiled), std::move(index), plan);
     case Engine::kCrpq:
       return EvaluateCrpq(*graph_, query, options_, sink, stats,
-                          std::move(compiled), std::move(index));
+                          std::move(compiled), std::move(index), plan);
     case Engine::kCounting:
       return EvaluateCounting(*graph_, query, options_, sink, stats,
                               std::move(compiled), std::move(index));

@@ -7,7 +7,10 @@
 //                handles every ECRPQ, PSPACE-complete combined complexity
 //   kCrpq        per-atom product reachability + join (the folklore CRPQ
 //                algorithm and the acyclic PTIME algorithm of Thm 6.5);
-//                requires all relations unary and no repeated path variables
+//                requires all relations unary and no repeated path
+//                variables. It is the all-scan plan: one ReachabilityScan
+//                leaf per atom on the join executor kProduct also runs
+//                (ExecutePlan, core/eval_product.h)
 //   kCounting    Parikh/ILP engine for linear constraints on occurrence
 //                counts or path lengths (Thm 8.5)
 //   kQlen        length-abstraction engine (Lemma 6.6 / Thm 6.7): relations
@@ -90,12 +93,6 @@ enum class SearchDirection {
 /// field of Explain and operator stats.
 const char* SearchDirectionName(SearchDirection direction);
 
-/// Default for EvalOptions::use_planner: true unless the ECRPQ_NO_PLANNER
-/// environment variable is set to a non-empty, non-"0" value (the CI
-/// ablation hook — the whole suite runs once with the planner and once
-/// on the legacy path).
-bool DefaultUsePlanner();
-
 struct EvalOptions {
   Engine engine = Engine::kAuto;
 
@@ -106,21 +103,9 @@ struct EvalOptions {
   /// against (bench_planner_join).
   bool use_components = true;
 
-  /// Cost-based conjunct planning (core/planner.h): order components
-  /// cheapest-first by GraphIndex cardinality estimates and seed later
-  /// components from earlier bindings (sideways information passing).
-  /// Off = the legacy path: components in analysis order, each solved by
-  /// full degree-ordered seeding, then joined. Defaults to on; the
-  /// ECRPQ_NO_PLANNER environment variable flips the default off.
-  bool use_planner = DefaultUsePlanner();
-
-  /// Semi-join reduction before enumeration on acyclic queries (kCrpq).
-  bool use_semijoin_reduction = true;
-
   /// Search direction of component leaves. kAuto lets the planner choose
   /// per leaf (forward unless statistics or anchoring favor backward /
-  /// bidirectional; requires use_planner — the legacy path stays
-  /// forward-only). Any other value forces that direction on every
+  /// bidirectional). Any other value forces that direction on every
   /// leaf where it is feasible (benchmark / ablation hook).
   SearchDirection direction = SearchDirection::kAuto;
 
@@ -134,16 +119,12 @@ struct EvalOptions {
   /// fully-anchored product search expands its frontier cooperatively
   /// against a sharded visited table. 0 = auto (the ECRPQ_THREADS
   /// environment variable when set, else hardware concurrency); 1 = the
-  /// exact legacy single-threaded path (no pool involvement).
+  /// exact single-threaded path (no pool involvement). Results do not
+  /// depend on it: parallel leaves merge per-worker outputs at barrier
+  /// points in canonical seed order, so the emitted tuple sequence — and
+  /// therefore which k tuples a `limit` keeps — is the same at any lane
+  /// count (the ordering contract in core/result_sink.h).
   int num_threads = 0;
-
-  /// Thread-count-independent results (default on): parallel leaves merge
-  /// per-worker outputs at barrier points in canonical seed order, so the
-  /// emitted tuple sequence — and therefore which k tuples a `limit`
-  /// keeps — does not depend on num_threads. Off lets leaves fold worker
-  /// outputs in completion order (same tuple set, order may vary). See
-  /// the ordering contract in core/result_sink.h.
-  bool deterministic = true;
 
   /// Optional cooperative cancellation. The product and crpq engines —
   /// the paths parallel execution runs on — poll the token at
@@ -157,8 +138,9 @@ struct EvalOptions {
   /// one token per execution — a tripped token stays tripped.
   std::shared_ptr<CancellationToken> cancellation;
 
-  /// Product-configuration budget (kProduct); exceeding returns
-  /// ResourceExhausted.
+  /// Product-configuration budget of one execution (ProductExpand
+  /// leaves); exceeding returns ResourceExhausted. ReachabilityScan
+  /// leaves — all of kCrpq — are polynomial and not charged.
   uint64_t max_configs = 2000000;
 
   /// Path-length bound for the brute-force engine.

@@ -17,6 +17,64 @@
 
 namespace ecrpq {
 
+namespace {
+
+// FNV-1a over a row.
+struct RowHash {
+  size_t operator()(const std::vector<NodeId>& row) const {
+    uint64_t h = 1469598103934665603ULL;
+    for (NodeId v : row) {
+      h ^= static_cast<uint32_t>(v);
+      h *= 1099511628211ULL;
+    }
+    return h;
+  }
+};
+
+// Appends distinct rows to a row list, keeping first occurrences in
+// order: Add() appends the candidate row and takes it back when an equal
+// row is already there. The set holds row ids, so each row is stored
+// once.
+class DistinctRows {
+ public:
+  explicit DistinctRows(std::vector<std::vector<NodeId>>* rows)
+      : rows_(rows), seen_(0, Hash{rows}, Equal{rows}) {}
+
+  // The cleared candidate row to fill before Add().
+  std::vector<NodeId>* candidate() {
+    candidate_.clear();
+    return &candidate_;
+  }
+
+  void Add() {
+    rows_->push_back(std::move(candidate_));
+    if (seen_.insert(static_cast<uint32_t>(rows_->size() - 1)).second) {
+      candidate_ = {};
+    } else {
+      candidate_ = std::move(rows_->back());
+      rows_->pop_back();
+    }
+  }
+
+ private:
+  struct Hash {
+    const std::vector<std::vector<NodeId>>* rows;
+    size_t operator()(uint32_t i) const { return RowHash()((*rows)[i]); }
+  };
+  struct Equal {
+    const std::vector<std::vector<NodeId>>* rows;
+    bool operator()(uint32_t a, uint32_t b) const {
+      return (*rows)[a] == (*rows)[b];
+    }
+  };
+
+  std::vector<std::vector<NodeId>>* rows_;
+  std::unordered_set<uint32_t, Hash, Equal> seen_;
+  std::vector<NodeId> candidate_;
+};
+
+}  // namespace
+
 BindingTable ProjectDistinct(const BindingTable& table,
                              const std::vector<int>& vars) {
   BindingTable out;
@@ -27,12 +85,11 @@ BindingTable ProjectDistinct(const BindingTable& table,
     ECRPQ_DCHECK(c >= 0);
     cols.push_back(c);
   }
-  std::set<std::vector<NodeId>> seen;
+  DistinctRows distinct(&out.rows);
   for (const std::vector<NodeId>& row : table.rows) {
-    std::vector<NodeId> projected;
-    projected.reserve(cols.size());
-    for (int c : cols) projected.push_back(row[c]);
-    if (seen.insert(projected).second) out.rows.push_back(std::move(projected));
+    std::vector<NodeId>* projected = distinct.candidate();
+    for (int c : cols) projected->push_back(row[c]);
+    distinct.Add();
   }
   return out;
 }
@@ -1395,9 +1452,11 @@ Status SharedFrontierExpand(const ResolvedQuery& rq,
 // direction decides which side anchors the BFSes: forward scans from
 // sources, backward scans from targets through the reversed NFA over
 // in-edges, and bidirectional runs one meet-in-the-middle reachability
-// probe per (source, target) pair.
+// probe per (source, target) pair. The scan is polynomial (Thm 6.5), so
+// it is not charged to EvalOptions::max_configs, which bounds the
+// exponential product search; its visited (state, node) pairs are
+// reported as the operator's visited_configs.
 Status ScanComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
-                       const EvalOptions& options,
                        const std::vector<NodeId>& fixed,
                        const BindingTable* seeds, SearchDirection direction,
                        int num_threads, CancellationToken* cancel,
@@ -1468,8 +1527,7 @@ Status ScanComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
   uint64_t meet_checks = 0;
   std::vector<std::pair<NodeId, NodeId>> pairs = ReachabilityPairsDirected(
       *rq.graph, languages, *rq.index, source_ptr, target_ptr,
-      direction, &scan_stats, &meet_checks, num_threads, cancel,
-      options.deterministic);
+      direction, &scan_stats, &meet_checks, num_threads, cancel);
   if (cancel != nullptr && cancel->cancelled()) {
     return Status::Cancelled(kCancelledMessage);
   }
@@ -1490,31 +1548,19 @@ Status ScanComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
           source_ptr != nullptr ? sources.size() : rq.graph->num_nodes();
       break;
   }
-  // Charge visited (language state, node) pairs to the product budget —
-  // the same states a product search over this component would have
-  // interned — so the ReachabilityScan routing preserves the caller's
-  // max_configs resource guard. (The scan itself is polynomial, so the
-  // check after the fact bounds the query, not an explosion.)
-  stats.configs_explored += scan_stats.visited_states;
-  if (stats.configs_explored > options.max_configs) {
-    return Status::ResourceExhausted(
-        "product search exceeded max_configs=" +
-        std::to_string(options.max_configs));
-  }
-
   // Seed-row compatibility set (projection of seed rows onto comp.vars).
-  std::set<std::vector<NodeId>> seed_set;
+  std::unordered_set<std::vector<NodeId>, RowHash> seed_set;
   std::vector<int> seed_cols;
   if (seeds != nullptr) {
     for (int v : seeds->vars) seed_cols.push_back(v);
     for (const std::vector<NodeId>& row : seeds->rows) seed_set.insert(row);
   }
 
+  std::vector<NodeId> binding, key;
   for (const auto& [u, v] : pairs) {
     if (atom.from.is_const && u != atom.from.node) continue;
     if (atom.to.is_const && v != atom.to.node) continue;
-    std::vector<NodeId> binding(rq.query->node_variables().size(), -1);
-    for (size_t i = 0; i < fixed.size(); ++i) binding[i] = fixed[i];
+    binding = fixed;
     bool ok = true;
     if (!atom.from.is_const) {
       if (binding[atom.from.var] >= 0 && binding[atom.from.var] != u) {
@@ -1527,13 +1573,14 @@ Status ScanComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
       if (ok) binding[atom.to.var] = v;
     }
     if (!ok) continue;
-    std::vector<NodeId> assignment;
-    for (int var : comp.vars) assignment.push_back(binding[var]);
     if (seeds != nullptr) {
-      std::vector<NodeId> key;
+      key.clear();
       for (int var : seed_cols) key.push_back(binding[var]);
       if (seed_set.find(key) == seed_set.end()) continue;
     }
+    std::vector<NodeId> assignment;
+    assignment.reserve(comp.vars.size());
+    for (int var : comp.vars) assignment.push_back(binding[var]);
     results->insert(std::move(assignment));
   }
   return Status::OK();
@@ -1634,7 +1681,7 @@ Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
       IsReachabilityScanComponent(rq, comp)) {
     op.op = "ReachabilityScan";
     op.threads = lanes;
-    status = ScanComponentOp(rq, comp, options, fixed, seeds, dir, lanes,
+    status = ScanComponentOp(rq, comp, fixed, seeds, dir, lanes,
                              cancel, stats, op, results);
   } else {
     op.op = "ProductExpand";
@@ -1816,18 +1863,9 @@ Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
 
 namespace {
 
-// FNV-1a over a row's key columns (partitioned joins).
-uint64_t HashKey(const std::vector<NodeId>& key) {
-  uint64_t h = 1469598103934665603ULL;
-  for (NodeId v : key) {
-    h ^= static_cast<uint32_t>(v);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-// FNV-1a over selected columns of a row — the parallel paths hash keys
-// in place instead of materializing a key vector per row.
+// FNV-1a over selected columns of a row (partitioned joins) — the
+// parallel paths hash keys in place instead of materializing a key vector
+// per row.
 uint64_t HashRowKey(const std::vector<NodeId>& row,
                     const std::vector<int>& cols) {
   uint64_t h = 1469598103934665603ULL;
@@ -1858,11 +1896,13 @@ constexpr size_t kParallelJoinRows = 4096;
 constexpr size_t kJoinBuildGrain = 2048;
 constexpr size_t kJoinProbeGrain = 1024;
 
-// Radix partition count for a build side of `n` rows: enough partitions
-// to keep per-partition tables cache-resident and every lane busy, as a
-// pure function of the input size so partition boundaries (and with
-// them the build layout) are thread-count independent.
+// Radix partition count for a build side of `n` rows: one table below
+// the parallel threshold, else enough partitions to keep per-partition
+// tables cache-resident and every lane busy — a pure function of the
+// input size so partition boundaries (and with them the build layout)
+// are thread-count independent.
 size_t JoinPartitionCount(size_t n) {
+  if (n < kParallelJoinRows) return 1;
   return std::bit_ceil(
       std::clamp<size_t>(n / kJoinBuildGrain, size_t{16}, size_t{256}));
 }
@@ -1956,7 +1996,8 @@ PartitionedBuild BuildPartitioned(
 }  // namespace
 
 BindingTable HashJoinOp(const BindingTable& left, const BindingTable& right,
-                        EvalStats& stats, int num_threads) {
+                        EvalStats& stats, int num_threads,
+                        const std::vector<int>* project) {
   OperatorStats op;
   op.op = "HashJoin";
   op.rows_in = left.rows.size() + right.rows.size();
@@ -1984,78 +2025,83 @@ BindingTable HashJoinOp(const BindingTable& left, const BindingTable& right,
   out.vars = left.vars;
   for (int rc : right_extra) out.vars.push_back(right.vars[rc]);
 
-  auto right_key = [&](size_t r) {
-    std::vector<NodeId> key;
-    key.reserve(shared.size());
-    for (const auto& [lc, rc] : shared) {
-      (void)lc;
-      key.push_back(right.rows[r][rc]);
-    }
-    return key;
-  };
-  auto left_key = [&](const std::vector<NodeId>& lrow) {
-    std::vector<NodeId> key;
-    key.reserve(shared.size());
-    for (const auto& [lc, rc] : shared) {
-      (void)rc;
-      key.push_back(lrow[lc]);
-    }
-    return key;
-  };
-  auto emit_row = [&](const std::vector<NodeId>& lrow, size_t r,
-                      std::vector<std::vector<NodeId>>* rows) {
-    std::vector<NodeId> row = lrow;
-    for (int rc : right_extra) row.push_back(right.rows[r][rc]);
-    rows->push_back(std::move(row));
-  };
+  // Radix-partitioned build of the right side (count -> exact
+  // reservation -> scatter -> per-partition tables), on `lanes` lanes
+  // when the input is large enough to amortize them, else inline.
+  const int lanes =
+      num_threads > 1 && left.rows.size() + right.rows.size() >=
+                             kParallelJoinRows
+          ? num_threads
+          : 1;
+  op.threads = lanes;
+  std::vector<int> left_cols, right_cols;  // key columns per side
+  for (const auto& [lc, rc] : shared) {
+    left_cols.push_back(lc);
+    right_cols.push_back(rc);
+  }
+  std::vector<uint64_t> lane_build(lanes, 0), lane_probe(lanes, 0);
+  PartitionedBuild build =
+      BuildPartitioned(right.rows, right_cols, lanes, &lane_build);
 
-  const int lanes = std::max(num_threads, 1);
-  if (lanes > 1 && left.rows.size() + right.rows.size() >= kParallelJoinRows) {
-    op.threads = lanes;
-    std::vector<int> left_cols, right_cols;  // key columns per side
-    for (const auto& [lc, rc] : shared) {
-      left_cols.push_back(lc);
-      right_cols.push_back(rc);
-    }
-    // Radix-partitioned build of the right side (count -> exact
-    // reservation -> scatter -> per-partition tables).
-    std::vector<uint64_t> lane_build(lanes, 0), lane_probe(lanes, 0);
-    PartitionedBuild build =
-        BuildPartitioned(right.rows, right_cols, lanes, &lane_build);
-
-    // Two-pass morsel probe. Pass 1 records the matching (probe row,
-    // build row) id pairs per morsel — hash collisions across distinct
-    // keys are resolved by re-checking the key columns. Pass 2 sizes the
-    // output with ONE exact reservation and materializes each morsel's
-    // matches into its disjoint slice, concatenating in morsel order —
-    // the serial probe's left-row order, at any thread count.
-    const size_t grain = kJoinProbeGrain;
-    const size_t num_morsels = (left.rows.size() + grain - 1) / grain;
-    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> matches(
-        num_morsels);
-    ParallelMorsels(
-        lanes, left.rows.size(), grain,
-        [&](size_t begin, size_t end, int lane_id) {
-          std::vector<std::pair<uint32_t, uint32_t>>& found =
-              matches[begin / grain];
-          for (size_t i = begin; i < end; ++i) {
-            const std::vector<NodeId>& lrow = left.rows[i];
-            const uint64_t h = MixHash64(HashRowKey(lrow, left_cols));
-            const std::vector<uint32_t>* ids = build.Find(h);
-            if (ids == nullptr) continue;
-            for (uint32_t r : *ids) {
-              if (!KeysEqual(lrow, left_cols, right.rows[r], right_cols)) {
-                continue;
-              }
-              found.emplace_back(static_cast<uint32_t>(i), r);
+  // Two-pass morsel probe. Pass 1 records the matching (probe row, build
+  // row) id pairs per morsel — hash collisions across distinct keys are
+  // resolved by re-checking the key columns. Pass 2 sizes the output with
+  // ONE exact reservation and materializes each morsel's matches into its
+  // disjoint slice, concatenating in morsel order — left-row order, with
+  // each row's matches by ascending right row id, at any thread count.
+  // Output rows are distinct: both inputs hold distinct rows, and an
+  // output is its left row plus the right row's non-key columns.
+  const size_t grain = kJoinProbeGrain;
+  const size_t num_morsels = (left.rows.size() + grain - 1) / grain;
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> matches(
+      num_morsels);
+  ParallelMorsels(
+      lanes, left.rows.size(), grain,
+      [&](size_t begin, size_t end, int lane_id) {
+        std::vector<std::pair<uint32_t, uint32_t>>& found =
+            matches[begin / grain];
+        for (size_t i = begin; i < end; ++i) {
+          const std::vector<NodeId>& lrow = left.rows[i];
+          const uint64_t h = MixHash64(HashRowKey(lrow, left_cols));
+          const std::vector<uint32_t>* ids = build.Find(h);
+          if (ids == nullptr) continue;
+          for (uint32_t r : *ids) {
+            if (!KeysEqual(lrow, left_cols, right.rows[r], right_cols)) {
+              continue;
             }
+            found.emplace_back(static_cast<uint32_t>(i), r);
           }
-          lane_probe[lane_id] += end - begin;
-        });
-    std::vector<size_t> out_off(num_morsels + 1, 0);
-    for (size_t m = 0; m < num_morsels; ++m) {
-      out_off[m + 1] = out_off[m] + matches[m].size();
+        }
+        lane_probe[lane_id] += end - begin;
+      });
+  std::vector<size_t> out_off(num_morsels + 1, 0);
+  for (size_t m = 0; m < num_morsels; ++m) {
+    out_off[m + 1] = out_off[m] + matches[m].size();
+  }
+  stats.join_tuples += out_off[num_morsels];
+  if (project != nullptr) {
+    // Early projection: the distinct projected rows in match order,
+    // without materializing the joined rows.
+    std::vector<std::pair<const BindingTable*, int>> sources;
+    op.detail += ", project onto";
+    for (int v : *project) {
+      const int lc = left.ColumnOf(v);
+      sources.emplace_back(lc >= 0 ? &left : &right,
+                           lc >= 0 ? lc : right.ColumnOf(v));
+      op.detail += " v" + std::to_string(v);
     }
+    out.vars = *project;
+    DistinctRows distinct(&out.rows);
+    for (const auto& morsel : matches) {
+      for (const auto& [i, r] : morsel) {
+        std::vector<NodeId>* row = distinct.candidate();
+        for (const auto& [table, col] : sources) {
+          row->push_back(table->rows[table == &left ? i : r][col]);
+        }
+        distinct.Add();
+      }
+    }
+  } else {
     out.AppendRowSlots(out_off[num_morsels]);
     ParallelMorsels(
         lanes, num_morsels, 1, [&](size_t begin, size_t end, int lane_id) {
@@ -2070,32 +2116,10 @@ BindingTable HashJoinOp(const BindingTable& left, const BindingTable& right,
             }
           }
         });
-    stats.join_tuples += out.rows.size();
-    for (int l = 0; l < lanes; ++l) {
-      op.build_rows += lane_build[l];
-      op.probe_rows += lane_probe[l];
-    }
-  } else {
-    // Build on the right, keyed by the shared columns; probe with the
-    // left.
-    std::map<std::vector<NodeId>, std::vector<int>> build;
-    for (size_t r = 0; r < right.rows.size(); ++r) {
-      build[right_key(r)].push_back(static_cast<int>(r));
-    }
-    // Output rows are distinct by construction: both inputs hold distinct
-    // rows, and an output is its left row (prefix) plus the right row's
-    // non-key columns — two equal outputs would need two equal right
-    // rows.
-    for (const std::vector<NodeId>& lrow : left.rows) {
-      auto it = build.find(left_key(lrow));
-      if (it == build.end()) continue;
-      for (int r : it->second) {
-        ++stats.join_tuples;
-        emit_row(lrow, r, &out.rows);
-      }
-    }
-    op.build_rows = right.rows.size();
-    op.probe_rows = left.rows.size();
+  }
+  for (int l = 0; l < lanes; ++l) {
+    op.build_rows += lane_build[l];
+    op.probe_rows += lane_probe[l];
   }
 
   op.rows_out = out.rows.size();
@@ -2121,103 +2145,72 @@ bool SemiJoinFilterOp(BindingTable* target, const BindingTable& filter,
                  std::to_string(target->vars[tc]);
   }
 
-  auto filter_key = [&](const std::vector<NodeId>& frow) {
-    std::vector<NodeId> key;
-    key.reserve(shared.size());
-    for (const auto& [tc, fc] : shared) {
-      (void)tc;
-      key.push_back(frow[fc]);
-    }
-    return key;
-  };
-  auto target_key = [&](const std::vector<NodeId>& trow) {
-    std::vector<NodeId> key;
-    key.reserve(shared.size());
-    for (const auto& [tc, fc] : shared) {
-      (void)fc;
-      key.push_back(trow[tc]);
-    }
-    return key;
-  };
-
-  const int lanes = std::max(num_threads, 1);
-  std::vector<std::vector<NodeId>> kept;
-  kept.reserve(target->rows.size());
-  if (lanes > 1 &&
-      target->rows.size() + filter.rows.size() >= kParallelJoinRows) {
-    op.threads = lanes;
-    std::vector<int> target_cols, filter_cols;
-    for (const auto& [tc, fc] : shared) {
-      target_cols.push_back(tc);
-      filter_cols.push_back(fc);
-    }
-    // Radix-partitioned build of the filter keys, then a two-pass morsel
-    // probe: pass 1 flags the surviving target rows and counts them per
-    // morsel, pass 2 moves survivors into ONE exactly-reserved output in
-    // morsel order — the kept rows keep their original relative order,
-    // as in the serial pass, at any thread count.
-    std::vector<uint64_t> lane_build(lanes, 0), lane_probe(lanes, 0);
-    PartitionedBuild build =
-        BuildPartitioned(filter.rows, filter_cols, lanes, &lane_build);
-    const size_t grain = kJoinProbeGrain;
-    const size_t n = target->rows.size();
-    const size_t num_morsels = (n + grain - 1) / grain;
-    std::vector<uint8_t> keep(n, 0);
-    std::vector<size_t> kept_counts(num_morsels, 0);
-    ParallelMorsels(
-        lanes, n, grain, [&](size_t begin, size_t end, int lane_id) {
-          size_t kc = 0;
-          for (size_t i = begin; i < end; ++i) {
-            const std::vector<NodeId>& trow = target->rows[i];
-            const uint64_t h = MixHash64(HashRowKey(trow, target_cols));
-            const std::vector<uint32_t>* ids = build.Find(h);
-            bool hit = false;
-            if (ids != nullptr) {
-              for (uint32_t r : *ids) {
-                if (KeysEqual(trow, target_cols, filter.rows[r],
-                              filter_cols)) {
-                  hit = true;
-                  break;
-                }
+  // Radix-partitioned build of the filter keys, then a two-pass morsel
+  // probe: pass 1 flags the surviving target rows and counts them per
+  // morsel, pass 2 moves survivors into ONE exactly-reserved output in
+  // morsel order — the kept rows keep their original relative order at
+  // any thread count. Lanes as in HashJoinOp.
+  const int lanes =
+      num_threads > 1 && target->rows.size() + filter.rows.size() >=
+                             kParallelJoinRows
+          ? num_threads
+          : 1;
+  op.threads = lanes;
+  std::vector<int> target_cols, filter_cols;
+  for (const auto& [tc, fc] : shared) {
+    target_cols.push_back(tc);
+    filter_cols.push_back(fc);
+  }
+  std::vector<uint64_t> lane_build(lanes, 0), lane_probe(lanes, 0);
+  PartitionedBuild build =
+      BuildPartitioned(filter.rows, filter_cols, lanes, &lane_build);
+  const size_t grain = kJoinProbeGrain;
+  const size_t n = target->rows.size();
+  const size_t num_morsels = (n + grain - 1) / grain;
+  std::vector<uint8_t> keep(n, 0);
+  std::vector<size_t> kept_counts(num_morsels, 0);
+  ParallelMorsels(
+      lanes, n, grain, [&](size_t begin, size_t end, int lane_id) {
+        // A serial run gets one call spanning every morsel.
+        for (size_t i = begin; i < end; ++i) {
+          const std::vector<NodeId>& trow = target->rows[i];
+          const uint64_t h = MixHash64(HashRowKey(trow, target_cols));
+          const std::vector<uint32_t>* ids = build.Find(h);
+          bool hit = false;
+          if (ids != nullptr) {
+            for (uint32_t r : *ids) {
+              if (KeysEqual(trow, target_cols, filter.rows[r],
+                            filter_cols)) {
+                hit = true;
+                break;
               }
             }
-            keep[i] = hit;
-            kc += hit;
           }
-          kept_counts[begin / grain] = kc;
-          lane_probe[lane_id] += end - begin;
-        });
-    std::vector<size_t> out_off(num_morsels + 1, 0);
-    for (size_t m = 0; m < num_morsels; ++m) {
-      out_off[m + 1] = out_off[m] + kept_counts[m];
-    }
-    kept.resize(out_off[num_morsels]);
-    ParallelMorsels(
-        lanes, num_morsels, 1, [&](size_t begin, size_t end, int lane_id) {
-          (void)lane_id;
-          for (size_t m = begin; m < end; ++m) {
-            size_t o = out_off[m];
-            const size_t lo = m * grain;
-            const size_t hi = std::min(lo + grain, n);
-            for (size_t i = lo; i < hi; ++i) {
-              if (keep[i]) kept[o++] = std::move(target->rows[i]);
-            }
+          keep[i] = hit;
+          kept_counts[i / grain] += hit;
+        }
+        lane_probe[lane_id] += end - begin;
+      });
+  std::vector<size_t> out_off(num_morsels + 1, 0);
+  for (size_t m = 0; m < num_morsels; ++m) {
+    out_off[m + 1] = out_off[m] + kept_counts[m];
+  }
+  std::vector<std::vector<NodeId>> kept(out_off[num_morsels]);
+  ParallelMorsels(
+      lanes, num_morsels, 1, [&](size_t begin, size_t end, int lane_id) {
+        (void)lane_id;
+        for (size_t m = begin; m < end; ++m) {
+          size_t o = out_off[m];
+          const size_t lo = m * grain;
+          const size_t hi = std::min(lo + grain, n);
+          for (size_t i = lo; i < hi; ++i) {
+            if (keep[i]) kept[o++] = std::move(target->rows[i]);
           }
-        });
-    for (int l = 0; l < lanes; ++l) {
-      op.build_rows += lane_build[l];
-      op.probe_rows += lane_probe[l];
-    }
-  } else {
-    std::set<std::vector<NodeId>> keys;
-    for (const std::vector<NodeId>& frow : filter.rows) {
-      keys.insert(filter_key(frow));
-    }
-    for (std::vector<NodeId>& trow : target->rows) {
-      if (keys.count(target_key(trow))) kept.push_back(std::move(trow));
-    }
-    op.build_rows = filter.rows.size();
-    op.probe_rows = target->rows.size();
+        }
+      });
+  for (int l = 0; l < lanes; ++l) {
+    op.build_rows += lane_build[l];
+    op.probe_rows += lane_probe[l];
   }
   bool shrank = kept.size() < target->rows.size();
   target->rows = std::move(kept);

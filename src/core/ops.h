@@ -14,8 +14,13 @@
 //                      convolution product search (Thm 6.1)
 //   HashJoin           natural join of two binding tables on shared vars
 //   SemiJoinFilter     reduce a table to rows matched by another
+//   Project            ProjectDistinct, the early-projection step
 //   LinearConstraintCheck  the counting engine's per-assignment ILP
 //                      (recorded as operator stats; see eval_counting.cc)
+//
+// One executor strings them together for both join engines
+// (ExecutePlan, core/eval_product.h): kProduct plans mix both leaf
+// kinds, and kCrpq is the plan whose leaves are all ReachabilityScans.
 //
 // Leaves support *sideways information passing*: a seed table of bindings
 // produced by earlier operators restricts the leaf's start-variable
@@ -91,7 +96,8 @@ struct BindingTable {
   }
 };
 
-/// Distinct projection of `table` onto `vars` (each must be a column).
+/// Distinct projection of `table` onto `vars` (each must be a column);
+/// rows keep the order of their first occurrence.
 BindingTable ProjectDistinct(const BindingTable& table,
                              const std::vector<int>& vars);
 
@@ -165,27 +171,34 @@ Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
 
 /// Natural hash join on shared variables, materialized; output columns
 /// are left.vars followed by right's non-shared vars. Rows stay distinct.
+/// With `project` (vars of either input) the output is instead the
+/// distinct projection of the joined rows onto those columns, in first
+/// occurrence order, built without materializing the joined rows (the
+/// early-projection merge); EvalStats::join_tuples still counts every
+/// joined row.
 /// Appends a HashJoin OperatorStats entry (with build/probe row counts
-/// merged from the per-lane counters). (The product engine streams its
+/// merged from the per-lane counters). (The plan executor streams its
 /// final multi-way join for limit/exists pushdown on small plans and
 /// folds large-estimate plans through this operator pairwise; see
-/// eval_product.cc.) With num_threads > 1 and enough rows the join runs
-/// radix-partitioned: per-morsel partition counters size one exact
-/// reservation, lanes scatter build rows into per-partition slices and
-/// build each partition's hash table independently, and the probe runs
-/// morsel-wise in two passes (match, then size-then-fill into the
-/// reserved output). The partition count depends only on the input
-/// sizes — never the lane count — and probe matches concatenate in
-/// canonical partition/morsel order, so the output rows (and their
-/// order, identical to the serial probe's) are thread-count independent.
+/// ExecutePlan in eval_product.cc.) The join is radix-partitioned:
+/// per-morsel partition counters size one exact reservation, build rows
+/// are scattered into per-partition slices and each partition's hash
+/// table is built independently, and the probe runs morsel-wise in two
+/// passes (match, then size-then-fill into the reserved output). With
+/// num_threads > 1 and enough rows those passes run on worker lanes. The
+/// partition count depends only on the input sizes — never the lane
+/// count — and probe matches concatenate in canonical morsel order
+/// (left-row order, each row's matches by ascending right row id), so
+/// the output rows and their order are thread-count independent.
 BindingTable HashJoinOp(const BindingTable& left, const BindingTable& right,
-                        EvalStats& stats, int num_threads = 1);
+                        EvalStats& stats, int num_threads = 1,
+                        const std::vector<int>* project = nullptr);
 
 /// Keeps rows of `target` matched by some row of `filter` on their shared
 /// variables (no-op without shared variables). Appends a SemiJoinFilter
 /// entry when rows were actually removed. Returns true when `target`
-/// shrank. Parallel (partitioned build, morsel-wise probe, order
-/// preserved) under the same conditions as HashJoinOp.
+/// shrank. Same partitioned build and morsel-wise probe as HashJoinOp;
+/// kept rows keep their order.
 bool SemiJoinFilterOp(BindingTable* target, const BindingTable& filter,
                       EvalStats& stats, int num_threads = 1);
 

@@ -20,7 +20,7 @@
 //                        that expansion
 //
 // Everything here is engine-internal; the public surface of parallelism
-// is EvalOptions::num_threads / ::deterministic / ::cancellation (the
+// is EvalOptions::num_threads / ::cancellation (the
 // token itself lives in util/cancellation.h) and the api layer's
 // snapshot protocol (api/database.h).
 

@@ -9,6 +9,15 @@
 
 namespace ecrpq {
 
+namespace {
+
+// The engines whose plans the shared join executor runs (ExecutePlan).
+bool RunsOnJoinExecutor(Engine engine) {
+  return engine == Engine::kProduct || engine == Engine::kCrpq;
+}
+
+}  // namespace
+
 const char* OpKindName(OpKind kind) {
   switch (kind) {
     case OpKind::kReachabilityScan:
@@ -237,7 +246,7 @@ PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
   plan.linear_check = !query.linear_atoms().empty();
 
   // The conjunct groups the leaves evaluate over:
-  //   crpq      one leaf per path atom (per-atom reachability + join);
+  //   crpq      one scan leaf per path atom (the all-scan plan);
   //   product / counting / qlen
   //             one leaf per synchronization component, or one monolithic
   //             group when decomposition is forbidden;
@@ -261,6 +270,9 @@ PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
   }
   plan.decomposed = groups.size() > 1;
   plan.num_threads = ResolveNumThreads(options.num_threads);
+  // Counting and qlen enumerate their own σ-assignments; their plans only
+  // describe the leaves, without executor annotations.
+  const bool joined = RunsOnJoinExecutor(plan.engine);
 
   const double V = std::max(1, index.num_nodes());
   // Per-component expansion-work proxies, parallel to plan.components
@@ -286,55 +298,22 @@ PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
     // Chosen parallelism: the resolved lane count, demoted to serial when
     // the cost estimate says the leaf cannot amortize lane startup (a
     // distinct flag, so a serial-session plan is not mistaken for a
-    // demotion by later num_threads overrides). The product executor
-    // honors the demotion per leaf; the crpq executor applies the
-    // resolved count to every scan.
-    pc.demoted_serial = plan.engine == Engine::kProduct &&
-                        pc.est_cost >= 0.0 && pc.est_cost < 20000.0;
+    // demotion by later num_threads overrides). The executor honors the
+    // demotion per leaf.
+    pc.demoted_serial = joined && pc.est_cost >= 0.0 && pc.est_cost < 20000.0;
     pc.threads = pc.demoted_serial ? 1 : plan.num_threads;
     plan.components.push_back(std::move(pc));
   }
+  if (!joined) return plan;
 
-  // Ordering and sideways seeding describe what the PRODUCT executor
-  // will do with this plan; the other engines (crpq's dynamic most-bound
-  // join, counting/qlen's σ-enumeration) choose their own orders and
-  // ignore these annotations, so claiming them in the plan would make
-  // Explain misrepresent execution. Search direction IS annotated for
-  // crpq leaves too: EvaluateCrpq applies the same constant-anchoring
-  // rule per atom, so the plan stays faithful.
-  if (plan.engine == Engine::kCrpq && options.use_planner) {
-    for (PlannedComponent& pc : plan.components) {
-      const PathAtom& atom = query.path_atoms()[pc.atom_indices[0]];
-      const bool from_anchored = !atom.from.IsVariable();
-      const bool to_anchored = !atom.to.IsVariable();
-      if (from_anchored && to_anchored) {
-        pc.direction = SearchDirection::kBidirectional;
-      } else if (to_anchored) {
-        pc.direction = SearchDirection::kBackward;
-      }
-    }
-  }
-  if (plan.engine != Engine::kProduct) {
-    if (plan.engine == Engine::kCrpq && plan.components.size() > 1) {
-      // The crpq executor's semi-join fixpoint filters morsel-parallel
-      // above a runtime pair threshold; annotate the session lane count
-      // so Explain reports the parallelism the fixpoint will run at.
-      plan.semijoin_threads = plan.num_threads;
-    }
-    return plan;
-  }
-
-  // Cheapest-first ordering (stable: analysis order breaks ties), only
-  // when the planner is enabled; the legacy path keeps the analysis order.
-  if (options.use_planner && plan.components.size() > 1) {
-    std::stable_sort(plan.components.begin(), plan.components.end(),
-                     [](const PlannedComponent& a, const PlannedComponent& b) {
-                       if (a.est_rows != b.est_rows) {
-                         return a.est_rows < b.est_rows;
-                       }
-                       return a.est_cost < b.est_cost;
-                     });
-  }
+  // Cheapest-first ordering (stable: analysis order breaks ties).
+  std::stable_sort(plan.components.begin(), plan.components.end(),
+                   [](const PlannedComponent& a, const PlannedComponent& b) {
+                     if (a.est_rows != b.est_rows) {
+                       return a.est_rows < b.est_rows;
+                     }
+                     return a.est_cost < b.est_cost;
+                   });
 
   // Sideways information passing and per-leaf direction. A component
   // whose anchor-side variables (or, for scan leaves, any variables)
@@ -350,107 +329,196 @@ PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
   // variables times the direction's expansion-work proxy — picks forward
   // or backward, with a margin biasing ties to the classical forward
   // search.
-  if (options.use_planner) {
-    std::set<int> bound;
-    for (PlannedComponent& pc : plan.components) {
-      for (int v : pc.vars) {
-        if (bound.count(v)) pc.shared_vars.push_back(v);
-      }
-      auto shared = [&](int v) {
-        return std::find(pc.shared_vars.begin(), pc.shared_vars.end(), v) !=
-               pc.shared_vars.end();
-      };
-      bool shares_start = false;
-      bool shares_end = false;
-      size_t free_starts = 0, free_ends = 0;
-      for (int v : pc.start_vars) {
-        if (shared(v)) {
-          shares_start = true;
-        } else {
-          ++free_starts;
-        }
-      }
-      for (int v : pc.end_vars) {
-        if (shared(v)) {
-          shares_end = true;
-        } else {
-          ++free_ends;
-        }
-      }
-      if (free_starts == 0 && free_ends == 0) {
-        pc.direction = SearchDirection::kBidirectional;
+  std::set<int> bound;
+  for (PlannedComponent& pc : plan.components) {
+    for (int v : pc.vars) {
+      if (bound.count(v)) pc.shared_vars.push_back(v);
+    }
+    auto shared = [&](int v) {
+      return std::find(pc.shared_vars.begin(), pc.shared_vars.end(), v) !=
+             pc.shared_vars.end();
+    };
+    bool shares_start = false;
+    bool shares_end = false;
+    size_t free_starts = 0, free_ends = 0;
+    for (int v : pc.start_vars) {
+      if (shared(v)) {
+        shares_start = true;
       } else {
-        // Recover the directional work proxies from the stored full
-        // costs and re-scale by the free (unseeded) variable counts.
-        const double fwd_work =
-            pc.est_cost /
-            std::pow(V, static_cast<double>(pc.start_vars.size()));
-        const double bwd_work =
-            pc.est_cost_bwd /
-            std::pow(V, static_cast<double>(pc.end_vars.size()));
-        const double cost_fwd =
-            std::pow(V, static_cast<double>(free_starts)) * fwd_work;
-        const double cost_bwd =
-            std::pow(V, static_cast<double>(free_ends)) * bwd_work;
-        if (cost_bwd * 1.25 < cost_fwd) {
-          pc.direction = SearchDirection::kBackward;
+        ++free_starts;
+      }
+    }
+    for (int v : pc.end_vars) {
+      if (shared(v)) {
+        shares_end = true;
+      } else {
+        ++free_ends;
+      }
+    }
+    if (free_starts == 0 && free_ends == 0) {
+      pc.direction = SearchDirection::kBidirectional;
+    } else {
+      // Recover the directional work proxies from the stored full
+      // costs and re-scale by the free (unseeded) variable counts.
+      const double fwd_work =
+          pc.est_cost / std::pow(V, static_cast<double>(pc.start_vars.size()));
+      const double bwd_work =
+          pc.est_cost_bwd /
+          std::pow(V, static_cast<double>(pc.end_vars.size()));
+      const double cost_fwd =
+          std::pow(V, static_cast<double>(free_starts)) * fwd_work;
+      const double cost_bwd =
+          std::pow(V, static_cast<double>(free_ends)) * bwd_work;
+      if (cost_bwd * 1.25 < cost_fwd) {
+        pc.direction = SearchDirection::kBackward;
+      }
+    }
+    // Re-evaluate the serial demotion for the chosen direction: the
+    // initial decision used the forward cost, but a leaf flipped to
+    // backward (or bidirectional, bounded by the cheaper cone)
+    // should amortize lanes against the search it actually runs.
+    if (pc.direction != SearchDirection::kForward) {
+      const double dir_cost = pc.direction == SearchDirection::kBackward
+                                  ? pc.est_cost_bwd
+                                  : std::min(pc.est_cost, pc.est_cost_bwd);
+      pc.demoted_serial = dir_cost >= 0.0 && dir_cost < 20000.0;
+      pc.threads = pc.demoted_serial ? 1 : plan.num_threads;
+    }
+    const bool shares_anchor =
+        pc.direction == SearchDirection::kBidirectional
+            ? (shares_start || shares_end)
+            : (pc.direction == SearchDirection::kBackward ? shares_end
+                                                          : shares_start);
+    pc.sideways = !pc.shared_vars.empty() &&
+                  (shares_anchor || pc.leaf == OpKind::kReachabilityScan);
+    for (int v : pc.vars) bound.insert(v);
+  }
+
+  PlanJoinPipeline(query, index.num_nodes(), &plan);
+  return plan;
+}
+
+void PlanJoinPipeline(const Query& query, int num_nodes, PhysicalPlan* plan) {
+  // Per-operator parallelism of the join pipeline: a join (or the
+  // semijoin reduction) whose estimated input is below the
+  // partitioned-join threshold stays inline-serial on the calling thread —
+  // the pipeline mirror of AdaptiveGrain keeping tiny item counts inline.
+  // Eligibility is a pure function of the cardinality estimates (never
+  // the thread count), so the executor's pipeline shape — and with it
+  // every reported counter — is identical at any session parallelism.
+  constexpr double kJoinInlineRowsEstimate = 4096.0;  // kParallelJoinRows
+  const double V = std::max(1, num_nodes);
+  auto lanes_for = [&](bool parallel_ok) {
+    return parallel_ok && plan->num_threads > 1 ? plan->num_threads : 1;
+  };
+  std::vector<PlannedComponent>& comps = plan->components;
+  plan->projections.clear();
+  plan->semijoin_parallel_ok = false;
+  plan->semijoin_threads = 0;
+  double total = 0.0;
+  for (PlannedComponent& pc : comps) {
+    pc.join_parallel_ok = false;
+    pc.join_threads = 0;
+    total += std::max(pc.est_rows, 0.0);
+  }
+  if (comps.size() > 1) {
+    plan->semijoin_parallel_ok = total >= kJoinInlineRowsEstimate;
+    plan->semijoin_threads = lanes_for(plan->semijoin_parallel_ok);
+  }
+
+  // Early projection, simulated over the leaf tables in plan order. Rule
+  // 1 drops every column that is not a head variable and is in no other
+  // table; rule 2 replaces two tables sharing a non-head variable found
+  // in no other table by their joined projection. Each rule shrinks a
+  // table or the table count, so the loop ends.
+  std::set<int> head;
+  for (const NodeTerm& term : query.head_nodes()) {
+    if (term.IsVariable()) head.insert(query.NodeVarIndex(term.name));
+  }
+  struct Table {
+    std::vector<int> vars;
+    double est_rows;
+    size_t origin;  // the component whose position the table holds
+  };
+  std::vector<Table> tables;
+  for (size_t i = 0; i < comps.size(); ++i) {
+    tables.push_back({comps[i].vars, std::max(comps[i].est_rows, 0.0), i});
+  }
+  auto in_table = [&](size_t t, int v) {
+    const std::vector<int>& vars = tables[t].vars;
+    return std::find(vars.begin(), vars.end(), v) != vars.end();
+  };
+  // The columns of `vars` still needed once tables a and b are gone.
+  auto needed = [&](const std::vector<int>& vars, size_t a, size_t b) {
+    std::vector<int> keep;
+    for (int v : vars) {
+      bool used = head.count(v) > 0;
+      for (size_t t = 0; t < tables.size() && !used; ++t) {
+        used = t != a && t != b && in_table(t, v);
+      }
+      if (used) keep.push_back(v);
+    }
+    return keep;
+  };
+  auto bounded = [&](double est, size_t columns) {
+    return std::min(est, std::pow(V, static_cast<double>(columns)));
+  };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (size_t i = 0; i < tables.size(); ++i) {
+      std::vector<int> keep = needed(tables[i].vars, i, i);
+      if (keep.size() == tables[i].vars.size()) continue;
+      ProjectionStep step;
+      step.left = static_cast<int>(i);
+      step.keep = keep;
+      plan->projections.push_back(std::move(step));
+      tables[i].est_rows = bounded(tables[i].est_rows, keep.size());
+      tables[i].vars = std::move(keep);
+    }
+    for (size_t i = 0; i < tables.size() && !changed; ++i) {
+      for (int v : tables[i].vars) {
+        if (head.count(v)) continue;
+        std::vector<size_t> others;
+        for (size_t t = 0; t < tables.size(); ++t) {
+          if (t != i && in_table(t, v)) others.push_back(t);
         }
+        if (others.size() != 1) continue;
+        const size_t j = others[0];  // > i: earlier tables were scanned
+        std::vector<int> joined_vars = tables[i].vars;
+        for (int w : tables[j].vars) {
+          if (!in_table(i, w)) joined_vars.push_back(w);
+        }
+        ProjectionStep step;
+        step.left = static_cast<int>(i);
+        step.right = static_cast<int>(j);
+        step.keep = needed(joined_vars, i, j);
+        step.join_parallel_ok =
+            tables[i].est_rows + tables[j].est_rows >= kJoinInlineRowsEstimate;
+        step.join_threads = lanes_for(step.join_parallel_ok);
+        tables[i].est_rows = bounded(
+            std::min(tables[i].est_rows * tables[j].est_rows, 1e18),
+            step.keep.size());
+        tables[i].vars = step.keep;
+        plan->projections.push_back(std::move(step));
+        tables.erase(tables.begin() + j);
+        changed = true;
+        break;
       }
-      // Re-evaluate the serial demotion for the chosen direction: the
-      // initial decision used the forward cost, but a leaf flipped to
-      // backward (or bidirectional, bounded by the cheaper cone)
-      // should amortize lanes against the search it actually runs.
-      if (pc.direction != SearchDirection::kForward) {
-        const double dir_cost =
-            pc.direction == SearchDirection::kBackward
-                ? pc.est_cost_bwd
-                : std::min(pc.est_cost, pc.est_cost_bwd);
-        pc.demoted_serial = dir_cost >= 0.0 && dir_cost < 20000.0;
-        pc.threads = pc.demoted_serial ? 1 : plan.num_threads;
-      }
-      const bool shares_anchor =
-          pc.direction == SearchDirection::kBidirectional
-              ? (shares_start || shares_end)
-              : (pc.direction == SearchDirection::kBackward ? shares_end
-                                                            : shares_start);
-      pc.sideways = !pc.shared_vars.empty() &&
-                    (shares_anchor || pc.leaf == OpKind::kReachabilityScan);
-      for (int v : pc.vars) bound.insert(v);
     }
   }
 
-  // Per-operator parallelism of the cross-component join pipeline: a
-  // merge join (or the semijoin reduction) whose estimated input is
-  // below the partitioned-join threshold stays inline-serial on the
-  // calling thread — the pipeline mirror of AdaptiveGrain keeping tiny
-  // item counts inline. Eligibility is a pure function of the
-  // cardinality estimates (never the thread count), so the executor's
-  // pipeline shape — and with it every reported counter — is identical
-  // at any session parallelism.
-  if (options.use_planner && plan.components.size() > 1) {
-    constexpr double kJoinInlineRowsEstimate = 4096.0;  // kParallelJoinRows
-    double acc = std::max(plan.components[0].est_rows, 0.0);
-    double total = acc;
-    for (size_t i = 1; i < plan.components.size(); ++i) {
-      PlannedComponent& pc = plan.components[i];
-      const double est = std::max(pc.est_rows, 0.0);
-      pc.join_parallel_ok = acc + est >= kJoinInlineRowsEstimate;
-      pc.join_threads = pc.join_parallel_ok && plan.num_threads > 1
-                            ? plan.num_threads
-                            : 1;
-      // The accumulated join output is bounded above by the input
-      // product; the overestimate can only promote a later merge to the
-      // partitioned path, where the runtime row-count guard still
-      // applies.
-      acc = std::min(acc * std::max(est, 1.0), 1e18);
-      total += est;
-    }
-    plan.semijoin_parallel_ok = total >= kJoinInlineRowsEstimate;
-    plan.semijoin_threads = plan.semijoin_parallel_ok && plan.num_threads > 1
-                                ? plan.num_threads
-                                : 1;
+  // The final join folds the remaining tables in order. Its accumulated
+  // output is bounded above by the input product; the overestimate can
+  // only promote a later join to the partitioned path, where the runtime
+  // row-count guard still applies.
+  double acc = tables.empty() ? 0.0 : tables[0].est_rows;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    PlannedComponent& pc = comps[tables[k].origin];
+    const double est = tables[k].est_rows;
+    pc.join_parallel_ok = acc + est >= kJoinInlineRowsEstimate;
+    pc.join_threads = lanes_for(pc.join_parallel_ok);
+    acc = std::min(acc * std::max(est, 1.0), 1e18);
   }
-  return plan;
 }
 
 std::string PhysicalPlan::Describe(const Query& query) const {
@@ -467,6 +535,10 @@ std::string PhysicalPlan::Describe(const Query& query) const {
     if (v >= 1e15) return std::string(">=1e15");
     return std::to_string(static_cast<long long>(v + 0.5));
   };
+  auto lanes = [](int threads) {
+    return threads > 0 ? " parallelism=" + std::to_string(threads)
+                       : std::string();
+  };
 
   std::string out = "engine: ";
   out += EngineName(engine);
@@ -478,15 +550,9 @@ std::string PhysicalPlan::Describe(const Query& query) const {
   if (components.empty()) {
     out += "  monolithic enumeration (no operator structure)\n";
   }
+  const bool joined = RunsOnJoinExecutor(engine);
   for (size_t i = 0; i < components.size(); ++i) {
     const PlannedComponent& pc = components[i];
-    if (i > 0) {
-      out += "  HashJoin on " + var_names(pc.shared_vars);
-      if (pc.join_threads > 0) {
-        out += " parallelism=" + std::to_string(pc.join_threads);
-      }
-      out += "\n";
-    }
     out += "  [" + std::to_string(i) + "] ";
     out += OpKindName(pc.leaf);
     out += " atoms{";
@@ -498,32 +564,58 @@ std::string PhysicalPlan::Describe(const Query& query) const {
     if (pc.sideways) {
       out += " seeded" + var_names(pc.shared_vars);
     }
-    if (engine == Engine::kProduct || engine == Engine::kCrpq) {
+    if (joined) {
       out += std::string(" direction=") + SearchDirectionName(pc.direction);
     }
     out += " est_rows=" + fmt(pc.est_rows);
     out += " est_cost=" + fmt(pc.est_cost);
-    if (pc.threads > 0) {
-      out += " parallelism=" + std::to_string(pc.threads);
-    }
+    out += lanes(pc.threads);
     out += "\n";
   }
-  if (engine == Engine::kProduct && components.size() > 1) {
-    out += "  SemiJoinFilter to fixpoint";
-    if (semijoin_threads > 0) {
-      out += " parallelism=" + std::to_string(semijoin_threads);
+  if (joined) {
+    if (components.size() > 1) {
+      out += "  SemiJoinFilter to fixpoint" + lanes(semijoin_threads) + "\n";
     }
-    out += "\n";
-  }
-  if (engine == Engine::kCrpq) {
-    out += "  SemiJoinFilter to fixpoint";
-    if (semijoin_threads > 0) {
-      out += " parallelism=" + std::to_string(semijoin_threads);
+    // Replay the early projection over table labels: a table is named by
+    // the leaves it holds ("[0]", "[0,1]").
+    struct Table {
+      std::string label;
+      std::vector<int> vars;
+      size_t origin;
+    };
+    std::vector<Table> tables;
+    for (size_t i = 0; i < components.size(); ++i) {
+      tables.push_back({std::to_string(i), components[i].vars, i});
     }
-    out +=
-        ", then backtracking HashJoin\n"
-        "  (leaves listed in atom order; the join picks the most-bound "
-        "atom dynamically)\n";
+    for (const ProjectionStep& step : projections) {
+      Table& left = tables[step.left];
+      if (step.right < 0) {
+        out += "  Project [" + left.label + "] onto " + var_names(step.keep) +
+               "\n";
+      } else {
+        const Table& right = tables[step.right];
+        out += "  HashJoin [" + left.label + "] x [" + right.label +
+               "], project onto " + var_names(step.keep) +
+               lanes(step.join_threads) + "\n";
+        left.label += "," + right.label;
+        tables.erase(tables.begin() + step.right);
+      }
+      left.vars = step.keep;
+    }
+    for (size_t k = 1; k < tables.size(); ++k) {
+      std::vector<int> shared;
+      for (int v : tables[k].vars) {
+        for (size_t j = 0; j < k; ++j) {
+          const std::vector<int>& vars = tables[j].vars;
+          if (std::find(vars.begin(), vars.end(), v) != vars.end() &&
+              std::find(shared.begin(), shared.end(), v) == shared.end()) {
+            shared.push_back(v);
+          }
+        }
+      }
+      out += "  HashJoin [" + tables[k].label + "] on " + var_names(shared) +
+             lanes(components[tables[k].origin].join_threads) + "\n";
+    }
   }
   if (linear_check) {
     out += "  LinearConstraintCheck (Parikh/ILP over " +

@@ -17,8 +17,8 @@
 // components whose start variables are bound by earlier components for
 // seeded execution. The result is a PhysicalPlan: a small operator DAG
 // over the operators of core/ops.h (ReachabilityScan / ProductExpand
-// leaves, HashJoin between components, SemiJoinFilter reductions,
-// LinearConstraintCheck for counting queries).
+// leaves, SemiJoinFilter reductions, early Project steps, HashJoin
+// between tables, LinearConstraintCheck for counting queries).
 //
 // Planning is a pure function of (query, compiled relations, index
 // statistics, options): it never touches the graph's edges, so a plan can
@@ -84,10 +84,11 @@ struct PlannedComponent {
   /// Backward mirror of est_cost (end-side enumeration × reversed-tape
   /// expansion work); -1 until estimated.
   double est_cost_bwd = -1.0;
-  /// Worker lanes for the HashJoin that merges this component's table
-  /// into the accumulated join pipeline (Explain: the `parallelism=` of
-  /// the HashJoin line above this leaf). 0 = no merge join (the first
-  /// component in plan order, or an unplanned plan); 1 =
+  /// Worker lanes for the final HashJoin that merges the table this
+  /// component heads (after early projection) into the accumulated join
+  /// (Explain: the `parallelism=` of that HashJoin line). 0 = no final
+  /// join for this table (the first table in plan order, or a component
+  /// whose table early projection merged into an earlier one); 1 =
   /// inline-serial, the estimated join input is below the partitioned
   /// threshold (mirroring AdaptiveGrain's stay-inline rule for small
   /// item counts); >= 2 = the radix-partitioned parallel join. Like
@@ -102,10 +103,30 @@ struct PlannedComponent {
   bool join_parallel_ok = false;
 };
 
+/// One step of early projection (the Yannakakis step that keeps acyclic
+/// CRPQs polynomial, Thm 6.5), replayed by the executor over the list of
+/// leaf tables between the SemiJoinFilter fixpoint and the final join.
+/// Table indices refer to that list as it stands when the step runs: a
+/// merge replaces `left` by its result and erases `right`.
+struct ProjectionStep {
+  int left = -1;
+  /// -1: drop the columns of `left` that are neither head variables nor
+  /// in any other table. Otherwise `left` and `right` share a non-head
+  /// variable found in no other table: replace them by their joined,
+  /// deduplicated projection onto `keep` (HashJoinOp's `project`).
+  int right = -1;
+  std::vector<int> keep;  ///< the columns of the result, in order
+  /// Estimate-based eligibility of a merge's HashJoin for the partitioned
+  /// parallel path (as PlannedComponent::join_parallel_ok), and the lanes
+  /// Explain reports for it.
+  bool join_parallel_ok = false;
+  int join_threads = 0;
+};
+
 struct PhysicalPlan {
   Engine engine = Engine::kProduct;
-  /// Components in execution order (cheapest-first when the planner is
-  /// enabled). Size 1 with every atom = monolithic evaluation.
+  /// Components in execution order (cheapest-first). Size 1 with every
+  /// atom = monolithic evaluation.
   std::vector<PlannedComponent> components;
   /// Whether the conjunction was decomposed at all.
   bool decomposed = false;
@@ -124,6 +145,9 @@ struct PhysicalPlan {
   int semijoin_threads = 0;
   /// Estimate-based eligibility behind semijoin_threads.
   bool semijoin_parallel_ok = false;
+  /// Early projection, in execution order. Depends only on the query
+  /// head and the components' variables in plan order.
+  std::vector<ProjectionStep> projections;
 
   /// Multi-line operator-tree rendering (Explain output).
   std::string Describe(const Query& query) const;
@@ -141,11 +165,22 @@ double EstimateComponentCardinality(const Query& query,
                                     const GraphIndex& index);
 
 /// Builds the physical plan for `query`: resolves kAuto against the
-/// analysis, decomposes into synchronization components (unless
-/// options.use_components is off), costs and orders them, and marks
-/// sideways-seeded components from `index`'s statistics.
+/// analysis, decomposes into leaves (one per path atom for kCrpq — the
+/// all-scan plan — else one per synchronization component, or one
+/// monolithic leaf when options.use_components is off), costs and orders
+/// them, marks sideways-seeded components from `index`'s statistics, and
+/// plans the join pipeline (PlanJoinPipeline). kProduct and kCrpq plans
+/// run on the same executor (ExecutePlan, core/eval_product.h); the other
+/// engines' plans only describe their leaves.
 PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
                        const GraphIndex& index, const EvalOptions& options);
+
+/// Plans what runs after the leaves, from the components in their current
+/// order: the SemiJoinFilter fixpoint's lanes, the early projection steps
+/// (PhysicalPlan::projections) and the final join's per-table lanes.
+/// `num_nodes` bounds the estimates of projected tables. PlanQuery calls
+/// it; call it again after reordering plan->components.
+void PlanJoinPipeline(const Query& query, int num_nodes, PhysicalPlan* plan);
 
 }  // namespace ecrpq
 

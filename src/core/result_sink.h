@@ -16,13 +16,9 @@
 // work inside operator leaves, merge per-worker results at barrier
 // points, and only then stream head tuples through the (serial) join into
 // the sink. Sink implementations therefore need no internal locking.
-// With EvalOptions::deterministic set (the default), those barrier merges
-// fold worker outputs in canonical seed order, so the emission sequence —
-// and hence which k tuples an early-terminating sink keeps — is
-// independent of EvalOptions::num_threads. With deterministic off,
-// operator leaves may fold worker outputs in completion order: the tuple
-// SET is unchanged, but the emission order (and a limit's cut) may vary
-// between runs.
+// Those barrier merges fold worker outputs in canonical seed order, so the
+// emission sequence — and hence which k tuples an early-terminating sink
+// keeps — is independent of EvalOptions::num_threads.
 //
 // Early termination and cancellation: returning false from Emit stops the
 // engine as before; when the execution carries a CancellationToken

@@ -81,9 +81,6 @@ struct EvalStats {
     operators.insert(operators.end(), other.operators.begin(),
                      other.operators.end());
   }
-
-  /// Back-compat alias for Merge (kept for callers that predate it).
-  void Accumulate(const EvalStats& other) { Merge(other); }
 };
 
 }  // namespace ecrpq

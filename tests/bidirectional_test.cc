@@ -266,10 +266,6 @@ TEST(BidirectionalSearch, PlannerPicksAndReportsDirections) {
     ASSERT_TRUE(compiled.ok());
     auto index = GraphIndex::Build(g);
     EvalOptions options;
-    // Direction selection is the planner's job; pin it on so the test
-    // holds in the ECRPQ_NO_PLANNER ctest pass too (where the legacy
-    // path intentionally stays forward-only).
-    options.use_planner = true;
     PhysicalPlan plan =
         PlanQuery(query.value(), *compiled.value(), *index, options);
     std::string described = plan.Describe(query.value());
@@ -277,9 +273,7 @@ TEST(BidirectionalSearch, PlannerPicksAndReportsDirections) {
               std::string::npos)
         << c.text << "\n" << described;
 
-    EvalOptions run_options;
-    run_options.use_planner = true;
-    Evaluator evaluator(&g, run_options);
+    Evaluator evaluator(&g);
     auto result = evaluator.Evaluate(query.value());
     ASSERT_TRUE(result.ok()) << c.text;
     bool found_leaf = false;
@@ -294,9 +288,7 @@ TEST(BidirectionalSearch, PlannerPicksAndReportsDirections) {
   auto query = ParseQuery(R"(Ans() <- ("n0", p, "n5"), (a|b)*(p))",
                           g.alphabet());
   ASSERT_TRUE(query.ok());
-  EvalOptions meet_options;
-  meet_options.use_planner = true;
-  Evaluator evaluator(&g, meet_options);
+  Evaluator evaluator(&g);
   auto result = evaluator.Evaluate(query.value());
   ASSERT_TRUE(result.ok());
   uint64_t meet_checks = 0;

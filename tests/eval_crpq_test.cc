@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "automata/regex.h"
+#include "core/eval_bruteforce.h"
 #include "core/eval_crpq.h"
 #include "core/eval_product.h"
 #include "graph/generators.h"
@@ -67,25 +72,6 @@ TEST_P(CrpqEngineAgreement, MatchesProductEngine) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrpqEngineAgreement, ::testing::Range(0, 10));
 
-TEST(CrpqFastPath, SemijoinOptionAgrees) {
-  Rng rng(99);
-  auto alphabet = Alphabet::FromLabels({"a", "b"});
-  GraphDb g = RandomGraph(alphabet, 8, 20, &rng);
-  auto query = ParseQuery(
-      "Ans(x, w) <- (x, p, y), (y, q, z), (z, r, w), a*(p), b*(q), a*(r)",
-      g.alphabet());
-  ASSERT_TRUE(query.ok());
-  EvalOptions with;
-  with.use_semijoin_reduction = true;
-  EvalOptions without;
-  without.use_semijoin_reduction = false;
-  auto r1 = EvaluateCrpq(g, query.value(), with);
-  auto r2 = EvaluateCrpq(g, query.value(), without);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r1.value().tuples(), r2.value().tuples());
-}
-
 TEST(CrpqFastPath, ConstantEndpoints) {
   auto alphabet = Alphabet::FromLabels({"a", "b"});
   GraphDb g = WordGraph(alphabet, {0, 1, 0});
@@ -119,6 +105,208 @@ TEST(CrpqFastPath, AutoDispatchPicksIt) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().stats().engine, "crpq");
   EXPECT_EQ(result.value().tuples().size(), 3u);
+}
+
+// ---- Theorem 6.5: polynomial join work, by counter ----------------------
+
+// The bound asserted on join work: join_tuples <= this × rows × atoms.
+constexpr uint64_t kWorkPerRowAndAtom = 4;
+
+// Tuples and the engine's join work (EvalStats::join_tuples: rows the
+// hash joins produce plus tuples the final join enumerates).
+struct CrpqRun {
+  std::vector<std::vector<NodeId>> tuples;
+  uint64_t join_tuples = 0;
+};
+
+CrpqRun RunCrpq(const GraphDb& g, const std::string& text) {
+  auto query = ParseQuery(text, g.alphabet());
+  EXPECT_TRUE(query.ok()) << query.status().ToString();
+  EvalOptions options;
+  options.build_path_answers = false;
+  auto result = EvaluateCrpq(g, query.value(), options);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().stats().engine, "crpq");
+  return {result.value().tuples(), result.value().stats().join_tuples};
+}
+
+// A 3-branch star: enumerating embeddings costs one join tuple per
+// combination of branch ends (over a million here); the semijoin fixpoint
+// plus early projection reduces each branch to its center column first,
+// so the join does O(rows) work per atom.
+TEST(CrpqPolynomialBound, StarJoinWorkIsRowsTimesAtoms) {
+  auto alphabet = Alphabet::FromLabels({"a", "b"});
+  Rng rng(42);
+  GraphDb g = RandomGraph(alphabet, 64, 192, &rng);
+  CrpqRun run = RunCrpq(
+      g,
+      "Ans(x) <- (x, p0, y0), (x, p1, y1), (x, p2, y2), b*a(p0), a*b(p1), "
+      "b*a(p2)");
+  const uint64_t rows = run.tuples.size();
+  EXPECT_EQ(rows, 61u);
+  EXPECT_LE(run.join_tuples, kWorkPerRowAndAtom * rows * 3);
+}
+
+// Acyclic chain: each private inner variable is joined away and projected
+// out as soon as its two atoms meet, so no intermediate table outgrows
+// the projected (x_0, x_i) relation.
+TEST(CrpqPolynomialBound, ChainJoinWorkIsRowsTimesAtoms) {
+  auto alphabet = Alphabet::FromLabels({"a", "b"});
+  GraphDb g = UniversalWordGraph(alphabet);
+  std::string body;
+  std::string langs;
+  const int atoms = 10;
+  for (int i = 0; i < atoms; ++i) {
+    if (i > 0) body += ", ";
+    body += "(x" + std::to_string(i) + ", p" + std::to_string(i) + ", x" +
+            std::to_string(i + 1) + ")";
+    langs += std::string(", ") + (i % 2 == 0 ? "a*" : "b*") + "(p" +
+             std::to_string(i) + ")";
+  }
+  CrpqRun run = RunCrpq(g, "Ans(x0, x10) <- " + body + langs);
+  const uint64_t rows = run.tuples.size();
+  ASSERT_GT(rows, 0u);
+  EXPECT_LE(run.join_tuples, kWorkPerRowAndAtom * rows * atoms);
+}
+
+// ---- generated differential test ------------------------------------------
+
+// Node names n0..: constants need named nodes.
+GraphDb Named(const GraphDb& g) {
+  GraphDb out(g.alphabet_ptr());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    out.AddNode("n" + std::to_string(v));
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const auto& [label, to] : g.Out(v)) out.AddEdge(v, label, to);
+  }
+  return out;
+}
+
+// Atom endpoints of each query shape over variables v0..v3.
+const std::vector<std::vector<std::pair<int, int>>>& Shapes() {
+  static const std::vector<std::vector<std::pair<int, int>>> kShapes = {
+      {{0, 1}, {1, 2}},                  // chain
+      {{0, 1}, {1, 2}, {2, 3}},          // longer chain
+      {{0, 1}, {0, 2}},                  // star
+      {{0, 1}, {0, 2}, {3, 0}},          // star with an in-branch
+      {{0, 1}, {1, 2}, {2, 0}},          // triangle
+      {{0, 1}, {1, 2}, {2, 3}, {3, 0}},  // square
+      {{0, 0}, {0, 1}},                  // loop atom plus a branch
+      {{0, 1}, {1, 1}, {1, 2}},          // loop atom inside a chain
+  };
+  return kShapes;
+}
+
+// A random CRPQ over `shape`: each variable becomes a constant with
+// probability 1/5 (so an atom may have a constant on either or both
+// ends), and the head keeps a random subset of the remaining variables
+// (possibly none: a Boolean query).
+std::string RandomCrpq(Rng* rng, const std::vector<std::pair<int, int>>& shape,
+                       const std::vector<std::string>& languages,
+                       int num_nodes) {
+  std::vector<std::string> term(4);
+  std::vector<std::string> vars;
+  for (int v = 0; v < 4; ++v) {
+    if (rng->Chance(0.2)) {
+      term[v] = "\"n" + std::to_string(rng->Below(num_nodes)) + "\"";
+    } else {
+      term[v] = "v" + std::to_string(v);
+    }
+  }
+  std::string body;
+  for (size_t i = 0; i < shape.size(); ++i) {
+    const auto& [from, to] = shape[i];
+    if (i > 0) body += ", ";
+    body += "(" + term[from] + ", p" + std::to_string(i) + ", " + term[to] +
+            ")";
+    for (int v : {from, to}) {
+      if (term[v][0] == 'v' &&
+          std::find(vars.begin(), vars.end(), term[v]) == vars.end()) {
+        vars.push_back(term[v]);
+      }
+    }
+  }
+  for (size_t i = 0; i < shape.size(); ++i) {
+    body += ", " + rng->Pick(languages) + "(p" + std::to_string(i) + ")";
+  }
+  std::string head;
+  for (const std::string& v : vars) {
+    if (!rng->Chance(0.5)) continue;
+    head += (head.empty() ? "" : ", ") + v;
+  }
+  return "Ans(" + head + ") <- " + body;
+}
+
+// kCrpq, kProduct and kBruteForce agree on generated CRPQs, and kCrpq's
+// tuples and counters are identical at 1 and 4 threads. Brute force is
+// exact because every path the languages accept is at most
+// bruteforce_max_len long: the layered DAGs have no longer paths, and the
+// cyclic random graphs are queried with finite languages only.
+TEST(CrpqDifferential, GeneratedQueriesMatchProductAndBruteForce) {
+  auto alphabet = Alphabet::FromLabels({"a", "b"});
+  const std::vector<std::string> kAnyLanguages = {
+      "a*", "b+", "(a|b)*", "ab", "a(a|b)*", "(ab)*", "b*a"};
+  const std::vector<std::string> kFiniteLanguages = {
+      "a", "b", "ab", "(a|b)", "a?b", "ba?", "(a|b)(a|b)"};
+  int ran = 0;
+  for (uint64_t seed = 0; seed < 24; ++seed) {
+    Rng rng(seed * 6151 + 3);
+    const bool dag = seed % 2 == 0;
+    GraphDb g = dag ? Named(LayeredGraph(alphabet, 3, 2, 2, &rng))
+                    : Named(RandomGraph(alphabet, 5, 8, &rng));
+    for (const auto& shape : Shapes()) {
+      const std::string text = RandomCrpq(
+          &rng, shape, dag ? kAnyLanguages : kFiniteLanguages,
+          g.num_nodes());
+      SCOPED_TRACE(text + " (seed " + std::to_string(seed) + ")");
+      auto query = ParseQuery(text, g.alphabet());
+      ASSERT_TRUE(query.ok()) << query.status().ToString();
+      ASSERT_TRUE(CrpqFastPathApplies(query.value()));
+      EvalOptions options;
+      options.build_path_answers = false;
+      options.bruteforce_max_len = 2;
+      auto brute = EvaluateBruteForce(g, query.value(), options);
+      ASSERT_TRUE(brute.ok()) << brute.status().ToString();
+      auto product = EvaluateProduct(g, query.value(), options);
+      ASSERT_TRUE(product.ok()) << product.status().ToString();
+      EXPECT_EQ(product.value().tuples(), brute.value().tuples());
+
+      QueryResult serial;
+      for (int threads : {1, 4}) {
+        options.num_threads = threads;
+        auto crpq = EvaluateCrpq(g, query.value(), options);
+        ASSERT_TRUE(crpq.ok()) << crpq.status().ToString();
+        EXPECT_EQ(crpq.value().tuples(), brute.value().tuples())
+            << "threads=" << threads;
+        if (threads == 1) {
+          serial = crpq.value();
+          continue;
+        }
+        const EvalStats& a = serial.stats();
+        const EvalStats& b = crpq.value().stats();
+        EXPECT_EQ(a.configs_explored, b.configs_explored);
+        EXPECT_EQ(a.arcs_explored, b.arcs_explored);
+        EXPECT_EQ(a.start_assignments, b.start_assignments);
+        EXPECT_EQ(a.join_tuples, b.join_tuples);
+        ASSERT_EQ(a.operators.size(), b.operators.size());
+        for (size_t k = 0; k < a.operators.size(); ++k) {
+          SCOPED_TRACE("operator " + std::to_string(k) + " " +
+                       a.operators[k].op);
+          EXPECT_EQ(a.operators[k].op, b.operators[k].op);
+          EXPECT_EQ(a.operators[k].detail, b.operators[k].detail);
+          EXPECT_EQ(a.operators[k].rows_in, b.operators[k].rows_in);
+          EXPECT_EQ(a.operators[k].rows_out, b.operators[k].rows_out);
+          EXPECT_EQ(a.operators[k].frontier_expansions,
+                    b.operators[k].frontier_expansions);
+          EXPECT_EQ(a.operators[k].visited_configs,
+                    b.operators[k].visited_configs);
+        }
+      }
+      ++ran;
+    }
+  }
+  EXPECT_EQ(ran, 24 * static_cast<int>(Shapes().size()));
 }
 
 }  // namespace

@@ -246,28 +246,6 @@ TEST(ParallelExecution, LargeGraphResultsIdenticalAcrossThreadCounts) {
   }
 }
 
-// deterministic=false may reorder emission but never changes the answer
-// set (ExecuteAll sorts canonically, so equality is exact).
-TEST(ParallelExecution, NonDeterministicModeSameAnswerSet) {
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    Rng rng(9100 + seed);
-    GraphDb g = SmallDag(seed % 5);
-    std::string text = RandomQuery(&rng);
-    auto query = ParseQuery(text, g.alphabet());
-    ASSERT_TRUE(query.ok()) << text;
-    auto serial = RunAtThreads(g, query.value(), 1);
-    ASSERT_TRUE(serial.ok());
-    EvalOptions options;
-    options.num_threads = 8;
-    options.deterministic = false;
-    options.build_path_answers = false;
-    Evaluator evaluator(&g, options);
-    auto loose = evaluator.Evaluate(query.value());
-    ASSERT_TRUE(loose.ok()) << text;
-    EXPECT_EQ(serial.value().tuples(), loose.value().tuples()) << text;
-  }
-}
-
 // (b) One shared Database: 8 client threads × 50 executions each while a
 // writer thread mutates the graph (MutateGraph) and invalidates the
 // snapshot. Every execution must succeed against SOME consistent

@@ -96,10 +96,11 @@ std::string RandomQuery(Rng* rng, int* num_components) {
   return "Ans(" + head + ") <- " + body;
 }
 
-// Recomputes the order-dependent plan annotations (shared variables and
-// the sideways flag) after an externally imposed component permutation.
-void RecomputeSharing(PhysicalPlan* plan, bool randomize_sideways,
-                      Rng* rng) {
+// Recomputes the order-dependent plan annotations (shared variables, the
+// sideways flag and the join pipeline) after an externally imposed
+// component permutation.
+void RecomputeSharing(const Query& query, int num_nodes, PhysicalPlan* plan,
+                      bool randomize_sideways, Rng* rng) {
   std::set<int> bound;
   for (PlannedComponent& pc : plan->components) {
     pc.shared_vars.clear();
@@ -110,6 +111,7 @@ void RecomputeSharing(PhysicalPlan* plan, bool randomize_sideways,
                   (!randomize_sideways || rng->Next() % 2 == 0);
     for (int v : pc.vars) bound.insert(v);
   }
+  PlanJoinPipeline(query, num_nodes, plan);
 }
 
 std::vector<std::vector<NodeId>> RunWithPlan(const GraphDb& g,
@@ -209,15 +211,16 @@ TEST(PlannerProperty, RandomQueriesMatchBruteForceUnderAnyJoinOrder) {
       std::swap(plan.components[i - 1],
                 plan.components[rng.Next() % i]);
     }
-    RecomputeSharing(&plan, /*randomize_sideways=*/true, &rng);
+    RecomputeSharing(query.value(), g.num_nodes(), &plan,
+                     /*randomize_sideways=*/true, &rng);
     EXPECT_EQ(brute.value().tuples(),
               RunWithPlan(g, query.value(), options, &plan));
   }
 }
 
-// Forced execution modes agree with brute force too: the monolithic
-// product (decomposition forbidden) and the legacy unplanned path.
-TEST(PlannerProperty, MonolithicAndLegacyPathsMatchBruteForce) {
+// The forced monolithic product (decomposition forbidden) agrees with
+// brute force too.
+TEST(PlannerProperty, MonolithicPathMatchesBruteForce) {
   for (uint64_t seed = 0; seed < 12; ++seed) {
     Rng rng(seed * 104729 + 7);
     GraphDb g = SmallDag(seed % 6);
@@ -239,12 +242,6 @@ TEST(PlannerProperty, MonolithicAndLegacyPathsMatchBruteForce) {
     auto mono = EvaluateProduct(g, query.value(), monolithic);
     ASSERT_TRUE(mono.ok()) << mono.status().ToString();
     EXPECT_EQ(brute.value().tuples(), mono.value().tuples());
-
-    EvalOptions legacy = options;
-    legacy.use_planner = false;
-    auto unplanned = EvaluateProduct(g, query.value(), legacy);
-    ASSERT_TRUE(unplanned.ok());
-    EXPECT_EQ(brute.value().tuples(), unplanned.value().tuples());
   }
 }
 
@@ -372,8 +369,6 @@ TEST(PlannerPlans, OrdersCheapestFirstAndMarksSeeding) {
   ASSERT_TRUE(compiled.ok());
   EvalOptions options;
   options.engine = Engine::kProduct;
-  options.use_planner = true;  // the subject under test, even in the
-                               // ECRPQ_NO_PLANNER ablation run
   PhysicalPlan plan =
       PlanQuery(query.value(), *compiled.value(), *index, options);
   ASSERT_EQ(plan.components.size(), 2u);
@@ -488,27 +483,64 @@ TEST(BindingTableOps, SemiJoinFilterAndProjectDistinct) {
             (std::vector<std::vector<NodeId>>{{5}, {7}}));
 }
 
-// Non-product engines choose their own execution order, so their plans
-// must not claim cost ordering or sideways seeding (Explain honesty).
-TEST(PlannerPlans, NonProductEnginesKeepAtomOrderWithoutSeeding) {
-  GraphDb g = SmallDag(4);
-  auto query = ParseQuery(
-      "Ans(x, z) <- (x, p, y), (y, q, z), (ab)*(p), b*(q)", g.alphabet());
-  ASSERT_TRUE(query.ok());
-  auto compiled = CompileQuery(query.value(), g.alphabet().size());
-  ASSERT_TRUE(compiled.ok());
-  auto index = GraphIndex::Build(g);
-  EvalOptions options;
-  options.use_planner = true;
-  PhysicalPlan plan =
-      PlanQuery(query.value(), *compiled.value(), *index, options);
-  EXPECT_EQ(plan.engine, Engine::kCrpq);
-  ASSERT_EQ(plan.components.size(), 2u);
-  // Atom order preserved, no seeding claims.
-  EXPECT_EQ(plan.components[0].atom_indices, std::vector<int>{0});
-  EXPECT_EQ(plan.components[1].atom_indices, std::vector<int>{1});
-  EXPECT_FALSE(plan.components[0].sideways);
-  EXPECT_FALSE(plan.components[1].sideways);
+// kCrpq is the all-scan plan on the product executor: for a CRPQ its
+// plan must carry exactly the product plan's annotations (order, seeding,
+// directions, lanes, early projection), so Explain describes what runs.
+TEST(PlannerPlans, CrpqPlanAnnotationsEqualProductPlan) {
+  const char* kTexts[] = {
+      "Ans(x, z) <- (x, p, y), (y, q, z), (ab)*(p), b*(q)",
+      "Ans(x) <- (x, p, y), (x, q, z), (x, r, w), a*(p), b+(q), ab(r)",
+      "Ans(x, y) <- (x, p, y), (y, q, z), (z, r, x), a+(p), b*(q), a*(r)",
+      R"(Ans(y) <- ("n0", p, y), (y, q, z), a*(p), b(q))",
+      "Ans() <- (x, p, x), (x, q, y), a+(p), b*(q)",
+  };
+  for (uint64_t seed : {1u, 4u}) {
+    GraphDb g = SmallDag(seed);
+    auto index = GraphIndex::Build(g);
+    for (const char* text : kTexts) {
+      SCOPED_TRACE(text);
+      auto query = ParseQuery(text, g.alphabet());
+      ASSERT_TRUE(query.ok()) << query.status().ToString();
+      auto compiled = CompileQuery(query.value(), g.alphabet().size());
+      ASSERT_TRUE(compiled.ok());
+      EvalOptions options;
+      options.num_threads = 4;
+      PhysicalPlan crpq =
+          PlanQuery(query.value(), *compiled.value(), *index, options);
+      ASSERT_EQ(crpq.engine, Engine::kCrpq);
+      options.engine = Engine::kProduct;
+      PhysicalPlan product =
+          PlanQuery(query.value(), *compiled.value(), *index, options);
+      ASSERT_EQ(crpq.components.size(), product.components.size());
+      for (size_t i = 0; i < crpq.components.size(); ++i) {
+        const PlannedComponent& a = crpq.components[i];
+        const PlannedComponent& b = product.components[i];
+        EXPECT_EQ(a.atom_indices, b.atom_indices);
+        EXPECT_EQ(a.leaf, OpKind::kReachabilityScan);
+        EXPECT_EQ(a.leaf, b.leaf);
+        EXPECT_EQ(a.vars, b.vars);
+        EXPECT_EQ(a.shared_vars, b.shared_vars);
+        EXPECT_EQ(a.sideways, b.sideways);
+        EXPECT_EQ(a.direction, b.direction);
+        EXPECT_EQ(a.threads, b.threads);
+        EXPECT_EQ(a.demoted_serial, b.demoted_serial);
+        EXPECT_EQ(a.join_threads, b.join_threads);
+        EXPECT_EQ(a.join_parallel_ok, b.join_parallel_ok);
+      }
+      EXPECT_EQ(crpq.semijoin_threads, product.semijoin_threads);
+      ASSERT_EQ(crpq.projections.size(), product.projections.size());
+      for (size_t i = 0; i < crpq.projections.size(); ++i) {
+        EXPECT_EQ(crpq.projections[i].left, product.projections[i].left);
+        EXPECT_EQ(crpq.projections[i].right, product.projections[i].right);
+        EXPECT_EQ(crpq.projections[i].keep, product.projections[i].keep);
+      }
+      // Same operator tree; only the engine line differs.
+      std::string crpq_text = crpq.Describe(query.value());
+      std::string product_text = product.Describe(query.value());
+      EXPECT_EQ(crpq_text.substr(crpq_text.find('\n')),
+                product_text.substr(product_text.find('\n')));
+    }
+  }
 }
 
 // Per-operator counters are populated by the operator layer.
