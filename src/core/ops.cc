@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -142,9 +141,7 @@ namespace {
 
 constexpr const char* kCancelledMessage = "query execution cancelled";
 
-// Interns relation state subsets (serial searches; one pool per search).
-// The shared-frontier parallel search uses SharedSubsetPool
-// (core/parallel.h) instead.
+// Interns relation state subsets (one pool per search).
 class SubsetPool {
  public:
   int Intern(std::vector<StateId> subset) {
@@ -162,114 +159,197 @@ class SubsetPool {
   std::vector<std::vector<StateId>> store_;
 };
 
-// Open-addressing visited/intern table over product configurations
-// (serial searches; the parallel search shards this structure — see
-// ShardedVisitedTable in core/parallel.h).
+// splitmix64 finalizer, used to spread packed config codes over slots.
+uint64_t MixHash64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// Structural FNV-1a hash of a product configuration (padmask, per-track
+// nodes, per-relation interned subset ids).
+uint64_t HashProductConfig(const ProductConfig& c) {
+  uint64_t h = 1469598103934665603ULL;
+  auto feed = [&h](uint32_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
+  feed(c.padmask);
+  for (NodeId v : c.nodes) feed(static_cast<uint32_t>(v));
+  for (int s : c.subset_ids) feed(static_cast<uint32_t>(s));
+  return h;
+}
+
+// Word-packing of product configurations: padmask + per-track node ids +
+// per-relation subset ids in one uint64 when the shape fits. Subset ids
+// are assigned dynamically, so TryPack can fail mid-search once an id
+// outgrows its bit field.
+struct ConfigCodec {
+  int tracks = 0;
+  int relations = 0;
+  int node_bits = 0;
+  int subset_bits = 0;
+  bool packable = false;  // the shape fits 64 bits at all
+
+  ConfigCodec(int tracks, int relations, int num_nodes)
+      : tracks(tracks), relations(relations) {
+    node_bits = std::bit_width(static_cast<uint32_t>(
+        std::max(num_nodes - 1, 1)));
+    const int used = tracks + tracks * node_bits;
+    if (used <= 64 && relations > 0) {
+      subset_bits = std::min<int>(31, (64 - used) / relations);
+    }
+    packable = (used + relations * subset_bits <= 64) &&
+               (relations == 0 || subset_bits >= 1);
+  }
+
+  bool TryPack(const ProductConfig& c, uint64_t* out) const {
+    uint64_t code = c.padmask;
+    int shift = tracks;
+    for (NodeId v : c.nodes) {
+      code |= static_cast<uint64_t>(static_cast<uint32_t>(v)) << shift;
+      shift += node_bits;
+    }
+    for (int s : c.subset_ids) {
+      if (static_cast<int64_t>(s) >= (int64_t{1} << subset_bits)) {
+        return false;
+      }
+      code |= static_cast<uint64_t>(s) << shift;
+      shift += subset_bits;
+    }
+    *out = code;
+    return true;
+  }
+
+  // Exact inverse of TryPack. Resizes `out`'s vectors, so a reused
+  // scratch config never reallocates.
+  void Unpack(uint64_t code, ProductConfig* out) const {
+    out->padmask =
+        static_cast<uint32_t>(code & ((uint64_t{1} << tracks) - 1));
+    out->nodes.resize(tracks);
+    const uint64_t node_mask = (uint64_t{1} << node_bits) - 1;
+    int shift = tracks;
+    for (int t = 0; t < tracks; ++t) {
+      out->nodes[t] = static_cast<NodeId>((code >> shift) & node_mask);
+      shift += node_bits;
+    }
+    out->subset_ids.resize(relations);
+    const uint64_t subset_mask = (uint64_t{1} << subset_bits) - 1;
+    for (int r = 0; r < relations; ++r) {
+      out->subset_ids[r] = static_cast<int>((code >> shift) & subset_mask);
+      shift += subset_bits;
+    }
+  }
+};
+
+// The visited table of one product search: an open-addressing set of
+// configurations that hands out dense ids in discovery order, so a BFS
+// can walk ids 0, 1, 2, ... as its queue.
 //
-// When padmask + per-track node ids + per-relation subset ids fit one
-// word (ConfigCodec), configurations are keyed by a packed uint64 code
-// and probes compare single words — no per-configuration allocation, no
-// vector hashing. Subset-interning ids are assigned dynamically, so a
-// search whose subset count outgrows its bit field migrates once to the
-// generic path (structural hash, equality against the discovery array)
-// and keeps going; searches whose shape never fits start there.
+// While padmask + per-track node ids + per-relation subset ids fit one
+// word (ConfigCodec), the table stores each configuration as its packed
+// 8-byte code (`codes_[id]`) and probes compare single words — no
+// per-configuration allocation, no vector hashing. Subset-interning ids
+// are assigned dynamically, so a search whose subset count outgrows its
+// bit field switches once to stored configurations (`configs_[id]`,
+// structural hash, vector equality) and keeps going; searches whose
+// shape never fits start there.
 class VisitedTable {
  public:
   VisitedTable(int tracks, int relations, int num_nodes)
       : codec_(tracks, relations, num_nodes), packed_(codec_.packable) {
-    Rehash(1024);
+    slots_.assign(1024, -1);
   }
 
-  // Returns (config id, inserted). A new config is appended to `order`.
-  std::pair<int, bool> FindOrInsert(ProductConfig&& c,
-                                    std::vector<ProductConfig>& order) {
+  size_t size() const { return packed_ ? codes_.size() : configs_.size(); }
+
+  // Returns (config id, inserted).
+  std::pair<int, bool> FindOrInsert(const ProductConfig& c) {
+    if ((size() + 1) * 10 >= slots_.size() * 7) Rebuild(slots_.size() * 2);
+    uint64_t code = 0;
+    if (packed_ && !codec_.TryPack(c, &code)) SwitchToConfigs();
+    const size_t mask = slots_.size() - 1;
     if (packed_) {
-      uint64_t code;
-      if (!codec_.TryPack(c, &code)) {
-        MigrateToGeneric(order);
-      } else {
-        if ((size_ + 1) * 10 >= slots_.size() * 7) RehashPacked(order);
-        size_t i = MixHash64(code) & (slots_.size() - 1);
-        while (slots_[i] >= 0) {
-          if (keys_[i] == code) return {slots_[i], false};
-          i = (i + 1) & (slots_.size() - 1);
-        }
-        int id = static_cast<int>(order.size());
-        order.push_back(std::move(c));
-        slots_[i] = id;
-        keys_[i] = code;
-        ++size_;
-        return {id, true};
+      size_t i = MixHash64(code) & mask;
+      for (; slots_[i] >= 0; i = (i + 1) & mask) {
+        if (codes_[slots_[i]] == code) return {slots_[i], false};
       }
+      slots_[i] = static_cast<int32_t>(codes_.size());
+      codes_.push_back(code);
+      return {slots_[i], true};
     }
-    if ((size_ + 1) * 10 >= slots_.size() * 7) RehashGeneric(order);
-    size_t i = HashProductConfig(c) & (slots_.size() - 1);
-    while (slots_[i] >= 0) {
-      if (order[slots_[i]] == c) return {slots_[i], false};
-      i = (i + 1) & (slots_.size() - 1);
+    size_t i = HashProductConfig(c) & mask;
+    for (; slots_[i] >= 0; i = (i + 1) & mask) {
+      if (configs_[slots_[i]] == c) return {slots_[i], false};
     }
-    int id = static_cast<int>(order.size());
-    order.push_back(std::move(c));
-    slots_[i] = id;
-    ++size_;
-    return {id, true};
+    slots_[i] = static_cast<int32_t>(configs_.size());
+    configs_.push_back(c);
+    return {slots_[i], true};
+  }
+
+  // Copies configuration `id` into `*out` (reusing its capacity).
+  void Get(size_t id, ProductConfig* out) const {
+    if (packed_) {
+      codec_.Unpack(codes_[id], out);
+    } else {
+      *out = configs_[id];
+    }
   }
 
  private:
-  void Rehash(size_t capacity) {
-    slots_.assign(capacity, -1);
-    if (packed_) keys_.assign(capacity, 0);
+  uint64_t SlotHash(size_t id) const {
+    return packed_ ? MixHash64(codes_[id]) : HashProductConfig(configs_[id]);
   }
 
-  void RehashPacked(const std::vector<ProductConfig>& order) {
-    (void)order;  // packed slots carry their own keys
-    std::vector<int32_t> old_slots = std::move(slots_);
-    std::vector<uint64_t> old_keys = std::move(keys_);
-    Rehash(old_slots.size() * 2);
-    for (size_t j = 0; j < old_slots.size(); ++j) {
-      if (old_slots[j] < 0) continue;
-      size_t i = MixHash64(old_keys[j]) & (slots_.size() - 1);
-      while (slots_[i] >= 0) i = (i + 1) & (slots_.size() - 1);
-      slots_[i] = old_slots[j];
-      keys_[i] = old_keys[j];
-    }
-  }
-
-  // Clears the table to `capacity` slots and re-inserts every config of
-  // `order` by structural hash (generic mode's rebuild).
-  void RebuildGeneric(size_t capacity,
-                      const std::vector<ProductConfig>& order) {
+  // Clears the table to `capacity` slots and re-inserts every id.
+  void Rebuild(size_t capacity) {
     slots_.assign(capacity, -1);
-    for (size_t id = 0; id < order.size(); ++id) {
-      size_t i = HashProductConfig(order[id]) & (capacity - 1);
+    for (size_t id = 0; id < size(); ++id) {
+      size_t i = SlotHash(id) & (capacity - 1);
       while (slots_[i] >= 0) i = (i + 1) & (capacity - 1);
       slots_[i] = static_cast<int32_t>(id);
     }
   }
 
-  void RehashGeneric(const std::vector<ProductConfig>& order) {
-    RebuildGeneric(slots_.size() * 2, order);
-  }
-
-  void MigrateToGeneric(const std::vector<ProductConfig>& order) {
+  // A subset id outgrew its bit field: unpack every stored code into a
+  // configuration and re-key the slots by structural hash.
+  void SwitchToConfigs() {
+    configs_.resize(codes_.size());
+    for (size_t id = 0; id < codes_.size(); ++id) {
+      codec_.Unpack(codes_[id], &configs_[id]);
+    }
+    codes_.clear();
+    codes_.shrink_to_fit();
     packed_ = false;
-    keys_.clear();
-    keys_.shrink_to_fit();
-    RebuildGeneric(slots_.size(), order);
+    Rebuild(slots_.size());
   }
 
   ConfigCodec codec_;
-  bool packed_ = false;
-  size_t size_ = 0;
-  std::vector<int32_t> slots_;  // config id or -1
-  std::vector<uint64_t> keys_;  // packed code per occupied slot
+  bool packed_;
+  std::vector<int32_t> slots_;          // config id or -1
+  std::vector<uint64_t> codes_;         // per id, while packed_
+  std::vector<ProductConfig> configs_;  // per id, once switched
 };
 
-// Product search over one component. Templated on the state-subset pool:
-// SubsetPool for serial searches (one pool per search, lock-free) and
-// SharedSubsetPool for shared-frontier parallel searches (one pool shared
-// by every lane; each lane owns a ComponentSearchT as its expansion
-// context — the per-subset mask caches stay lane-private).
+// Polls `cancel` and charges one popped configuration to the
+// execution-wide max_configs budget.
+Status ChargeConfig(const EvalOptions& options,
+                    std::atomic<uint64_t>* configs_budget,
+                    CancellationToken* cancel) {
+  if (cancel != nullptr && cancel->cancelled()) {
+    return Status::Cancelled(kCancelledMessage);
+  }
+  if (configs_budget->fetch_add(1, std::memory_order_relaxed) + 1 >
+      options.max_configs) {
+    return Status::ResourceExhausted("product search exceeded max_configs=" +
+                                     std::to_string(options.max_configs));
+  }
+  return Status::OK();
+}
+
+// Product search over one component. Every search runs on one lane; the
+// morsel drivers give each lane its own search and subset pool.
 //
 // A context is built for one direction. Forward contexts run the classic
 // search: configurations advance on out-edges, state-subsets advance on
@@ -287,12 +367,11 @@ class VisitedTable {
 // searches intern subsets in the same pool over the same state id space,
 // which is what lets a bidirectional meet test S_fwd ∩ S_bwd per
 // relation directly.
-template <typename Pool>
-class ComponentSearchT {
+class ComponentSearch {
  public:
-  ComponentSearchT(const ResolvedQuery& rq, const ComponentSpec& comp,
-                   const EvalOptions& options, Pool* pool,
-                   bool backward = false)
+  ComponentSearch(const ResolvedQuery& rq, const ComponentSpec& comp,
+                  const EvalOptions& options, SubsetPool* pool,
+                  bool backward = false)
       : rq_(rq),
         comp_(comp),
         options_(options),
@@ -341,10 +420,10 @@ class ComponentSearchT {
   // One configuration step: acceptance (+ endpoint-consistency filtering
   // into `results`) and successor expansion. `anchor_nodes` holds the
   // per-track anchors of this search — start nodes forward, end nodes
-  // backward. `emit(ProductConfig&&, letters)` receives every generated
-  // successor; the caller owns dedup/queueing. The serial BFS (Run), the
-  // shared-frontier lanes, and the bidirectional half-searches all drive
-  // this.
+  // backward. `emit(const ProductConfig&, letters)` receives every
+  // generated successor (a scratch reused by the next one); the caller
+  // owns dedup/queueing. The BFS (Run) and the bidirectional
+  // half-searches both drive this.
   template <typename Emit>
   void ProcessConfig(const ProductConfig& current,
                      const std::vector<NodeId>& anchor_nodes,
@@ -369,11 +448,11 @@ class ComponentSearchT {
     for (int t = 0; t < T; ++t) GatherCandidates(t, current);
     scratch_letter_.assign(T, kPad);
     scratch_next_nodes_.assign(T, -1);
-    auto counted = [&](ProductConfig next,
+    auto counted = [&](const ProductConfig& next,
                        const std::vector<Symbol>& letters) {
       ++arcs_explored_;
       ++frontier_expansions_;
-      emit(std::move(next), letters);
+      emit(next, letters);
     };
     ExpandRec(0, T, current, &scratch_letter_, &scratch_next_nodes_,
               *rq_.graph, counted);
@@ -391,7 +470,6 @@ class ComponentSearchT {
              std::set<std::vector<NodeId>>* results, ProductGraphSink* sink,
              std::atomic<uint64_t>* configs_budget,
              CancellationToken* cancel) {
-    const GraphDb& graph = *rq_.graph;
     ProductConfig init;
     if (!MakeInitialConfig(anchor_nodes, &init)) return Status::OK();
 
@@ -401,48 +479,36 @@ class ComponentSearchT {
         (sink != nullptr) ? static_cast<int>(sink->configs.size()) : 0;
     VisitedTable visited(static_cast<int>(comp_.tracks.size()),
                          static_cast<int>(comp_.relation_indices.size()),
-                         graph.num_nodes());
-    std::vector<ProductConfig> order;
-    std::queue<int> work;
-    auto intern_config = [&](ProductConfig c) -> std::pair<int, bool> {
-      auto [id, inserted] = visited.FindOrInsert(std::move(c), order);
+                         rq_.graph->num_nodes());
+    auto intern_config = [&](const ProductConfig& c) -> int {
+      auto [id, inserted] = visited.FindOrInsert(c);
       if (inserted) {
-        work.push(id);
         ++visited_configs_;
         if (sink != nullptr) {
-          sink->configs.push_back(order.back());
+          sink->configs.push_back(c);
           sink->arcs.emplace_back();
           sink->initial.push_back(false);
           sink->accepting.push_back(false);
         }
       }
-      return {id, inserted};
+      return id;
     };
 
-    auto [init_id, fresh] = intern_config(std::move(init));
-    (void)fresh;
+    const int init_id = intern_config(init);
     if (sink != nullptr) sink->initial[sink_base + init_id] = true;
 
-    while (!work.empty()) {
-      int config_id = work.front();
-      work.pop();
-      if (cancel != nullptr && cancel->cancelled()) {
-        return Status::Cancelled(kCancelledMessage);
-      }
-      if (configs_budget->fetch_add(1, std::memory_order_relaxed) + 1 >
-          options_.max_configs) {
-        return Status::ResourceExhausted(
-            "product search exceeded max_configs=" +
-            std::to_string(options_.max_configs));
-      }
-      ProductConfig current = order[config_id];  // copy: order grows below
+    // Ids are handed out in discovery order, so walking them is the BFS
+    // queue.
+    ProductConfig current;
+    for (size_t config_id = 0; config_id < visited.size(); ++config_id) {
+      Status charged = ChargeConfig(options_, configs_budget, cancel);
+      if (!charged.ok()) return charged;
+      visited.Get(config_id, &current);
       bool accepted = false;
       ProcessConfig(current, anchor_nodes, fixed, results, &accepted,
-                    [&](ProductConfig next,
+                    [&](const ProductConfig& next,
                         const std::vector<Symbol>& letters) {
-                      auto [next_id, unused] =
-                          intern_config(std::move(next));
-                      (void)unused;
+                      const int next_id = intern_config(next);
                       if (sink != nullptr) {
                         sink->arcs[sink_base + config_id].push_back(
                             {letters, sink_base + next_id});
@@ -528,11 +594,9 @@ class ComponentSearchT {
 
   // Per-tape letter masks of one relation's current subset, OR of the
   // direction's compiled per-state tape masks (out-letters forward,
-  // in-letters backward); cached per interned subset id. The cache is
-  // lane-private even when the pool is shared (ids are global, mask
-  // values are a pure function of the id and direction, so same-direction
-  // lanes agree; forward and backward contexts are distinct objects, so
-  // the caches never mix directions).
+  // in-letters backward); cached per interned subset id. Forward and
+  // backward contexts sharing one pool are distinct objects, so the
+  // caches never mix directions.
   const std::vector<uint64_t>& SubsetMasks(size_t i, int subset_id) {
     auto& cache = subset_masks_[i];
     if (subset_id >= static_cast<int>(cache.size())) {
@@ -588,8 +652,9 @@ class ComponentSearchT {
         if (!padded) all_pad = false;
       }
       if (all_pad) return;
-      // Advance relations on their projected letters.
-      ProductConfig next;
+      // Advance relations on their projected letters, into the reused
+      // successor scratch (emit receives it by reference).
+      ProductConfig& next = scratch_next_;
       next.padmask = new_padmask;
       next.nodes = *next_nodes;
       next.subset_ids.resize(comp_.relation_indices.size());
@@ -626,7 +691,7 @@ class ComponentSearchT {
                        advanced.end());
         next.subset_ids[i] = pool_->Intern(std::move(advanced));
       }
-      emit(std::move(next), *letter);
+      emit(next, *letter);
       return;
     }
     // Option 1: pad. Forward: always allowed (a track may end anywhere,
@@ -714,7 +779,7 @@ class ComponentSearchT {
   const ResolvedQuery& rq_;
   const ComponentSpec& comp_;
   const EvalOptions& options_;
-  Pool* pool_;
+  SubsetPool* pool_;
   const GraphIndex* index_;  // the snapshot every expansion reads
   bool use_masks_;           // base alphabet fits the 64-bit letter masks
   bool backward_;            // this context runs the reversed-tape mirror
@@ -729,12 +794,11 @@ class ComponentSearchT {
   std::vector<NodeId> scratch_next_nodes_;
   // Per-track edge candidates of the configuration being expanded.
   std::vector<std::vector<std::pair<Symbol, NodeId>>> scratch_cands_;
+  ProductConfig scratch_next_;  // the successor handed to emit
   uint64_t visited_configs_ = 0;
   uint64_t frontier_expansions_ = 0;
   uint64_t arcs_explored_ = 0;
 };
-
-using ComponentSearch = ComponentSearchT<SubsetPool>;
 
 // Derives one anchor node per track from `binding` — the from-terms when
 // `from_side`, the to-terms otherwise; false when repeated tracks have
@@ -755,20 +819,6 @@ bool DeriveAnchorNodes(const ResolvedQuery& rq, const ComponentSpec& comp,
     }
   }
   return true;
-}
-
-bool DeriveStartNodes(const ResolvedQuery& rq, const ComponentSpec& comp,
-                      const std::vector<NodeId>& binding,
-                      std::vector<NodeId>* start_nodes) {
-  return DeriveAnchorNodes(rq, comp, binding, /*from_side=*/true,
-                           start_nodes);
-}
-
-bool DeriveEndNodes(const ResolvedQuery& rq, const ComponentSpec& comp,
-                    const std::vector<NodeId>& binding,
-                    std::vector<NodeId>* end_nodes) {
-  return DeriveAnchorNodes(rq, comp, binding, /*from_side=*/false,
-                           end_nodes);
 }
 
 // Enumerates anchor assignments (start vars for forward contexts, end
@@ -826,28 +876,23 @@ Status EnumerateAndRun(const ResolvedQuery& rq, ComponentSearch& search,
   return enumerate(0);
 }
 
-// Prefers hard errors over the Cancelled echoes other lanes report after
-// one of them tripped the shared token.
-Status CombineLaneStatuses(const std::vector<Status>& statuses) {
-  for (const Status& s : statuses) {
-    if (!s.ok() && s.code() != StatusCode::kCancelled) return s;
-  }
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
+// Counters of bidirectional searches (merged into the operator entry at
+// the barrier).
+struct BidirCounters {
+  uint64_t visited_configs = 0;
+  uint64_t frontier_expansions = 0;
+  uint64_t arcs_explored = 0;
+  uint64_t meet_checks = 0;
+};
 
-// Per-lane state of the morsel-driven ProductExpand drivers.
+// Per-lane state of the ProductExpand drivers (the serial path is one
+// lane).
 struct ExpandLane {
   std::unique_ptr<SubsetPool> pool;
   std::unique_ptr<ComponentSearch> search;
   std::set<std::vector<NodeId>> results;
   uint64_t start_assignments = 0;
-  uint64_t meet_checks = 0;  // bidirectional rows only
-  uint64_t visited_configs = 0;
-  uint64_t frontier_expansions = 0;
-  uint64_t arcs_explored = 0;
+  BidirCounters bidir;  // bidirectional overlays only
   Status status;
 
   ComponentSearch& Search(const ResolvedQuery& rq, const ComponentSpec& comp,
@@ -861,24 +906,29 @@ struct ExpandLane {
   }
 };
 
-// Barrier-point merge of the morsel drivers: lane results fold into the
-// global set in canonical lane order, counters sum into the operator
-// entry, and the first hard lane error (or a Cancelled echo) wins. Lanes
-// that merely OBSERVED the tripped token exit without recording a
+// Barrier-point merge of the ProductExpand drivers: lane results fold
+// into the global set in canonical lane order, counters sum into the
+// operator entry, and the first hard lane error wins over the Cancelled
+// echoes other lanes report after one of them tripped the shared token.
+// Lanes that merely OBSERVED the tripped token exit without recording a
 // status, so an externally killed run whose lanes all bailed that way
 // still reports Cancelled instead of an empty success.
 Status MergeExpandLanes(std::vector<ExpandLane>& lanes,
                         const CancellationToken* cancel, EvalStats& stats,
                         OperatorStats& op,
                         std::set<std::vector<NodeId>>* results) {
-  std::vector<Status> statuses;
+  Status combined = Status::OK();
   for (ExpandLane& lane : lanes) {
-    statuses.push_back(lane.status);
+    if (!lane.status.ok() &&
+        (combined.ok() || (combined.code() == StatusCode::kCancelled &&
+                           lane.status.code() != StatusCode::kCancelled))) {
+      combined = lane.status;
+    }
     stats.start_assignments += lane.start_assignments;
-    op.meet_checks += lane.meet_checks;
-    op.visited_configs += lane.visited_configs;
-    op.frontier_expansions += lane.frontier_expansions;
-    stats.arcs_explored += lane.arcs_explored;
+    op.meet_checks += lane.bidir.meet_checks;
+    op.visited_configs += lane.bidir.visited_configs;
+    op.frontier_expansions += lane.bidir.frontier_expansions;
+    stats.arcs_explored += lane.bidir.arcs_explored;
     if (lane.search != nullptr) {
       op.visited_configs += lane.search->visited_configs();
       op.frontier_expansions += lane.search->frontier_expansions();
@@ -888,7 +938,6 @@ Status MergeExpandLanes(std::vector<ExpandLane>& lanes,
       results->insert(lane.results.begin(), lane.results.end());
     }
   }
-  Status combined = CombineLaneStatuses(statuses);
   if (combined.ok() && cancel != nullptr && cancel->cancelled()) {
     return Status::Cancelled(kCancelledMessage);
   }
@@ -907,40 +956,30 @@ bool OverlaySeedRow(const BindingTable& seeds, size_t row,
   return true;
 }
 
-// Counters one bidirectional search reports back to its caller (merged
-// into the operator entry at the barrier).
-struct BidirCounters {
-  uint64_t visited_configs = 0;
-  uint64_t frontier_expansions = 0;
-  uint64_t arcs_explored = 0;
-  uint64_t meet_checks = 0;
-};
-
 // Meet-in-the-middle search of ONE fully anchored component: a forward
 // half-search from the start anchors and a backward half-search from the
 // end anchors run level-synchronously, each step expanding whichever
 // side currently has the smaller frontier (frontier-size alternation).
 // Every newly discovered configuration probes the opposite side's meet
-// table — configurations keyed by their packed node tuple — and a meet
-// is a forward/backward pair on the same nodes whose padmasks are
-// compatible (no track both ended forward and started backward) and
-// whose state-subsets intersect for every relation: the forward prefix
-// reaches a state from which the backward suffix accepts. Since the
-// component is fully anchored its satisfying assignment is unique, so
-// the search stops at the first meet (after finishing the level, keeping
-// every counter thread-count-independent); either side exhausting
-// without a meet proves the assignment unsatisfiable, because an
-// accepting word of length m meets at every split 0..m — including the
-// opposite side's initial configuration.
+// table — config ids keyed by their node tuple — and a meet is a
+// forward/backward pair on the same nodes whose padmasks are compatible
+// (no track both ended forward and started backward) and whose
+// state-subsets intersect for every relation: the forward prefix reaches
+// a state from which the backward suffix accepts. Since the component is
+// fully anchored its satisfying assignment is unique, so the search stops
+// at the first meet (after finishing the level, so every counter is a
+// function of whole levels); either side exhausting without a meet
+// proves the assignment unsatisfiable, because an accepting word of
+// length m meets at every split 0..m — including the opposite side's
+// initial configuration.
 //
-// Lanes expand the chosen level's frontier morsel-wise against the
-// side's sharded visited table; the opposite side's meet table is frozen
-// during the step, so probes are lock-free reads. Both directions intern
-// subsets in one shared pool over the same state id space, which is what
-// makes the per-relation intersection test meaningful.
+// Each side keeps its configurations in a VisitedTable; a level is the
+// id range discovered by the previous step. Both directions intern
+// subsets in one pool over the same state id space, which is what makes
+// the per-relation intersection test meaningful.
 Status BidirectionalProductSearch(const ResolvedQuery& rq,
                                   const ComponentSpec& comp,
-                                  const EvalOptions& options, int num_lanes,
+                                  const EvalOptions& options,
                                   const std::vector<NodeId>& start_nodes,
                                   const std::vector<NodeId>& end_nodes,
                                   const std::vector<NodeId>& fixed,
@@ -948,42 +987,37 @@ Status BidirectionalProductSearch(const ResolvedQuery& rq,
                                   CancellationToken* cancel,
                                   BidirCounters* counters,
                                   std::set<std::vector<NodeId>>* results) {
-  const int lanes = std::max(num_lanes, 1);
-  SharedSubsetPool pool;
-  using Ctx = ComponentSearchT<SharedSubsetPool>;
-  std::vector<std::unique_ptr<Ctx>> fwd_ctxs, bwd_ctxs;
-  for (int l = 0; l < lanes; ++l) {
-    fwd_ctxs.push_back(
-        std::make_unique<Ctx>(rq, comp, options, &pool, /*backward=*/false));
-    bwd_ctxs.push_back(
-        std::make_unique<Ctx>(rq, comp, options, &pool, /*backward=*/true));
-  }
+  SubsetPool pool;
+  ComponentSearch fwd_search(rq, comp, options, &pool, /*backward=*/false);
+  ComponentSearch bwd_search(rq, comp, options, &pool, /*backward=*/true);
 
   // The anchored component has exactly one candidate assignment; an
   // inconsistent anchor pair can never bind, so no search runs.
   std::vector<NodeId> assignment;
-  if (!fwd_ctxs[0]->ConsistentAssignment(start_nodes, end_nodes, fixed,
-                                         &assignment)) {
+  if (!fwd_search.ConsistentAssignment(start_nodes, end_nodes, fixed,
+                                       &assignment)) {
     return Status::OK();
   }
 
   ProductConfig fwd_init, bwd_init;
-  if (!fwd_ctxs[0]->MakeInitialConfig(start_nodes, &fwd_init) ||
-      !bwd_ctxs[0]->MakeInitialConfig(end_nodes, &bwd_init)) {
+  if (!fwd_search.MakeInitialConfig(start_nodes, &fwd_init) ||
+      !bwd_search.MakeInitialConfig(end_nodes, &bwd_init)) {
     return Status::OK();
   }
 
-  ConfigCodec codec(static_cast<int>(comp.tracks.size()),
-                    static_cast<int>(comp.relation_indices.size()),
-                    rq.graph->num_nodes());
   struct Side {
-    HybridVisitedTable visited;
-    // Meet table: packed node-tuple hash -> configs discovered here.
-    std::unordered_map<uint64_t, std::vector<ProductConfig>> by_nodes;
-    std::vector<ProductConfig> frontier;
-    Side(const ConfigCodec& codec, int lanes) : visited(codec, lanes) {}
+    Side(int tracks, int relations, int num_nodes)
+        : visited(tracks, relations, num_nodes) {}
+    VisitedTable visited;
+    // Meet table: node-tuple hash -> ids of configs discovered here.
+    std::unordered_map<uint64_t, std::vector<int>> by_nodes;
+    size_t level_begin = 0;  // ids [level_begin, size) are the frontier
+    size_t frontier() const { return visited.size() - level_begin; }
   };
-  Side fwd(codec, lanes), bwd(codec, lanes);
+  const int tracks = static_cast<int>(comp.tracks.size());
+  const int relations = static_cast<int>(comp.relation_indices.size());
+  Side fwd(tracks, relations, rq.graph->num_nodes());
+  Side bwd(tracks, relations, rq.graph->num_nodes());
 
   auto node_key = [](const ProductConfig& c) {
     uint64_t h = 1469598103934665603ULL;
@@ -1002,8 +1036,8 @@ Status BidirectionalProductSearch(const ResolvedQuery& rq,
     if (f.nodes != b.nodes) return false;
     if ((f.padmask & b.padmask) != 0) return false;
     for (size_t i = 0; i < f.subset_ids.size(); ++i) {
-      auto&& s_fwd = pool.Get(f.subset_ids[i]);
-      auto&& s_bwd = pool.Get(b.subset_ids[i]);
+      const std::vector<StateId>& s_fwd = pool.Get(f.subset_ids[i]);
+      const std::vector<StateId>& s_bwd = pool.Get(b.subset_ids[i]);
       size_t a = 0, b2 = 0;
       bool hit = false;
       while (a < s_fwd.size() && b2 < s_bwd.size()) {
@@ -1021,138 +1055,101 @@ Status BidirectionalProductSearch(const ResolvedQuery& rq,
     return true;
   };
 
-  std::atomic<bool> found{false};
-  std::atomic<uint64_t> meet_checks{0};
+  bool found = false;
+  uint64_t meet_checks = 0;
+  ProductConfig other_config;  // unpack target for meet-table entries
 
-  // Probes one newly discovered config against the OPPOSITE side's meet
-  // table (frozen while this side expands). The whole bucket is scanned —
-  // no early break — so meet_checks depends only on the level's config
-  // set, never on lane scheduling.
-  auto probe = [&](const ProductConfig& c, bool c_is_fwd, const Side& other) {
-    auto it = other.by_nodes.find(node_key(c));
+  // Registers a config not yet seen on `side` (meet table, next frontier)
+  // and probes it against the OPPOSITE side's meet table, which is frozen
+  // while this side expands. The whole bucket is scanned — no early
+  // break — so meet_checks depends only on the level's config set.
+  auto discover = [&](Side& side, const ProductConfig& c, bool c_is_fwd,
+                      const Side& other) {
+    auto [id, inserted] = side.visited.FindOrInsert(c);
+    if (!inserted) return;
+    const uint64_t key = node_key(c);
+    side.by_nodes[key].push_back(id);
+    auto it = other.by_nodes.find(key);
     if (it == other.by_nodes.end()) return;
-    for (const ProductConfig& o : it->second) {
-      meet_checks.fetch_add(1, std::memory_order_relaxed);
-      const ProductConfig& f = c_is_fwd ? c : o;
-      const ProductConfig& b = c_is_fwd ? o : c;
-      if (meets(f, b)) found.store(true, std::memory_order_relaxed);
+    for (int o : it->second) {
+      ++meet_checks;
+      other.visited.Get(o, &other_config);
+      const ProductConfig& f = c_is_fwd ? c : other_config;
+      const ProductConfig& b = c_is_fwd ? other_config : c;
+      if (meets(f, b)) found = true;
     }
-  };
-
-  auto register_config = [&](Side& side, ProductConfig&& c) {
-    side.by_nodes[node_key(c)].push_back(c);
-    side.frontier.push_back(std::move(c));
   };
 
   // Seed both sides; the forward init probing the backward init covers
   // the split-at-0 case (all-ε words: start == end anchors and every
   // relation accepting an initial state).
-  fwd.visited.Insert(fwd_init);
-  bwd.visited.Insert(bwd_init);
-  register_config(bwd, std::move(bwd_init));
-  probe(fwd_init, /*c_is_fwd=*/true, bwd);
-  register_config(fwd, std::move(fwd_init));
+  discover(bwd, bwd_init, /*c_is_fwd=*/false, fwd);
+  discover(fwd, fwd_init, /*c_is_fwd=*/true, bwd);
 
   Status status = Status::OK();
-  while (!found.load(std::memory_order_relaxed) && !fwd.frontier.empty() &&
-         !bwd.frontier.empty()) {
-    const bool step_fwd = fwd.frontier.size() <= bwd.frontier.size();
+  ProductConfig current;
+  while (status.ok() && !found && fwd.frontier() > 0 && bwd.frontier() > 0) {
+    const bool step_fwd = fwd.frontier() <= bwd.frontier();
     Side& side = step_fwd ? fwd : bwd;
-    Side& other = step_fwd ? bwd : fwd;
-    auto& ctxs = step_fwd ? fwd_ctxs : bwd_ctxs;
+    const Side& other = step_fwd ? bwd : fwd;
+    ComponentSearch& search = step_fwd ? fwd_search : bwd_search;
     const std::vector<NodeId>& anchors = step_fwd ? start_nodes : end_nodes;
-
-    const size_t n = side.frontier.size();
-    const size_t grain = AdaptiveGrain(n, lanes);
-    std::vector<std::vector<ProductConfig>> slots((n + grain - 1) / grain);
-    // Configs the visited table bounced at its occupancy gate; retried in
-    // the serial phase after the barrier grows the table.
-    std::vector<std::vector<ProductConfig>> deferred(lanes);
-    std::atomic<bool> failed{false};
-    std::vector<Status> lane_statuses(lanes);
-    ParallelMorsels(
-        lanes, n, grain, [&](size_t begin, size_t end, int lane_id) {
-          Ctx& ctx = *ctxs[lane_id];
-          std::vector<ProductConfig>& slot = slots[begin / grain];
-          for (size_t i = begin; i < end; ++i) {
-            if (failed.load(std::memory_order_relaxed)) return;
-            if (cancel != nullptr && cancel->cancelled()) {
-              lane_statuses[lane_id] = Status::Cancelled(kCancelledMessage);
-              failed.store(true, std::memory_order_relaxed);
-              return;
-            }
-            if (configs_budget->fetch_add(1, std::memory_order_relaxed) + 1 >
-                options.max_configs) {
-              lane_statuses[lane_id] = Status::ResourceExhausted(
-                  "product search exceeded max_configs=" +
-                  std::to_string(options.max_configs));
-              failed.store(true, std::memory_order_relaxed);
-              if (cancel != nullptr) cancel->Cancel();
-              return;
-            }
-            bool accepted = false;
-            ctx.ProcessConfig(
-                side.frontier[i], anchors, fixed, /*results=*/nullptr,
-                &accepted,
-                [&](ProductConfig next, const std::vector<Symbol>& letters) {
-                  (void)letters;
-                  switch (side.visited.Insert(next)) {
-                    case VisitedInsert::kNew:
-                      probe(next, step_fwd, other);
-                      slot.push_back(std::move(next));
-                      break;
-                    case VisitedInsert::kDeferred:
-                      deferred[lane_id].push_back(std::move(next));
-                      break;
-                    case VisitedInsert::kPresent:
-                      break;
-                  }
-                });
-            (void)accepted;
-          }
-        });
-    status = CombineLaneStatuses(lane_statuses);
-    if (!status.ok()) break;
-    // Serial phase: register the level's discoveries (meet table + next
-    // frontier) in slot order, then grow the visited table and retry the
-    // deferred configs — a deferral never inserted, so the retry either
-    // claims the config (probed and registered exactly like a direct
-    // claim; the opposite meet table is still frozen) or finds another
-    // lane already claimed it. Exactly-once processing holds either way.
-    side.frontier.clear();
-    for (std::vector<ProductConfig>& slot : slots) {
-      for (ProductConfig& c : slot) register_config(side, std::move(c));
+    const size_t level_end = side.visited.size();
+    for (size_t id = side.level_begin; id < level_end; ++id) {
+      status = ChargeConfig(options, configs_budget, cancel);
+      if (!status.ok()) break;
+      side.visited.Get(id, &current);
+      bool accepted = false;
+      search.ProcessConfig(
+          current, anchors, fixed, /*results=*/nullptr, &accepted,
+          [&](const ProductConfig& next, const std::vector<Symbol>&) {
+            discover(side, next, step_fwd, other);
+          });
     }
-    uint64_t num_deferred = 0;
-    for (const auto& d : deferred) num_deferred += d.size();
-    side.visited.MaintainAtBarrier(num_deferred);
-    for (auto& d : deferred) {
-      for (ProductConfig& c : d) {
-        if (side.visited.Insert(c) == VisitedInsert::kNew) {
-          probe(c, step_fwd, other);
-          register_config(side, std::move(c));
-        }
-      }
-    }
+    side.level_begin = level_end;
   }
 
-  for (int l = 0; l < lanes; ++l) {
-    counters->frontier_expansions += fwd_ctxs[l]->frontier_expansions() +
-                                     bwd_ctxs[l]->frontier_expansions();
-    counters->arcs_explored +=
-        fwd_ctxs[l]->arcs_explored() + bwd_ctxs[l]->arcs_explored();
-  }
+  counters->frontier_expansions +=
+      fwd_search.frontier_expansions() + bwd_search.frontier_expansions();
+  counters->arcs_explored +=
+      fwd_search.arcs_explored() + bwd_search.arcs_explored();
   counters->visited_configs += fwd.visited.size() + bwd.visited.size();
-  counters->meet_checks += meet_checks.load(std::memory_order_relaxed);
+  counters->meet_checks += meet_checks;
   if (!status.ok()) return status;
-  if (found.load(std::memory_order_relaxed) && results != nullptr) {
-    results->insert(assignment);
-  }
+  if (found && results != nullptr) results->insert(assignment);
   return Status::OK();
 }
 
+// Runs the product searches of one overlay of bindings (`fixed`, or
+// `fixed` plus one seed row) on `lane`: one meet-in-the-middle search
+// when bidirectional (every endpoint is bound, so the overlay has a
+// unique candidate assignment), else one search per anchor assignment.
+Status ExpandOverlay(const ResolvedQuery& rq, const ComponentSpec& comp,
+                     const EvalOptions& options, SearchDirection direction,
+                     const std::vector<NodeId>& overlay, ExpandLane& lane,
+                     std::set<std::vector<NodeId>>* results,
+                     ProductGraphSink* sink,
+                     std::atomic<uint64_t>* configs_budget,
+                     CancellationToken* cancel) {
+  if (direction == SearchDirection::kBidirectional) {
+    std::vector<NodeId> starts, ends;
+    if (!DeriveAnchorNodes(rq, comp, overlay, /*from_side=*/true, &starts) ||
+        !DeriveAnchorNodes(rq, comp, overlay, /*from_side=*/false, &ends)) {
+      return Status::OK();
+    }
+    ++lane.start_assignments;
+    return BidirectionalProductSearch(rq, comp, options, starts, ends,
+                                      overlay, configs_budget, cancel,
+                                      &lane.bidir, results);
+  }
+  ComponentSearch& search = lane.Search(
+      rq, comp, options, direction == SearchDirection::kBackward);
+  return EnumerateAndRun(rq, search, overlay, &lane.start_assignments,
+                         results, sink, configs_budget, cancel);
+}
+
 // Morsel-parallel ProductExpand over seed rows: lanes claim row morsels
-// and run one serial seeded search per row (each lane reuses one search —
+// and run each row's searches serially (each lane reuses one search —
 // warm subset pools and mask caches across its rows).
 Status MorselSeedRowsExpand(const ResolvedQuery& rq,
                             const ComponentSpec& comp,
@@ -1180,33 +1177,9 @@ Status MorselSeedRowsExpand(const ResolvedQuery& rq,
           }
           overlay = fixed;
           if (!OverlaySeedRow(seeds, r, &overlay)) continue;
-          Status st;
-          if (direction == SearchDirection::kBidirectional) {
-            // Every endpoint is bound per row: one serial
-            // meet-in-the-middle search per seed row.
-            std::vector<NodeId> starts, ends;
-            if (!DeriveStartNodes(rq, comp, overlay, &starts) ||
-                !DeriveEndNodes(rq, comp, overlay, &ends)) {
-              continue;
-            }
-            ++lane.start_assignments;
-            BidirCounters counters;
-            st = BidirectionalProductSearch(rq, comp, options,
-                                            /*num_lanes=*/1, starts, ends,
-                                            overlay, configs_budget, cancel,
-                                            &counters, &lane.results);
-            lane.visited_configs += counters.visited_configs;
-            lane.frontier_expansions += counters.frontier_expansions;
-            lane.arcs_explored += counters.arcs_explored;
-            lane.meet_checks += counters.meet_checks;
-          } else {
-            ComponentSearch& search = lane.Search(
-                rq, comp, options,
-                direction == SearchDirection::kBackward);
-            st = EnumerateAndRun(rq, search, overlay,
-                                 &lane.start_assignments, &lane.results,
-                                 nullptr, configs_budget, cancel);
-          }
+          Status st = ExpandOverlay(rq, comp, options, direction, overlay,
+                                    lane, &lane.results, /*sink=*/nullptr,
+                                    configs_budget, cancel);
           if (!st.ok()) {
             lane.status = st;
             failed.store(true, std::memory_order_relaxed);
@@ -1263,186 +1236,6 @@ Status MorselStartNodesExpand(const ResolvedQuery& rq,
                     }
                   });
   return MergeExpandLanes(lanes, cancel, stats, op, results);
-}
-
-// Level-synchronous shared-frontier expansion of ONE anchored product
-// search (anchored on its direction's side: start nodes forward, end
-// nodes backward). Each BFS level's frontier is a flat array — packed
-// 8-byte config codes when the shape fits one word (the common case:
-// cache-friendly, unpacked into a reusable per-lane scratch config),
-// whole configurations otherwise — split into contiguous morsels
-// (AdaptiveGrain: tiny levels run inline on the caller, large ones give
-// each lane a few cache-local ranges). Lanes dedup successors through
-// the lock-free HybridVisitedTable — one relaxed CAS per novel config,
-// no locks on the hot path — into per-lane outboxes concatenated at the
-// level barrier; configs the table bounced at its occupancy gate are
-// parked per lane and retried after the barrier grows the table (a
-// deferral never inserts, so the retry preserves exactly-once claiming).
-//
-// Only the claiming lane forwards a config, so every configuration in
-// the closure is processed exactly once — which is all the determinism
-// contract needs: results fold into std::sets and every reported counter
-// (configs, arcs, frontier expansions, visited size) is a sum over the
-// closure, so answer tuples and EvalStats are identical at any lane
-// count regardless of morsel scheduling.
-Status SharedFrontierExpand(const ResolvedQuery& rq,
-                            const ComponentSpec& comp,
-                            const EvalOptions& options,
-                            SearchDirection direction, int num_lanes,
-                            const std::vector<NodeId>& anchor_nodes,
-                            const std::vector<NodeId>& fixed,
-                            std::atomic<uint64_t>* configs_budget,
-                            CancellationToken* cancel, EvalStats& stats,
-                            OperatorStats& op,
-                            std::set<std::vector<NodeId>>* results) {
-  const bool backward = direction == SearchDirection::kBackward;
-  const int lanes = std::max(num_lanes, 1);
-  SharedSubsetPool pool;
-  using Ctx = ComponentSearchT<SharedSubsetPool>;
-  std::vector<std::unique_ptr<Ctx>> ctxs;
-  ctxs.reserve(lanes);
-  for (int l = 0; l < lanes; ++l) {
-    ctxs.push_back(std::make_unique<Ctx>(rq, comp, options, &pool, backward));
-  }
-  ProductConfig init;
-  if (!ctxs[0]->MakeInitialConfig(anchor_nodes, &init)) return Status::OK();
-  ++stats.start_assignments;
-
-  ConfigCodec codec(static_cast<int>(comp.tracks.size()),
-                    static_cast<int>(comp.relation_indices.size()),
-                    rq.graph->num_nodes());
-  HybridVisitedTable visited(codec, lanes);
-
-  // Current level. Subset ids are interned once per distinct state set,
-  // so within one run a config is deterministically packable or not —
-  // the two arrays partition the frontier consistently across levels.
-  std::vector<uint64_t> frontier_packed;
-  std::vector<ProductConfig> frontier_generic;
-  {
-    uint64_t code;
-    if (codec.packable && codec.TryPack(init, &code)) {
-      visited.InsertPacked(code);
-      frontier_packed.push_back(code);
-    } else {
-      visited.Insert(init);
-      frontier_generic.push_back(std::move(init));
-    }
-  }
-
-  struct FrontierLane {
-    std::vector<uint64_t> out_packed;
-    std::vector<ProductConfig> out_generic;
-    std::vector<uint64_t> deferred;
-    ProductConfig scratch;  // unpack target, reused across morsels
-    std::set<std::vector<NodeId>> results;
-    Status status;
-  };
-  std::vector<FrontierLane> lane_state(lanes);
-
-  while (!frontier_packed.empty() || !frontier_generic.empty()) {
-    const size_t n_packed = frontier_packed.size();
-    const size_t total = n_packed + frontier_generic.size();
-    std::atomic<bool> failed{false};
-    ParallelMorsels(
-        lanes, total, AdaptiveGrain(total, lanes),
-        [&](size_t begin, size_t end, int lane_id) {
-          FrontierLane& lane = lane_state[lane_id];
-          Ctx& ctx = *ctxs[lane_id];
-          auto emit = [&](ProductConfig next,
-                          const std::vector<Symbol>& letters) {
-            (void)letters;
-            uint64_t code;
-            if (codec.packable && codec.TryPack(next, &code)) {
-              switch (visited.InsertPacked(code)) {
-                case VisitedInsert::kNew:
-                  lane.out_packed.push_back(code);
-                  break;
-                case VisitedInsert::kDeferred:
-                  lane.deferred.push_back(code);
-                  break;
-                case VisitedInsert::kPresent:
-                  break;
-              }
-            } else if (visited.Insert(next) == VisitedInsert::kNew) {
-              lane.out_generic.push_back(std::move(next));
-            }
-          };
-          for (size_t i = begin; i < end; ++i) {
-            if (failed.load(std::memory_order_relaxed)) return;
-            if (cancel->cancelled()) {
-              lane.status = Status::Cancelled(kCancelledMessage);
-              failed.store(true, std::memory_order_relaxed);
-              return;
-            }
-            if (configs_budget->fetch_add(1, std::memory_order_relaxed) +
-                    1 >
-                options.max_configs) {
-              lane.status = Status::ResourceExhausted(
-                  "product search exceeded max_configs=" +
-                  std::to_string(options.max_configs));
-              cancel->Cancel();
-              failed.store(true, std::memory_order_relaxed);
-              return;
-            }
-            const ProductConfig* current;
-            if (i < n_packed) {
-              codec.Unpack(frontier_packed[i], &lane.scratch);
-              current = &lane.scratch;
-            } else {
-              current = &frontier_generic[i - n_packed];
-            }
-            bool accepted = false;
-            ctx.ProcessConfig(*current, anchor_nodes, fixed, &lane.results,
-                              &accepted, emit);
-            (void)accepted;
-          }
-        });
-    if (failed.load(std::memory_order_relaxed)) break;
-
-    // Level barrier (single-threaded): grow the visited table past its
-    // load target, retry the deferred codes — guaranteed to not defer
-    // again — and concatenate the lane outboxes into the next frontier.
-    uint64_t num_deferred = 0;
-    for (const FrontierLane& lane : lane_state) {
-      num_deferred += lane.deferred.size();
-    }
-    visited.MaintainAtBarrier(num_deferred);
-    frontier_packed.clear();
-    frontier_generic.clear();
-    for (FrontierLane& lane : lane_state) {
-      for (uint64_t code : lane.deferred) {
-        if (visited.InsertPacked(code) == VisitedInsert::kNew) {
-          lane.out_packed.push_back(code);
-        }
-      }
-      lane.deferred.clear();
-      frontier_packed.insert(frontier_packed.end(), lane.out_packed.begin(),
-                             lane.out_packed.end());
-      lane.out_packed.clear();
-      for (ProductConfig& c : lane.out_generic) {
-        frontier_generic.push_back(std::move(c));
-      }
-      lane.out_generic.clear();
-    }
-  }
-
-  std::vector<Status> statuses;
-  for (FrontierLane& lane : lane_state) {
-    statuses.push_back(lane.status);
-    if (results != nullptr) {
-      results->insert(lane.results.begin(), lane.results.end());
-    }
-  }
-  for (int l = 0; l < lanes; ++l) {
-    op.frontier_expansions += ctxs[l]->frontier_expansions();
-    stats.arcs_explored += ctxs[l]->arcs_explored();
-  }
-  op.visited_configs += visited.size();
-  Status combined = CombineLaneStatuses(statuses);
-  if (combined.ok() && cancel->cancelled()) {
-    return Status::Cancelled(kCancelledMessage);
-  }
-  return combined;
 }
 
 // ReachabilityScan leaf: single path atom, all-unary languages. One
@@ -1522,6 +1315,15 @@ Status ScanComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
     }
   }
   op.direction = SearchDirectionName(direction);
+  // Lanes split the per-anchor BFSes; pairwise meet probes run serially.
+  const std::vector<NodeId>* anchors =
+      direction == SearchDirection::kBackward ? target_ptr : source_ptr;
+  const size_t num_anchors =
+      anchors != nullptr ? anchors->size() : rq.graph->num_nodes();
+  op.threads = direction == SearchDirection::kBidirectional
+                   ? 1
+                   : static_cast<int>(std::clamp<size_t>(
+                         num_anchors, 1, static_cast<size_t>(num_threads)));
 
   ReachabilityScanStats scan_stats;
   uint64_t meet_checks = 0;
@@ -1628,11 +1430,10 @@ SearchDirection ResolveLeafDirection(SearchDirection planned,
               ? SearchDirection::kBackward
               : SearchDirection::kForward;
   }
-  // A bidirectional run pays per-search setup (shared subset pool, two
-  // sharded visited tables, meet tables), and the seeded form replays
-  // one run PER ROW; with a large seed table those constants dominate
-  // the tiny per-row searches, so degrade to the warm per-lane forward
-  // machinery (the ProductExpand mirror of ScanComponentOp's
+  // A bidirectional run pays per-search setup (two searches, two visited
+  // tables, meet tables), and the seeded form replays one run PER ROW;
+  // with a large seed table those constants dominate the tiny per-row
+  // searches, so degrade to the warm per-lane forward machinery (the ProductExpand mirror of ScanComponentOp's
   // anchor-product degrade).
   if (dir == SearchDirection::kBidirectional && seeds != nullptr &&
       seeds->rows.size() > 128) {
@@ -1664,6 +1465,32 @@ Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
 
   const SearchDirection dir = ResolveLeafDirection(
       direction, options, comp, fixed, seeds, graph_sink != nullptr);
+  const bool scan = results != nullptr && graph_sink == nullptr &&
+                    IsReachabilityScanComponent(rq, comp);
+
+  // Lanes split independent product searches: seed rows, or the node
+  // list of the first anchor variable no overlay binds. One overlay
+  // whose anchors are all bound (or a bidirectional one, which is fully
+  // anchored) is a single search and runs on one lane.
+  const bool seeded = seeds != nullptr && !seeds->vars.empty();
+  const bool seed_rows_split = seeded && seeds->rows.size() >= 2;
+  std::vector<NodeId> overlay = fixed;
+  int first_unbound = -1;
+  if (!scan && lanes > 1 && !seed_rows_split) {
+    const bool feasible = !seeded || (!seeds->rows.empty() &&
+                                      OverlaySeedRow(*seeds, 0, &overlay));
+    if (feasible && dir != SearchDirection::kBidirectional) {
+      const std::vector<int>& anchor_vars =
+          dir == SearchDirection::kBackward ? comp.end_vars : comp.start_vars;
+      for (int v : anchor_vars) {
+        if (overlay[v] < 0) {
+          first_unbound = v;
+          break;
+        }
+      }
+    }
+    if (first_unbound < 0) lanes = 1;
+  }
 
   // One cancellation token per operator run: the caller's (so external
   // kills and sink early-termination fan out to every lane), or a local
@@ -1673,179 +1500,47 @@ Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
   if (cancel == nullptr && lanes > 1) cancel = &local_cancel;
 
   // The execution-wide popped-configuration budget: seeded from the
-  // stats accumulated so far (scans charge it too), written back after.
+  // product configurations counted so far, written back after.
   std::atomic<uint64_t> configs_budget{stats.configs_explored};
 
   Status status;
-  if (results != nullptr && graph_sink == nullptr &&
-      IsReachabilityScanComponent(rq, comp)) {
+  if (scan) {
     op.op = "ReachabilityScan";
-    op.threads = lanes;
-    status = ScanComponentOp(rq, comp, fixed, seeds, dir, lanes,
-                             cancel, stats, op, results);
+    status = ScanComponentOp(rq, comp, fixed, seeds, dir, lanes, cancel,
+                             stats, op, results);
   } else {
     op.op = "ProductExpand";
     op.direction = SearchDirectionName(dir);
-    const bool seeded = seeds != nullptr && !seeds->vars.empty();
-    const bool backward = dir == SearchDirection::kBackward;
-    if (dir == SearchDirection::kBidirectional && lanes <= 1) {
-      // Serial meet-in-the-middle: one anchored bidirectional search per
-      // overlay (every endpoint is bound, so each overlay has a unique
-      // candidate assignment).
+    if (lanes <= 1) {
+      // Exact legacy single-threaded path: one overlay per seed row (or
+      // `fixed` alone), each run on one lane.
       op.threads = 1;
-      uint64_t start_assignments = 0;
-      BidirCounters counters;
-      auto run_bidir = [&](const std::vector<NodeId>& overlay) -> Status {
-        std::vector<NodeId> starts, ends;
-        if (!DeriveStartNodes(rq, comp, overlay, &starts) ||
-            !DeriveEndNodes(rq, comp, overlay, &ends)) {
-          return Status::OK();
-        }
-        ++start_assignments;
-        return BidirectionalProductSearch(rq, comp, options, /*num_lanes=*/1,
-                                          starts, ends, overlay,
-                                          &configs_budget, cancel, &counters,
-                                          results);
-      };
+      std::vector<ExpandLane> serial(1);
       if (seeded) {
-        std::vector<NodeId> overlay;
-        for (size_t r = 0; r < seeds->rows.size(); ++r) {
-          overlay = fixed;
-          if (!OverlaySeedRow(*seeds, r, &overlay)) continue;
-          status = run_bidir(overlay);
-          if (!status.ok()) break;
-        }
-      } else {
-        status = run_bidir(fixed);
-      }
-      stats.start_assignments += start_assignments;
-      stats.arcs_explored += counters.arcs_explored;
-      op.visited_configs = counters.visited_configs;
-      op.frontier_expansions = counters.frontier_expansions;
-      op.meet_checks = counters.meet_checks;
-    } else if (lanes <= 1) {
-      // Exact legacy single-threaded path (forward), or its backward
-      // mirror over the reversed tape.
-      op.threads = 1;
-      SubsetPool pool;
-      ComponentSearch search(rq, comp, options, &pool, backward);
-      uint64_t start_assignments = 0;
-      if (seeded) {
-        // Sideways information passing: one seeded expansion per row.
-        std::vector<NodeId> overlay;
-        for (size_t r = 0; r < seeds->rows.size(); ++r) {
-          overlay = fixed;
-          if (!OverlaySeedRow(*seeds, r, &overlay)) continue;
-          status = EnumerateAndRun(rq, search, overlay, &start_assignments,
-                                   results, graph_sink, &configs_budget,
-                                   cancel);
-          if (!status.ok()) break;
-        }
-      } else {
-        status = EnumerateAndRun(rq, search, fixed, &start_assignments,
-                                 results, graph_sink, &configs_budget,
-                                 cancel);
-      }
-      stats.start_assignments += start_assignments;
-      stats.arcs_explored += search.arcs_explored();
-      op.visited_configs = search.visited_configs();
-      op.frontier_expansions = search.frontier_expansions();
-    } else if (seeded && seeds->rows.size() >= 2) {
-      // Batched sideways seeding. With fewer seed rows than lanes, the
-      // per-row morsel partition leaves most lanes idle while each
-      // claimed row's (possibly huge) search runs serially on one lane.
-      // When every anchor variable of the direction is bound per row
-      // (fixed vars plus seed columns), run the rows sequentially
-      // instead and expand each row's single anchored search
-      // cooperatively on ALL lanes through the shared frontier — the
-      // per-row twin of the single-overlay cooperative path below. Each
-      // row's results and counters are identical between the two
-      // routings, so the lane-count-dependent choice cannot change what
-      // the operator reports.
-      const std::vector<int>& anchor_vars =
-          backward ? comp.end_vars : comp.start_vars;
-      if (dir != SearchDirection::kBidirectional &&
-          seeds->rows.size() < static_cast<size_t>(lanes) &&
-          VarsBound(anchor_vars, fixed, seeds)) {
-        op.threads = lanes;
-        std::vector<NodeId> overlay;
         for (size_t r = 0; r < seeds->rows.size() && status.ok(); ++r) {
           overlay = fixed;
           if (!OverlaySeedRow(*seeds, r, &overlay)) continue;
-          std::vector<NodeId> anchor_nodes;
-          const bool derived =
-              backward ? DeriveEndNodes(rq, comp, overlay, &anchor_nodes)
-                       : DeriveStartNodes(rq, comp, overlay, &anchor_nodes);
-          if (!derived) continue;
-          status = SharedFrontierExpand(rq, comp, options, dir, lanes,
-                                        anchor_nodes, overlay,
-                                        &configs_budget, cancel, stats, op,
-                                        results);
+          status = ExpandOverlay(rq, comp, options, dir, overlay, serial[0],
+                                 results, graph_sink, &configs_budget,
+                                 cancel);
         }
       } else {
-        op.threads = lanes;
-        status = MorselSeedRowsExpand(rq, comp, options, dir, lanes, fixed,
-                                      *seeds, &configs_budget, cancel,
-                                      stats, op, results);
+        status = ExpandOverlay(rq, comp, options, dir, fixed, serial[0],
+                               results, graph_sink, &configs_budget, cancel);
       }
+      serial[0].status = status;
+      status = MergeExpandLanes(serial, cancel, stats, op, nullptr);
+    } else if (seed_rows_split) {
+      op.threads = static_cast<int>(
+          std::min<size_t>(lanes, seeds->rows.size()));
+      status = MorselSeedRowsExpand(rq, comp, options, dir, lanes, fixed,
+                                    *seeds, &configs_budget, cancel, stats,
+                                    op, results);
     } else {
-      // Single overlay: `fixed`, or `fixed` plus the lone seed row.
-      std::vector<NodeId> overlay = fixed;
-      bool feasible = true;
-      if (seeded) {
-        feasible = !seeds->rows.empty() &&
-                   OverlaySeedRow(*seeds, 0, &overlay);
-      }
-      if (feasible && dir == SearchDirection::kBidirectional) {
-        // Fully anchored: both half-searches expand morsel-parallel.
-        std::vector<NodeId> starts, ends;
-        if (DeriveStartNodes(rq, comp, overlay, &starts) &&
-            DeriveEndNodes(rq, comp, overlay, &ends)) {
-          op.threads = lanes;
-          ++stats.start_assignments;
-          BidirCounters counters;
-          status = BidirectionalProductSearch(rq, comp, options, lanes,
-                                              starts, ends, overlay,
-                                              &configs_budget, cancel,
-                                              &counters, results);
-          stats.arcs_explored += counters.arcs_explored;
-          op.visited_configs = counters.visited_configs;
-          op.frontier_expansions = counters.frontier_expansions;
-          op.meet_checks = counters.meet_checks;
-        }
-      } else if (feasible) {
-        const std::vector<int>& anchor_vars =
-            backward ? comp.end_vars : comp.start_vars;
-        int first_unbound = -1;
-        for (int v : anchor_vars) {
-          if (overlay[v] < 0) {
-            first_unbound = v;
-            break;
-          }
-        }
-        if (first_unbound >= 0) {
-          op.threads = lanes;
-          status = MorselStartNodesExpand(rq, comp, options, dir, lanes,
-                                          overlay, first_unbound,
-                                          &configs_budget, cancel, stats,
-                                          op, results);
-        } else {
-          // Every anchor variable of this direction bound: ONE product
-          // search, expanded cooperatively against the sharded visited
-          // table.
-          std::vector<NodeId> anchor_nodes;
-          const bool derived =
-              backward ? DeriveEndNodes(rq, comp, overlay, &anchor_nodes)
-                       : DeriveStartNodes(rq, comp, overlay, &anchor_nodes);
-          if (derived) {
-            op.threads = lanes;
-            status = SharedFrontierExpand(rq, comp, options, dir, lanes,
-                                          anchor_nodes, overlay,
-                                          &configs_budget, cancel, stats,
-                                          op, results);
-          }
-        }
-      }
+      op.threads = std::min(lanes, rq.graph->num_nodes());
+      status = MorselStartNodesExpand(rq, comp, options, dir, lanes, overlay,
+                                      first_unbound, &configs_budget, cancel,
+                                      stats, op, results);
     }
     if (status.ok() && cancel != nullptr && cancel->cancelled()) {
       status = Status::Cancelled(kCancelledMessage);

@@ -40,10 +40,10 @@
 //
 // Execution is morsel-driven parallel (core/parallel.h) when the caller
 // passes num_threads > 1: leaves partition their seed sets (scan sources,
-// seed rows, start assignments) into morsels pulled by worker lanes, a
-// single fully-anchored product search expands its frontier cooperatively
-// against a sharded visited table, and large joins build partitioned
-// tables and probe morsel-wise. Workers accumulate into private stats and
+// seed rows, start assignments) into morsels pulled by worker lanes, and
+// large joins build partitioned tables and probe morsel-wise. A leaf
+// with a single anchor assignment is one product search (or one scan
+// BFS) and runs on one lane. Workers accumulate into private stats and
 // result sets merged at the operator barrier in canonical lane order, so
 // results and counters are thread-count-independent; num_threads == 1 is
 // the exact legacy single-threaded path.
@@ -155,9 +155,10 @@ struct ProductGraphSink {
 /// it, and infeasible requests degrade (bidirectional needs every
 /// endpoint bound by fixed/seeds/constants, else it falls back to
 /// backward when the end side is bound, else forward). `num_threads` is
-/// the leaf's worker-lane count (1 = exact legacy serial execution;
+/// the leaf's worker-lane budget (1 = exact legacy serial execution;
 /// callers resolve EvalOptions::num_threads via ResolveNumThreads
-/// first). Appends one OperatorStats entry with the given planner
+/// first); the leaf uses at most one lane per independent search, and
+/// records the lanes it used as OperatorStats::threads. Appends one OperatorStats entry with the given planner
 /// estimate (`est_rows` < 0 when unplanned), the executed direction, and
 /// — for bidirectional leaves — the meet-probe count.
 Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,

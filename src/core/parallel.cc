@@ -1,7 +1,7 @@
 #include "core/parallel.h"
 
 #include <algorithm>
-#include <bit>
+#include <atomic>
 
 namespace ecrpq {
 
@@ -29,315 +29,6 @@ void ParallelMorsels(int lanes, size_t count, size_t grain,
       body(begin, std::min(count, begin + grain), lane);
     }
   });
-}
-
-uint64_t MixHash64(uint64_t x) {
-  // splitmix64 finalizer.
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-uint64_t HashProductConfig(const ProductConfig& c) {
-  uint64_t h = 1469598103934665603ULL;  // FNV-1a
-  auto feed = [&h](uint32_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  feed(c.padmask);
-  for (NodeId v : c.nodes) feed(static_cast<uint32_t>(v));
-  for (int s : c.subset_ids) feed(static_cast<uint32_t>(s));
-  return h;
-}
-
-ConfigCodec::ConfigCodec(int tracks, int relations, int num_nodes)
-    : tracks(tracks), relations(relations) {
-  node_bits = std::bit_width(static_cast<uint32_t>(
-      std::max(num_nodes - 1, 1)));
-  const int used = tracks + tracks * node_bits;
-  if (used <= 64 && relations > 0) {
-    subset_bits = std::min<int>(31, (64 - used) / relations);
-  } else {
-    subset_bits = 0;
-  }
-  packable = (used + relations * subset_bits <= 64) &&
-             (relations == 0 || subset_bits >= 1);
-}
-
-bool ConfigCodec::TryPack(const ProductConfig& c, uint64_t* out) const {
-  uint64_t code = c.padmask;
-  int shift = tracks;
-  for (NodeId v : c.nodes) {
-    code |= static_cast<uint64_t>(static_cast<uint32_t>(v)) << shift;
-    shift += node_bits;
-  }
-  for (int s : c.subset_ids) {
-    if (static_cast<int64_t>(s) >= (int64_t{1} << subset_bits)) return false;
-    code |= static_cast<uint64_t>(s) << shift;
-    shift += subset_bits;
-  }
-  *out = code;
-  return true;
-}
-
-void ConfigCodec::Unpack(uint64_t code, ProductConfig* out) const {
-  out->padmask =
-      static_cast<uint32_t>(code & ((uint64_t{1} << tracks) - 1));
-  out->nodes.resize(tracks);
-  const uint64_t node_mask = (uint64_t{1} << node_bits) - 1;
-  int shift = tracks;
-  for (int t = 0; t < tracks; ++t) {
-    out->nodes[t] = static_cast<NodeId>((code >> shift) & node_mask);
-    shift += node_bits;
-  }
-  out->subset_ids.resize(relations);
-  const uint64_t subset_mask = (uint64_t{1} << subset_bits) - 1;
-  for (int r = 0; r < relations; ++r) {
-    out->subset_ids[r] = static_cast<int>((code >> shift) & subset_mask);
-    shift += subset_bits;
-  }
-}
-
-EpochVisitedSet::EpochVisitedSet(size_t initial_capacity) {
-  capacity_ = std::bit_ceil(std::max<size_t>(initial_capacity, 1024));
-  limit_ = capacity_ - capacity_ / 4;
-  slots_.reset(new std::atomic<uint64_t>[capacity_]);
-  for (size_t i = 0; i < capacity_; ++i) {
-    slots_[i].store(0, std::memory_order_relaxed);
-  }
-}
-
-VisitedInsert EpochVisitedSet::Insert(uint64_t code) {
-  if (code == ~uint64_t{0}) {
-    return all_ones_claimed_.exchange(true, std::memory_order_relaxed)
-               ? VisitedInsert::kPresent
-               : VisitedInsert::kNew;
-  }
-  if (size_.load(std::memory_order_relaxed) >= limit_) {
-    return VisitedInsert::kDeferred;
-  }
-  const uint64_t stored = code + 1;
-  size_t i = MixHash64(code) & (capacity_ - 1);
-  for (;;) {
-    uint64_t cur = slots_[i].load(std::memory_order_relaxed);
-    if (cur == stored) return VisitedInsert::kPresent;
-    if (cur == 0) {
-      if (slots_[i].compare_exchange_strong(cur, stored,
-                                            std::memory_order_relaxed)) {
-        size_.fetch_add(1, std::memory_order_relaxed);
-        return VisitedInsert::kNew;
-      }
-      // CAS loaded the winner into `cur`: it may be our own code (another
-      // lane claimed it first) or a different one (keep probing).
-      if (cur == stored) return VisitedInsert::kPresent;
-    }
-    i = (i + 1) & (capacity_ - 1);
-  }
-}
-
-bool EpochVisitedSet::ShouldGrow(uint64_t pending) const {
-  return (size_.load(std::memory_order_relaxed) + pending) * 2 >= capacity_;
-}
-
-void EpochVisitedSet::Grow() {
-  const size_t new_cap = capacity_ * 2;
-  auto fresh =
-      std::unique_ptr<std::atomic<uint64_t>[]>(new std::atomic<uint64_t>[new_cap]);
-  for (size_t i = 0; i < new_cap; ++i) {
-    fresh[i].store(0, std::memory_order_relaxed);
-  }
-  for (size_t i = 0; i < capacity_; ++i) {
-    const uint64_t stored = slots_[i].load(std::memory_order_relaxed);
-    if (stored == 0) continue;
-    size_t j = MixHash64(stored - 1) & (new_cap - 1);
-    while (fresh[j].load(std::memory_order_relaxed) != 0) {
-      j = (j + 1) & (new_cap - 1);
-    }
-    fresh[j].store(stored, std::memory_order_relaxed);
-  }
-  slots_ = std::move(fresh);
-  capacity_ = new_cap;
-  limit_ = new_cap - new_cap / 4;
-}
-
-uint64_t EpochVisitedSet::size() const {
-  return size_.load(std::memory_order_relaxed) +
-         (all_ones_claimed_.load(std::memory_order_relaxed) ? 1 : 0);
-}
-
-HybridVisitedTable::HybridVisitedTable(const ConfigCodec& codec, int lanes)
-    : codec_(codec), generic_(codec, std::max(lanes, 1) * 4) {}
-
-VisitedInsert HybridVisitedTable::Insert(const ProductConfig& c) {
-  if (codec_.packable) {
-    uint64_t code;
-    if (codec_.TryPack(c, &code)) return packed_.Insert(code);
-  }
-  return generic_.Insert(c) ? VisitedInsert::kNew : VisitedInsert::kPresent;
-}
-
-void HybridVisitedTable::MaintainAtBarrier(uint64_t pending) {
-  while (packed_.ShouldGrow(pending)) packed_.Grow();
-}
-
-uint64_t HybridVisitedTable::size() const {
-  return packed_.size() + generic_.size();
-}
-
-size_t AdaptiveGrain(size_t count, int lanes) {
-  constexpr size_t kSerialBelow = 192;
-  constexpr size_t kMinMorsel = 64;
-  if (count < kSerialBelow || lanes <= 1) return std::max<size_t>(count, 1);
-  return std::max(kMinMorsel,
-                  count / (static_cast<size_t>(lanes) * 4));
-}
-
-ShardedVisitedTable::ShardedVisitedTable(const ConfigCodec& codec, int shards)
-    : codec_(codec) {
-  const size_t n =
-      std::bit_ceil(static_cast<size_t>(std::max(shards, 1)));
-  shard_mask_ = n - 1;
-  shards_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto s = std::make_unique<Shard>();
-    s->packed = codec_.packable;
-    s->slots.assign(64, -1);
-    if (s->packed) s->keys.assign(64, 0);
-    shards_.push_back(std::move(s));
-  }
-}
-
-void ShardedVisitedTable::InsertSlotPacked(Shard& s, uint64_t code,
-                                           int32_t id) {
-  size_t i = MixHash64(code) & (s.slots.size() - 1);
-  while (s.slots[i] >= 0) i = (i + 1) & (s.slots.size() - 1);
-  s.slots[i] = id;
-  s.keys[i] = code;
-}
-
-void ShardedVisitedTable::InsertSlotGeneric(Shard& s, uint64_t hash,
-                                            int32_t id) {
-  size_t i = hash & (s.slots.size() - 1);
-  while (s.slots[i] >= 0) i = (i + 1) & (s.slots.size() - 1);
-  s.slots[i] = id;
-}
-
-void ShardedVisitedTable::GrowOrMigrate(Shard& s, bool migrate) {
-  const size_t capacity = migrate ? s.slots.size() : s.slots.size() * 2;
-  s.slots.assign(capacity, -1);
-  if (migrate) {
-    s.packed = false;
-    s.keys.clear();
-    s.keys.shrink_to_fit();
-  }
-  if (s.packed) {
-    s.keys.assign(capacity, 0);
-    for (size_t id = 0; id < s.configs.size(); ++id) {
-      uint64_t code = 0;
-      [[maybe_unused]] bool ok = codec_.TryPack(s.configs[id], &code);
-      InsertSlotPacked(s, code, static_cast<int32_t>(id));
-    }
-  } else {
-    for (size_t id = 0; id < s.configs.size(); ++id) {
-      InsertSlotGeneric(s, s.hashes[id], static_cast<int32_t>(id));
-    }
-  }
-}
-
-bool ShardedVisitedTable::Insert(const ProductConfig& c) {
-  const uint64_t hash = HashProductConfig(c);
-  Shard& s = *shards_[(hash >> 32) & shard_mask_];
-  std::lock_guard<std::mutex> lock(s.mutex);
-  if (s.packed) {
-    uint64_t code;
-    if (codec_.TryPack(c, &code)) {
-      if ((s.size + 1) * 10 >= s.slots.size() * 7) {
-        GrowOrMigrate(s, /*migrate=*/false);
-      }
-      size_t i = MixHash64(code) & (s.slots.size() - 1);
-      while (s.slots[i] >= 0) {
-        if (s.keys[i] == code) return false;
-        i = (i + 1) & (s.slots.size() - 1);
-      }
-      s.slots[i] = static_cast<int32_t>(s.configs.size());
-      s.keys[i] = code;
-      s.configs.push_back(c);
-      s.hashes.push_back(hash);
-      ++s.size;
-      return true;
-    }
-    // A subset id outgrew its bit field: this shard (only) falls back to
-    // structural hashing; other shards migrate when they hit the same.
-    GrowOrMigrate(s, /*migrate=*/true);
-  }
-  if ((s.size + 1) * 10 >= s.slots.size() * 7) {
-    GrowOrMigrate(s, /*migrate=*/false);
-  }
-  size_t i = hash & (s.slots.size() - 1);
-  while (s.slots[i] >= 0) {
-    if (s.hashes[s.slots[i]] == hash && s.configs[s.slots[i]] == c) {
-      return false;
-    }
-    i = (i + 1) & (s.slots.size() - 1);
-  }
-  s.slots[i] = static_cast<int32_t>(s.configs.size());
-  s.configs.push_back(c);
-  s.hashes.push_back(hash);
-  ++s.size;
-  return true;
-}
-
-uint64_t ShardedVisitedTable::size() const {
-  uint64_t total = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mutex);
-    total += s->size;
-  }
-  return total;
-}
-
-bool FrontierQueue::PopBatch(size_t max_batch,
-                             std::vector<ProductConfig>* out) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    if (done_) return false;
-    if (!queue_.empty()) {
-      out->clear();
-      while (!queue_.empty() && out->size() < max_batch) {
-        out->push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      ++active_;
-      return true;
-    }
-    if (active_ == 0) {
-      done_ = true;
-      cv_.notify_all();
-      return false;
-    }
-    cv_.wait(lock);
-  }
-}
-
-void FrontierQueue::PushBatch(std::vector<ProductConfig>&& batch,
-                              bool last_batch_done) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (ProductConfig& c : batch) queue_.push_back(std::move(c));
-  if (last_batch_done) --active_;
-  if (queue_.empty() && active_ == 0) {
-    done_ = true;
-    cv_.notify_all();
-    return;
-  }
-  if (!queue_.empty()) cv_.notify_all();
-}
-
-void FrontierQueue::Abort() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  done_ = true;
-  queue_.clear();
-  cv_.notify_all();
 }
 
 }  // namespace ecrpq

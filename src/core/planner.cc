@@ -391,6 +391,14 @@ PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
                                                           : shares_start);
     pc.sideways = !pc.shared_vars.empty() &&
                   (shares_anchor || pc.leaf == OpKind::kReachabilityScan);
+    // A leaf whose anchor side in its direction holds only constants,
+    // and which takes no sideways seed, is one search (or one scan BFS)
+    // and runs on one lane.
+    const bool constant_anchors =
+        (pc.direction == SearchDirection::kBackward ||
+         pc.start_vars.empty()) &&
+        (pc.direction == SearchDirection::kForward || pc.end_vars.empty());
+    if (!pc.sideways && constant_anchors) pc.threads = 1;
     for (int v : pc.vars) bound.insert(v);
   }
 
@@ -402,7 +410,7 @@ void PlanJoinPipeline(const Query& query, int num_nodes, PhysicalPlan* plan) {
   // Per-operator parallelism of the join pipeline: a join (or the
   // semijoin reduction) whose estimated input is below the
   // partitioned-join threshold stays inline-serial on the calling thread —
-  // the pipeline mirror of AdaptiveGrain keeping tiny item counts inline.
+  // tiny inputs never pay the partitioning passes.
   // Eligibility is a pure function of the cardinality estimates (never
   // the thread count), so the executor's pipeline shape — and with it
   // every reported counter — is identical at any session parallelism.

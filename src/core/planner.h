@@ -65,7 +65,10 @@ struct PlannedComponent {
   /// Worker lanes the planner chose for this leaf (morsel-driven
   /// execution, core/parallel.h): the plan's resolved num_threads, or 1
   /// when the cost estimate says the leaf is too small to amortize lane
-  /// startup. 0 = unplanned (executor resolves EvalOptions::num_threads).
+  /// startup, or when the leaf is a single search — its anchor side in
+  /// its direction holds only constants and it takes no sideways seed
+  /// (lanes split independent searches, never one search's levels).
+  /// 0 = unplanned (executor resolves EvalOptions::num_threads).
   int threads = 0;
   /// True when `threads == 1` is a cost-based demotion (est_cost too
   /// small to amortize lanes) rather than a serial session default — the
@@ -90,8 +93,7 @@ struct PlannedComponent {
   /// join for this table (the first table in plan order, or a component
   /// whose table early projection merged into an earlier one); 1 =
   /// inline-serial, the estimated join input is below the partitioned
-  /// threshold (mirroring AdaptiveGrain's stay-inline rule for small
-  /// item counts); >= 2 = the radix-partitioned parallel join. Like
+  /// threshold; >= 2 = the radix-partitioned parallel join. Like
   /// `threads`, the executor re-resolves the lane count at run time —
   /// the decision that survives num_threads overrides is
   /// join_parallel_ok.

@@ -1,7 +1,7 @@
 // Work-stealing thread pool shared by every parallel execution.
 //
 // The execution layer (core/parallel.h) is morsel-driven: an operator
-// splits its input (seed nodes, seed rows, frontier batches) into small
+// splits its input (seed nodes, seed rows, join rows) into small
 // morsels and N lanes pull morsels from a shared atomic cursor until none
 // remain. The pool's job is only to supply the lanes: RunOnWorkers(n, fn)
 // runs fn(lane) on the calling thread (lane 0) plus up to n-1 pool
@@ -16,11 +16,9 @@
 // fairly instead of queueing behind one another.
 //
 // Deadlock-freedom rule: a lane may only block on progress its OWN lane
-// group is guaranteed to make (e.g. the shared-frontier lanes of
-// core/parallel.h wait for batches another lane of the same search is
-// still producing), never on acquiring a pool slot — lane 0 always runs
-// on the caller, so every group drives itself even when the pool is
-// saturated by other queries. After the caller's own lane finishes, it
+// group is guaranteed to make, never on acquiring a pool slot — lane 0
+// always runs on the caller, so every group drives itself even when the
+// pool is saturated by other queries. After the caller's own lane finishes, it
 // reclaims its still-queued lane tasks and runs them inline, so a query
 // whose morsels are drained never waits on another query's backlog.
 

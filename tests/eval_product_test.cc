@@ -7,6 +7,7 @@
 #include "core/evaluator.h"
 #include "graph/generators.h"
 #include "query/parser.h"
+#include "util/random.h"
 
 namespace ecrpq {
 namespace {
@@ -220,6 +221,36 @@ TEST(ProductEngine, ComponentsMatchJointEvaluation) {
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_EQ(r1.value().tuples(), r2.value().tuples());
+}
+
+// Many relations over two tracks squeeze the packed-config codec's
+// subset-id field to one bit (29 relations share the 50-56 bits two
+// tracks leave on a graph of at most 16 nodes), so a product search's
+// visited table starts on packed 8-byte codes and switches to stored
+// configurations once the search's subset pool interns a third state
+// set — in the middle of a search, with packed codes already queued (the
+// first searches switch after up to ten codes; later ones, whose pool
+// already holds the state sets, after their first). Answers must still
+// match the brute-force semantics (the DAG bounds every path, so its
+// length bound is exact).
+TEST(ProductEngine, VisitedTableSwitchesToStoredConfigsMidSearch) {
+  Rng rng(3);
+  GraphDb g = LayeredGraph(Alphabet::FromLabels({"a", "b"}), 4, 4, 3, &rng);
+  ASSERT_GT(g.num_nodes(), 8);
+  ASSERT_LE(g.num_nodes(), 16);
+  // 29 relations: the length bound's NFA reaches a third state set only
+  // after two letters, and the el atoms never leave their first one.
+  std::string text =
+      "Ans(x, y, z) <- (x, p, y), (x, q, z), (a|b)(a|b)(a|b)*(p)";
+  for (int i = 0; i < 28; ++i) text += ", el(p, q)";
+  QueryResult product = Eval(g, text);
+  QueryResult brute = Eval(g, text, Engine::kBruteForce);
+  std::set<std::vector<NodeId>> expected(brute.tuples().begin(),
+                                         brute.tuples().end());
+  std::set<std::vector<NodeId>> actual(product.tuples().begin(),
+                                       product.tuples().end());
+  EXPECT_EQ(actual, expected);
+  EXPECT_GT(actual.size(), static_cast<size_t>(g.num_nodes()));
 }
 
 }  // namespace

@@ -16,11 +16,10 @@
 
 #include "api/api.h"
 #include "core/evaluator.h"
-#include "core/parallel.h"
+#include "core/ops.h"
 #include "graph/generators.h"
 #include "query/parser.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace ecrpq {
 namespace {
@@ -103,8 +102,7 @@ constexpr int kGridCols = 224;
 // The 50k-node graph of the large-tier property test: a 224x224 labeled
 // grid (50176 nodes, ~150k edges over {a, b, c, d}). Built once; every
 // query against it is anchored, so each evaluation is ONE product search
-// on the shared-frontier (or bidirectional) path rather than 50k seeded
-// searches.
+// (or one bidirectional search) rather than 50k seeded searches.
 const GraphDb& LargeGrid() {
   static const GraphDb* g = [] {
     auto alphabet = Alphabet::FromLabels({"a", "b", "c", "d"});
@@ -132,12 +130,11 @@ std::string LetterBound(Rng* rng, int len) {
 }
 
 // Random ANCHORED queries over the grid. Every family pins at least one
-// endpoint to a named node, steering evaluation into the machinery under
-// test: the level-synchronous shared-frontier expansion (families 0-2,
-// 4), whose eq-product levels grow to hundreds-to-thousands of
-// configurations (genuinely multi-lane morsels at 2/4/8 threads, with
-// per-lane outboxes, deferred re-inserts and barrier growth), and the
-// bidirectional meet (family 3, both endpoints anchored).
+// endpoint to a named node, so each leaf is a single search that runs on
+// one lane at any thread count: the anchored product search (families
+// 0-2, 4), whose eq-product levels grow to hundreds-to-thousands of
+// configurations in one visited table, and the bidirectional meet
+// (family 3, both endpoints anchored).
 std::string RandomLargeGridQuery(Rng* rng) {
   switch (rng->Next() % 5) {
     case 0:  // anchored bounded reachability scan
@@ -209,14 +206,12 @@ TEST(ParallelExecution, ResultsIdenticalAcrossThreadCounts) {
   }
 }
 
-// The large-graph determinism contract of the epoch machinery: random
-// anchored queries on the 50k-node grid must produce byte-identical
-// answer sets AND engine counters at num_threads ∈ {1, 2, 4, 8}. Unlike
-// the SmallDag test above, these frontiers are big enough that the
-// parallel runs genuinely split levels across lanes through
-// HybridVisitedTable / EpochVisitedSet — this is the property test that
-// pins their exactly-once claiming; CI's TSan job covers the data-race
-// side of the same code.
+// The large-graph determinism contract: random anchored queries on the
+// 50k-node grid must produce byte-identical answer sets AND engine
+// counters at num_threads ∈ {1, 2, 4, 8}. Each query's leaves are single
+// searches, so a larger session thread count must leave them on one lane
+// and change nothing — neither the answers nor any counter — while the
+// planner and executor still see the larger lane budget.
 TEST(ParallelExecution, LargeGraphResultsIdenticalAcrossThreadCounts) {
   const GraphDb& g = LargeGrid();
   for (uint64_t seed = 0; seed < kLargeGridQueries; ++seed) {
@@ -468,86 +463,6 @@ TEST(ParallelStats, MergeAccumulates) {
             std::string::npos);
 }
 
-// ShardedVisitedTable: concurrent inserters agree on exactly one winner
-// per distinct configuration.
-TEST(ParallelStats, ShardedVisitedTableDedup) {
-  ConfigCodec codec(/*tracks=*/2, /*relations=*/1, /*num_nodes=*/64);
-  ShardedVisitedTable table(codec, /*shards=*/8);
-  constexpr int kConfigs = 2000;
-  std::atomic<int> inserted{0};
-  ThreadPool pool(3);
-  pool.RunOnWorkers(4, [&](int lane) {
-    (void)lane;
-    for (int i = 0; i < kConfigs; ++i) {
-      ProductConfig c;
-      c.padmask = i % 3;
-      c.nodes = {i % 64, (i / 2) % 64};
-      c.subset_ids = {i % 5};
-      if (table.Insert(c)) inserted.fetch_add(1);
-    }
-  });
-  // Distinct (padmask, nodes, subset) triples generated above:
-  std::set<std::tuple<uint32_t, NodeId, NodeId, int>> distinct;
-  for (int i = 0; i < kConfigs; ++i) {
-    distinct.insert({static_cast<uint32_t>(i % 3), i % 64, (i / 2) % 64,
-                     i % 5});
-  }
-  EXPECT_EQ(inserted.load(), static_cast<int>(distinct.size()));
-  EXPECT_EQ(table.size(), distinct.size());
-}
-
-// EpochVisitedSet: the lock-free packed-code set must hand out exactly
-// one kNew per distinct code across racing lanes, park inserts at the
-// occupancy gate as kDeferred (never losing or double-claiming them), and
-// come back exact after barrier growth — including the all-ones code,
-// whose stored form would wrap to the empty-slot marker and so lives in a
-// dedicated side flag.
-TEST(ParallelStats, EpochVisitedSetExactlyOnceAcrossDeferralAndGrowth) {
-  EpochVisitedSet set;
-  // 3000 distinct codes >> the initial gate (1024 - 256 = 768 slots), so
-  // every lane hits deferrals mid-run; MixHash64 is a bijection, so the
-  // codes really are distinct.
-  std::vector<uint64_t> codes;
-  for (uint64_t i = 0; i < 3000; ++i) codes.push_back(MixHash64(i));
-  codes.push_back(~uint64_t{0});
-  constexpr int kLanes = 4;
-  std::atomic<int> news{0};
-  std::vector<std::vector<uint64_t>> deferred(kLanes);
-  ThreadPool pool(kLanes - 1);
-  pool.RunOnWorkers(kLanes, [&](int lane) {
-    // Each lane walks the universe at a different offset so the same code
-    // races in from several lanes at once.
-    for (size_t i = 0; i < codes.size(); ++i) {
-      const uint64_t code = codes[(i + lane * 97) % codes.size()];
-      switch (set.Insert(code)) {
-        case VisitedInsert::kNew:
-          news.fetch_add(1);
-          break;
-        case VisitedInsert::kPresent:
-          break;
-        case VisitedInsert::kDeferred:
-          deferred[lane].push_back(code);
-          break;
-      }
-    }
-  });
-  uint64_t pending = 0;
-  for (const auto& d : deferred) pending += d.size();
-  EXPECT_GT(pending, 0u);  // the gate actually engaged
-  // The level-barrier protocol: one thread grows until the parked codes
-  // fit, then retries them; none may defer again.
-  while (set.ShouldGrow(pending)) set.Grow();
-  for (const auto& d : deferred) {
-    for (uint64_t code : d) {
-      const VisitedInsert r = set.Insert(code);
-      ASSERT_NE(r, VisitedInsert::kDeferred);
-      if (r == VisitedInsert::kNew) news.fetch_add(1);
-    }
-  }
-  EXPECT_EQ(news.load(), static_cast<int>(codes.size()));
-  EXPECT_EQ(set.size(), codes.size());
-}
-
 // Partitioned-build / morsel-probe joins: above the row threshold the
 // parallel HashJoinOp and SemiJoinFilterOp must produce bit-identical
 // tables (rows AND order) to the serial implementations.
@@ -610,6 +525,114 @@ TEST(ParallelPlanning, ExplainRecordsParallelism) {
     EXPECT_LE(pc.threads, 4);
   }
   EXPECT_NE(explanation.plan_text.find("parallelism="), std::string::npos);
+
+  // A leaf anchored at a constant, with no sideways seed, is one search:
+  // the plan and the executed operator both report one lane, although
+  // the leaf is large enough that the planner does not demote it.
+  Rng rng(5);
+  Database grid(GridGraph(Alphabet::FromLabels({"a", "b", "c", "d"}), 60, 60,
+                          &rng),
+                options);
+  for (const char* text :
+       {"Ans(y) <- (\"g0_0\", p, y), (a|b|c|d)(a|b|c|d)(a|b|c|d)(p)",
+        "Ans(y, z) <- (\"g0_0\", p, y), (\"g0_0\", q, z), eq(p, q), "
+        "(a|b|c|d)(a|b|c|d)(a|b|c|d)(p)"}) {
+    SCOPED_TRACE(text);
+    auto anchored = grid.Prepare(text);
+    ASSERT_TRUE(anchored.ok()) << anchored.status().ToString();
+    Explanation plan = anchored.value().Explain();
+    ASSERT_NE(plan.plan, nullptr);
+    ASSERT_EQ(plan.plan->components.size(), 1u);
+    EXPECT_FALSE(plan.plan->components[0].demoted_serial);
+    EXPECT_EQ(plan.plan->components[0].threads, 1);
+    EXPECT_NE(plan.plan_text.find("parallelism=1"), std::string::npos);
+
+    auto cursor = anchored.value().Execute();
+    ASSERT_TRUE(cursor.ok());
+    while (cursor.value().Next()) {
+    }
+    ASSERT_TRUE(cursor.value().status().ok());
+    ASSERT_FALSE(cursor.value().stats().operators.empty());
+    EXPECT_EQ(cursor.value().stats().operators[0].threads, 1);
+  }
+}
+
+// A seeded ProductExpand with fewer seed rows than lanes, every anchor of
+// its direction bound by the seeds: lanes split the rows (one search per
+// row), so tuples and every counter are identical at 1 and 4 threads, in
+// each direction.
+TEST(ParallelExecution, FewSeedRowsMatchSerial) {
+  GraphDb g = MediumRandom(60, 8);
+  auto query = ParseQuery("Ans(y, z) <- (x, p, y), (x, q, z), eq(p, q)",
+                          g.alphabet());
+  ASSERT_TRUE(query.ok());
+  auto resolved = ResolveQuery(g, query.value());
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+  ResolvedQuery& rq = resolved.value();
+  rq.index = GraphIndex::Build(g);
+  const ComponentSpec comp = BuildComponentSpec(rq, {0, 1});
+  const std::vector<NodeId> fixed(query.value().node_variables().size(), -1);
+  EvalOptions options;
+  options.build_path_answers = false;
+
+  // Three answers with distinct x values: seed rows that bind every
+  // anchor of the direction (x forward, y and z backward, all three
+  // bidirectionally) and lead to answers.
+  std::set<std::vector<NodeId>> all;
+  EvalStats unseeded;
+  ASSERT_TRUE(ExecuteComponentOp(rq, comp, options, fixed, nullptr, -1.0,
+                                 SearchDirection::kForward, 1, unseeded, &all,
+                                 nullptr)
+                  .ok());
+  BindingTable answers;
+  answers.vars = comp.vars;
+  std::set<NodeId> xs;
+  for (const std::vector<NodeId>& row : all) {
+    if (answers.rows.size() < 3 && xs.insert(row[0]).second) {
+      answers.rows.push_back(row);
+    }
+  }
+  ASSERT_EQ(answers.rows.size(), 3u);
+
+  const struct {
+    SearchDirection direction;
+    std::vector<int> seed_vars;
+  } kCases[] = {
+      {SearchDirection::kForward, comp.start_vars},
+      {SearchDirection::kBackward, comp.end_vars},
+      {SearchDirection::kBidirectional, comp.vars},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(SearchDirectionName(c.direction));
+    const BindingTable seeds = ProjectDistinct(answers, c.seed_vars);
+    ASSERT_GE(seeds.rows.size(), 2u);
+    ASSERT_LT(seeds.rows.size(), 4u);
+    std::set<std::vector<NodeId>> serial_rows, parallel_rows;
+    EvalStats serial, parallel;
+    ASSERT_TRUE(ExecuteComponentOp(rq, comp, options, fixed, &seeds, -1.0,
+                                   c.direction, 1, serial, &serial_rows,
+                                   nullptr)
+                    .ok());
+    ASSERT_TRUE(ExecuteComponentOp(rq, comp, options, fixed, &seeds, -1.0,
+                                   c.direction, 4, parallel, &parallel_rows,
+                                   nullptr)
+                    .ok());
+    EXPECT_FALSE(serial_rows.empty());
+    EXPECT_EQ(serial_rows, parallel_rows);
+    EXPECT_EQ(serial.configs_explored, parallel.configs_explored);
+    EXPECT_EQ(serial.arcs_explored, parallel.arcs_explored);
+    EXPECT_EQ(serial.start_assignments, parallel.start_assignments);
+    ASSERT_EQ(serial.operators.size(), 1u);
+    ASSERT_EQ(parallel.operators.size(), 1u);
+    const OperatorStats& s = serial.operators[0];
+    const OperatorStats& p = parallel.operators[0];
+    EXPECT_EQ(s.direction, p.direction);
+    EXPECT_EQ(s.visited_configs, p.visited_configs);
+    EXPECT_EQ(s.frontier_expansions, p.frontier_expansions);
+    EXPECT_EQ(s.meet_checks, p.meet_checks);
+    EXPECT_EQ(s.threads, 1);
+    EXPECT_EQ(p.threads, static_cast<int>(seeds.rows.size()));
+  }
 }
 
 }  // namespace
