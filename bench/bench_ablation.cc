@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "core/eval_crpq.h"
 #include "core/eval_product.h"
 #include "relations/builtin.h"
 
@@ -48,9 +47,9 @@ BENCHMARK(BM_Ablation_ComponentDecomposition)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond);
 
-// The CRPQ fast path on a 2-atom CRPQ. Its former product-engine twin is
-// gone: kCrpq and kProduct now run the same plan executor on a CRPQ. The
-// case name keeps its history in BENCH_bench_ablation.json.
+// The CRPQ fast path on a 2-atom CRPQ: kAuto plans it as the all-scan
+// plan (one ReachabilityScan per atom). The case name keeps its history
+// in BENCH_bench_ablation.json.
 void BM_Ablation_CrpqFastPath(benchmark::State& state) {
   GraphDb g = MakeRandomGraph(static_cast<int>(state.range(0)), 5);
   Query query = MustParse(
@@ -58,7 +57,6 @@ void BM_Ablation_CrpqFastPath(benchmark::State& state) {
   EvalOptions options;
   options.build_path_answers = false;
   options.max_configs = 100000000;
-  options.engine = Engine::kCrpq;
   Evaluator evaluator(&g, options);
   MedianTimer timer;
   for (auto _ : state) {

@@ -180,9 +180,9 @@ void RunPlannedThreads(benchmark::State& state, const std::string& case_name,
 }
 
 // cross/ — the 36-node cross-component workload: far below the
-// partitioned-join row threshold, so every join stays inline-serial by
-// the planner's estimate rule; the tier guards the small-plan path
-// against lane overhead (its 1→N "speedup" should hover near 1x).
+// partitioned-join row threshold, so every join stays inline-serial on
+// its actual rows; the tier guards the small-plan path against lane
+// overhead (its 1→N "speedup" should hover near 1x).
 void CrossThreads(benchmark::State& state) {
   GraphDb g = CrossComponentGraph(36, /*rare=*/3);
   RunPlannedThreads(state, "cross/Planned", g, kCrossQuery);
@@ -200,9 +200,10 @@ BENCHMARK(CrossThreads)
 // ~10^5-row table (one label class of the edge set); sideways seeding is
 // declined (the seed projection overflows the seed-row cap), the
 // SemiJoinFilter fixpoint reduces both tables with the partitioned
-// build / morsel-probe path, and the fold joins them through the
-// radix-partitioned HashJoin — the morsel-parallel join pipeline end to
-// end, on tables large enough that every stage runs partitioned.
+// build / morsel-probe path, and the streamed final join probes a
+// radix-partitioned index of the second table — the morsel-parallel
+// join pipeline end to end, on tables large enough that every build
+// runs partitioned.
 void LargeJoinPipeline(benchmark::State& state) {
   static const GraphDb& g = *[] {
     auto alphabet = Alphabet::FromLabels({"a", "b", "c", "d"});
@@ -219,5 +220,34 @@ BENCHMARK(LargeJoinPipeline)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// streamed/ChainJoin — a two-table final join small enough that the
+// planner once estimated it below the partitioned-join threshold and ran
+// it as a nested loop (1844 x 2897 scan rows, 7593 answers); the
+// streamed hash join probes an index instead.
+void StreamedChainJoin(benchmark::State& state) {
+  static const GraphDb& g = *[] {
+    Rng rng(7);
+    return new GraphDb(RandomGraph(
+        Alphabet::FromLabels({"a", "b", "c", "d"}), 700, 2100, &rng));
+  }();
+  RunPlannedThreads(state, "streamed/ChainJoin", g,
+                    "Ans(x, y, z) <- (x, p, y), (y, q, z), a*(p), b*(q)");
+}
+BENCHMARK(StreamedChainJoin)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// large/FinalJoin — a two-table final join over a power-law graph (2^15
+// nodes, 327,680 edges) with 196,785 answers: the index build on the
+// second table is large enough to take lanes.
+void LargeFinalJoin(benchmark::State& state) {
+  static const GraphDb& g = *[] {
+    Rng rng(42);
+    return new GraphDb(PowerLawGraph(
+        Alphabet::FromLabels({"a", "b", "c", "d"}), 1 << 15, 327680, &rng));
+  }();
+  RunPlannedThreads(state, "large/FinalJoin", g,
+                    "Ans(x, y, z) <- (x, p, y), (y, q, z), a(p), b(q)");
+}
+BENCHMARK(LargeFinalJoin)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -150,11 +150,9 @@ int main(int argc, char** argv) {
                    "  Ans() <- (x, p, y), len(p) >= 3         counting\n"
                    "  Ans(y) <- ($s, p, y), a*(p)             $parameter\n"
                    "  explain <query>                         show the plan "
-                   "(direction=fwd|bwd|bidir per leaf;\n"
-                   "    parallelism=N on HashJoin/SemiJoinFilter lines: "
-                   "worker lanes for that\n"
-                   "    operator — 1 = estimated input too small, stays "
-                   "inline-serial)\n"
+                   "(direction=fwd|bwd|bidir and\n"
+                   "    parallelism=N per leaf: worker lanes — 1 = "
+                   "estimated too small or one search)\n"
                    "  threads <n>                             worker lanes "
                    "(0 = auto, 1 = serial)\n"
                    "  stats                                   toggle the "

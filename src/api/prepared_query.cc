@@ -8,8 +8,7 @@
 namespace ecrpq {
 
 Engine PreparedQuery::engine() const {
-  return SelectEngine(plan_->query, plan_->compiled->analysis,
-                      db_->eval_options().engine);
+  return SelectEngine(plan_->query, db_->eval_options().engine);
 }
 
 PhysicalPlanPtr PreparedQuery::PlanForIndex(GraphIndexPtr index) const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <map>
 #include <set>
 
@@ -158,15 +157,18 @@ Result<ResolvedQuery> ResolveQuery(const GraphDb& graph, const Query& query,
 
 HeadTupleEmitter::HeadTupleEmitter(const ResolvedQuery& rq,
                                    const EvalOptions& options,
-                                   ResultSink& sink)
+                                   ResultSink& sink, bool heads_distinct)
     : rq_(rq),
       options_(options),
       sink_(sink),
       with_paths_(!rq.query->head_paths().empty() &&
-                  options.build_path_answers) {}
+                  options.build_path_answers),
+      heads_distinct_(heads_distinct) {}
 
 bool HeadTupleEmitter::Emit(const std::vector<NodeId>& head) {
-  if (!seen_.insert(head).second) return true;  // duplicate projection
+  if (!heads_distinct_ && !seen_.insert(head).second) {
+    return true;  // duplicate projection
+  }
   bool keep_going;
   if (with_paths_) {
     auto answers = BuildPathAnswerSet(*rq_.graph, *rq_.query, options_, head,
@@ -188,20 +190,25 @@ bool HeadTupleEmitter::Emit(const std::vector<NodeId>& head) {
   return keep_going;
 }
 
-Status ExecutePlan(const ResolvedQuery& rq, Engine engine,
-                   const EvalOptions& options, const PhysicalPlan* plan,
-                   ResultSink& sink, EvalStats& stats) {
+namespace {
+
+// Runs the plan's leaves into binding tables, reduces them to a semi-join
+// fixpoint, applies the early projection steps and streams the final
+// join's distinct head tuples into `sink`. `rq.index` must be set.
+Status ExecutePlan(const ResolvedQuery& rq, const EvalOptions& options,
+                   const PhysicalPlan* plan, ResultSink& sink,
+                   EvalStats& stats) {
   const Query& query = *rq.query;
   const GraphDb& graph = *rq.graph;
 
   // A caller-supplied plan (the prepared-query path) is used as-is when
-  // it targets this engine; otherwise plan here with the engine forced —
-  // a direct EvaluateProduct call on a query whose auto-selected engine
+  // it is a product plan; otherwise plan here with the engine forced — a
+  // direct EvaluateProduct call on a query whose auto-selected engine
   // would differ must still get product-style component groups.
   PhysicalPlan local_plan;
-  if (plan == nullptr || plan->engine != engine) {
+  if (plan == nullptr || plan->engine != Engine::kProduct) {
     EvalOptions planning = options;
-    planning.engine = engine;
+    planning.engine = Engine::kProduct;
     local_plan = PlanQuery(query, *rq.compiled, *rq.index, planning);
     plan = &local_plan;
   }
@@ -303,12 +310,8 @@ Status ExecutePlan(const ResolvedQuery& rq, Engine engine,
 
   // Semi-join reduction between the component tables before the join:
   // rows with no partner on a shared variable can never contribute
-  // (Yannakakis' first phase, at component granularity). The plan
-  // demotes the reduction to inline-serial when the total estimated
-  // table volume is too small to amortize lanes; the decision lives in
-  // the plan (not the thread count), so the executed pipeline is
-  // identical at any session parallelism.
-  const int semijoin_threads = plan->semijoin_parallel_ok ? num_threads : 1;
+  // (Yannakakis' first phase, at component granularity). Each pass takes
+  // lanes only when its actual input is large enough (SemiJoinFilterOp).
   bool changed = tables.size() > 1;
   for (int rounds = 0;
        changed && rounds < static_cast<int>(tables.size()) + 2; ++rounds) {
@@ -316,8 +319,7 @@ Status ExecutePlan(const ResolvedQuery& rq, Engine engine,
     for (size_t i = 0; i < tables.size(); ++i) {
       for (size_t j = 0; j < tables.size(); ++j) {
         if (i == j) continue;
-        if (SemiJoinFilterOp(&tables[i], tables[j], stats,
-                             semijoin_threads)) {
+        if (SemiJoinFilterOp(&tables[i], tables[j], stats, num_threads)) {
           changed = true;
         }
         if (tables[i].rows.empty()) return Status::OK();  // empty answer
@@ -329,10 +331,7 @@ Status ExecutePlan(const ResolvedQuery& rq, Engine engine,
   // private non-head columns go, and two tables sharing a private
   // non-head variable are replaced by their joined projection, so
   // intermediate results stay bounded by the projected tables instead of
-  // enumerating every embedding. `origins` tracks the component whose
-  // join annotations each surviving table carries.
-  std::vector<size_t> origins(tables.size());
-  for (size_t i = 0; i < origins.size(); ++i) origins[i] = i;
+  // enumerating every embedding.
   for (const ProjectionStep& step : plan->projections) {
     BindingTable& left = tables[step.left];
     if (step.right < 0) {
@@ -345,10 +344,9 @@ Status ExecutePlan(const ResolvedQuery& rq, Engine engine,
       op.rows_out = left.rows.size();
       stats.operators.push_back(std::move(op));
     } else {
-      left = HashJoinOp(left, tables[step.right], stats,
-                        step.join_parallel_ok ? num_threads : 1, &step.keep);
+      left = HashJoinOp(left, tables[step.right], stats, num_threads,
+                        &step.keep);
       tables.erase(tables.begin() + step.right);
-      origins.erase(origins.begin() + step.right);
     }
     if (cancel != nullptr && cancel->cancelled()) {
       return Status::Cancelled("query execution cancelled");
@@ -356,110 +354,42 @@ Status ExecutePlan(const ResolvedQuery& rq, Engine engine,
     if (tables[step.left].rows.empty()) return Status::OK();  // empty answer
   }
 
-  // Large-estimate plans fold the remaining tables pairwise through the
-  // (radix-partitioned) HashJoinOp in plan order and emit head projections
-  // from the folded table. The pairwise fold produces rows in exactly the
-  // streamed recursion's nested left-row-major order (each probe preserves
-  // its left input's row order and lists right matches by ascending row
-  // id), so the emitted tuple sequence — and any limit cut point — is the
-  // same as the streamed path's. Whether to fold depends only on the
-  // plan's cardinality estimates, never the thread count.
-  bool fold_join = false;
-  for (size_t k = 1; k < tables.size(); ++k) {
-    if (plan->components[origins[k]].join_parallel_ok) fold_join = true;
+  // The final join streams: each new head projection goes to the sink as
+  // soon as it is found, so early termination (limit / exists) stops the
+  // join itself, and path answers (when requested) are built per emitted
+  // tuple only. The tables hold distinct rows, so when every column is a
+  // head variable no head repeats.
+  std::vector<int> head_vars;
+  for (const NodeTerm& term : query.head_nodes()) {
+    ECRPQ_DCHECK(!term.is_constant);
+    head_vars.push_back(query.NodeVarIndex(term.name));
   }
-  if (fold_join) {
-    BindingTable joined = std::move(tables[0]);
-    for (size_t k = 1; k < tables.size(); ++k) {
-      const int join_threads =
-          plan->components[origins[k]].join_parallel_ok ? num_threads : 1;
-      joined = HashJoinOp(joined, tables[k], stats, join_threads);
-      if (cancel != nullptr && cancel->cancelled()) {
-        return Status::Cancelled("query execution cancelled");
+  bool heads_distinct = true;
+  for (const BindingTable& t : tables) {
+    for (int v : t.vars) {
+      if (std::find(head_vars.begin(), head_vars.end(), v) ==
+          head_vars.end()) {
+        heads_distinct = false;
       }
-      if (joined.rows.empty()) return Status::OK();  // empty answer
     }
-    HeadTupleEmitter emitter(rq, options, sink);
-    std::vector<int> head_cols;
-    for (const NodeTerm& term : query.head_nodes()) {
-      ECRPQ_DCHECK(!term.is_constant);
-      head_cols.push_back(joined.ColumnOf(query.NodeVarIndex(term.name)));
-    }
-    std::vector<NodeId> head(head_cols.size());
-    for (const std::vector<NodeId>& row : joined.rows) {
-      if (cancel != nullptr && cancel->cancelled() &&
-          !emitter.stopped_by_sink()) {
-        return Status::Cancelled("query execution cancelled");
-      }
-      for (size_t k = 0; k < head_cols.size(); ++k) {
-        head[k] = row[head_cols[k]];
-      }
-      if (!emitter.Emit(head)) break;
-    }
-    if (emitter.status().ok() && cancel != nullptr && cancel->cancelled() &&
-        !emitter.stopped_by_sink()) {
-      return Status::Cancelled("query execution cancelled");
-    }
-    return emitter.status();
   }
-
-  // Small-estimate plans stream the multi-way join instead: each new head
-  // projection goes to the sink as soon as it is found — early
-  // termination (limit / exists) stops the join itself, and path answers
-  // (when requested) are built per emitted tuple only. One HashJoin
-  // operator entry profiles the streamed join.
-  HeadTupleEmitter emitter(rq, options, sink);
-  OperatorStats join_op;
-  join_op.op = "HashJoin";
-  join_op.detail = "streamed over " + std::to_string(tables.size()) +
-                   " tables";
-  for (const BindingTable& t : tables) join_op.rows_in += t.rows.size();
-  std::vector<NodeId> global(query.node_variables().size(), -1);
-  bool stop = false;
-  std::function<void(size_t)> join = [&](size_t i) {
-    if (stop) return;
-    if (cancel != nullptr && cancel->cancelled() &&
-        !emitter.stopped_by_sink()) {
-      stop = true;  // external kill mid-join
-      return;
-    }
-    if (i == tables.size()) {
-      std::vector<NodeId> head;
-      for (const NodeTerm& term : query.head_nodes()) {
-        ECRPQ_DCHECK(!term.is_constant);
-        head.push_back(global[query.NodeVarIndex(term.name)]);
-      }
-      ++stats.join_tuples;
-      ++join_op.rows_out;
-      if (!emitter.Emit(head)) stop = true;
-      return;
-    }
-    const BindingTable& t = tables[i];
-    for (const std::vector<NodeId>& row : t.rows) {
-      if (stop) return;
-      bool ok = true;
-      std::vector<int> bound;
-      for (size_t k = 0; k < t.vars.size() && ok; ++k) {
-        int v = t.vars[k];
-        if (global[v] >= 0) {
-          ok = (global[v] == row[k]);
-        } else {
-          global[v] = row[k];
-          bound.push_back(v);
-        }
-      }
-      if (ok) join(i + 1);
-      for (int v : bound) global[v] = -1;
-    }
-  };
-  join(0);
-  stats.operators.push_back(std::move(join_op));
+  HeadTupleEmitter emitter(rq, options, sink, heads_distinct);
+  std::vector<NodeId> head(head_vars.size());
+  StreamJoinOp(tables, query.node_variables().size(), stats, num_threads,
+               cancel, [&](const std::vector<NodeId>& binding) {
+                 for (size_t k = 0; k < head_vars.size(); ++k) {
+                   head[k] = binding[head_vars[k]];
+                 }
+                 return emitter.Emit(head);
+               });
   if (emitter.status().ok() && cancel != nullptr && cancel->cancelled() &&
       !emitter.stopped_by_sink()) {
     return Status::Cancelled("query execution cancelled");
   }
   return emitter.status();
 }
+
+}  // namespace
 
 Status EvaluateProduct(const GraphDb& graph, const Query& query,
                        const EvalOptions& options, ResultSink& sink,
@@ -476,7 +406,7 @@ Status EvaluateProduct(const GraphDb& graph, const Query& query,
   ResolvedQuery& rq = resolved_or.value();
   if (rq.index == nullptr) rq.index = GraphIndex::Build(graph);
   stats.engine = "product";
-  return ExecutePlan(rq, Engine::kProduct, options, plan, sink, stats);
+  return ExecutePlan(rq, options, plan, sink, stats);
 }
 
 Result<QueryResult> EvaluateProduct(const GraphDb& graph, const Query& query,
@@ -589,58 +519,39 @@ Result<PathAnswerSet> BuildPathAnswerSet(
   EvalStats stats;
 
   // Anchor assignments: satisfying bindings of the other components,
-  // projected to the variables they share with the head component (and
-  // joined among themselves on their own shared variables).
-  std::vector<std::vector<NodeId>> anchors;  // full-var partial bindings
-  {
-    std::vector<std::set<std::vector<NodeId>>> other_results;
-    for (const ComponentSpec& other : other_components) {
-      other_results.emplace_back();
-      Status st = ExecuteComponentOp(rq, other, options, fixed,
-                                     /*seeds=*/nullptr, /*est_rows=*/-1.0,
-                                     SearchDirection::kAuto,
-                                     /*num_threads=*/1, stats,
-                                     &other_results.back(),
-                                     /*graph_sink=*/nullptr);
-      if (!st.ok()) return st;
-      if (other_results.back().empty()) {
-        // Unsatisfiable side condition: the answer set is empty.
-        return PathAnswerSet(
-            std::max<int>(static_cast<int>(head_path_ids.size()), 1),
-            graph.alphabet().size());
-      }
-    }
-    std::set<std::vector<NodeId>> anchor_set;
-    std::vector<NodeId> global = fixed;
-    std::function<void(size_t)> join = [&](size_t i) {
-      if (i == other_components.size()) {
-        // Keep only variables the head component shares.
-        std::vector<NodeId> anchor = fixed;
-        for (int v : comp.vars) anchor[v] = global[v];
-        anchor_set.insert(anchor);
-        return;
-      }
-      const ComponentSpec& other = other_components[i];
-      for (const std::vector<NodeId>& tuple : other_results[i]) {
-        bool ok = true;
-        std::vector<int> bound;
-        for (size_t k = 0; k < other.vars.size() && ok; ++k) {
-          int v = other.vars[k];
-          if (global[v] >= 0) {
-            ok = (global[v] == tuple[k]);
-          } else {
-            global[v] = tuple[k];
-            bound.push_back(v);
-          }
-        }
-        if (ok) join(i + 1);
-        for (int v : bound) global[v] = -1;
-      }
-    };
-    join(0);
-    anchors.assign(anchor_set.begin(), anchor_set.end());
+  // joined on their shared variables and projected to the variables they
+  // share with the head component. Without side components the one
+  // anchor is `fixed`; side components that are each satisfiable but do
+  // not join leave none, and the answer set is empty.
+  const PathAnswerSet empty(
+      std::max<int>(static_cast<int>(head_path_ids.size()), 1),
+      graph.alphabet().size());
+  std::vector<BindingTable> others;
+  for (const ComponentSpec& other : other_components) {
+    std::set<std::vector<NodeId>> results;
+    Status st = ExecuteComponentOp(rq, other, options, fixed,
+                                   /*seeds=*/nullptr, /*est_rows=*/-1.0,
+                                   SearchDirection::kAuto,
+                                   /*num_threads=*/1, stats, &results,
+                                   /*graph_sink=*/nullptr);
+    if (!st.ok()) return st;
+    if (results.empty()) return empty;  // unsatisfiable side condition
+    BindingTable table;
+    table.vars = other.vars;
+    table.rows.assign(results.begin(), results.end());
+    others.push_back(std::move(table));
   }
-  if (anchors.empty()) anchors.push_back(fixed);
+  std::set<std::vector<NodeId>> anchors;
+  StreamJoinOp(others, fixed.size(), stats, /*num_threads=*/1,
+               /*cancel=*/nullptr, [&](const std::vector<NodeId>& binding) {
+                 std::vector<NodeId> anchor = fixed;
+                 for (int v : comp.vars) {
+                   if (binding[v] >= 0) anchor[v] = binding[v];
+                 }
+                 anchors.insert(std::move(anchor));
+                 return true;
+               });
+  if (anchors.empty()) return empty;
 
   ProductGraphSink sink;
   for (const std::vector<NodeId>& anchor : anchors) {

@@ -8,6 +8,13 @@
 // a graph edge or ⊥ (monotone pads), and advance each relation on the
 // projection of the chosen tuple letter. Node-variable equalities anchor
 // start tuples (enumerated) and filter accepting configurations.
+//
+// EvaluateProduct runs the query's PhysicalPlan (core/planner.h): the
+// leaves (ReachabilityScan / ProductExpand, sideways-seeded where marked)
+// into BindingTables, the SemiJoinFilter fixpoint, the early projection
+// steps, then one streamed final join (StreamJoinOp, core/ops.h) whose
+// distinct head tuples go to the sink as they are found. A CRPQ's plan is
+// the all-scan plan of Thm 6.5.
 
 #ifndef ECRPQ_CORE_EVAL_PRODUCT_H_
 #define ECRPQ_CORE_EVAL_PRODUCT_H_
@@ -123,11 +130,13 @@ Result<ResolvedQuery> ResolveQuery(const GraphDb& graph, const Query& query,
 /// (check status()). When the execution carries a CancellationToken
 /// (EvalOptions::cancellation), a sink-requested stop trips it, so any
 /// workers still running unwind promptly (limit / exists pushdown
-/// reaching the whole execution, not just the join loop).
+/// reaching the whole execution, not just the join loop). A caller that
+/// can never produce a head twice passes `heads_distinct` to skip the
+/// duplicate check and its set.
 class HeadTupleEmitter {
  public:
   HeadTupleEmitter(const ResolvedQuery& rq, const EvalOptions& options,
-                   ResultSink& sink);
+                   ResultSink& sink, bool heads_distinct = false);
 
   /// False = stop the search. Duplicate tuples are ignored (returns true).
   bool Emit(const std::vector<NodeId>& head);
@@ -143,23 +152,11 @@ class HeadTupleEmitter {
   const EvalOptions& options_;
   ResultSink& sink_;
   bool with_paths_;
+  bool heads_distinct_;
   bool stopped_by_sink_ = false;
   std::set<std::vector<NodeId>> seen_;
   Status status_;
 };
-
-/// The plan executor kProduct and kCrpq share: runs the plan's leaves
-/// (ReachabilityScan / ProductExpand, sideways-seeded where marked) into
-/// BindingTables, reduces them with the SemiJoinFilter fixpoint, applies
-/// the plan's early projection steps, then joins the remaining tables —
-/// streamed, or folded through HashJoinOp when the plan's estimates call
-/// for the partitioned join — and streams distinct head tuples into
-/// `sink`. `plan` is used when it was made for `engine`; otherwise (or
-/// when null) the query is planned here for `engine`. `rq.index` must be
-/// set.
-Status ExecutePlan(const ResolvedQuery& rq, Engine engine,
-                   const EvalOptions& options, const PhysicalPlan* plan,
-                   ResultSink& sink, EvalStats& stats);
 
 /// Evaluates with the product engine, streaming distinct tuples into
 /// `sink`. Rejects linear atoms (FailedPrecondition) — those belong to

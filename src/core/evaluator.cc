@@ -2,18 +2,15 @@
 
 #include "core/eval_bruteforce.h"
 #include "core/eval_counting.h"
-#include "core/eval_crpq.h"
 #include "core/eval_product.h"
 #include "core/eval_qlen.h"
 #include "core/planner.h"
 
 namespace ecrpq {
 
-Engine SelectEngine(const Query& query, const QueryAnalysis& analysis,
-                    Engine requested) {
+Engine SelectEngine(const Query& query, Engine requested) {
   if (requested != Engine::kAuto) return requested;
   if (!query.linear_atoms().empty()) return Engine::kCounting;
-  if (CrpqFastPathApplies(query, analysis)) return Engine::kCrpq;
   return Engine::kProduct;
 }
 
@@ -23,8 +20,6 @@ const char* EngineName(Engine engine) {
       return "auto";
     case Engine::kProduct:
       return "product";
-    case Engine::kCrpq:
-      return "crpq";
     case Engine::kCounting:
       return "counting";
     case Engine::kQlen:
@@ -52,17 +47,7 @@ const char* SearchDirectionName(SearchDirection direction) {
 Status Evaluator::Evaluate(const Query& query, ResultSink& sink,
                            EvalStats& stats, CompiledQueryPtr compiled,
                            const PhysicalPlan* plan) const {
-  // Compile once when the caller supplied nothing: the compiled form
-  // carries the structural analysis, so engine selection and the engine's
-  // own resolution share one Analyze pass instead of each redoing it
-  // (prepared executions hand in the plan-cache copy the same way).
-  if (compiled == nullptr) {
-    auto built = CompileQuery(query, graph_->alphabet().size());
-    if (!built.ok()) return built.status();
-    compiled = std::move(built).value();
-  }
-  const Engine engine =
-      SelectEngine(query, compiled->analysis, options_.engine);
+  const Engine engine = SelectEngine(query, options_.engine);
   // Build (or refresh) the cached index. GraphDb is append-only, so a
   // snapshot is stale iff one of its counters moved — revalidating here
   // keeps a reused Evaluator correct when the graph was grown between
@@ -81,9 +66,6 @@ Status Evaluator::Evaluate(const Query& query, ResultSink& sink,
     case Engine::kProduct:
       return EvaluateProduct(*graph_, query, options_, sink, stats,
                              std::move(compiled), std::move(index), plan);
-    case Engine::kCrpq:
-      return EvaluateCrpq(*graph_, query, options_, sink, stats,
-                          std::move(compiled), std::move(index), plan);
     case Engine::kCounting:
       return EvaluateCounting(*graph_, query, options_, sink, stats,
                               std::move(compiled), std::move(index));

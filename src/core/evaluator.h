@@ -4,13 +4,11 @@
 // engines the paper's complexity analysis distinguishes:
 //
 //   kProduct     the general on-the-fly convolution engine (Thm 5.1/6.1/6.3);
-//                handles every ECRPQ, PSPACE-complete combined complexity
-//   kCrpq        per-atom product reachability + join (the folklore CRPQ
-//                algorithm and the acyclic PTIME algorithm of Thm 6.5);
-//                requires all relations unary and no repeated path
-//                variables. It is the all-scan plan: one ReachabilityScan
-//                leaf per atom on the join executor kProduct also runs
-//                (ExecutePlan, core/eval_product.h)
+//                handles every ECRPQ, PSPACE-complete combined complexity.
+//                A CRPQ (unary relations, no repeated path variables)
+//                plans as the all-scan plan: one ReachabilityScan leaf per
+//                atom, joined as a conjunctive query — the folklore CRPQ
+//                algorithm and the acyclic PTIME algorithm of Thm 6.5
 //   kCounting    Parikh/ILP engine for linear constraints on occurrence
 //                counts or path lengths (Thm 8.5)
 //   kQlen        length-abstraction engine (Lemma 6.6 / Thm 6.7): relations
@@ -18,10 +16,10 @@
 //                progressions
 //   kBruteForce  bounded path enumeration; reference semantics for tests
 //
-// kAuto picks kCrpq when applicable, kCounting for queries with linear
-// atoms, and kProduct otherwise.
+// kAuto picks kCounting for queries with linear atoms, and kProduct
+// otherwise.
 //
-// kProduct, kCrpq and kCounting read the graph only through a GraphIndex
+// kProduct and kCounting read the graph only through a GraphIndex
 // snapshot (graph/index.h: label-sliced CSR expansion, degree-ordered
 // seeding) — the caller's, or one built per run; there is no
 // adjacency-scan path. kQlen needs only unlabeled successor sets and
@@ -66,7 +64,6 @@ struct PhysicalPlan;
 enum class Engine {
   kAuto,
   kProduct,
-  kCrpq,
   kCounting,
   kQlen,
   kBruteForce,
@@ -127,9 +124,9 @@ struct EvalOptions {
   /// count (the ordering contract in core/result_sink.h).
   int num_threads = 0;
 
-  /// Optional cooperative cancellation. The product and crpq engines —
-  /// the paths parallel execution runs on — poll the token at
-  /// morsel/config granularity and return Status::Cancelled once it
+  /// Optional cooperative cancellation. The product engine — the path
+  /// parallel execution runs on — polls the token at
+  /// morsel/config granularity and returns Status::Cancelled once it
   /// trips; it also fans early termination (limit / exists, worker
   /// errors, budget exhaustion) out to all workers of the execution.
   /// The counting engine polls it per node assignment and before every
@@ -141,7 +138,8 @@ struct EvalOptions {
 
   /// Product-configuration budget of one execution (ProductExpand
   /// leaves); exceeding returns ResourceExhausted. ReachabilityScan
-  /// leaves — all of kCrpq — are polynomial and not charged.
+  /// leaves — every leaf of a CRPQ's plan — are polynomial and not
+  /// charged.
   uint64_t max_configs = 2000000;
 
   /// Path-length bound for the brute-force engine.
@@ -151,12 +149,11 @@ struct EvalOptions {
   ParikhOptions parikh;
 };
 
-/// Resolves Engine::kAuto against a query's structural analysis; returns
-/// `requested` unchanged otherwise.
-Engine SelectEngine(const Query& query, const QueryAnalysis& analysis,
-                    Engine requested);
+/// Resolves Engine::kAuto: kCounting when the query has linear atoms,
+/// else kProduct. Returns `requested` unchanged otherwise.
+Engine SelectEngine(const Query& query, Engine requested);
 
-/// Lower-case display name of an engine ("product", "crpq", ...).
+/// Lower-case display name of an engine ("product", "counting", ...).
 const char* EngineName(Engine engine);
 
 /// Materialized evaluation output: Q(G) with node tuples sorted and path
@@ -224,9 +221,8 @@ class Evaluator {
   /// discovery order; `stats` receives engine counters. When `compiled`
   /// is non-null it must be the CompileQuery output for `query` (reused
   /// automata + analysis; see eval_product.h) — prepared-query executions
-  /// pass it to skip recompilation. When it is null, the query is
-  /// compiled here once and the compiled analysis is shared between
-  /// engine selection and the engine itself (one Analyze pass, not two).
+  /// pass it to skip recompilation. When it is null, the engine compiles
+  /// the query.
   /// `plan` (optional) is a cached PhysicalPlan for this query
   /// (core/planner.h); engines plan on the fly when absent.
   Status Evaluate(const Query& query, ResultSink& sink, EvalStats& stats,

@@ -11,8 +11,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/eval_crpq.h"
 #include "core/parallel.h"
+#include "core/reachability.h"
 
 namespace ecrpq {
 
@@ -1512,8 +1512,8 @@ Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
     op.op = "ProductExpand";
     op.direction = SearchDirectionName(dir);
     if (lanes <= 1) {
-      // Exact legacy single-threaded path: one overlay per seed row (or
-      // `fixed` alone), each run on one lane.
+      // Serial path: one overlay per seed row (or `fixed` alone), each
+      // run on the calling thread.
       op.threads = 1;
       std::vector<ExpandLane> serial(1);
       if (seeded) {
@@ -1820,6 +1820,81 @@ BindingTable HashJoinOp(const BindingTable& left, const BindingTable& right,
   op.rows_out = out.rows.size();
   stats.operators.push_back(std::move(op));
   return out;
+}
+
+void StreamJoinOp(const std::vector<BindingTable>& tables, size_t num_vars,
+                  EvalStats& stats, int num_threads,
+                  const CancellationToken* cancel,
+                  const std::function<bool(const std::vector<NodeId>&)>& emit) {
+  OperatorStats op;
+  op.op = "HashJoin";
+  op.detail = "streamed over " + std::to_string(tables.size()) + " tables";
+  op.threads = 1;
+
+  // Per table: the variables bound by earlier tables (its probe key, read
+  // from the binding) with their columns here, and the columns it binds.
+  const size_t n = tables.size();
+  std::vector<std::vector<int>> key_vars(n), key_cols(n), bind_cols(n);
+  std::vector<bool> bound(num_vars, false);
+  for (size_t k = 0; k < n; ++k) {
+    const BindingTable& t = tables[k];
+    op.rows_in += t.rows.size();
+    for (size_t c = 0; c < t.vars.size(); ++c) {
+      if (bound[t.vars[c]]) {
+        key_vars[k].push_back(t.vars[c]);
+        key_cols[k].push_back(static_cast<int>(c));
+      } else {
+        bind_cols[k].push_back(static_cast<int>(c));
+      }
+    }
+    for (int v : t.vars) bound[v] = true;
+  }
+  std::vector<PartitionedBuild> builds(n);
+  for (size_t k = 1; k < n; ++k) {
+    const int lanes =
+        num_threads > 1 && tables[k].rows.size() >= kParallelJoinRows
+            ? num_threads
+            : 1;
+    op.threads = std::max(op.threads, lanes);
+    std::vector<uint64_t> lane_build(lanes, 0);
+    builds[k] = BuildPartitioned(tables[k].rows, key_cols[k], lanes,
+                                 &lane_build);
+    for (uint64_t rows : lane_build) op.build_rows += rows;
+  }
+
+  // Depth-first probe. A level overwrites the variables it binds for
+  // every row it tries, so nothing needs unbinding on the way back.
+  std::vector<NodeId> binding(num_vars, -1);
+  auto extend = [&](auto& self, size_t k) -> bool {  // false: stop
+    if (cancel != nullptr && cancel->cancelled()) return false;
+    if (k == n) {
+      ++stats.join_tuples;
+      ++op.rows_out;
+      return emit(binding);
+    }
+    const BindingTable& t = tables[k];
+    auto descend = [&](uint32_t r) {
+      for (int c : bind_cols[k]) binding[t.vars[c]] = t.rows[r][c];
+      return self(self, k + 1);
+    };
+    if (k == 0) {
+      for (size_t r = 0; r < t.rows.size(); ++r) {
+        if (!descend(static_cast<uint32_t>(r))) return false;
+      }
+      return true;
+    }
+    ++op.probe_rows;
+    const std::vector<uint32_t>* ids =
+        builds[k].Find(MixHash64(HashRowKey(binding, key_vars[k])));
+    if (ids == nullptr) return true;
+    for (uint32_t r : *ids) {
+      if (!KeysEqual(binding, key_vars[k], t.rows[r], key_cols[k])) continue;
+      if (!descend(r)) return false;
+    }
+    return true;
+  };
+  extend(extend, 0);
+  stats.operators.push_back(std::move(op));
 }
 
 bool SemiJoinFilterOp(BindingTable* target, const BindingTable& filter,

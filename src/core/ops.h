@@ -10,17 +10,20 @@
 //
 //   ReachabilityScan   one path atom, all-unary languages: the (u, v)
 //                      pair relation via one intersected-NFA BFS
+//                      (core/reachability.h)
 //   ProductExpand      one synchronization component: the on-the-fly
 //                      convolution product search (Thm 6.1)
 //   HashJoin           natural join of two binding tables on shared vars
+//                      (HashJoinOp), or the streamed multi-way final join
+//                      (StreamJoinOp)
 //   SemiJoinFilter     reduce a table to rows matched by another
 //   Project            ProjectDistinct, the early-projection step
 //   LinearConstraintCheck  the counting engine's per-assignment ILP
 //                      (recorded as operator stats; see eval_counting.cc)
 //
-// One executor strings them together for both join engines
-// (ExecutePlan, core/eval_product.h): kProduct plans mix both leaf
-// kinds, and kCrpq is the plan whose leaves are all ReachabilityScans.
+// One executor strings them together (ExecutePlan in eval_product.cc). A
+// CRPQ's plan is the all-scan plan of Thm 6.5: every leaf is a
+// ReachabilityScan.
 //
 // Leaves support *sideways information passing*: a seed table of bindings
 // produced by earlier operators restricts the leaf's start-variable
@@ -41,12 +44,13 @@
 // Execution is morsel-driven parallel (core/parallel.h) when the caller
 // passes num_threads > 1: leaves partition their seed sets (scan sources,
 // seed rows, start assignments) into morsels pulled by worker lanes, and
-// large joins build partitioned tables and probe morsel-wise. A leaf
-// with a single anchor assignment is one product search (or one scan
-// BFS) and runs on one lane. Workers accumulate into private stats and
-// result sets merged at the operator barrier in canonical lane order, so
-// results and counters are thread-count-independent; num_threads == 1 is
-// the exact legacy single-threaded path.
+// joins over enough actual rows (kParallelJoinRows, ops.cc) build partitioned
+// tables (and, except the streamed final join, probe morsel-wise). A
+// leaf with a single anchor assignment is one product search (or one
+// scan BFS) and runs on one lane. Workers accumulate into private stats
+// and result sets merged at the operator barrier in canonical lane
+// order, so results and counters are thread-count-independent;
+// num_threads == 1 runs everything on the calling thread.
 //
 // Every operator appends one OperatorStats entry (rows in/out, frontier
 // expansions, visited-table occupancy, worker lanes) to
@@ -55,6 +59,7 @@
 #ifndef ECRPQ_CORE_OPS_H_
 #define ECRPQ_CORE_OPS_H_
 
+#include <functional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -155,12 +160,13 @@ struct ProductGraphSink {
 /// it, and infeasible requests degrade (bidirectional needs every
 /// endpoint bound by fixed/seeds/constants, else it falls back to
 /// backward when the end side is bound, else forward). `num_threads` is
-/// the leaf's worker-lane budget (1 = exact legacy serial execution;
-/// callers resolve EvalOptions::num_threads via ResolveNumThreads
-/// first); the leaf uses at most one lane per independent search, and
-/// records the lanes it used as OperatorStats::threads. Appends one OperatorStats entry with the given planner
-/// estimate (`est_rows` < 0 when unplanned), the executed direction, and
-/// — for bidirectional leaves — the meet-probe count.
+/// the leaf's worker-lane budget (1 = serial execution on the calling
+/// thread; callers resolve EvalOptions::num_threads via
+/// ResolveNumThreads first); the leaf uses at most one lane per
+/// independent search, and records the lanes it used as
+/// OperatorStats::threads. Appends one OperatorStats entry with the
+/// given planner estimate (`est_rows` < 0 when unplanned), the executed
+/// direction, and — for bidirectional leaves — the meet-probe count.
 Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
                           const EvalOptions& options,
                           const std::vector<NodeId>& fixed,
@@ -178,10 +184,9 @@ Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
 /// early-projection merge); EvalStats::join_tuples still counts every
 /// joined row.
 /// Appends a HashJoin OperatorStats entry (with build/probe row counts
-/// merged from the per-lane counters). (The plan executor streams its
-/// final multi-way join for limit/exists pushdown on small plans and
-/// folds large-estimate plans through this operator pairwise; see
-/// ExecutePlan in eval_product.cc.) The join is radix-partitioned:
+/// merged from the per-lane counters). The plan executor uses it for
+/// early-projection merges; its final join is StreamJoinOp. The join is
+/// radix-partitioned:
 /// per-morsel partition counters size one exact reservation, build rows
 /// are scattered into per-partition slices and each partition's hash
 /// table is built independently, and the probe runs morsel-wise in two
@@ -194,6 +199,27 @@ Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
 BindingTable HashJoinOp(const BindingTable& left, const BindingTable& right,
                         EvalStats& stats, int num_threads = 1,
                         const std::vector<int>* project = nullptr);
+
+/// The plan executor's final join: the natural join of `tables`,
+/// streamed depth-first without materializing it. Each table after the
+/// first gets a hash index on the columns it shares with the tables
+/// before it (HashJoinOp's radix-partitioned build, on `num_threads`
+/// lanes when the table has enough rows). Each table-0 row is then
+/// extended through tables 1, 2, ... by probing those indexes, and
+/// `emit` receives every joined tuple as a binding indexed by node
+/// variable (`num_vars` entries, -1 where no table binds the variable).
+/// Tuples come in table-0 row order, each table's matches by ascending
+/// row id: the nested-loop join's order, at any lane count, so a
+/// limit's cut point never depends on the lanes. With no tables the
+/// join is the unit: one all-unbound binding. `emit` returns false to
+/// stop the join; it also stops once `cancel` (optional) trips. Appends
+/// one HashJoin entry (build_rows: rows indexed; probe_rows: index
+/// lookups; rows_out: emitted tuples); EvalStats::join_tuples counts the
+/// emitted tuples.
+void StreamJoinOp(const std::vector<BindingTable>& tables, size_t num_vars,
+                  EvalStats& stats, int num_threads,
+                  const CancellationToken* cancel,
+                  const std::function<bool(const std::vector<NodeId>&)>& emit);
 
 /// Keeps rows of `target` matched by some row of `filter` on their shared
 /// variables (no-op without shared variables). Appends a SemiJoinFilter

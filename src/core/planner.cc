@@ -9,15 +9,6 @@
 
 namespace ecrpq {
 
-namespace {
-
-// The engines whose plans the shared join executor runs (ExecutePlan).
-bool RunsOnJoinExecutor(Engine engine) {
-  return engine == Engine::kProduct || engine == Engine::kCrpq;
-}
-
-}  // namespace
-
 const char* OpKindName(OpKind kind) {
   switch (kind) {
     case OpKind::kReachabilityScan:
@@ -242,26 +233,19 @@ double EstimateComponentCardinality(const Query& query,
 PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
                        const GraphIndex& index, const EvalOptions& options) {
   PhysicalPlan plan;
-  plan.engine = SelectEngine(query, compiled.analysis, options.engine);
+  plan.engine = SelectEngine(query, options.engine);
   plan.linear_check = !query.linear_atoms().empty();
 
-  // The conjunct groups the leaves evaluate over:
-  //   crpq      one scan leaf per path atom (the all-scan plan);
-  //   product / counting / qlen
-  //             one leaf per synchronization component, or one monolithic
-  //             group when decomposition is forbidden;
-  //   brute force
-  //             no operator structure (reference enumeration).
+  // The conjunct groups the leaves evaluate over: one leaf per
+  // synchronization component (a CRPQ's are single atoms: the all-scan
+  // plan), or one monolithic group when decomposition is forbidden.
+  // Brute force has no operator structure (reference enumeration).
   std::vector<std::vector<int>> groups;
   if (plan.engine == Engine::kBruteForce) {
     plan.decomposed = false;
     return plan;
   }
-  if (plan.engine == Engine::kCrpq) {
-    for (size_t i = 0; i < query.path_atoms().size(); ++i) {
-      groups.push_back({static_cast<int>(i)});
-    }
-  } else if (options.use_components) {
+  if (options.use_components) {
     groups = compiled.analysis.components;
   } else {
     std::vector<int> all(query.path_atoms().size());
@@ -272,7 +256,7 @@ PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
   plan.num_threads = ResolveNumThreads(options.num_threads);
   // Counting and qlen enumerate their own σ-assignments; their plans only
   // describe the leaves, without executor annotations.
-  const bool joined = RunsOnJoinExecutor(plan.engine);
+  const bool joined = plan.engine == Engine::kProduct;
 
   const double V = std::max(1, index.num_nodes());
   // Per-component expansion-work proxies, parallel to plan.components
@@ -402,59 +386,28 @@ PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
     for (int v : pc.vars) bound.insert(v);
   }
 
-  PlanJoinPipeline(query, index.num_nodes(), &plan);
+  PlanProjections(query, &plan);
   return plan;
 }
 
-void PlanJoinPipeline(const Query& query, int num_nodes, PhysicalPlan* plan) {
-  // Per-operator parallelism of the join pipeline: a join (or the
-  // semijoin reduction) whose estimated input is below the
-  // partitioned-join threshold stays inline-serial on the calling thread —
-  // tiny inputs never pay the partitioning passes.
-  // Eligibility is a pure function of the cardinality estimates (never
-  // the thread count), so the executor's pipeline shape — and with it
-  // every reported counter — is identical at any session parallelism.
-  constexpr double kJoinInlineRowsEstimate = 4096.0;  // kParallelJoinRows
-  const double V = std::max(1, num_nodes);
-  auto lanes_for = [&](bool parallel_ok) {
-    return parallel_ok && plan->num_threads > 1 ? plan->num_threads : 1;
-  };
-  std::vector<PlannedComponent>& comps = plan->components;
+void PlanProjections(const Query& query, PhysicalPlan* plan) {
+  // Early projection, simulated over the leaf tables' columns in plan
+  // order. Rule 1 drops every column that is not a head variable and is
+  // in no other table; rule 2 replaces two tables sharing a non-head
+  // variable found in no other table by their joined projection. Each
+  // rule shrinks a table or the table count, so the loop ends.
   plan->projections.clear();
-  plan->semijoin_parallel_ok = false;
-  plan->semijoin_threads = 0;
-  double total = 0.0;
-  for (PlannedComponent& pc : comps) {
-    pc.join_parallel_ok = false;
-    pc.join_threads = 0;
-    total += std::max(pc.est_rows, 0.0);
-  }
-  if (comps.size() > 1) {
-    plan->semijoin_parallel_ok = total >= kJoinInlineRowsEstimate;
-    plan->semijoin_threads = lanes_for(plan->semijoin_parallel_ok);
-  }
-
-  // Early projection, simulated over the leaf tables in plan order. Rule
-  // 1 drops every column that is not a head variable and is in no other
-  // table; rule 2 replaces two tables sharing a non-head variable found
-  // in no other table by their joined projection. Each rule shrinks a
-  // table or the table count, so the loop ends.
   std::set<int> head;
   for (const NodeTerm& term : query.head_nodes()) {
     if (term.IsVariable()) head.insert(query.NodeVarIndex(term.name));
   }
-  struct Table {
-    std::vector<int> vars;
-    double est_rows;
-    size_t origin;  // the component whose position the table holds
-  };
-  std::vector<Table> tables;
-  for (size_t i = 0; i < comps.size(); ++i) {
-    tables.push_back({comps[i].vars, std::max(comps[i].est_rows, 0.0), i});
+  std::vector<std::vector<int>> tables;
+  for (const PlannedComponent& pc : plan->components) {
+    tables.push_back(pc.vars);
   }
   auto in_table = [&](size_t t, int v) {
-    const std::vector<int>& vars = tables[t].vars;
-    return std::find(vars.begin(), vars.end(), v) != vars.end();
+    return std::find(tables[t].begin(), tables[t].end(), v) !=
+           tables[t].end();
   };
   // The columns of `vars` still needed once tables a and b are gone.
   auto needed = [&](const std::vector<int>& vars, size_t a, size_t b) {
@@ -468,23 +421,19 @@ void PlanJoinPipeline(const Query& query, int num_nodes, PhysicalPlan* plan) {
     }
     return keep;
   };
-  auto bounded = [&](double est, size_t columns) {
-    return std::min(est, std::pow(V, static_cast<double>(columns)));
-  };
   for (bool changed = true; changed;) {
     changed = false;
     for (size_t i = 0; i < tables.size(); ++i) {
-      std::vector<int> keep = needed(tables[i].vars, i, i);
-      if (keep.size() == tables[i].vars.size()) continue;
+      std::vector<int> keep = needed(tables[i], i, i);
+      if (keep.size() == tables[i].size()) continue;
       ProjectionStep step;
       step.left = static_cast<int>(i);
       step.keep = keep;
       plan->projections.push_back(std::move(step));
-      tables[i].est_rows = bounded(tables[i].est_rows, keep.size());
-      tables[i].vars = std::move(keep);
+      tables[i] = std::move(keep);
     }
     for (size_t i = 0; i < tables.size() && !changed; ++i) {
-      for (int v : tables[i].vars) {
+      for (int v : tables[i]) {
         if (head.count(v)) continue;
         std::vector<size_t> others;
         for (size_t t = 0; t < tables.size(); ++t) {
@@ -492,40 +441,21 @@ void PlanJoinPipeline(const Query& query, int num_nodes, PhysicalPlan* plan) {
         }
         if (others.size() != 1) continue;
         const size_t j = others[0];  // > i: earlier tables were scanned
-        std::vector<int> joined_vars = tables[i].vars;
-        for (int w : tables[j].vars) {
+        std::vector<int> joined_vars = tables[i];
+        for (int w : tables[j]) {
           if (!in_table(i, w)) joined_vars.push_back(w);
         }
         ProjectionStep step;
         step.left = static_cast<int>(i);
         step.right = static_cast<int>(j);
         step.keep = needed(joined_vars, i, j);
-        step.join_parallel_ok =
-            tables[i].est_rows + tables[j].est_rows >= kJoinInlineRowsEstimate;
-        step.join_threads = lanes_for(step.join_parallel_ok);
-        tables[i].est_rows = bounded(
-            std::min(tables[i].est_rows * tables[j].est_rows, 1e18),
-            step.keep.size());
-        tables[i].vars = step.keep;
+        tables[i] = step.keep;
         plan->projections.push_back(std::move(step));
         tables.erase(tables.begin() + j);
         changed = true;
         break;
       }
     }
-  }
-
-  // The final join folds the remaining tables in order. Its accumulated
-  // output is bounded above by the input product; the overestimate can
-  // only promote a later join to the partitioned path, where the runtime
-  // row-count guard still applies.
-  double acc = tables.empty() ? 0.0 : tables[0].est_rows;
-  for (size_t k = 1; k < tables.size(); ++k) {
-    PlannedComponent& pc = comps[tables[k].origin];
-    const double est = tables[k].est_rows;
-    pc.join_parallel_ok = acc + est >= kJoinInlineRowsEstimate;
-    pc.join_threads = lanes_for(pc.join_parallel_ok);
-    acc = std::min(acc * std::max(est, 1.0), 1e18);
   }
 }
 
@@ -543,10 +473,6 @@ std::string PhysicalPlan::Describe(const Query& query) const {
     if (v >= 1e15) return std::string(">=1e15");
     return std::to_string(static_cast<long long>(v + 0.5));
   };
-  auto lanes = [](int threads) {
-    return threads > 0 ? " parallelism=" + std::to_string(threads)
-                       : std::string();
-  };
 
   std::string out = "engine: ";
   out += EngineName(engine);
@@ -558,7 +484,7 @@ std::string PhysicalPlan::Describe(const Query& query) const {
   if (components.empty()) {
     out += "  monolithic enumeration (no operator structure)\n";
   }
-  const bool joined = RunsOnJoinExecutor(engine);
+  const bool joined = engine == Engine::kProduct;
   for (size_t i = 0; i < components.size(); ++i) {
     const PlannedComponent& pc = components[i];
     out += "  [" + std::to_string(i) + "] ";
@@ -577,23 +503,22 @@ std::string PhysicalPlan::Describe(const Query& query) const {
     }
     out += " est_rows=" + fmt(pc.est_rows);
     out += " est_cost=" + fmt(pc.est_cost);
-    out += lanes(pc.threads);
+    if (pc.threads > 0) out += " parallelism=" + std::to_string(pc.threads);
     out += "\n";
   }
   if (joined) {
     if (components.size() > 1) {
-      out += "  SemiJoinFilter to fixpoint" + lanes(semijoin_threads) + "\n";
+      out += "  SemiJoinFilter to fixpoint\n";
     }
     // Replay the early projection over table labels: a table is named by
     // the leaves it holds ("[0]", "[0,1]").
     struct Table {
       std::string label;
       std::vector<int> vars;
-      size_t origin;
     };
     std::vector<Table> tables;
     for (size_t i = 0; i < components.size(); ++i) {
-      tables.push_back({std::to_string(i), components[i].vars, i});
+      tables.push_back({std::to_string(i), components[i].vars});
     }
     for (const ProjectionStep& step : projections) {
       Table& left = tables[step.left];
@@ -603,8 +528,7 @@ std::string PhysicalPlan::Describe(const Query& query) const {
       } else {
         const Table& right = tables[step.right];
         out += "  HashJoin [" + left.label + "] x [" + right.label +
-               "], project onto " + var_names(step.keep) +
-               lanes(step.join_threads) + "\n";
+               "], project onto " + var_names(step.keep) + "\n";
         left.label += "," + right.label;
         tables.erase(tables.begin() + step.right);
       }
@@ -622,7 +546,7 @@ std::string PhysicalPlan::Describe(const Query& query) const {
         }
       }
       out += "  HashJoin [" + tables[k].label + "] on " + var_names(shared) +
-             lanes(components[tables[k].origin].join_threads) + "\n";
+             "\n";
     }
   }
   if (linear_check) {

@@ -18,7 +18,13 @@
 // seeded execution. The result is a PhysicalPlan: a small operator DAG
 // over the operators of core/ops.h (ReachabilityScan / ProductExpand
 // leaves, SemiJoinFilter reductions, early Project steps, HashJoin
-// between tables, LinearConstraintCheck for counting queries).
+// between tables, LinearConstraintCheck for counting queries). A CRPQ's
+// components are single atoms, so its plan is the all-scan plan of
+// Thm 6.5.
+//
+// The plan fixes what runs and in which order, not how many lanes a join
+// uses: every join operator decides that from the actual rows it sees
+// (core/ops.h).
 //
 // Planning is a pure function of (query, compiled relations, index
 // statistics, options): it never touches the graph's edges, so a plan can
@@ -87,22 +93,6 @@ struct PlannedComponent {
   /// Backward mirror of est_cost (end-side enumeration × reversed-tape
   /// expansion work); -1 until estimated.
   double est_cost_bwd = -1.0;
-  /// Worker lanes for the final HashJoin that merges the table this
-  /// component heads (after early projection) into the accumulated join
-  /// (Explain: the `parallelism=` of that HashJoin line). 0 = no final
-  /// join for this table (the first table in plan order, or a component
-  /// whose table early projection merged into an earlier one); 1 =
-  /// inline-serial, the estimated join input is below the partitioned
-  /// threshold; >= 2 = the radix-partitioned parallel join. Like
-  /// `threads`, the executor re-resolves the lane count at run time —
-  /// the decision that survives num_threads overrides is
-  /// join_parallel_ok.
-  int join_threads = 0;
-  /// Estimate-based eligibility behind join_threads. Independent of the
-  /// session's thread count, so the executor's streamed-vs-partitioned
-  /// pipeline choice (and with it every reported counter) stays
-  /// thread-count independent.
-  bool join_parallel_ok = false;
 };
 
 /// One step of early projection (the Yannakakis step that keeps acyclic
@@ -118,11 +108,6 @@ struct ProjectionStep {
   /// deduplicated projection onto `keep` (HashJoinOp's `project`).
   int right = -1;
   std::vector<int> keep;  ///< the columns of the result, in order
-  /// Estimate-based eligibility of a merge's HashJoin for the partitioned
-  /// parallel path (as PlannedComponent::join_parallel_ok), and the lanes
-  /// Explain reports for it.
-  bool join_parallel_ok = false;
-  int join_threads = 0;
 };
 
 struct PhysicalPlan {
@@ -138,15 +123,6 @@ struct PhysicalPlan {
   /// (ECRPQ_THREADS / hardware concurrency); per-leaf choices are in
   /// PlannedComponent::threads and rendered by Describe/Explain.
   int num_threads = 1;
-  /// Worker lanes for the cross-component SemiJoinFilter fixpoint
-  /// (Explain: `parallelism=` on the SemiJoinFilter line). 0 = not
-  /// applicable (fewer than two components, or an unplanned plan); 1 =
-  /// inline-serial (total estimated table volume below the partitioned
-  /// threshold); >= 2 = partitioned parallel reduction. The eligibility
-  /// that survives num_threads overrides is semijoin_parallel_ok.
-  int semijoin_threads = 0;
-  /// Estimate-based eligibility behind semijoin_threads.
-  bool semijoin_parallel_ok = false;
   /// Early projection, in execution order. Depends only on the query
   /// head and the components' variables in plan order.
   std::vector<ProjectionStep> projections;
@@ -166,23 +142,20 @@ double EstimateComponentCardinality(const Query& query,
                                     const std::vector<int>& atom_indices,
                                     const GraphIndex& index);
 
-/// Builds the physical plan for `query`: resolves kAuto against the
-/// analysis, decomposes into leaves (one per path atom for kCrpq — the
-/// all-scan plan — else one per synchronization component, or one
-/// monolithic leaf when options.use_components is off), costs and orders
-/// them, marks sideways-seeded components from `index`'s statistics, and
-/// plans the join pipeline (PlanJoinPipeline). kProduct and kCrpq plans
-/// run on the same executor (ExecutePlan, core/eval_product.h); the other
-/// engines' plans only describe their leaves.
+/// Builds the physical plan for `query`: resolves kAuto, decomposes into
+/// leaves (one per synchronization component, or one monolithic leaf when
+/// options.use_components is off), costs and orders them, marks
+/// sideways-seeded components from `index`'s statistics, and plans the
+/// early projection (PlanProjections). kProduct plans run on the plan
+/// executor (EvaluateProduct, core/eval_product.h); the other engines'
+/// plans only describe their leaves.
 PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
                        const GraphIndex& index, const EvalOptions& options);
 
-/// Plans what runs after the leaves, from the components in their current
-/// order: the SemiJoinFilter fixpoint's lanes, the early projection steps
-/// (PhysicalPlan::projections) and the final join's per-table lanes.
-/// `num_nodes` bounds the estimates of projected tables. PlanQuery calls
-/// it; call it again after reordering plan->components.
-void PlanJoinPipeline(const Query& query, int num_nodes, PhysicalPlan* plan);
+/// Plans the early projection steps (PhysicalPlan::projections) from the
+/// components in their current order. PlanQuery calls it; call it again
+/// after reordering plan->components.
+void PlanProjections(const Query& query, PhysicalPlan* plan);
 
 }  // namespace ecrpq
 

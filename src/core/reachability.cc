@@ -1,24 +1,13 @@
-#include "core/eval_crpq.h"
+#include "core/reachability.h"
 
 #include <algorithm>
 #include <queue>
 #include <set>
 
 #include "automata/operations.h"
-#include "core/eval_product.h"
 #include "core/parallel.h"
-#include "query/analysis.h"
 
 namespace ecrpq {
-
-bool CrpqFastPathApplies(const Query& query) {
-  return CrpqFastPathApplies(query, Analyze(query));
-}
-
-bool CrpqFastPathApplies(const Query& query, const QueryAnalysis& analysis) {
-  if (!query.linear_atoms().empty()) return false;
-  return analysis.is_crpq && !analysis.has_relational_repetition;
-}
 
 std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
     const GraphDb& graph,
@@ -260,31 +249,6 @@ std::vector<std::pair<NodeId, NodeId>> ReachabilityPairsDirected(
     }
   }
   return out;
-}
-
-Status EvaluateCrpq(const GraphDb& graph, const Query& query,
-                    const EvalOptions& options, ResultSink& sink,
-                    EvalStats& stats, CompiledQueryPtr compiled,
-                    GraphIndexPtr index, const PhysicalPlan* plan) {
-  auto resolved_or =
-      ResolveQuery(graph, query, std::move(compiled), std::move(index));
-  if (!resolved_or.ok()) return resolved_or.status();
-  ResolvedQuery& rq = resolved_or.value();
-  if (!CrpqFastPathApplies(query, rq.analysis())) {
-    return Status::FailedPrecondition(
-        "query is outside the CRPQ fast-path fragment (multi-ary relations, "
-        "repeated path variables or linear atoms present)");
-  }
-  if (rq.index == nullptr) rq.index = GraphIndex::Build(graph);
-  stats.engine = "crpq";
-  return ExecutePlan(rq, Engine::kCrpq, options, plan, sink, stats);
-}
-
-Result<QueryResult> EvaluateCrpq(const GraphDb& graph, const Query& query,
-                                 const EvalOptions& options) {
-  return MaterializeResult([&](ResultSink& sink, EvalStats& stats) {
-    return EvaluateCrpq(graph, query, options, sink, stats);
-  });
 }
 
 }  // namespace ecrpq

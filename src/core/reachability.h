@@ -1,43 +1,22 @@
-// CRPQ fast path (Theorem 6.5 and the folklore CRPQ algorithm).
+// Reachability scans: the primitive behind the ReachabilityScan leaf
+// (core/ops.h) and the folklore CRPQ algorithm of Theorem 6.5.
 //
-// When every relation atom is unary and no path variable repeats, each path
-// atom (x, L(π), y) reduces independently to the binary reachability
-// relation r = { (u, v) : some path u→v has label in L }, computed by a
-// product of the graph with L's NFA. The query then becomes a relational
-// conjunctive query over the r_i. kCrpq is the all-scan plan: PlanQuery
-// gives it one ReachabilityScan leaf per atom, and the executor it shares
-// with kProduct (ExecutePlan, core/eval_product.h) orders and seeds the
+// A path atom (x, L(π), y) whose relations are all unary reduces
+// independently to the binary reachability relation
+// r = { (u, v) : some path u→v has label in L }, computed by a BFS over
+// the product of the graph with L's NFA. A CRPQ is then a relational
+// conjunctive query over the r_i: PlanQuery gives it one ReachabilityScan
+// leaf per atom (the all-scan plan), and ExecutePlan orders and seeds the
 // scans, reduces the tables to a semi-join fixpoint and projects early
 // (Yannakakis) before the final join, giving the PTIME combined
 // complexity of Theorem 6.5 on acyclic queries.
 
-#ifndef ECRPQ_CORE_EVAL_CRPQ_H_
-#define ECRPQ_CORE_EVAL_CRPQ_H_
+#ifndef ECRPQ_CORE_REACHABILITY_H_
+#define ECRPQ_CORE_REACHABILITY_H_
 
 #include "core/evaluator.h"
 
 namespace ecrpq {
-
-/// True if this query is in the fast-path fragment: unary relations only,
-/// no repeated path variables, no linear atoms.
-bool CrpqFastPathApplies(const Query& query);
-
-/// Same, against an already-computed analysis (no re-analysis).
-bool CrpqFastPathApplies(const Query& query, const QueryAnalysis& analysis);
-
-/// Evaluates a fast-path CRPQ, streaming distinct tuples into `sink`.
-/// FailedPrecondition outside the fragment. `plan` (optional) is a cached
-/// kCrpq PhysicalPlan for this query; when null (or made for another
-/// engine) the query is planned here.
-Status EvaluateCrpq(const GraphDb& graph, const Query& query,
-                    const EvalOptions& options, ResultSink& sink,
-                    EvalStats& stats, CompiledQueryPtr compiled = nullptr,
-                    GraphIndexPtr index = nullptr,
-                    const PhysicalPlan* plan = nullptr);
-
-/// Materializing convenience wrapper (sorted tuples).
-Result<QueryResult> EvaluateCrpq(const GraphDb& graph, const Query& query,
-                                 const EvalOptions& options);
 
 /// Counters of one reachability scan (the ReachabilityScan operator's
 /// share of EvalStats::operators).
@@ -90,4 +69,4 @@ std::vector<std::pair<NodeId, NodeId>> ReachabilityPairsDirected(
 
 }  // namespace ecrpq
 
-#endif  // ECRPQ_CORE_EVAL_CRPQ_H_
+#endif  // ECRPQ_CORE_REACHABILITY_H_

@@ -1,4 +1,6 @@
-// CRPQ fast path: per-atom reachability + join (Theorem 6.5).
+// CRPQ evaluation: per-atom reachability + join (Theorem 6.5). kAuto
+// runs a CRPQ on the product engine, whose plan for it is the all-scan
+// plan: one ReachabilityScan leaf per atom.
 
 #include <gtest/gtest.h>
 
@@ -8,29 +10,48 @@
 
 #include "automata/regex.h"
 #include "core/eval_bruteforce.h"
-#include "core/eval_crpq.h"
 #include "core/eval_product.h"
+#include "core/planner.h"
+#include "core/reachability.h"
 #include "graph/generators.h"
 #include "query/parser.h"
 
 namespace ecrpq {
 namespace {
 
+// True when kAuto plans `query` as the all-scan plan: the product
+// engine with one single-atom ReachabilityScan leaf per path atom.
+bool AllScanPlan(const GraphDb& g, const Query& query) {
+  auto compiled = CompileQuery(query, g.alphabet().size());
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  PhysicalPlan plan = PlanQuery(query, *compiled.value(),
+                                *GraphIndex::Build(g), EvalOptions{});
+  if (plan.engine != Engine::kProduct ||
+      plan.components.size() != query.path_atoms().size()) {
+    return false;
+  }
+  for (const PlannedComponent& pc : plan.components) {
+    if (pc.leaf != OpKind::kReachabilityScan) return false;
+  }
+  return true;
+}
+
 TEST(CrpqFastPath, Applicability) {
   auto alphabet = Alphabet::FromLabels({"a", "b"});
+  GraphDb g = WordGraph(alphabet, {0, 1});
   auto crpq = ParseQuery("Ans(x) <- (x, p, y), a*(p)", *alphabet);
   ASSERT_TRUE(crpq.ok());
-  EXPECT_TRUE(CrpqFastPathApplies(crpq.value()));
+  EXPECT_TRUE(AllScanPlan(g, crpq.value()));
   auto ecrpq = ParseQuery(
       "Ans() <- (x, p, y), (x, q, y), el(p, q)", *alphabet);
   ASSERT_TRUE(ecrpq.ok());
-  EXPECT_FALSE(CrpqFastPathApplies(ecrpq.value()));
+  EXPECT_FALSE(AllScanPlan(g, ecrpq.value()));
   auto repeated = ParseQuery("Ans() <- (x, p, y), (y, p, z)", *alphabet);
   ASSERT_TRUE(repeated.ok());
-  EXPECT_FALSE(CrpqFastPathApplies(repeated.value()));
+  EXPECT_FALSE(AllScanPlan(g, repeated.value()));
   auto linear = ParseQuery("Ans() <- (x, p, y), len(p) >= 1", *alphabet);
   ASSERT_TRUE(linear.ok());
-  EXPECT_FALSE(CrpqFastPathApplies(linear.value()));
+  EXPECT_FALSE(AllScanPlan(g, linear.value()));
 }
 
 TEST(CrpqFastPath, ReachabilityPairs) {
@@ -43,7 +64,8 @@ TEST(CrpqFastPath, ReachabilityPairs) {
   EXPECT_EQ(pairs.size(), 3u);
 }
 
-// Cross-check the fast path against the general product engine.
+// Cross-check the all-scan plan against the monolithic product (one
+// search over every atom, no joins).
 class CrpqEngineAgreement : public ::testing::TestWithParam<int> {};
 
 TEST_P(CrpqEngineAgreement, MatchesProductEngine) {
@@ -61,8 +83,10 @@ TEST_P(CrpqEngineAgreement, MatchesProductEngine) {
     SCOPED_TRACE(text);
     auto query = ParseQuery(text, g.alphabet());
     ASSERT_TRUE(query.ok()) << query.status().ToString();
+    ASSERT_TRUE(AllScanPlan(g, query.value()));
     EvalOptions options;
-    auto fast = EvaluateCrpq(g, query.value(), options);
+    auto fast = EvaluateProduct(g, query.value(), options);
+    options.use_components = false;
     auto slow = EvaluateProduct(g, query.value(), options);
     ASSERT_TRUE(fast.ok()) << fast.status().ToString();
     ASSERT_TRUE(slow.ok()) << slow.status().ToString();
@@ -78,21 +102,10 @@ TEST(CrpqFastPath, ConstantEndpoints) {
   auto query = ParseQuery(R"(Ans(y) <- ("w0", p, y), a.*(p))",
                           g.alphabet());
   ASSERT_TRUE(query.ok());
-  auto result = EvaluateCrpq(g, query.value(), EvalOptions{});
+  auto result = EvaluateProduct(g, query.value(), EvalOptions{});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Paths from w0 starting with a: a (w1), ab (w2), aba (w3).
   EXPECT_EQ(result.value().tuples().size(), 3u);
-}
-
-TEST(CrpqFastPath, RejectsOutsideFragment) {
-  auto alphabet = Alphabet::FromLabels({"a"});
-  GraphDb g = CycleGraph(alphabet, 2, "a");
-  auto query = ParseQuery("Ans() <- (x, p, y), (x, q, y), el(p, q)",
-                          g.alphabet());
-  ASSERT_TRUE(query.ok());
-  auto result = EvaluateCrpq(g, query.value(), EvalOptions{});
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(CrpqFastPath, AutoDispatchPicksIt) {
@@ -103,7 +116,8 @@ TEST(CrpqFastPath, AutoDispatchPicksIt) {
   Evaluator evaluator(&g);
   auto result = evaluator.Evaluate(query.value());
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().stats().engine, "crpq");
+  EXPECT_EQ(result.value().stats().engine, "product");
+  EXPECT_EQ(result.value().stats().operators.at(0).op, "ReachabilityScan");
   EXPECT_EQ(result.value().tuples().size(), 3u);
 }
 
@@ -124,9 +138,10 @@ CrpqRun RunCrpq(const GraphDb& g, const std::string& text) {
   EXPECT_TRUE(query.ok()) << query.status().ToString();
   EvalOptions options;
   options.build_path_answers = false;
-  auto result = EvaluateCrpq(g, query.value(), options);
+  EXPECT_TRUE(AllScanPlan(g, query.value()));
+  auto result = EvaluateProduct(g, query.value(), options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result.value().stats().engine, "crpq");
+  EXPECT_EQ(result.value().stats().engine, "product");
   return {result.value().tuples(), result.value().stats().join_tuples};
 }
 
@@ -238,8 +253,8 @@ std::string RandomCrpq(Rng* rng, const std::vector<std::pair<int, int>>& shape,
   return "Ans(" + head + ") <- " + body;
 }
 
-// kCrpq, kProduct and kBruteForce agree on generated CRPQs, and kCrpq's
-// tuples and counters are identical at 1 and 4 threads. Brute force is
+// The all-scan plan and kBruteForce agree on generated CRPQs, and the
+// plan's tuples and counters are identical at 1 and 4 threads. Brute force is
 // exact because every path the languages accept is at most
 // bruteforce_max_len long: the layered DAGs have no longer paths, and the
 // cyclic random graphs are queried with finite languages only.
@@ -262,7 +277,7 @@ TEST(CrpqDifferential, GeneratedQueriesMatchProductAndBruteForce) {
       SCOPED_TRACE(text + " (seed " + std::to_string(seed) + ")");
       auto query = ParseQuery(text, g.alphabet());
       ASSERT_TRUE(query.ok()) << query.status().ToString();
-      ASSERT_TRUE(CrpqFastPathApplies(query.value()));
+      ASSERT_TRUE(AllScanPlan(g, query.value()));
       EvalOptions options;
       options.build_path_answers = false;
       options.bruteforce_max_len = 2;
@@ -275,7 +290,7 @@ TEST(CrpqDifferential, GeneratedQueriesMatchProductAndBruteForce) {
       QueryResult serial;
       for (int threads : {1, 4}) {
         options.num_threads = threads;
-        auto crpq = EvaluateCrpq(g, query.value(), options);
+        auto crpq = EvaluateProduct(g, query.value(), options);
         ASSERT_TRUE(crpq.ok()) << crpq.status().ToString();
         EXPECT_EQ(crpq.value().tuples(), brute.value().tuples())
             << "threads=" << threads;

@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "core/eval_bruteforce.h"
-#include "core/eval_crpq.h"
 #include "core/eval_product.h"
 #include "core/evaluator.h"
+#include "core/reachability.h"
 #include "graph/generators.h"
 #include "graph/index.h"
 #include "query/parser.h"
@@ -322,8 +322,8 @@ TEST_P(EngineIndexEquivalence, ProductMatchesBruteForce) {
   }
 }
 
-// kCrpq's per-atom scans against the monolithic product (Thm 5.1): one
-// search over both atoms at once, no joins.
+// The all-scan plan's per-atom scans against the monolithic product
+// (Thm 5.1): one search over both atoms at once, no joins.
 TEST_P(EngineIndexEquivalence, CrpqMatchesMonolithicProduct) {
   Rng rng(GetParam() + 31);
   auto alphabet = Alphabet::FromLabels({"a", "b"});
@@ -337,7 +337,7 @@ TEST_P(EngineIndexEquivalence, CrpqMatchesMonolithicProduct) {
   EvalOptions monolithic = options;
   monolithic.use_components = false;
 
-  auto crpq = EvaluateCrpq(g, query.value(), options);
+  auto crpq = EvaluateProduct(g, query.value(), options);
   auto product = EvaluateProduct(g, query.value(), monolithic);
   ASSERT_TRUE(crpq.ok()) << crpq.status().ToString();
   ASSERT_TRUE(product.ok()) << product.status().ToString();

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "api/api.h"
+#include "core/eval_product.h"
 #include "core/evaluator.h"
 #include "core/ops.h"
 #include "graph/generators.h"
@@ -424,6 +425,54 @@ TEST(ParallelCancellation, LimitAndExistsUnderParallelism) {
   while (cursor.value().Next()) ++rows;
   EXPECT_EQ(rows, 3);
   EXPECT_TRUE(cursor.value().status().ok());
+}
+
+// The streamed final join emits in one order at any lane count, so a
+// limit keeps the same tuples: the unsorted emission sequence is
+// identical at 1 and 4 threads, and `limit k` returns exactly its first
+// k tuples. The shapes leave two to four tables for the final join
+// (chains, a star, a triangle, a cross join); the graph makes the later
+// tables large enough for the index builds to take lanes.
+TEST(ParallelExecution, StreamedJoinOrderAndLimitCutIdenticalAcrossLanes) {
+  Rng rng(7);
+  GraphDb g = RandomGraph(Alphabet::FromLabels({"a", "b", "c", "d"}), 1500,
+                          4500, &rng);
+  const char* kQueries[] = {
+      "Ans(x, y, z) <- (x, p, y), (y, q, z), a*(p), b*(q)",
+      "Ans(x, y, z, w) <- (x, p, y), (y, q, z), (z, r, w), a(p), b*(q), "
+      "c(r)",
+      "Ans(x, y, z, w) <- (x, p, y), (x, q, z), (x, r, w), a(p), b(q), "
+      "c*(r)",
+      "Ans(x, y, z) <- (x, p, y), (y, q, z), (z, r, x), a*(p), b*(q), "
+      "c*(r)",
+      "Ans(x, y) <- (x, p, u), (y, q, v), abcd(p), dcba(q)",
+  };
+  auto run = [&](const Query& query, int threads, uint64_t limit) {
+    EvalOptions options;
+    options.build_path_answers = false;
+    options.num_threads = threads;
+    MaterializingSink sink(limit);
+    EvalStats stats;
+    Status st = EvaluateProduct(g, query, options, sink, stats);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return sink.tuples;  // emission order: never sorted
+  };
+  for (const char* text : kQueries) {
+    SCOPED_TRACE(text);
+    auto query = ParseQuery(text, g.alphabet());
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    const std::vector<std::vector<NodeId>> serial = run(query.value(), 1, 0);
+    ASSERT_GE(serial.size(), 3u);
+    EXPECT_EQ(run(query.value(), 4, 0), serial);
+    for (uint64_t k : {uint64_t{1}, serial.size() / 3, serial.size() - 1}) {
+      const std::vector<std::vector<NodeId>> first(serial.begin(),
+                                                   serial.begin() + k);
+      for (int threads : {1, 4}) {
+        EXPECT_EQ(run(query.value(), threads, k), first)
+            << "limit " << k << " threads=" << threads;
+      }
+    }
+  }
 }
 
 // EvalStats::Merge: counters add, operator profiles append, the engine

@@ -156,5 +156,160 @@ TEST(PartitionedJoin, TinyKeySpaceCrossCheck) {
   EXPECT_EQ(serial_stats.join_tuples, parallel_stats.join_tuples);
 }
 
+// ---- the streamed final join ----------------------------------------------
+
+// The nested-loop join StreamJoinOp must reproduce: table-0 rows in
+// order, each later table's rows in order, keeping those consistent with
+// the binding so far. `probes` counts the partial tuples that reach a
+// table after the first (StreamJoinOp's index lookups).
+void NestedLoopJoin(const std::vector<BindingTable>& tables, size_t k,
+                    std::vector<NodeId>* binding,
+                    std::vector<std::vector<NodeId>>* out,
+                    uint64_t* probes) {
+  if (k == tables.size()) {
+    out->push_back(*binding);
+    return;
+  }
+  if (k > 0) ++*probes;
+  const BindingTable& t = tables[k];
+  for (const std::vector<NodeId>& row : t.rows) {
+    std::vector<int> bound;
+    bool ok = true;
+    for (size_t c = 0; c < t.vars.size() && ok; ++c) {
+      NodeId& slot = (*binding)[t.vars[c]];
+      if (slot >= 0) {
+        ok = slot == row[c];
+      } else {
+        slot = row[c];
+        bound.push_back(t.vars[c]);
+      }
+    }
+    if (ok) NestedLoopJoin(tables, k + 1, binding, out, probes);
+    for (int v : bound) (*binding)[v] = -1;
+  }
+}
+
+// 1–4 random tables over 5 variables: skewed keys, cross joins (a table
+// sharing no column with the earlier ones) and a tiny key space (many
+// distinct keys per partition, so probe hits must re-check the key
+// columns). The last table is sometimes large enough for the
+// partitioned build to take lanes.
+std::vector<BindingTable> RandomJoinTables(Rng* rng) {
+  const size_t n = 1 + rng->Below(4);
+  const bool tiny = rng->Chance(0.3);
+  std::vector<BindingTable> tables(n);
+  for (size_t k = 0; k < n; ++k) {
+    BindingTable& t = tables[k];
+    std::vector<int> vars = {0, 1, 2, 3, 4};
+    for (size_t i = vars.size() - 1; i > 0; --i) {
+      std::swap(vars[i], vars[rng->Below(i + 1)]);
+    }
+    const bool large = k > 0 && k + 1 == n && rng->Chance(0.3);
+    vars.resize((large ? 2 : 1) + rng->Below(2));
+    t.vars = vars;
+    const uint64_t rows = large ? 5000 : 1 + rng->Below(30);
+    for (uint64_t r = 0; r < rows; ++r) {
+      std::vector<NodeId> row;
+      for (size_t c = 0; c < vars.size(); ++c) {
+        if (large && c > 0) {
+          row.push_back(static_cast<NodeId>(rng->Below(4000)));
+        } else {
+          row.push_back(tiny ? static_cast<NodeId>(rng->Below(3))
+                             : SkewedKey(rng, /*cold_range=*/40));
+        }
+      }
+      t.rows.push_back(std::move(row));
+    }
+    Dedup(&t);
+  }
+  return tables;
+}
+
+TEST(StreamJoin, MatchesNestedLoopReferenceAtEveryLaneCount) {
+  int crosses = 0;
+  int large = 0;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 31 + 5);
+    const std::vector<BindingTable> tables = RandomJoinTables(&rng);
+    std::vector<bool> seen(5, false);
+    for (size_t k = 0; k < tables.size(); ++k) {
+      bool shares = false;
+      for (int v : tables[k].vars) shares = shares || seen[v];
+      if (k > 0 && !shares) ++crosses;
+      if (k > 0 && tables[k].rows.size() >= 4096) ++large;
+      for (int v : tables[k].vars) seen[v] = true;
+    }
+    std::vector<std::vector<NodeId>> want;
+    std::vector<NodeId> binding(5, -1);
+    uint64_t probes = 0;
+    NestedLoopJoin(tables, 0, &binding, &want, &probes);
+    uint64_t build_rows = 0;
+    for (size_t k = 1; k < tables.size(); ++k) {
+      build_rows += tables[k].rows.size();
+    }
+
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      EvalStats stats;
+      std::vector<std::vector<NodeId>> got;
+      StreamJoinOp(tables, 5, stats, threads, /*cancel=*/nullptr,
+                   [&](const std::vector<NodeId>& b) {
+                     got.push_back(b);
+                     return true;
+                   });
+      EXPECT_EQ(got, want);  // content AND order
+      EXPECT_EQ(stats.join_tuples, want.size());
+      const OperatorStats& op = LastOp(stats);
+      EXPECT_EQ(op.op, "HashJoin");
+      EXPECT_EQ(op.rows_out, want.size());
+      EXPECT_EQ(op.build_rows, build_rows);
+      EXPECT_EQ(op.probe_rows, probes);
+      const bool builds_large =
+          tables.size() > 1 && tables.back().rows.size() >= 4096;
+      EXPECT_EQ(op.threads, builds_large ? threads : 1);
+
+      // A stop after k tuples keeps exactly the first k.
+      if (want.size() < 2) continue;
+      const size_t k = 1 + rng.Below(want.size() - 1);
+      std::vector<std::vector<NodeId>> first;
+      StreamJoinOp(tables, 5, stats, threads, /*cancel=*/nullptr,
+                   [&](const std::vector<NodeId>& b) {
+                     first.push_back(b);
+                     return first.size() < k;
+                   });
+      EXPECT_EQ(first, std::vector<std::vector<NodeId>>(
+                           want.begin(), want.begin() + k));
+    }
+  }
+  EXPECT_GT(crosses, 0);
+  EXPECT_GT(large, 0);
+}
+
+TEST(StreamJoin, NoTablesIsTheUnitAndCancelStops) {
+  EvalStats stats;
+  int calls = 0;
+  StreamJoinOp({}, 3, stats, 1, /*cancel=*/nullptr,
+               [&](const std::vector<NodeId>& b) {
+                 EXPECT_EQ(b, (std::vector<NodeId>{-1, -1, -1}));
+                 ++calls;
+                 return true;
+               });
+  EXPECT_EQ(calls, 1);
+
+  BindingTable t;
+  t.vars = {0};
+  t.rows = {{1}, {2}, {3}};
+  CancellationToken cancel;
+  cancel.Cancel();
+  calls = 0;
+  StreamJoinOp({t}, 1, stats, 1, &cancel,
+               [&](const std::vector<NodeId>&) {
+                 ++calls;
+                 return true;
+               });
+  EXPECT_EQ(calls, 0);
+}
+
 }  // namespace
 }  // namespace ecrpq

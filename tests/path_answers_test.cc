@@ -122,6 +122,33 @@ TEST(PathAnswers, EmptyAnswerSet) {
   EXPECT_FALSE(result.value().AsBool());
 }
 
+// The two side components (atoms over q and r) are each satisfiable, at
+// y = y1 and y = y2, but do not join on y: x is no answer, and its path
+// answer set must be empty rather than the unconstrained head search.
+TEST(PathAnswers, SideComponentsThatDoNotJoinGiveNoPaths) {
+  auto alphabet = Alphabet::FromLabels({"a", "b", "c"});
+  GraphDb g(alphabet);
+  NodeId x = g.AddNode("x");
+  NodeId y1 = g.AddNode("y1");
+  NodeId z = g.AddNode("z");
+  NodeId y2 = g.AddNode("y2");
+  NodeId w = g.AddNode("w");
+  g.AddEdge(x, Symbol{0}, y1);   // a
+  g.AddEdge(y1, Symbol{1}, z);   // b
+  g.AddEdge(y2, Symbol{2}, w);   // c
+  auto query = ParseQuery(
+      "Ans(x, p) <- (x, p, y), a(p), (y, q, z), b(q), (y, r, w), c(r)",
+      g.alphabet());
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto result = EvaluateProduct(g, query.value(), EvalOptions{});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result.value().tuples().empty());
+  auto answers = BuildPathAnswerSet(g, query.value(), EvalOptions{}, {x});
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_TRUE(answers.value().IsEmpty());
+  EXPECT_EQ(answers.value().CountTuples(3), 0u);
+}
+
 TEST(PathAnswers, RepresentationMatchesPaperExampleShape) {
   // ρ-query style: return the two property sequences relating fixed nodes
   // (Section 4). Check the answer automaton produces synchronized pairs.

@@ -99,7 +99,7 @@ std::string RandomQuery(Rng* rng, int* num_components) {
 // Recomputes the order-dependent plan annotations (shared variables, the
 // sideways flag and the join pipeline) after an externally imposed
 // component permutation.
-void RecomputeSharing(const Query& query, int num_nodes, PhysicalPlan* plan,
+void RecomputeSharing(const Query& query, PhysicalPlan* plan,
                       bool randomize_sideways, Rng* rng) {
   std::set<int> bound;
   for (PlannedComponent& pc : plan->components) {
@@ -111,7 +111,7 @@ void RecomputeSharing(const Query& query, int num_nodes, PhysicalPlan* plan,
                   (!randomize_sideways || rng->Next() % 2 == 0);
     for (int v : pc.vars) bound.insert(v);
   }
-  PlanJoinPipeline(query, num_nodes, plan);
+  PlanProjections(query, plan);
 }
 
 std::vector<std::vector<NodeId>> RunWithPlan(const GraphDb& g,
@@ -157,9 +157,9 @@ TEST(PlannerProperty, RandomQueriesMatchBruteForceUnderAnyJoinOrder) {
 
     // The join-pipeline determinism contract: tuples AND merged engine
     // counters are byte-identical at every worker-lane count, because
-    // every pipeline choice (streamed vs folded join, partition counts,
-    // morsel boundaries) is a pure function of the plan and input sizes —
-    // never the lane count. The explicit serial run is the reference;
+    // every pipeline choice (partition counts, morsel boundaries, the
+    // final join's emission order) is a pure function of the plan and
+    // input sizes — never the lane count. The explicit serial run is the reference;
     // OperatorStats::threads legitimately reports the lane count and is
     // the only field allowed to differ.
     EvalOptions serial_opts = options;
@@ -211,7 +211,7 @@ TEST(PlannerProperty, RandomQueriesMatchBruteForceUnderAnyJoinOrder) {
       std::swap(plan.components[i - 1],
                 plan.components[rng.Next() % i]);
     }
-    RecomputeSharing(query.value(), g.num_nodes(), &plan,
+    RecomputeSharing(query.value(), &plan,
                      /*randomize_sideways=*/true, &rng);
     EXPECT_EQ(brute.value().tuples(),
               RunWithPlan(g, query.value(), options, &plan));
@@ -483,10 +483,11 @@ TEST(BindingTableOps, SemiJoinFilterAndProjectDistinct) {
             (std::vector<std::vector<NodeId>>{{5}, {7}}));
 }
 
-// kCrpq is the all-scan plan on the product executor: for a CRPQ its
-// plan must carry exactly the product plan's annotations (order, seeding,
-// directions, lanes, early projection), so Explain describes what runs.
-TEST(PlannerPlans, CrpqPlanAnnotationsEqualProductPlan) {
+// A CRPQ plans as the all-scan plan of Thm 6.5: kAuto picks kProduct,
+// whose components are single atoms, so every leaf is a ReachabilityScan
+// over one atom. Forbidding decomposition gives the one monolithic
+// product leaf instead (the Thm 5.1 baseline).
+TEST(PlannerPlans, CrpqPlansAsAllScanPlan) {
   const char* kTexts[] = {
       "Ans(x, z) <- (x, p, y), (y, q, z), (ab)*(p), b*(q)",
       "Ans(x) <- (x, p, y), (x, q, z), (x, r, w), a*(p), b+(q), ab(r)",
@@ -505,46 +506,30 @@ TEST(PlannerPlans, CrpqPlanAnnotationsEqualProductPlan) {
       ASSERT_TRUE(compiled.ok());
       EvalOptions options;
       options.num_threads = 4;
-      PhysicalPlan crpq =
+      PhysicalPlan plan =
           PlanQuery(query.value(), *compiled.value(), *index, options);
-      ASSERT_EQ(crpq.engine, Engine::kCrpq);
-      options.engine = Engine::kProduct;
-      PhysicalPlan product =
+      ASSERT_EQ(plan.engine, Engine::kProduct);
+      ASSERT_EQ(plan.components.size(), query.value().path_atoms().size());
+      std::set<int> atoms;
+      for (const PlannedComponent& pc : plan.components) {
+        EXPECT_EQ(pc.leaf, OpKind::kReachabilityScan);
+        ASSERT_EQ(pc.atom_indices.size(), 1u);
+        atoms.insert(pc.atom_indices[0]);
+      }
+      EXPECT_EQ(atoms.size(), plan.components.size());
+
+      options.use_components = false;
+      PhysicalPlan monolithic =
           PlanQuery(query.value(), *compiled.value(), *index, options);
-      ASSERT_EQ(crpq.components.size(), product.components.size());
-      for (size_t i = 0; i < crpq.components.size(); ++i) {
-        const PlannedComponent& a = crpq.components[i];
-        const PlannedComponent& b = product.components[i];
-        EXPECT_EQ(a.atom_indices, b.atom_indices);
-        EXPECT_EQ(a.leaf, OpKind::kReachabilityScan);
-        EXPECT_EQ(a.leaf, b.leaf);
-        EXPECT_EQ(a.vars, b.vars);
-        EXPECT_EQ(a.shared_vars, b.shared_vars);
-        EXPECT_EQ(a.sideways, b.sideways);
-        EXPECT_EQ(a.direction, b.direction);
-        EXPECT_EQ(a.threads, b.threads);
-        EXPECT_EQ(a.demoted_serial, b.demoted_serial);
-        EXPECT_EQ(a.join_threads, b.join_threads);
-        EXPECT_EQ(a.join_parallel_ok, b.join_parallel_ok);
-      }
-      EXPECT_EQ(crpq.semijoin_threads, product.semijoin_threads);
-      ASSERT_EQ(crpq.projections.size(), product.projections.size());
-      for (size_t i = 0; i < crpq.projections.size(); ++i) {
-        EXPECT_EQ(crpq.projections[i].left, product.projections[i].left);
-        EXPECT_EQ(crpq.projections[i].right, product.projections[i].right);
-        EXPECT_EQ(crpq.projections[i].keep, product.projections[i].keep);
-      }
-      // Same operator tree; only the engine line differs.
-      std::string crpq_text = crpq.Describe(query.value());
-      std::string product_text = product.Describe(query.value());
-      EXPECT_EQ(crpq_text.substr(crpq_text.find('\n')),
-                product_text.substr(product_text.find('\n')));
+      ASSERT_EQ(monolithic.components.size(), 1u);
+      EXPECT_EQ(monolithic.components[0].atom_indices.size(),
+                query.value().path_atoms().size());
     }
   }
 }
 
 // Per-operator counters are populated by the operator layer.
-TEST(OperatorStatsTest, PopulatedByProductAndCrpq) {
+TEST(OperatorStatsTest, PopulatedByProductAndAllScanPlans) {
   GraphDb g = SmallDag(2);
   EvalOptions options;
   options.build_path_answers = false;
@@ -576,10 +561,11 @@ TEST(OperatorStatsTest, PopulatedByProductAndCrpq) {
   EvalStats crpq_stats;
   ASSERT_TRUE(
       evaluator.Evaluate(crpq_query.value(), crpq_sink, crpq_stats).ok());
-  EXPECT_EQ(crpq_stats.engine, "crpq");
+  EXPECT_EQ(crpq_stats.engine, "product");
   bool saw_scan = false;
   for (const OperatorStats& op : crpq_stats.operators) {
     if (op.op == "ReachabilityScan") saw_scan = true;
+    EXPECT_NE(op.op, "ProductExpand");
   }
   EXPECT_TRUE(saw_scan);
 }
