@@ -44,6 +44,12 @@ class Nfa {
   /// Adds a transition. `symbol` must be kEpsilon or in [0, num_symbols).
   void AddTransition(StateId from, Symbol symbol, StateId to);
 
+  /// Reserves room for `count` arcs out of `state`, so a builder that
+  /// knows a state's out-degree sizes its arc list once.
+  void ReserveArcs(StateId state, size_t count) {
+    arcs_[state].reserve(count);
+  }
+
   void SetInitial(StateId state, bool initial = true);
   void SetAccepting(StateId state, bool accepting = true);
 

@@ -1,6 +1,7 @@
 #include "automata/operations.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <queue>
 #include <unordered_map>
@@ -30,6 +31,54 @@ uint64_t PairKey(int32_t x, int32_t y) {
   return (static_cast<uint64_t>(x) << 32) | static_cast<uint32_t>(y);
 }
 
+// Dense ids of state pairs: one open-addressing table of packed pair keys
+// (linear probing, doubled at half load).
+class PairIds {
+ public:
+  // The id of `key`; inserts it with id `next` when absent. second is
+  // true on insertion.
+  std::pair<StateId, bool> Insert(uint64_t key, StateId next) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Home(key);; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.id < 0) {
+        slot = {key, next};
+        ++size_;
+        return {next, true};
+      }
+      if (slot.key == key) return {slot.id, false};
+    }
+  }
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    StateId id = -1;
+  };
+
+  size_t Home(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
+    shift_ = 64 - std::countr_zero(slots_.size());
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id < 0) continue;
+      size_t i = Home(slot.key);
+      while (slots_[i].id >= 0) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+  int shift_ = 64;
+};
+
 std::vector<bool> ReachableStates(const Nfa& nfa) {
   std::vector<bool> seen(nfa.num_states(), false);
   std::vector<StateId> stack;
@@ -51,13 +100,19 @@ std::vector<bool> ReachableStates(const Nfa& nfa) {
 }
 
 std::vector<bool> CoReachableStates(const Nfa& nfa) {
-  std::vector<std::vector<StateId>> rev(nfa.num_states());
-  for (StateId s = 0; s < nfa.num_states(); ++s) {
-    for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) {
-      rev[arc.second].push_back(s);
-    }
+  // Predecessor lists in one array: state t owns [start[t], start[t+1]).
+  const int n = nfa.num_states();
+  std::vector<size_t> start(n + 1, 0);
+  for (StateId s = 0; s < n; ++s) {
+    for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) ++start[arc.second + 1];
   }
-  std::vector<bool> seen(nfa.num_states(), false);
+  for (int t = 0; t < n; ++t) start[t + 1] += start[t];
+  std::vector<StateId> preds(start[n]);
+  std::vector<size_t> fill(start.begin(), start.end() - 1);
+  for (StateId s = 0; s < n; ++s) {
+    for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) preds[fill[arc.second]++] = s;
+  }
+  std::vector<bool> seen(n, false);
   std::vector<StateId> stack;
   for (StateId s : nfa.AcceptingStates()) {
     seen[s] = true;
@@ -66,10 +121,10 @@ std::vector<bool> CoReachableStates(const Nfa& nfa) {
   while (!stack.empty()) {
     StateId s = stack.back();
     stack.pop_back();
-    for (StateId p : rev[s]) {
-      if (!seen[p]) {
-        seen[p] = true;
-        stack.push_back(p);
+    for (size_t i = start[s]; i < start[s + 1]; ++i) {
+      if (!seen[preds[i]]) {
+        seen[preds[i]] = true;
+        stack.push_back(preds[i]);
       }
     }
   }
@@ -91,29 +146,71 @@ ArcsBySymbol::ArcsBySymbol(const Nfa& nfa) {
                      });
     offsets_.push_back(arcs_.size());
   }
-}
-
-std::span<const Nfa::Arc> ArcsBySymbol::On(StateId state,
-                                           Symbol symbol) const {
-  std::span<const Nfa::Arc> arcs = From(state);
-  auto lo = std::lower_bound(
-      arcs.begin(), arcs.end(), symbol,
-      [](const Nfa::Arc& arc, Symbol sym) { return arc.first < sym; });
-  auto hi = std::upper_bound(
-      lo, arcs.end(), symbol,
-      [](Symbol sym, const Nfa::Arc& arc) { return sym < arc.first; });
-  return {lo, hi};
+  // A run starts at a state's first arc and wherever the symbol changes.
+  auto starts_run = [this](StateId s, size_t i) {
+    return i == offsets_[s] || arcs_[i].first != arcs_[i - 1].first;
+  };
+  size_t num_runs = 0;
+  for (StateId s = 0; s < nfa.num_states(); ++s) {
+    for (size_t i = offsets_[s]; i < offsets_[s + 1]; ++i) {
+      if (starts_run(s, i)) ++num_runs;
+    }
+  }
+  // At most a quarter full: a lookup for an absent symbol, the common
+  // case in a subset simulation, ends at an empty slot within few probes.
+  runs_.assign(std::max<size_t>(2, std::bit_ceil(4 * num_runs)), 0);
+  shift_ = 64 - std::countr_zero(runs_.size());
+  const size_t mask = runs_.size() - 1;
+  for (StateId s = 0; s < nfa.num_states(); ++s) {
+    for (size_t i = offsets_[s]; i < offsets_[s + 1]; ++i) {
+      if (!starts_run(s, i)) continue;
+      size_t slot = Home(s, arcs_[i].first);
+      while (runs_[slot] != 0) slot = (slot + 1) & mask;
+      runs_[slot] = static_cast<uint32_t>(i + 1);
+    }
+  }
 }
 
 Nfa RemoveEpsilons(const Nfa& nfa) {
   if (!nfa.HasEpsilonArcs()) return nfa;
+  const int n = nfa.num_states();
+  std::vector<int> letter_arcs(n, 0);  // non-ε arcs per state
+  for (StateId s = 0; s < n; ++s) {
+    for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) {
+      if (arc.first != kEpsilon) ++letter_arcs[s];
+    }
+  }
   Nfa out(nfa.num_symbols());
-  out.AddStates(nfa.num_states());
-  for (StateId s = 0; s < nfa.num_states(); ++s) {
-    std::vector<StateId> closure = nfa.EpsilonClosure({s});
+  out.AddStates(n);
+  // in_closure[c] == s + 1 marks c as in the ε-closure of s, so one array
+  // serves every state.
+  std::vector<StateId> in_closure(n, 0);
+  std::vector<StateId> closure;
+  std::vector<StateId> stack;
+  for (StateId s = 0; s < n; ++s) {
+    in_closure[s] = s + 1;
+    closure.assign(1, s);
+    stack.assign(1, s);
+    while (!stack.empty()) {
+      StateId t = stack.back();
+      stack.pop_back();
+      for (const Nfa::Arc& arc : nfa.ArcsFrom(t)) {
+        if (arc.first == kEpsilon && in_closure[arc.second] != s + 1) {
+          in_closure[arc.second] = s + 1;
+          closure.push_back(arc.second);
+          stack.push_back(arc.second);
+        }
+      }
+    }
+    std::sort(closure.begin(), closure.end());
+    size_t count = 0;
     bool accepting = false;
     for (StateId c : closure) {
+      count += letter_arcs[c];
       if (nfa.IsAccepting(c)) accepting = true;
+    }
+    out.ReserveArcs(s, count);
+    for (StateId c : closure) {
       for (const Nfa::Arc& arc : nfa.ArcsFrom(c)) {
         if (arc.first != kEpsilon) {
           out.AddTransition(s, arc.first, arc.second);
@@ -124,6 +221,11 @@ Nfa RemoveEpsilons(const Nfa& nfa) {
     if (nfa.IsInitial(s)) out.SetInitial(s);
   }
   return out;
+}
+
+const Nfa& EpsilonFree(const Nfa& nfa, std::optional<Nfa>* storage) {
+  if (!nfa.HasEpsilonArcs()) return nfa;
+  return storage->emplace(RemoveEpsilons(nfa));
 }
 
 Nfa Trim(const Nfa& nfa) {
@@ -140,6 +242,11 @@ Nfa Trim(const Nfa& nfa) {
   }
   for (StateId s = 0; s < nfa.num_states(); ++s) {
     if (remap[s] < 0) continue;
+    size_t kept = 0;
+    for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) {
+      if (remap[arc.second] >= 0) ++kept;
+    }
+    out.ReserveArcs(remap[s], kept);
     for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) {
       if (remap[arc.second] >= 0) {
         out.AddTransition(remap[s], arc.first, remap[arc.second]);
@@ -152,6 +259,13 @@ Nfa Trim(const Nfa& nfa) {
 Nfa Reverse(const Nfa& nfa) {
   Nfa out(nfa.num_symbols());
   out.AddStates(nfa.num_states());
+  std::vector<size_t> in_degree(nfa.num_states(), 0);
+  for (StateId s = 0; s < nfa.num_states(); ++s) {
+    for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) ++in_degree[arc.second];
+  }
+  for (StateId s = 0; s < nfa.num_states(); ++s) {
+    out.ReserveArcs(s, in_degree[s]);
+  }
   for (StateId s = 0; s < nfa.num_states(); ++s) {
     if (nfa.IsInitial(s)) out.SetAccepting(s);
     if (nfa.IsAccepting(s)) out.SetInitial(s);
@@ -225,23 +339,25 @@ Nfa OptionalNfa(const Nfa& a) {
 
 Nfa IntersectNfa(const Nfa& a_in, const Nfa& b_in) {
   ECRPQ_DCHECK(a_in.num_symbols() == b_in.num_symbols());
-  const Nfa a = RemoveEpsilons(a_in);
-  const Nfa b = RemoveEpsilons(b_in);
+  std::optional<Nfa> a_storage;
+  std::optional<Nfa> b_storage;
+  const Nfa& a = EpsilonFree(a_in, &a_storage);
+  const Nfa& b = EpsilonFree(b_in, &b_storage);
   const ArcsBySymbol b_arcs(b);
   Nfa out(a.num_symbols());
 
   // On-the-fly product over reachable pairs only, numbered in BFS order;
   // pairs[id] is the (a-state, b-state) of product state id.
-  std::unordered_map<uint64_t, StateId> ids;
+  PairIds ids;
   std::vector<std::pair<StateId, StateId>> pairs;
   auto get = [&](StateId x, StateId y) {
-    auto [it, inserted] = ids.emplace(PairKey(x, y), 0);
+    auto [id, inserted] = ids.Insert(PairKey(x, y), out.num_states());
     if (inserted) {
-      it->second = out.AddState();
+      out.AddState();
       pairs.emplace_back(x, y);
-      if (a.IsAccepting(x) && b.IsAccepting(y)) out.SetAccepting(it->second);
+      if (a.IsAccepting(x) && b.IsAccepting(y)) out.SetAccepting(id);
     }
-    return it->second;
+    return id;
   };
   for (StateId x : a.InitialStates()) {
     for (StateId y : b.InitialStates()) {
@@ -249,13 +365,29 @@ Nfa IntersectNfa(const Nfa& a_in, const Nfa& b_in) {
     }
   }
   // A product state's arcs follow a's arc order, and b's arc order within
-  // one arc of a.
+  // one arc of a. first_arc[sym] is the index in b_arcs.From(y) of y's
+  // first arc on `sym` while y's partner states are expanded (kNoArc
+  // otherwise), so each arc of x finds its partners without a search.
+  constexpr uint32_t kNoArc = UINT32_MAX;
+  std::vector<uint32_t> first_arc(a.num_symbols(), kNoArc);
+  std::vector<Nfa::Arc> arcs;
   for (StateId from = 0; from < out.num_states(); ++from) {
     auto [x, y] = pairs[from];
+    const std::span<const Nfa::Arc> by = b_arcs.From(y);
+    for (uint32_t i = static_cast<uint32_t>(by.size()); i-- > 0;) {
+      first_arc[by[i].first] = i;
+    }
+    arcs.clear();
     for (const Nfa::Arc& ax : a.ArcsFrom(x)) {
-      for (const Nfa::Arc& by : b_arcs.On(y, ax.first)) {
-        out.AddTransition(from, ax.first, get(ax.second, by.second));
+      for (uint32_t i = first_arc[ax.first];
+           i < by.size() && by[i].first == ax.first; ++i) {
+        arcs.emplace_back(ax.first, get(ax.second, by[i].second));
       }
+    }
+    for (const Nfa::Arc& arc : by) first_arc[arc.first] = kNoArc;
+    out.ReserveArcs(from, arcs.size());
+    for (const Nfa::Arc& arc : arcs) {
+      out.AddTransition(from, arc.first, arc.second);
     }
   }
   return out;

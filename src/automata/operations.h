@@ -19,10 +19,13 @@ namespace ecrpq {
 
 /// The arcs of an NFA grouped by symbol: per state, a copy of its arcs
 /// stably sorted by symbol, so the arcs of one state on one symbol form a
-/// contiguous range in insertion order. Products look up partner arcs here
-/// instead of scanning every arc pair.
+/// contiguous range (a run) in insertion order. Products look up partner
+/// arcs here instead of scanning every arc pair; On() finds a run with one
+/// probe sequence of a hash table over the runs.
 class ArcsBySymbol {
  public:
+  /// No states.
+  ArcsBySymbol() : offsets_{0}, runs_(2, 0) {}
   explicit ArcsBySymbol(const Nfa& nfa);
 
   /// All arcs of `state`, sorted by symbol (stable).
@@ -32,15 +35,45 @@ class ArcsBySymbol {
   }
 
   /// Arcs of `state` labelled `symbol`, in insertion order.
-  std::span<const Nfa::Arc> On(StateId state, Symbol symbol) const;
+  std::span<const Nfa::Arc> On(StateId state, Symbol symbol) const {
+    const size_t begin = offsets_[state];
+    const size_t end = offsets_[state + 1];
+    const size_t mask = runs_.size() - 1;
+    for (size_t i = Home(state, symbol);; i = (i + 1) & mask) {
+      if (runs_[i] == 0) return {};
+      const size_t first = runs_[i] - 1;
+      if (first >= begin && first < end && arcs_[first].first == symbol) {
+        size_t last = first + 1;
+        while (last < end && arcs_[last].first == symbol) ++last;
+        return {arcs_.data() + first, arcs_.data() + last};
+      }
+    }
+  }
 
  private:
+  size_t Home(StateId state, Symbol symbol) const {
+    const uint64_t key = (static_cast<uint64_t>(state) << 32) |
+                         static_cast<uint32_t>(symbol);
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
   std::vector<Nfa::Arc> arcs_;
   std::vector<size_t> offsets_;  // state s owns [offsets_[s], offsets_[s+1])
+  // Open-addressing table (linear probing, at most a quarter full) of
+  // the runs: 1 + the index in arcs_ of a run's first arc; 0 = empty.
+  std::vector<uint32_t> runs_;
+  int shift_ = 63;  // 64 - log2(runs_.size())
 };
 
-/// Equivalent NFA without ε-transitions.
+/// Equivalent NFA without ε-transitions, over the same state ids: state s
+/// keeps its initial flag, accepts iff its ε-closure holds an accepting
+/// state, and gets the non-ε arcs of its closure's states in ascending
+/// state order (each state's arcs in insertion order).
 Nfa RemoveEpsilons(const Nfa& nfa);
+
+/// `nfa` itself when it has no ε-arcs; otherwise RemoveEpsilons(nfa),
+/// built into `*storage`. Read-only callers use it to skip the copy.
+const Nfa& EpsilonFree(const Nfa& nfa, std::optional<Nfa>* storage);
 
 /// Restriction to states both reachable from an initial state and
 /// co-reachable from an accepting state. Preserves the language. The result
@@ -65,7 +98,16 @@ Nfa PlusNfa(const Nfa& a);
 /// L(a) ∪ {ε}.
 Nfa OptionalNfa(const Nfa& a);
 
-/// L(a) ∩ L(b) via the product construction (ε-arcs are eliminated first).
+/// L(a) ∩ L(b) via the product construction over reachable pairs only
+/// (ε-arcs are eliminated first, see RemoveEpsilons). Numbering: the pairs
+/// of a's and b's initial states are states 0.. (a's initial states
+/// ascending, b's ascending within each), and later pairs are numbered in
+/// the order the breadth-first expansion below first reaches them. A
+/// state is accepting iff both of its components are. Arc order: state
+/// (x, y) gets one arc per pair of an arc of x and an arc of y on the same
+/// symbol, ordered by x's arc order and, within one arc of x, by y's arc
+/// order; states are expanded in id order. Each state's arcs are found in
+/// time linear in the two components' out-degrees plus the output.
 Nfa IntersectNfa(const Nfa& a, const Nfa& b);
 
 /// Subset construction. The result is complete (includes a dead state when

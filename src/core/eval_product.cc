@@ -1,6 +1,7 @@
 #include "core/eval_product.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <set>
@@ -11,6 +12,35 @@
 #include "core/planner.h"
 
 namespace ecrpq {
+
+namespace {
+
+// masks[s][tape]: bit c set iff some arc of `s` reads base letter c on
+// `tape`; all-ones when the base alphabet exceeds 64 letters. The arcs of
+// one state on one letter are adjacent in `arcs`, so each distinct letter
+// of a state is decoded once.
+std::vector<std::vector<uint64_t>> TapeMasks(const TupleAlphabet& ta,
+                                             const ArcsBySymbol& arcs,
+                                             int num_states) {
+  const bool prune = ta.base_size() <= 64;
+  std::vector<std::vector<uint64_t>> masks(
+      num_states, std::vector<uint64_t>(ta.arity(), prune ? 0 : ~0ULL));
+  if (!prune) return masks;
+  for (StateId s = 0; s < num_states; ++s) {
+    Symbol last = kEpsilon;
+    for (const Nfa::Arc& arc : arcs.From(s)) {
+      if (arc.first == last) continue;
+      last = arc.first;
+      for (int tape = 0; tape < ta.arity(); ++tape) {
+        const Symbol letter = ta.Component(arc.first, tape);
+        if (letter != kPad) masks[s][tape] |= 1ULL << letter;
+      }
+    }
+  }
+  return masks;
+}
+
+}  // namespace
 
 Result<CompiledQueryPtr> CompileQuery(const Query& query, int base_size) {
   auto out = std::make_shared<CompiledQuery>();
@@ -25,68 +55,27 @@ Result<CompiledQueryPtr> CompileQuery(const Query& query, int base_size) {
     ResolvedRelation rr;
     rr.relation = atom.relation.get();
     rr.nfa = RemoveEpsilons(atom.relation->nfa());
-    rr.transitions.resize(rr.nfa.num_states());
-    for (StateId s = 0; s < rr.nfa.num_states(); ++s) {
-      for (const Nfa::Arc& arc : rr.nfa.ArcsFrom(s)) {
-        rr.transitions[s][arc.first].push_back(arc.second);
-      }
-    }
-    const TupleAlphabet& ta = atom.relation->tuple_alphabet();
-    const int arity = atom.relation->arity();
-    rr.tape_masks.assign(rr.nfa.num_states(),
-                         std::vector<uint64_t>(arity, 0));
-    if (base_size > 64) {
-      for (auto& masks : rr.tape_masks) {
-        for (uint64_t& m : masks) m = ~0ULL;
-      }
-    } else {
-      for (StateId s = 0; s < rr.nfa.num_states(); ++s) {
-        for (const Nfa::Arc& arc : rr.nfa.ArcsFrom(s)) {
-          TupleLetter letter = ta.Decode(arc.first);
-          for (int tape = 0; tape < arity; ++tape) {
-            if (letter[tape] != kPad) {
-              rr.tape_masks[s][tape] |= 1ULL << letter[tape];
-            }
-          }
-        }
-      }
-    }
+    rr.arcs = ArcsBySymbol(rr.nfa);
     rr.initial = rr.nfa.InitialStates();
     rr.accepting.resize(rr.nfa.num_states());
     for (StateId s = 0; s < rr.nfa.num_states(); ++s) {
       rr.accepting[s] = rr.nfa.IsAccepting(s);
     }
-    // Reversed tape: Reverse preserves state ids, so the reversed
-    // transition maps, masks, and endpoint sets index the same states as
-    // the forward ones (backward subsets intersect forward subsets at
+    // Reversed tape: Reverse preserves state ids, so the reversed arc
+    // table, masks, and endpoint sets index the same states as the
+    // forward ones (backward subsets intersect forward subsets at
     // bidirectional meets without any remapping).
-    Nfa rev = Reverse(rr.nfa);
-    rr.rev_transitions.resize(rev.num_states());
-    rr.rev_tape_masks.assign(rev.num_states(),
-                             std::vector<uint64_t>(arity, 0));
-    for (StateId s = 0; s < rev.num_states(); ++s) {
-      for (const Nfa::Arc& arc : rev.ArcsFrom(s)) {
-        rr.rev_transitions[s][arc.first].push_back(arc.second);
-        if (base_size > 64) continue;
-        TupleLetter letter = ta.Decode(arc.first);
-        for (int tape = 0; tape < arity; ++tape) {
-          if (letter[tape] != kPad) {
-            rr.rev_tape_masks[s][tape] |= 1ULL << letter[tape];
-          }
-        }
-      }
-    }
-    if (base_size > 64) {
-      for (auto& masks : rr.rev_tape_masks) {
-        for (uint64_t& m : masks) m = ~0ULL;
-      }
-    }
+    const Nfa rev = Reverse(rr.nfa);
+    rr.rev_arcs = ArcsBySymbol(rev);
     rr.rev_initial = rev.InitialStates();
-    std::sort(rr.rev_initial.begin(), rr.rev_initial.end());
     rr.rev_accepting.resize(rev.num_states());
     for (StateId s = 0; s < rev.num_states(); ++s) {
       rr.rev_accepting[s] = rev.IsAccepting(s);
     }
+    rr.tape_masks = TapeMasks(atom.relation->tuple_alphabet(), rr.arcs,
+                              rr.nfa.num_states());
+    rr.rev_tape_masks = TapeMasks(atom.relation->tuple_alphabet(),
+                                  rr.rev_arcs, rev.num_states());
     for (const std::string& p : atom.paths) {
       rr.paths.push_back(query.PathVarIndex(p));
     }
@@ -94,6 +83,32 @@ Result<CompiledQueryPtr> CompileQuery(const Query& query, int base_size) {
   }
   out->analysis = Analyze(query);
   return CompiledQueryPtr(std::move(out));
+}
+
+bool PackedRowSet::Insert(std::span<const NodeId> row) {
+  ECRPQ_DCHECK(row.size() == width_);
+  if (2 * (size_t{size_} + 1) > slots_.size()) Grow();
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(row);; i = (i + 1) & mask) {
+    if (slots_[i] == 0) {
+      arena_.insert(arena_.end(), row.begin(), row.end());
+      slots_[i] = ++size_;
+      return true;
+    }
+    std::span<const NodeId> other = Row(slots_[i] - 1);
+    if (std::equal(other.begin(), other.end(), row.begin())) return false;
+  }
+}
+
+void PackedRowSet::Grow() {
+  slots_.assign(slots_.empty() ? 64 : 2 * slots_.size(), 0);
+  shift_ = 64 - std::countr_zero(slots_.size());
+  const size_t mask = slots_.size() - 1;
+  for (uint32_t r = 0; r < size_; ++r) {
+    size_t i = Home(Row(r));
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = r + 1;
+  }
 }
 
 Result<ResolvedQuery> ResolveQuery(const GraphDb& graph, const Query& query,
@@ -163,10 +178,11 @@ HeadTupleEmitter::HeadTupleEmitter(const ResolvedQuery& rq,
       sink_(sink),
       with_paths_(!rq.query->head_paths().empty() &&
                   options.build_path_answers),
-      heads_distinct_(heads_distinct) {}
+      heads_distinct_(heads_distinct),
+      seen_(rq.query->head_nodes().size()) {}
 
 bool HeadTupleEmitter::Emit(const std::vector<NodeId>& head) {
-  if (!heads_distinct_ && !seen_.insert(head).second) {
+  if (!heads_distinct_ && !seen_.Insert(head)) {
     return true;  // duplicate projection
   }
   bool keep_going;

@@ -19,10 +19,11 @@
 #ifndef ECRPQ_CORE_EVAL_PRODUCT_H_
 #define ECRPQ_CORE_EVAL_PRODUCT_H_
 
-#include <set>
-#include <unordered_map>
+#include <cstdint>
+#include <span>
 #include <vector>
 
+#include "automata/operations.h"
 #include "core/evaluator.h"
 #include "query/analysis.h"
 
@@ -44,12 +45,14 @@ struct ResolvedAtom {
   int path = -1;
 };
 
-/// A relation atom prepared for simulation: ε-free NFA with per-state
-/// transition maps, and the path-variable indices it reads.
+/// A relation atom prepared for simulation: ε-free NFA with symbol-sorted
+/// arc tables, and the path-variable indices it reads.
 struct ResolvedRelation {
   const RegularRelation* relation = nullptr;
   Nfa nfa;  // ε-free
-  std::vector<std::unordered_map<Symbol, std::vector<StateId>>> transitions;
+  /// nfa's arcs sorted by symbol per state: arcs.On(s, sym) lists the
+  /// successors of `s` under `sym` in arc order.
+  ArcsBySymbol arcs;
   std::vector<StateId> initial;
   std::vector<bool> accepting;
   std::vector<int> paths;  // indices into Query::path_variables()
@@ -66,8 +69,9 @@ struct ResolvedRelation {
   /// bidirectional half-searches simulate Reverse(nfa) over the SAME
   /// state id space (meet detection intersects forward and backward
   /// state-subsets directly):
-  ///   rev_transitions[s][sym] — predecessors of `s` under `sym` (the
-  ///       reversed NFA's arcs; state ids coincide with `nfa`'s);
+  ///   rev_arcs.On(s, sym) — predecessors of `s` under `sym` (the
+  ///       reversed NFA's arcs, symbol-sorted; state ids coincide with
+  ///       `nfa`'s);
   ///   rev_initial / rev_accepting — the forward accepting / initial
   ///       states (a backward simulation starts at acceptance and
   ///       succeeds on reaching an initial state);
@@ -75,8 +79,7 @@ struct ResolvedRelation {
   ///       symbols some transition INTO `s` reads on `tape`. A backward
   ///       expansion intersects these the way the forward search uses
   ///       tape_masks, gating GraphIndex::In() slices by InLabelMask.
-  std::vector<std::unordered_map<Symbol, std::vector<StateId>>>
-      rev_transitions;
+  ArcsBySymbol rev_arcs;
   std::vector<StateId> rev_initial;
   std::vector<bool> rev_accepting;
   std::vector<std::vector<uint64_t>> rev_tape_masks;
@@ -85,9 +88,9 @@ struct ResolvedRelation {
 };
 
 /// The graph-independent compiled form of a query: per-relation ε-free
-/// NFAs with transition maps, plus the structural analysis. This is the
-/// query-dependent work the paper's complexity split charges to
-/// compilation — PreparedQuery builds it once and shares it across
+/// NFAs with symbol-sorted arc tables, plus the structural analysis.
+/// This is the query-dependent work the paper's complexity split charges
+/// to compilation — PreparedQuery builds it once and shares it across
 /// executions; ResolveQuery builds it on the fly when absent.
 struct CompiledQuery {
   std::vector<ResolvedRelation> relations;
@@ -122,6 +125,45 @@ Result<ResolvedQuery> ResolveQuery(const GraphDb& graph, const Query& query,
                                    CompiledQueryPtr compiled = nullptr,
                                    GraphIndexPtr index = nullptr);
 
+/// FNV-1a over a row of node ids.
+struct RowHash {
+  size_t operator()(std::span<const NodeId> row) const {
+    uint64_t h = 1469598103934665603ULL;
+    for (NodeId v : row) {
+      h ^= static_cast<uint32_t>(v);
+      h *= 1099511628211ULL;
+    }
+    return h;
+  }
+};
+
+/// A set of rows of one fixed width: the rows packed back to back in one
+/// arena, and an open-addressing table (linear probing, doubled at half
+/// load) of row indices. A row is copied in only when it is new.
+class PackedRowSet {
+ public:
+  explicit PackedRowSet(size_t width) : width_(width) {}
+
+  /// Adds `row` (width values); false when an equal row is already in.
+  bool Insert(std::span<const NodeId> row);
+
+ private:
+  std::span<const NodeId> Row(uint32_t index) const {
+    return {arena_.data() + index * width_, width_};
+  }
+  size_t Home(std::span<const NodeId> row) const {
+    return static_cast<size_t>((RowHash()(row) * 0x9E3779B97F4A7C15ULL) >>
+                               shift_);
+  }
+  void Grow();
+
+  size_t width_;
+  uint32_t size_ = 0;
+  int shift_ = 64;
+  std::vector<NodeId> arena_;    // row i at [i * width_, (i + 1) * width_)
+  std::vector<uint32_t> slots_;  // row index + 1; 0 = empty
+};
+
 /// Shared streaming emission for engines that project head tuples during
 /// a join: deduplicates, builds the Prop 5.2 path-answer automaton per
 /// new tuple when the query requests it, and pushes into the sink.
@@ -154,7 +196,7 @@ class HeadTupleEmitter {
   bool with_paths_;
   bool heads_distinct_;
   bool stopped_by_sink_ = false;
-  std::set<std::vector<NodeId>> seen_;
+  PackedRowSet seen_;
   Status status_;
 };
 

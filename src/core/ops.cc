@@ -18,18 +18,6 @@ namespace ecrpq {
 
 namespace {
 
-// FNV-1a over a row.
-struct RowHash {
-  size_t operator()(const std::vector<NodeId>& row) const {
-    uint64_t h = 1469598103934665603ULL;
-    for (NodeId v : row) {
-      h ^= static_cast<uint32_t>(v);
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
-};
-
 // Appends distinct rows to a row list, keeping first occurrences in
 // order: Add() appends the candidate row and takes it back when an equal
 // row is already there. The set holds row ids, so each row is stored
@@ -353,12 +341,12 @@ Status ChargeConfig(const EvalOptions& options,
 //
 // A context is built for one direction. Forward contexts run the classic
 // search: configurations advance on out-edges, state-subsets advance on
-// the forward transition maps, acceptance needs an accepting state per
+// the forward arc table, acceptance needs an accepting state per
 // relation, and the padmask marks tracks whose word has ENDED (pads are a
 // monotone suffix: a padded track may only keep padding). Backward
 // contexts run the exact mirror over the compiled reversed tape
 // (ResolvedRelation::rev_*): configurations advance on in-edges gated by
-// InLabelMask, subsets advance on rev_transitions (so a backward subset
+// InLabelMask, subsets advance on rev_arcs (so a backward subset
 // holds the forward states from which an accepting state is reachable via
 // the consumed suffix), acceptance needs a forward-INITIAL state per
 // relation, and the padmask marks tracks that have STARTED consuming (a
@@ -389,7 +377,7 @@ class ComponentSearch {
       rel_local_tracks_.push_back(std::move(local));
       rel_alphabets_.emplace_back(rel.relation->tuple_alphabet());
       RelView view;
-      view.transitions = backward_ ? &rel.rev_transitions : &rel.transitions;
+      view.arcs = backward_ ? &rel.rev_arcs : &rel.arcs;
       view.initial = backward_ ? &rel.rev_initial : &rel.initial;
       view.accepting = backward_ ? &rel.rev_accepting : &rel.accepting;
       view.tape_masks = backward_ ? &rel.rev_tape_masks : &rel.tape_masks;
@@ -567,10 +555,9 @@ class ComponentSearch {
 
  private:
   // The direction's view of one compiled relation: forward or reversed
-  // transition maps, endpoint sets, and tape masks (state ids coincide).
+  // arc tables, endpoint sets, and tape masks (state ids coincide).
   struct RelView {
-    const std::vector<std::unordered_map<Symbol, std::vector<StateId>>>*
-        transitions = nullptr;
+    const ArcsBySymbol* arcs = nullptr;
     const std::vector<StateId>* initial = nullptr;
     const std::vector<bool>* accepting = nullptr;
     const std::vector<std::vector<uint64_t>>* tape_masks = nullptr;
@@ -659,7 +646,7 @@ class ComponentSearch {
       next.nodes = *next_nodes;
       next.subset_ids.resize(comp_.relation_indices.size());
       for (size_t i = 0; i < comp_.relation_indices.size(); ++i) {
-        const auto& transitions = *views_[i].transitions;
+        const ArcsBySymbol& arcs = *views_[i].arcs;
         const std::vector<int>& local = rel_local_tracks_[i];
         TupleLetter proj(local.size());
         bool rel_all_pad = true;
@@ -678,10 +665,8 @@ class ComponentSearch {
         {
           auto&& subset = pool_->Get(current.subset_ids[i]);
           for (StateId s : subset) {
-            auto it = transitions[s].find(id);
-            if (it != transitions[s].end()) {
-              advanced.insert(advanced.end(), it->second.begin(),
-                              it->second.end());
+            for (const Nfa::Arc& arc : arcs.On(s, id)) {
+              advanced.push_back(arc.second);
             }
           }
         }

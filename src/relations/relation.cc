@@ -1,10 +1,31 @@
 #include "relations/relation.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "automata/operations.h"
 
 namespace ecrpq {
+
+namespace {
+
+// Per letter of `from`: the letter of `to` whose tape t reads tape
+// `tapes[t]` of it (the all-⊥ letter of `to` when every tape read is ⊥).
+// Built once per call, so relabelling an automaton decodes no arc.
+std::vector<Symbol> TapeRelabelTable(const TupleAlphabet& from,
+                                     const TupleAlphabet& to,
+                                     const std::vector<int>& tapes) {
+  std::vector<Symbol> table(from.num_symbols());
+  TupleLetter dst(to.arity());
+  for (Symbol id = 0; id < from.num_symbols(); ++id) {
+    TupleLetter src = from.Decode(id);
+    for (int t = 0; t < to.arity(); ++t) dst[t] = src[tapes[t]];
+    table[id] = to.Encode(dst);
+  }
+  return table;
+}
+
+}  // namespace
 
 Nfa ValidConvolutionNfa(const TupleAlphabet& ta) {
   const int arity = ta.arity();
@@ -115,20 +136,18 @@ Result<RegularRelation> RegularRelation::PermuteTapes(
         "PermuteTapes: must be a permutation (use Project to drop tapes)");
   }
   TupleAlphabet out_ta(base_size(), new_arity);
+  const std::vector<Symbol> relabel =
+      TapeRelabelTable(tuple_alphabet_, out_ta, tape_map);
   Nfa out(out_ta.num_symbols());
   out.AddStates(nfa_.num_states());
   for (StateId s = 0; s < nfa_.num_states(); ++s) {
     if (nfa_.IsInitial(s)) out.SetInitial(s);
     if (nfa_.IsAccepting(s)) out.SetAccepting(s);
+    out.ReserveArcs(s, nfa_.ArcsFrom(s).size());
     for (const Nfa::Arc& arc : nfa_.ArcsFrom(s)) {
-      if (arc.first == kEpsilon) {
-        out.AddTransition(s, kEpsilon, arc.second);
-        continue;
-      }
-      TupleLetter src = tuple_alphabet_.Decode(arc.first);
-      TupleLetter dst(new_arity);
-      for (int t = 0; t < new_arity; ++t) dst[t] = src[tape_map[t]];
-      out.AddTransition(s, out_ta.Encode(dst), arc.second);
+      out.AddTransition(
+          s, arc.first == kEpsilon ? kEpsilon : relabel[arc.first],
+          arc.second);
     }
   }
   return RegularRelation(base_size(), new_arity, std::move(out),
@@ -152,7 +171,8 @@ Result<RegularRelation> RegularRelation::Cylindrify(
     used[pos] = true;
   }
 
-  const Nfa base = RemoveEpsilons(nfa_);
+  std::optional<Nfa> storage;
+  const Nfa& base = EpsilonFree(nfa_, &storage);
   TupleAlphabet out_ta(base_size(), new_arity);
   Nfa out(out_ta.num_symbols());
   // States of `base` plus one "done" state (own tapes exhausted, other
@@ -181,20 +201,16 @@ Result<RegularRelation> RegularRelation::Cylindrify(
       by_own[arc.first].emplace_back(s, arc.second);
     }
   }
-  TupleLetter own(arity());
+  const std::vector<Symbol> own_of =
+      TapeRelabelTable(out_ta, own_ta, positions);
   for (Symbol letter = 0; letter < out_ta.num_symbols(); ++letter) {
-    TupleLetter full = out_ta.Decode(letter);
-    bool own_all_pad = true;
-    for (int t = 0; t < arity(); ++t) {
-      own[t] = full[positions[t]];
-      if (own[t] != kPad) own_all_pad = false;
-    }
-    if (own_all_pad) {
+    const Symbol own = own_of[letter];
+    if (own == own_ta.AllPadId()) {
       // Own tapes silent; stay in done.
       out.AddTransition(done, letter, done);
       continue;
     }
-    for (const auto& [s, target] : by_own[own_ta.Encode(own)]) {
+    for (const auto& [s, target] : by_own[own]) {
       out.AddTransition(s, letter, target);
     }
   }
@@ -221,26 +237,22 @@ Result<RegularRelation> RegularRelation::Project(
   }
   const int new_arity = static_cast<int>(tapes.size());
   TupleAlphabet out_ta(base_size(), new_arity);
-  const Nfa base = RemoveEpsilons(nfa_);
+  const std::vector<Symbol> relabel =
+      TapeRelabelTable(tuple_alphabet_, out_ta, tapes);
+  std::optional<Nfa> storage;
+  const Nfa& base = EpsilonFree(nfa_, &storage);
   Nfa out(out_ta.num_symbols());
   out.AddStates(base.num_states());
   for (StateId s = 0; s < base.num_states(); ++s) {
     if (base.IsInitial(s)) out.SetInitial(s);
     if (base.IsAccepting(s)) out.SetAccepting(s);
+    out.ReserveArcs(s, base.ArcsFrom(s).size());
     for (const Nfa::Arc& arc : base.ArcsFrom(s)) {
-      TupleLetter src = tuple_alphabet_.Decode(arc.first);
-      TupleLetter dst(new_arity);
-      bool all_pad = true;
-      for (int t = 0; t < new_arity; ++t) {
-        dst[t] = src[tapes[t]];
-        if (dst[t] != kPad) all_pad = false;
-      }
-      if (all_pad) {
-        // Dropped tapes were longer: invisible on kept tapes.
-        out.AddTransition(s, kEpsilon, arc.second);
-      } else {
-        out.AddTransition(s, out_ta.Encode(dst), arc.second);
-      }
+      const Symbol letter = relabel[arc.first];
+      // All kept tapes ⊥: the dropped tapes were longer, invisible on the
+      // kept ones.
+      out.AddTransition(s, letter == out_ta.AllPadId() ? kEpsilon : letter,
+                        arc.second);
     }
   }
   return RegularRelation(base_size(), new_arity,
@@ -294,7 +306,8 @@ RegularRelation RegularRelation::FromLanguage(int base_size,
   // of a unary convolution).
   TupleAlphabet ta(base_size, 1);
   Nfa out(ta.num_symbols());
-  const Nfa base = RemoveEpsilons(language_nfa);
+  std::optional<Nfa> storage;
+  const Nfa& base = EpsilonFree(language_nfa, &storage);
   out.AddStates(base.num_states());
   for (StateId s = 0; s < base.num_states(); ++s) {
     if (base.IsInitial(s)) out.SetInitial(s);
@@ -335,13 +348,16 @@ RegularRelation RegularRelation::LengthAbstraction() const {
   // The result is over the same tuple alphabet; each original transition is
   // replayed with every letter sharing its pad mask.
   Nfa out(tuple_alphabet_.num_symbols());
-  const Nfa base = RemoveEpsilons(nfa_);
+  std::optional<Nfa> storage;
+  const Nfa& base = EpsilonFree(nfa_, &storage);
   out.AddStates(base.num_states());
 
-  // Group output letters by pad mask once.
+  // Pad mask of every letter, and the letters grouped by pad mask, once.
+  std::vector<uint32_t> pad_mask(tuple_alphabet_.num_symbols());
   std::vector<std::vector<Symbol>> by_mask(1u << arity());
   for (Symbol s = 0; s < tuple_alphabet_.num_symbols(); ++s) {
-    by_mask[tuple_alphabet_.PadMask(s)].push_back(s);
+    pad_mask[s] = tuple_alphabet_.PadMask(s);
+    by_mask[pad_mask[s]].push_back(s);
   }
   // Transition pad masks seen per (state, target) are deduplicated to avoid
   // quadratic duplicate arcs.
@@ -350,7 +366,7 @@ RegularRelation RegularRelation::LengthAbstraction() const {
     if (base.IsAccepting(s)) out.SetAccepting(s);
     std::vector<std::pair<uint32_t, StateId>> seen;
     for (const Nfa::Arc& arc : base.ArcsFrom(s)) {
-      uint32_t mask = tuple_alphabet_.PadMask(arc.first);
+      uint32_t mask = pad_mask[arc.first];
       std::pair<uint32_t, StateId> key{mask, arc.second};
       if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
       seen.push_back(key);

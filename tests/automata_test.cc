@@ -8,6 +8,7 @@
 
 #include "automata/operations.h"
 #include "automata/regex.h"
+#include "reference_ops.h"
 #include "util/random.h"
 
 namespace ecrpq {
@@ -242,25 +243,6 @@ Nfa RandomNfa(Rng* rng, int num_symbols, int num_states) {
   return nfa;
 }
 
-// Every state with its flags and its arcs in order.
-std::string Dump(const Nfa& nfa) {
-  std::string out = std::to_string(nfa.num_symbols()) + " symbols\n";
-  for (StateId s = 0; s < nfa.num_states(); ++s) {
-    out += std::to_string(s);
-    if (nfa.IsInitial(s)) out += " I";
-    if (nfa.IsAccepting(s)) out += " F";
-    out += ":";
-    for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) {
-      out += " ";
-      out += std::to_string(arc.first);
-      out += ">";
-      out += std::to_string(arc.second);
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 // The reference product: every arc of x against every arc of y.
 Nfa ReferenceIntersect(const Nfa& a_in, const Nfa& b_in) {
   const Nfa a = RemoveEpsilons(a_in);
@@ -336,6 +318,74 @@ TEST_P(SymbolIndexedProductTest, InclusionMatchesComplementCheck) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SymbolIndexedProductTest,
+                         ::testing::Range(0, 16));
+
+// Byte identity of the flat-table constructions against the per-state
+// closure / per-state list / hash-map references in reference_ops.h, on
+// random NFAs with ε-arcs, duplicate arcs, and several or no initial
+// states.
+class FlatTableIdentityTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FlatTableIdentityTest, RemoveEpsilonsAndTrimMatchReference) {
+  Rng rng(GetParam() + 9000);
+  for (int round = 0; round < 8; ++round) {
+    const int symbols = 1 + static_cast<int>(rng.Below(4));
+    Nfa a = RandomNfa(&rng, symbols, 1 + static_cast<int>(rng.Below(12)));
+    EXPECT_EQ(Dump(RemoveEpsilons(a)), Dump(reference::RemoveEpsilons(a)))
+        << Dump(a);
+    EXPECT_EQ(Dump(Trim(a)), Dump(reference::Trim(a))) << Dump(a);
+    const Nfa free = RemoveEpsilons(a);
+    EXPECT_EQ(Dump(Trim(free)), Dump(reference::Trim(free))) << Dump(a);
+  }
+}
+
+TEST_P(FlatTableIdentityTest, IntersectMatchesHashMapProduct) {
+  Rng rng(GetParam() + 9500);
+  for (int round = 0; round < 8; ++round) {
+    const int symbols = 1 + static_cast<int>(rng.Below(6));
+    Nfa a = RandomNfa(&rng, symbols, 1 + static_cast<int>(rng.Below(12)));
+    Nfa b = RandomNfa(&rng, symbols, 1 + static_cast<int>(rng.Below(12)));
+    EXPECT_EQ(Dump(IntersectNfa(a, b)), Dump(reference::Intersect(a, b)));
+    EXPECT_EQ(Dump(IntersectNfa(b, a)), Dump(reference::Intersect(b, a)));
+    EXPECT_EQ(Dump(IntersectNfa(a, a)), Dump(reference::Intersect(a, a)));
+    // ε-free operands are read in place rather than copied.
+    const Nfa fa = RemoveEpsilons(a);
+    const Nfa fb = RemoveEpsilons(b);
+    EXPECT_EQ(Dump(IntersectNfa(fa, fb)), Dump(reference::Intersect(fa, fb)));
+  }
+}
+
+// On(s, symbol) against a scan of s's arcs, ε included, on random NFAs
+// and on a chain whose every state has one arc on the same symbol.
+TEST_P(FlatTableIdentityTest, ArcsBySymbolOnMatchesScan) {
+  Rng rng(GetParam() + 9900);
+  std::vector<Nfa> nfas;
+  for (int round = 0; round < 8; ++round) {
+    const int symbols = 1 + static_cast<int>(rng.Below(6));
+    nfas.push_back(
+        RandomNfa(&rng, symbols, 1 + static_cast<int>(rng.Below(20))));
+  }
+  Nfa chain(2);
+  chain.AddStates(64);
+  for (StateId s = 0; s + 1 < 64; ++s) chain.AddTransition(s, 1, s + 1);
+  nfas.push_back(chain);
+  for (const Nfa& nfa : nfas) {
+    const ArcsBySymbol arcs(nfa);
+    for (StateId s = 0; s < nfa.num_states(); ++s) {
+      for (Symbol symbol = kEpsilon; symbol < nfa.num_symbols(); ++symbol) {
+        std::vector<Nfa::Arc> expected;
+        for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) {
+          if (arc.first == symbol) expected.push_back(arc);
+        }
+        std::span<const Nfa::Arc> found = arcs.On(s, symbol);
+        EXPECT_EQ(std::vector<Nfa::Arc>(found.begin(), found.end()), expected)
+            << "state " << s << " symbol " << symbol << "\n" << Dump(nfa);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlatTableIdentityTest,
                          ::testing::Range(0, 16));
 
 }  // namespace

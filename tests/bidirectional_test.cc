@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -199,8 +200,8 @@ TEST(BidirectionalSearch, ReversedTapeIsExactTranspose) {
     ASSERT_TRUE(compiled.ok()) << text;
     const ResolvedRelation& rr = compiled.value()->relations[0];
 
-    // Structural transpose: rev_transitions[s][sym] ∋ t  ⟺
-    // transitions[t][sym] ∋ s; rev_initial = accepting; rev_accepting =
+    // Structural transpose: rev_arcs.On(s, sym) ∋ t  ⟺
+    // arcs.On(t, sym) ∋ s; rev_initial = accepting; rev_accepting =
     // initial; rev_tape_masks[s] = OR of in-arc letters.
     const int n = rr.nfa.num_states();
     for (StateId s = 0; s < n; ++s) {
@@ -214,14 +215,14 @@ TEST(BidirectionalSearch, ReversedTapeIsExactTranspose) {
           << regex;
       uint64_t in_mask = 0;
       for (StateId t = 0; t < n; ++t) {
-        for (const auto& [sym, dests] : rr.transitions[t]) {
-          const bool fwd_edge =
-              std::find(dests.begin(), dests.end(), s) != dests.end();
-          auto it = rr.rev_transitions[s].find(sym);
-          const bool rev_edge =
-              it != rr.rev_transitions[s].end() &&
-              std::find(it->second.begin(), it->second.end(), t) !=
-                  it->second.end();
+        for (Symbol sym = 0; sym < rr.nfa.num_symbols(); ++sym) {
+          auto has_target = [](std::span<const Nfa::Arc> arcs, StateId x) {
+            return std::any_of(
+                arcs.begin(), arcs.end(),
+                [x](const Nfa::Arc& a) { return a.second == x; });
+          };
+          const bool fwd_edge = has_target(rr.arcs.On(t, sym), s);
+          const bool rev_edge = has_target(rr.rev_arcs.On(s, sym), t);
           EXPECT_EQ(fwd_edge, rev_edge) << regex << " state " << s;
           if (fwd_edge) in_mask |= 1ULL << sym;
         }

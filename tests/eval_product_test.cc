@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "core/eval_product.h"
 #include "core/evaluator.h"
 #include "graph/generators.h"
 #include "query/parser.h"
+#include "reference_ops.h"
 #include "util/random.h"
 
 namespace ecrpq {
@@ -251,6 +258,105 @@ TEST(ProductEngine, VisitedTableSwitchesToStoredConfigsMidSearch) {
                                        product.tuples().end());
   EXPECT_EQ(actual, expected);
   EXPECT_GT(actual.size(), static_cast<size_t>(g.num_nodes()));
+}
+
+std::vector<StateId> Targets(std::span<const Nfa::Arc> arcs) {
+  std::vector<StateId> out;
+  for (const Nfa::Arc& arc : arcs) out.push_back(arc.second);
+  return out;
+}
+
+// CompileQuery's symbol-sorted arc tables against per-state symbol maps
+// built here from the relation automaton: the same successor and
+// predecessor lists, in arc order, for every (state, symbol); the same
+// endpoint sets; and the same tape masks decoded arc by arc.
+TEST(CompileQueryTables, MatchPerStateSymbolMaps) {
+  auto letters = [](int n, bool multi_char) {
+    std::vector<std::string> labels;
+    for (int i = 0; i < n; ++i) {
+      labels.push_back(multi_char ? "l" + std::to_string(i)
+                                  : std::string(1, static_cast<char>('a' + i)));
+    }
+    return Alphabet::FromLabels(labels);
+  };
+  const std::vector<std::pair<AlphabetPtr, std::string>> cases = {
+      {letters(16, false), "Ans() <- (x, p, y), (x, q, z), edit2(p, q)"},
+      {letters(16, false),
+       "Ans() <- (x, p, y), (x, q, z), edit1(p, q), prefix(p, q), "
+       "(a|b)*c(p), el(q, p)"},
+      {letters(2, false), "Ans() <- (x, p, y), (x, q, z), edit3(p, q)"},
+      // More than 64 letters: no letter masks (all ones).
+      {letters(70, true), "Ans() <- (x, p, y), (x, q, z), eq(p, q)"},
+  };
+  for (const auto& [alphabet, text] : cases) {
+    GraphDb g(alphabet);
+    auto query = ParseQuery(text, g.alphabet());
+    ASSERT_TRUE(query.ok()) << text;
+    auto compiled = CompileQuery(query.value(), g.alphabet().size());
+    ASSERT_TRUE(compiled.ok()) << text;
+    for (const ResolvedRelation& rr : compiled.value()->relations) {
+      const TupleAlphabet& ta = rr.relation->tuple_alphabet();
+      const Nfa nfa = reference::RemoveEpsilons(rr.relation->nfa());
+      ASSERT_EQ(Dump(rr.nfa), Dump(nfa)) << text;
+      const int n = nfa.num_states();
+      const int arity = ta.arity();
+      const uint64_t none = ta.base_size() > 64 ? ~0ULL : 0;
+      std::vector<std::map<Symbol, std::vector<StateId>>> fwd(n), rev(n);
+      std::vector<std::vector<uint64_t>> masks(
+          n, std::vector<uint64_t>(arity, none));
+      std::vector<std::vector<uint64_t>> rev_masks = masks;
+      for (StateId s = 0; s < n; ++s) {
+        for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) {
+          fwd[s][arc.first].push_back(arc.second);
+          rev[arc.second][arc.first].push_back(s);
+          if (ta.base_size() > 64) continue;
+          TupleLetter letter = ta.Decode(arc.first);
+          for (int tape = 0; tape < arity; ++tape) {
+            if (letter[tape] == kPad) continue;
+            masks[s][tape] |= 1ULL << letter[tape];
+            rev_masks[arc.second][tape] |= 1ULL << letter[tape];
+          }
+        }
+      }
+      for (StateId s = 0; s < n; ++s) {
+        for (Symbol sym = 0; sym < nfa.num_symbols(); ++sym) {
+          auto f = fwd[s].find(sym);
+          EXPECT_EQ(Targets(rr.arcs.On(s, sym)),
+                    f == fwd[s].end() ? std::vector<StateId>{} : f->second)
+              << text << " state " << s << " symbol " << sym;
+          auto r = rev[s].find(sym);
+          EXPECT_EQ(Targets(rr.rev_arcs.On(s, sym)),
+                    r == rev[s].end() ? std::vector<StateId>{} : r->second)
+              << text << " state " << s << " symbol " << sym;
+        }
+        EXPECT_EQ(rr.accepting[s], nfa.IsAccepting(s));
+        EXPECT_EQ(rr.rev_accepting[s], nfa.IsInitial(s));
+      }
+      EXPECT_EQ(rr.initial, nfa.InitialStates());
+      EXPECT_EQ(rr.rev_initial, nfa.AcceptingStates());
+      EXPECT_EQ(rr.tape_masks, masks) << text;
+      EXPECT_EQ(rr.rev_tape_masks, rev_masks) << text;
+    }
+  }
+}
+
+// The emitter's head set against std::set: the same first-occurrence
+// answers over widths 0-3, small value ranges (many repeats) and enough
+// rows to grow the table several times.
+TEST(PackedRowSet, MatchesStdSet) {
+  Rng rng(77);
+  for (size_t width = 0; width <= 3; ++width) {
+    for (int range : {2, 50, 100000}) {
+      PackedRowSet rows(width);
+      std::set<std::vector<NodeId>> reference;
+      for (int i = 0; i < 5000; ++i) {
+        std::vector<NodeId> row(width);
+        for (NodeId& v : row) v = static_cast<NodeId>(rng.Below(range));
+        ASSERT_EQ(rows.Insert(row), reference.insert(row).second)
+            << "width " << width << " range " << range << " row " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
