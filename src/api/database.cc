@@ -49,7 +49,8 @@ Status Database::LogBatchLocked(const GraphMutation* mutation,
 
 Status Database::WriteCheckpointLocked(bool required) {
   Status st = wal_->WriteCheckpoint(
-      EncodeCheckpoint(graph_), applied_lsn_.load(std::memory_order_relaxed));
+      [&](WritableFile* file) { return EncodeCheckpoint(graph_, file); },
+      applied_lsn_.load(std::memory_order_relaxed));
   if (st.ok()) {
     checkpoint_pending_.store(false, std::memory_order_relaxed);
   } else if (required) {

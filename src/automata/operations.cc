@@ -4,6 +4,7 @@
 #include <bit>
 #include <map>
 #include <queue>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -76,6 +77,71 @@ class PairIds {
 
   std::vector<Slot> slots_;
   size_t size_ = 0;
+  int shift_ = 64;
+};
+
+// Dense ids of state subsets, in insertion order: the subsets lie back to
+// back in one array, found through an open-addressing table of ids keyed
+// by a hash of the subset (linear probing, doubled at half load).
+class SubsetIds {
+ public:
+  // The id of `set`; appends it with the next id when absent. second is
+  // true on insertion.
+  std::pair<StateId, bool> Insert(std::span<const StateId> set) {
+    if (2 * (hashes_.size() + 1) > slots_.size()) Grow();
+    const uint64_t hash = Hash(set);
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Home(hash);; i = (i + 1) & mask) {
+      const StateId id = slots_[i];
+      if (id < 0) {
+        slots_[i] = static_cast<StateId>(hashes_.size());
+        hashes_.push_back(hash);
+        states_.insert(states_.end(), set.begin(), set.end());
+        starts_.push_back(states_.size());
+        return {slots_[i], true};
+      }
+      if (hashes_[id] == hash && std::ranges::equal(Get(id), set)) {
+        return {id, false};
+      }
+    }
+  }
+
+  // Valid until the next Insert.
+  std::span<const StateId> Get(StateId id) const {
+    return {states_.data() + starts_[id], states_.data() + starts_[id + 1]};
+  }
+
+  size_t size() const { return hashes_.size(); }
+
+ private:
+  static uint64_t Hash(std::span<const StateId> set) {
+    uint64_t h = set.size();
+    for (StateId s : set) {
+      h = (h ^ static_cast<uint32_t>(s)) * 0x9E3779B97F4A7C15ULL;
+      h ^= h >> 29;
+    }
+    return h;
+  }
+
+  size_t Home(uint64_t hash) const {
+    return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  void Grow() {
+    slots_.assign(slots_.empty() ? 64 : 2 * slots_.size(), -1);
+    shift_ = 64 - std::countr_zero(slots_.size());
+    const size_t mask = slots_.size() - 1;
+    for (StateId id = 0; id < static_cast<StateId>(hashes_.size()); ++id) {
+      size_t i = Home(hashes_[id]);
+      while (slots_[i] >= 0) i = (i + 1) & mask;
+      slots_[i] = id;
+    }
+  }
+
+  std::vector<StateId> states_;
+  std::vector<size_t> starts_{0};
+  std::vector<uint64_t> hashes_;  // per id
+  std::vector<StateId> slots_;    // ids, -1 = empty
   int shift_ = 64;
 };
 
@@ -395,49 +461,44 @@ Nfa IntersectNfa(const Nfa& a_in, const Nfa& b_in) {
 
 Dfa Determinize(const Nfa& nfa_in) {
   const Nfa nfa = RemoveEpsilons(nfa_in);
-  // Map from sorted state sets to DFA ids.
-  std::map<std::vector<StateId>, StateId> ids;
-  std::vector<std::vector<StateId>> sets;
+  const int num_symbols = nfa.num_symbols();
+  // DFA state i is the subset with id i; ids follow discovery order.
+  SubsetIds ids;
   std::vector<bool> accepting;
-
-  auto intern = [&](std::vector<StateId> set) {
-    auto [it, inserted] = ids.emplace(std::move(set), 0);
+  auto intern = [&](std::span<const StateId> set) {
+    auto [id, inserted] = ids.Insert(set);
     if (inserted) {
-      it->second = static_cast<StateId>(sets.size());
-      sets.push_back(it->first);
       bool acc = false;
-      for (StateId s : it->first) acc = acc || nfa.IsAccepting(s);
+      for (StateId s : set) acc = acc || nfa.IsAccepting(s);
       accepting.push_back(acc);
     }
-    return it->second;
+    return id;
   };
 
-  StateId initial = intern(nfa.InitialStates());
-  std::vector<std::vector<StateId>> table;  // per dfa state: per symbol
-  for (size_t i = 0; i < sets.size(); ++i) {
-    std::vector<StateId> row(nfa.num_symbols());
-    // Successor sets per symbol.
-    std::vector<std::vector<StateId>> next(nfa.num_symbols());
-    for (StateId s : sets[i]) {
+  const StateId initial = intern(nfa.InitialStates());
+  std::vector<StateId> table;  // row-major: num_symbols per DFA state
+  // Successor sets per symbol, reused across DFA states.
+  std::vector<std::vector<StateId>> next(num_symbols);
+  for (StateId i = 0; i < static_cast<StateId>(ids.size()); ++i) {
+    for (std::vector<StateId>& set : next) set.clear();
+    for (StateId s : ids.Get(i)) {
       for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) {
         next[arc.first].push_back(arc.second);
       }
     }
-    for (Symbol a = 0; a < nfa.num_symbols(); ++a) {
-      std::sort(next[a].begin(), next[a].end());
-      next[a].erase(std::unique(next[a].begin(), next[a].end()),
-                    next[a].end());
-      row[a] = intern(std::move(next[a]));
+    for (std::vector<StateId>& set : next) {
+      std::sort(set.begin(), set.end());
+      set.erase(std::unique(set.begin(), set.end()), set.end());
+      table.push_back(intern(set));
     }
-    table.push_back(std::move(row));
   }
 
-  Dfa dfa(nfa.num_symbols(), static_cast<int>(sets.size()));
+  Dfa dfa(num_symbols, static_cast<int>(ids.size()));
   dfa.set_initial(initial);
-  for (size_t i = 0; i < table.size(); ++i) {
-    if (accepting[i]) dfa.SetAccepting(static_cast<StateId>(i));
-    for (Symbol a = 0; a < nfa.num_symbols(); ++a) {
-      dfa.SetNext(static_cast<StateId>(i), a, table[i][a]);
+  for (StateId i = 0; i < static_cast<StateId>(ids.size()); ++i) {
+    if (accepting[i]) dfa.SetAccepting(i);
+    for (Symbol a = 0; a < num_symbols; ++a) {
+      dfa.SetNext(i, a, table[static_cast<size_t>(i) * num_symbols + a]);
     }
   }
   return dfa;
@@ -556,19 +617,16 @@ bool IsSubsetOf(const Nfa& a_in, const Nfa& b_in) {
   // b-subsets are interned (sorted state sets) with their acceptance;
   // successors are memoized per (subset, symbol), as many a-states meet
   // the same subset.
-  std::map<std::vector<StateId>, int> subset_ids;
-  std::vector<const std::vector<StateId>*> subsets;
+  SubsetIds subsets;
   std::vector<bool> subset_accepting;
-  auto intern = [&](std::vector<StateId> set) {
-    auto [it, inserted] = subset_ids.emplace(std::move(set), 0);
+  auto intern = [&](std::span<const StateId> set) {
+    auto [id, inserted] = subsets.Insert(set);
     if (inserted) {
-      it->second = static_cast<int>(subsets.size());
-      subsets.push_back(&it->first);
       bool acc = false;
-      for (StateId y : it->first) acc = acc || b.IsAccepting(y);
+      for (StateId y : set) acc = acc || b.IsAccepting(y);
       subset_accepting.push_back(acc);
     }
-    return it->second;
+    return static_cast<int>(id);
   };
   std::unordered_map<uint64_t, int> successor;
   std::vector<StateId> next;
@@ -576,7 +634,7 @@ bool IsSubsetOf(const Nfa& a_in, const Nfa& b_in) {
     auto [it, inserted] = successor.emplace(PairKey(sub, symbol), 0);
     if (inserted) {
       next.clear();
-      for (StateId y : *subsets[sub]) {
+      for (StateId y : subsets.Get(sub)) {
         for (const Nfa::Arc& arc : b_arcs.On(y, symbol)) {
           next.push_back(arc.second);
         }
@@ -716,20 +774,11 @@ uint64_t CountWordsOfLength(const Nfa& nfa_in, int len) {
   // Count distinct words via on-the-fly subset construction with a DP over
   // lengths. Subset states are interned; counts flow along DFA transitions.
   const Nfa nfa = RemoveEpsilons(nfa_in);
-  std::map<std::vector<StateId>, StateId> ids;
-  std::vector<std::vector<StateId>> sets;
-  auto intern = [&](std::vector<StateId> set) -> StateId {
-    auto [it, inserted] = ids.emplace(std::move(set), 0);
-    if (inserted) {
-      it->second = static_cast<StateId>(sets.size());
-      sets.push_back(it->first);
-    }
-    return it->second;
-  };
+  SubsetIds sets;
   std::vector<StateId> init = nfa.InitialStates();
   std::sort(init.begin(), init.end());
   if (init.empty()) return 0;
-  intern(init);
+  sets.Insert(init);
 
   std::unordered_map<StateId, uint64_t> current;
   current[0] = 1;
@@ -737,7 +786,7 @@ uint64_t CountWordsOfLength(const Nfa& nfa_in, int len) {
     std::unordered_map<StateId, uint64_t> next;
     for (const auto& [id, count] : current) {
       std::vector<std::vector<StateId>> succ(nfa.num_symbols());
-      for (StateId s : sets[id]) {
+      for (StateId s : sets.Get(id)) {
         for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) {
           succ[arc.first].push_back(arc.second);
         }
@@ -747,7 +796,7 @@ uint64_t CountWordsOfLength(const Nfa& nfa_in, int len) {
         std::sort(succ[a].begin(), succ[a].end());
         succ[a].erase(std::unique(succ[a].begin(), succ[a].end()),
                       succ[a].end());
-        StateId t = intern(std::move(succ[a]));
+        const StateId t = sets.Insert(succ[a]).first;
         uint64_t& slot = next[t];
         slot = SaturatingAdd(slot, count);
       }
@@ -758,7 +807,9 @@ uint64_t CountWordsOfLength(const Nfa& nfa_in, int len) {
   uint64_t total = 0;
   for (const auto& [id, count] : current) {
     bool accepting = false;
-    for (StateId s : sets[id]) accepting = accepting || nfa.IsAccepting(s);
+    for (StateId s : sets.Get(id)) {
+      accepting = accepting || nfa.IsAccepting(s);
+    }
     if (accepting) total = SaturatingAdd(total, count);
   }
   return total;

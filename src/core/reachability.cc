@@ -1,8 +1,6 @@
 #include "core/reachability.h"
 
 #include <algorithm>
-#include <queue>
-#include <set>
 
 #include "automata/operations.h"
 #include "core/parallel.h"
@@ -39,8 +37,17 @@ Nfa BuildScanLanguage(const GraphDb& graph,
   return Trim(RemoveEpsilons(lang));
 }
 
-// One anchor's BFS over (language state, node); `seen` is a reusable
-// ls × |V| bitmap (reset here). Accepting product states yield `ends`.
+// Reused across one lane's anchors: the ls × |V| visited bitmap, all
+// clear between scans, and the scan's BFS queue, which also lists every
+// bit the scan set.
+struct ScanScratch {
+  std::vector<bool> seen;
+  std::vector<std::pair<StateId, NodeId>> work;
+};
+
+// One anchor's BFS over (language state, node). Accepting product states
+// yield `ends`, sorted and distinct. Clears only the `seen` bits it set,
+// so an anchor costs its own expansions, not ls × |V|.
 // With `backward` the traversal walks in-edges (the caller passes the
 // REVERSED language NFA, so accepting states are the forward-initial
 // ones and `ends` collects path SOURCES). Polls `cancel` every few
@@ -49,32 +56,33 @@ Nfa BuildScanLanguage(const GraphDb& graph,
 // the token has tripped).
 void ScanFromSource(const GraphDb& graph, const GraphIndex& index,
                     const Nfa& lang, const std::vector<StateId>& lang_initial,
-                    NodeId start, bool backward, std::vector<bool>* seen,
-                    std::set<NodeId>* ends, ReachabilityScanStats* stats,
+                    NodeId start, bool backward, ScanScratch* scratch,
+                    std::vector<NodeId>* ends, ReachabilityScanStats* stats,
                     CancellationToken* cancel) {
-  seen->assign(static_cast<size_t>(lang.num_states()) * graph.num_nodes(),
-               false);
+  std::vector<bool>& seen = scratch->seen;
+  std::vector<std::pair<StateId, NodeId>>& work = scratch->work;
+  const size_t stride = graph.num_nodes();
+  if (seen.empty()) seen.assign(lang.num_states() * stride, false);
   ends->clear();
-  std::queue<std::pair<StateId, NodeId>> work;
+  work.clear();
   auto push = [&](StateId q, NodeId v) {
     if (stats != nullptr) ++stats->frontier_expansions;
-    size_t key = static_cast<size_t>(q) * graph.num_nodes() + v;
-    if (!(*seen)[key]) {
-      (*seen)[key] = true;
+    const size_t key = static_cast<size_t>(q) * stride + v;
+    if (!seen[key]) {
+      seen[key] = true;
       if (stats != nullptr) ++stats->visited_states;
-      work.emplace(q, v);
-      if (lang.IsAccepting(q)) ends->insert(v);
+      work.emplace_back(q, v);
+      if (lang.IsAccepting(q)) ends->push_back(v);
     }
   };
   for (StateId q : lang_initial) push(q, start);
   uint32_t since_poll = 0;
-  while (!work.empty()) {
+  for (size_t head = 0; head < work.size(); ++head) {
     if (cancel != nullptr && ++since_poll >= 2048) {
       since_poll = 0;
-      if (cancel->cancelled()) return;
+      if (cancel->cancelled()) break;
     }
-    auto [q, v] = work.front();
-    work.pop();
+    const auto [q, v] = work[head];
     // CSR label slices: touch only the neighbors carrying exactly the
     // letters the language state can read.
     for (const Nfa::Arc& arc : lang.ArcsFrom(q)) {
@@ -83,6 +91,11 @@ void ScanFromSource(const GraphDb& graph, const GraphIndex& index,
       for (NodeId to : slice) push(arc.second, to);
     }
   }
+  for (const auto& [q, v] : work) {
+    seen[static_cast<size_t>(q) * stride + v] = false;
+  }
+  std::sort(ends->begin(), ends->end());
+  ends->erase(std::unique(ends->begin(), ends->end()), ends->end());
 }
 
 // One (source, target) meet-in-the-middle reachability probe over
@@ -209,12 +222,12 @@ std::vector<std::pair<NodeId, NodeId>> ReachabilityPairsDirected(
 
   const int lanes = std::min(std::max(num_threads, 1), num_anchors);
   if (lanes <= 1) {
-    std::vector<bool> seen;
-    std::set<NodeId> ends;
+    ScanScratch scratch;
+    std::vector<NodeId> ends;
     for (int s = 0; s < num_anchors; ++s) {
       if (cancel != nullptr && cancel->cancelled()) break;
       ScanFromSource(graph, index, scan_lang, scan_initial, anchor_of(s),
-                     backward, &seen, &ends, scan_stats, cancel);
+                     backward, &scratch, &ends, scan_stats, cancel);
       for (NodeId end : ends) emit(anchor_of(s), end);
     }
     return out;
@@ -223,19 +236,19 @@ std::vector<std::pair<NodeId, NodeId>> ReachabilityPairsDirected(
   // Morsel-parallel: per-anchor end-set slots and per-lane counters and
   // seen bitmaps; the slots are concatenated in anchor order, so the
   // output is identical to the serial scan's.
-  std::vector<std::set<NodeId>> slots(num_anchors);
+  std::vector<std::vector<NodeId>> slots(num_anchors);
   std::vector<ReachabilityScanStats> lane_stats(lanes);
   const size_t grain =
       std::max<size_t>(1, static_cast<size_t>(num_anchors) / (lanes * 8));
   ParallelMorsels(
       lanes, num_anchors, grain, [&](size_t begin, size_t end, int lane_id) {
-        std::vector<bool> seen;
+        ScanScratch scratch;
         ReachabilityScanStats* ls =
             (scan_stats != nullptr) ? &lane_stats[lane_id] : nullptr;
         for (size_t s = begin; s < end; ++s) {
           if (cancel != nullptr && cancel->cancelled()) return;
           ScanFromSource(graph, index, scan_lang, scan_initial,
-                         anchor_of(static_cast<int>(s)), backward, &seen,
+                         anchor_of(static_cast<int>(s)), backward, &scratch,
                          &slots[s], ls, cancel);
         }
       });

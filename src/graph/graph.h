@@ -114,6 +114,24 @@ class GraphDb {
   /// churn that dominates multi-million-edge loads.
   void AddEdges(const std::vector<Edge>& edges);
 
+  /// Bulk-appends out-edges from a caller's own encoding, with no edge
+  /// list in between (the checkpoint loader's path): every node v, in id
+  /// order, gets degree(v) edges, each the (label, target) pair the next
+  /// next_arc() call returns — interned labels and existing node ids only.
+  /// Reserves each row exactly and bumps version() once, like AddEdges.
+  template <typename DegreeFn, typename ArcFn>
+  void AppendOutRows(DegreeFn degree, ArcFn next_arc) {
+    for (NodeId v = 0; v < num_nodes(); ++v) {
+      const int d = degree(v);
+      if (d == 0) continue;
+      std::vector<std::pair<Symbol, NodeId>>& row = out_[v];
+      row.reserve(row.size() + d);
+      for (int k = 0; k < d; ++k) row.push_back(next_arc());
+      num_edges_ += d;
+    }
+    ++version_;
+  }
+
   /// One-shot bulk construction: `num_nodes` anonymous nodes plus
   /// `edges`, built through the size-then-fill path. The workhorse of the
   /// large-graph generators and the edge-list loader (graph/io.h).

@@ -10,9 +10,6 @@ namespace ecrpq {
 
 namespace {
 
-// Edge counts below this build serially — the pool hand-off costs more
-// than the fill of a small graph.
-constexpr int kParallelBuildMinEdges = 1 << 19;
 // Contiguous node range each fill morsel claims.
 constexpr int kBuildGrain = 4096;
 
@@ -26,8 +23,8 @@ uint64_t PackKey(Symbol label, NodeId other) {
 // reused scratch buffer and written to its own slice — so the fill
 // parallelizes over node ranges with byte-identical output.
 void BuildOutCsr(const GraphDb& graph, int num_threads,
-                 std::vector<int32_t>* offsets, std::vector<Symbol>* labels,
-                 std::vector<NodeId>* targets, std::vector<uint64_t>* masks) {
+                 PageVector<int32_t>* offsets, PageVector<Symbol>* labels,
+                 PageVector<NodeId>* targets, PageVector<uint64_t>* masks) {
   const int n = graph.num_nodes();
   offsets->assign(n + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
@@ -60,7 +57,8 @@ void BuildOutCsr(const GraphDb& graph, int num_threads,
     }
   };
 
-  if (num_threads <= 1 || e < kParallelBuildMinEdges || n <= kBuildGrain) {
+  if (num_threads <= 1 || e < GraphIndex::kParallelBuildMinEdges ||
+      n <= kBuildGrain) {
     std::vector<uint64_t> keys;
     fill_range(0, n, keys);
     return;
@@ -75,6 +73,25 @@ void BuildOutCsr(const GraphDb& graph, int num_threads,
       fill_range(begin, std::min(n, begin + kBuildGrain), keys);
     }
   });
+}
+
+// Splits the nodes [0, n) of a CSR side into `lanes` contiguous ranges
+// holding about equal shares of its edges: lane l owns
+// [split[l], split[l + 1]). Ranges may be empty (one hub row can hold
+// several shares).
+std::vector<NodeId> SplitByEdges(const PageVector<int32_t>& offsets,
+                                 int lanes) {
+  const int n = static_cast<int>(offsets.size()) - 1;
+  const int64_t e = offsets[n];
+  std::vector<NodeId> split(lanes + 1, n);
+  split[0] = 0;
+  for (int l = 1; l < lanes; ++l) {
+    const int64_t share = e * l / lanes;
+    split[l] = static_cast<NodeId>(
+        std::lower_bound(offsets.begin(), offsets.begin() + n, share) -
+        offsets.begin());
+  }
+  return split;
 }
 
 // Every node once, by descending degree(v), ties by ascending id: a stable
@@ -101,9 +118,19 @@ std::vector<NodeId> OrderByDegree(int n, DegreeFn degree) {
 // their target rows leaves every in-row (label, source)-sorted. The only
 // edge-sized scratch is the buckets, 8 bytes per edge. The sequential
 // passes also give the label statistics.
-void GraphIndex::InvertOutSide(const Side& out, Side* in) {
+void GraphIndex::InvertOutSide(const Side& out, int num_threads, Side* in) {
   const int n = num_nodes_;
   const int e = out.offsets[n];
+  // The partition must match the lanes RunOnWorkers really runs: it caps
+  // them at the pool size plus the caller.
+  const int lanes =
+      num_threads <= 1 || e < kParallelBuildMinEdges
+          ? 1
+          : std::min(num_threads, ThreadPool::Shared().num_threads() + 1);
+  if (lanes > 1) {
+    InvertOutSideParallel(out, lanes, in);
+    return;
+  }
   const int stats_size = std::max(num_labels_, 1);
   label_source_counts_.assign(stats_size, 0);
   label_target_counts_.assign(stats_size, 0);
@@ -129,13 +156,13 @@ void GraphIndex::InvertOutSide(const Side& out, Side* in) {
   in->targets.resize(e);
   {
     // Filling advances each label's start to its end.
-    std::vector<std::pair<NodeId, NodeId>> by_label(e);  // (source, target)
+    PageVector<std::pair<NodeId, NodeId>> by_label(e);  // (source, target)
     for (NodeId v = 0; v < n; ++v) {
       for (int32_t i = out.offsets[v]; i < out.offsets[v + 1]; ++i) {
         by_label[bucket_end[out.labels[i]]++] = {v, out.targets[i]};
       }
     }
-    std::vector<int32_t> cursor(in->offsets.begin(), in->offsets.end() - 1);
+    PageVector<int32_t> cursor(in->offsets.begin(), in->offsets.end() - 1);
     int32_t i = 0;
     for (Symbol label = 0; label < num_labels_; ++label) {
       for (; i < bucket_end[label]; ++i) {
@@ -161,6 +188,132 @@ void GraphIndex::InvertOutSide(const Side& out, Side* in) {
   }
 }
 
+// InvertOutSide's passes on `lanes` lanes, with the serial pass's output:
+//   1. each lane counts labels, (source, label) runs and in-degrees over
+//      its source range;
+//   2. each lane fills its part of every label bucket — the buckets hold
+//      (label, lane) parts in that order, so each is still in source
+//      order;
+//   3. each lane deals every bucket, label by label, into the rows of its
+//      target range, then sets those rows' masks and target counts.
+// Source and target ranges are balanced by edge count. The lanes of one
+// pass never write the same slot, and the passes are separate
+// RunOnWorkers calls, so no lane waits on another.
+void GraphIndex::InvertOutSideParallel(const Side& out, int lanes, Side* in) {
+  const int n = num_nodes_;
+  const int e = out.offsets[n];
+  const int num_labels = num_labels_;
+  const int stats_size = std::max(num_labels, 1);
+  ThreadPool& pool = ThreadPool::Shared();
+
+  const std::vector<NodeId> source_split = SplitByEdges(out.offsets, lanes);
+  std::vector<int32_t> lane_counts(static_cast<size_t>(lanes) * num_labels, 0);
+  std::vector<int32_t> lane_runs(static_cast<size_t>(lanes) * num_labels, 0);
+  std::vector<PageVector<int32_t>> lane_in_degrees(lanes);
+  // Each lane tallies into vectors of its own, not into rows of the
+  // shared ones, which would share cache lines between lanes.
+  pool.RunOnWorkers(lanes, [&](int lane) {
+    std::vector<int32_t> counts(num_labels, 0), runs(num_labels, 0);
+    PageVector<int32_t>& in_degree = lane_in_degrees[lane];
+    in_degree.assign(n, 0);
+    for (NodeId v = source_split[lane]; v < source_split[lane + 1]; ++v) {
+      Symbol prev = -1;
+      for (int32_t i = out.offsets[v]; i < out.offsets[v + 1]; ++i) {
+        const Symbol label = out.labels[i];
+        ++counts[label];
+        ++in_degree[out.targets[i]];
+        if (label != prev) ++runs[label];
+        prev = label;
+      }
+    }
+    const size_t row = static_cast<size_t>(lane) * num_labels;
+    std::copy(counts.begin(), counts.end(), lane_counts.begin() + row);
+    std::copy(runs.begin(), runs.end(), lane_runs.begin() + row);
+  });
+
+  in->offsets.assign(n + 1, 0);
+  for (const PageVector<int32_t>& in_degree : lane_in_degrees) {
+    for (NodeId v = 0; v < n; ++v) in->offsets[v + 1] += in_degree[v];
+  }
+  lane_in_degrees.clear();
+  std::partial_sum(in->offsets.begin(), in->offsets.end(),
+                   in->offsets.begin());
+  // bucket_start[l] .. bucket_start[l + 1] is label l's bucket; `fill`
+  // is each (lane, label) part's next slot.
+  label_counts_.assign(stats_size, 0);
+  label_source_counts_.assign(stats_size, 0);
+  std::vector<int32_t> bucket_start(num_labels + 1, 0);
+  std::vector<int32_t> fill(lane_counts.size());
+  int32_t at = 0;
+  for (Symbol label = 0; label < num_labels; ++label) {
+    bucket_start[label] = at;
+    for (int lane = 0; lane < lanes; ++lane) {
+      const size_t k = static_cast<size_t>(lane) * num_labels + label;
+      fill[k] = at;
+      at += lane_counts[k];
+      label_counts_[label] += lane_counts[k];
+      label_source_counts_[label] += lane_runs[k];
+    }
+  }
+  bucket_start[num_labels] = at;
+
+  PageVector<std::pair<NodeId, NodeId>> by_label(e);  // (source, target)
+  pool.RunOnWorkers(lanes, [&](int lane) {
+    const auto row = fill.begin() + static_cast<size_t>(lane) * num_labels;
+    std::vector<int32_t> next(row, row + num_labels);
+    for (NodeId v = source_split[lane]; v < source_split[lane + 1]; ++v) {
+      for (int32_t i = out.offsets[v]; i < out.offsets[v + 1]; ++i) {
+        by_label[next[out.labels[i]]++] = {v, out.targets[i]};
+      }
+    }
+  });
+
+  in->labels.resize(e);
+  in->targets.resize(e);
+  in->masks.resize(n);
+  const std::vector<NodeId> target_split = SplitByEdges(in->offsets, lanes);
+  std::vector<int64_t> lane_target_counts(
+      static_cast<size_t>(lanes) * stats_size, 0);
+  pool.RunOnWorkers(lanes, [&](int lane) {
+    const NodeId lo = target_split[lane];
+    const NodeId hi = target_split[lane + 1];
+    if (lo == hi) return;
+    PageVector<int32_t> cursor(in->offsets.begin() + lo,
+                               in->offsets.begin() + hi);
+    const uint32_t width = static_cast<uint32_t>(hi - lo);
+    int32_t i = 0;
+    for (Symbol label = 0; label < num_labels; ++label) {
+      for (; i < bucket_start[label + 1]; ++i) {
+        const auto [source, target] = by_label[i];
+        const uint32_t row = static_cast<uint32_t>(target - lo);
+        if (row >= width) continue;
+        const int32_t slot = cursor[row]++;
+        in->labels[slot] = label;
+        in->targets[slot] = source;
+      }
+    }
+    std::vector<int64_t> target_counts(stats_size, 0);
+    for (NodeId v = lo; v < hi; ++v) {
+      Symbol prev = -1;
+      uint64_t mask = 0;
+      for (int32_t j = in->offsets[v]; j < in->offsets[v + 1]; ++j) {
+        const Symbol label = in->labels[j];
+        if (label != prev) ++target_counts[label];
+        prev = label;
+        mask |= 1ULL << std::min<Symbol>(label, 63);
+      }
+      in->masks[v] = mask;
+    }
+    std::copy(target_counts.begin(), target_counts.end(),
+              lane_target_counts.begin() +
+                  static_cast<size_t>(lane) * stats_size);
+  });
+  label_target_counts_.assign(stats_size, 0);
+  for (size_t k = 0; k < lane_target_counts.size(); ++k) {
+    label_target_counts_[k % stats_size] += lane_target_counts[k];
+  }
+}
+
 GraphIndexPtr GraphIndex::Build(const GraphDb& graph) {
   return Build(graph, /*num_threads=*/0);
 }
@@ -181,15 +334,15 @@ GraphIndexPtr GraphIndex::Build(const GraphDb& graph, int num_threads) {
   base->num_nodes = graph.num_nodes();
   BuildOutCsr(graph, num_threads, &base->out.offsets, &base->out.labels,
               &base->out.targets, &base->out.masks);
-  index->InvertOutSide(base->out, &base->in);
+  index->InvertOutSide(base->out, num_threads, &base->in);
   index->base_ = base;
   index->bout_ = &base->out;
   index->bin_ = &base->in;
   index->base_num_nodes_ = graph.num_nodes();
   index->base_num_edges_ = graph.num_edges();
 
-  const std::vector<int32_t>& out_off = base->out.offsets;
-  const std::vector<int32_t>& in_off = base->in.offsets;
+  const PageVector<int32_t>& out_off = base->out.offsets;
+  const PageVector<int32_t>& in_off = base->in.offsets;
   index->by_degree_ = OrderByDegree(index->num_nodes_, [&](NodeId v) {
     return out_off[v + 1] - out_off[v] + in_off[v + 1] - in_off[v];
   });

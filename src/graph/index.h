@@ -68,6 +68,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/page_alloc.h"
 
 namespace ecrpq {
 
@@ -92,18 +93,27 @@ class GraphIndex : public std::enable_shared_from_this<GraphIndex> {
     uint64_t new_version = 0;
   };
 
+  /// Edge counts from which Build splits its passes over pool lanes;
+  /// smaller graphs build serially (the hand-off costs more than it saves).
+  static constexpr int kParallelBuildMinEdges = 1 << 19;
+
   /// Builds a sealed base index (CSR arrays, masks, counts, permutation)
   /// from the current state of `graph`: each out-row is filled by sorting
   /// packed (label << 32 | target) keys, the in-side is dealt from the
   /// finished out-side by stable counting passes (no sort; 8 B/edge of
   /// scratch, freed on return), and both degree orders are counting sorts.
-  /// Auto-parallelizes the out-side fill above ~512k edges.
+  /// The CSR columns and the inversion scratch are PageVectors: any of
+  /// them of kPageMapMinBytes (1 MiB) or more is its own mapping, returned
+  /// to the kernel when the last snapshot sharing the base goes (see
+  /// util/page_alloc.h). Auto-parallelizes from kParallelBuildMinEdges.
   static GraphIndexPtr Build(const GraphDb& graph);
 
-  /// As Build, with the out-side CSR fill explicitly split over contiguous
-  /// node ranges on `num_threads` pool lanes (0 = auto). Each node owns a
-  /// disjoint output slice, so the built index is byte-identical at any
-  /// lane count.
+  /// As Build, with `num_threads` pool lanes (0 = auto) from
+  /// kParallelBuildMinEdges edges on: the out-side fill splits over node
+  /// ranges, and the in-side inversion counts and buckets over source
+  /// ranges and deals over target ranges, each balanced by edge count.
+  /// The lanes write disjoint slices in the serial order, so the built
+  /// index is byte-identical at any lane count.
   static GraphIndexPtr Build(const GraphDb& graph, int num_threads);
 
   /// A new snapshot presenting this snapshot's view plus `delta`. Shares
@@ -242,10 +252,10 @@ class GraphIndex : public std::enable_shared_from_this<GraphIndex> {
   /// labels/targets (num_edges) sorted by (node, label, target), per-node
   /// label-presence masks.
   struct Side {
-    std::vector<int32_t> offsets;
-    std::vector<Symbol> labels;
-    std::vector<NodeId> targets;
-    std::vector<uint64_t> masks;
+    PageVector<int32_t> offsets;
+    PageVector<Symbol> labels;
+    PageVector<NodeId> targets;
+    PageVector<uint64_t> masks;
   };
   /// The immutable arrays every snapshot of one build generation shares.
   struct Base {
@@ -322,7 +332,8 @@ class GraphIndex : public std::enable_shared_from_this<GraphIndex> {
 
   /// Build helper: fills `in` as the transpose of the finished `out`
   /// side, plus the three label statistics (see index.cc).
-  void InvertOutSide(const Side& out, Side* in);
+  void InvertOutSide(const Side& out, int num_threads, Side* in);
+  void InvertOutSideParallel(const Side& out, int lanes, Side* in);
   /// ApplyDelta helper: merges one side's batch into a new SegSide and
   /// splices the touched rows into `next`'s overlay (see index.cc).
   static void ApplySide(const GraphIndex& prev, bool out_side,

@@ -1,8 +1,10 @@
 // CRC32C (Castagnoli) checksums for on-disk record integrity.
 //
-// Software slicing-by-4 implementation — no hardware intrinsic
-// dependency, deterministic across platforms. Used by the write-ahead
-// log (src/wal/) to detect torn and corrupted records on recovery.
+// Two implementations with identical values: the SSE4.2 crc32
+// instruction (eight bytes per step), chosen once per process where the
+// CPU has it, and a portable slicing-by-4 table. Used by the write-ahead
+// log (src/wal/) to detect torn and corrupted records on recovery, and
+// by checkpoint encode/decode.
 // Checksums are stored "masked" (RocksDB/LevelDB idiom) so that a CRC
 // computed over bytes that themselves embed a CRC does not degenerate.
 
@@ -22,6 +24,13 @@ uint32_t Extend(uint32_t init, const void* data, size_t n);
 inline uint32_t Value(const void* data, size_t n) {
   return Extend(0, data, n);
 }
+
+/// The two implementations behind Extend, for the equivalence test.
+/// ExtendHardware falls back to the table where HardwareAvailable() is
+/// false.
+uint32_t ExtendTable(uint32_t init, const void* data, size_t n);
+uint32_t ExtendHardware(uint32_t init, const void* data, size_t n);
+bool HardwareAvailable();
 
 /// Bijective masking applied before storing a CRC inside checksummed
 /// payloads: rotate and add a constant so crc(data ++ crc(data)) stays

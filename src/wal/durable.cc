@@ -210,7 +210,7 @@ Status DurableLog::AppendEdgeDelta(const std::vector<Edge>& add,
   return AppendLocked(WalRecordType::kEdgeDelta, payload, lsn);
 }
 
-Status DurableLog::WriteCheckpoint(const std::string& checkpoint,
+Status DurableLog::WriteCheckpoint(const CheckpointWriteFn& write,
                                    uint64_t applied_lsn) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::string final_path = dir_ + "/" + CheckpointName(applied_lsn);
@@ -219,8 +219,7 @@ Status DurableLog::WriteCheckpoint(const std::string& checkpoint,
   Status st = [&]() -> Status {
     auto file = fs_->NewWritableFile(tmp_path, /*truncate=*/true);
     if (!file.ok()) return file.status();
-    ECRPQ_RETURN_IF_ERROR(
-        file.value()->Append(checkpoint.data(), checkpoint.size()));
+    ECRPQ_RETURN_IF_ERROR(write(file.value().get()));
     ECRPQ_RETURN_IF_ERROR(file.value()->Sync());
     ECRPQ_RETURN_IF_ERROR(file.value()->Close());
     // Atomic publish: the snapshot appears under its final name fully

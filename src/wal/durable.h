@@ -13,8 +13,8 @@
 //                returns. Called by Database under the exclusive graph
 //                lock, BEFORE the batch is applied — write-ahead.
 //   WriteCheckpoint  atomically publishes a snapshot covering lsn <= L
-//                (write tmp → fsync → rename → fsync dir), then prunes
-//                older checkpoints and fully-covered segments.
+//                (stream into tmp → fsync → rename → fsync dir), then
+//                prunes older checkpoints and fully-covered segments.
 //   Flush        fsync now, whatever the policy (SIGTERM drain).
 //
 // Degraded mode
@@ -116,11 +116,17 @@ class DurableLog {
   Status AppendEdgeDelta(const std::vector<Edge>& add,
                          const std::vector<Edge>& remove, uint64_t* lsn);
 
-  /// Publishes `checkpoint` (an EncodeCheckpoint image) as the
-  /// snapshot covering lsn <= applied_lsn, then prunes. The caller
-  /// guarantees the image was encoded from a graph with exactly that
-  /// LSN applied.
-  Status WriteCheckpoint(const std::string& checkpoint,
+  /// Writes one checkpoint image into the file it is handed.
+  using CheckpointWriteFn = std::function<Status(WritableFile* file)>;
+
+  /// Publishes the checkpoint `write` streams (the streaming
+  /// EncodeCheckpoint, in chunks of kCheckpointChunkBytes) as the
+  /// snapshot covering lsn <= applied_lsn, then prunes. The image goes
+  /// into a .tmp file that is renamed into place only after a clean
+  /// write and fsync; on any failure the .tmp is removed and nothing is
+  /// published. The caller guarantees the image is of a graph with
+  /// exactly that LSN applied.
+  Status WriteCheckpoint(const CheckpointWriteFn& write,
                          uint64_t applied_lsn);
 
   /// fsyncs outstanding records now, regardless of policy.

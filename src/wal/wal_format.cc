@@ -1,9 +1,11 @@
 #include "wal/wal_format.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
 #include "util/crc32c.h"
+#include "util/page_alloc.h"
 
 namespace ecrpq {
 
@@ -195,66 +197,148 @@ constexpr uint32_t kCheckpointVersion = 2;
 constexpr size_t kCheckpointHeader = sizeof(kCheckpointMagic) + 5 * 4;
 constexpr size_t kCheckpointCrc = 4;
 
-char* StoreStr(char* p, const std::string& s) {
-  p = StoreU32(p, static_cast<uint32_t>(s.size()));
-  std::memcpy(p, s.data(), s.size());
-  return p + s.size();
-}
-
 Status CheckpointError(const char* what) {
   return Status::InvalidArgument(std::string("corrupt checkpoint: ") + what);
 }
 
-}  // namespace
+// The image's size in bytes and the named-node count its header
+// declares.
+struct CheckpointLayout {
+  size_t size = 0;
+  uint32_t num_named = 0;
+};
 
-std::string EncodeCheckpoint(const GraphDb& graph) {
+CheckpointLayout Measure(const GraphDb& graph) {
   const Alphabet& alphabet = graph.alphabet();
-  const NodeId num_nodes = graph.num_nodes();
-
-  // Sizing pass, so the image is allocated once at its exact length.
-  size_t size = kCheckpointHeader + 4 * static_cast<size_t>(num_nodes) +
+  CheckpointLayout layout;
+  layout.size = kCheckpointHeader +
+                4 * static_cast<size_t>(graph.num_nodes()) +
                 8 * static_cast<size_t>(graph.num_edges()) + kCheckpointCrc;
   for (Symbol s = 0; s < alphabet.size(); ++s) {
-    size += 4 + alphabet.Label(s).size();
+    layout.size += 4 + alphabet.Label(s).size();
   }
-  uint32_t num_named = 0;
-  for (NodeId v = 0; v < num_nodes; ++v) {
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     const std::string& name = graph.StoredName(v);
     if (name.empty()) continue;
-    ++num_named;
-    size += 8 + name.size();
+    ++layout.num_named;
+    layout.size += 8 + name.size();
+  }
+  return layout;
+}
+
+// Fills one page-mapped chunk at a time and appends each full chunk to the
+// file, folding it into the running CRC on the way. After a failed Append
+// the rest of the image is still formatted but no longer written.
+class ChunkWriter {
+ public:
+  explicit ChunkWriter(WritableFile* file)
+      : file_(file), chunk_(kCheckpointChunkBytes) {}
+
+  void U32(uint32_t v) {
+    if (chunk_.size() - used_ >= 4) {
+      StoreU32(chunk_.data() + used_, v);
+      used_ += 4;
+      return;
+    }
+    char buf[4];
+    StoreU32(buf, v);
+    Bytes(buf, 4);
   }
 
-  std::string out(size, '\0');
-  char* p = out.data();
-  std::memcpy(p, kCheckpointMagic, sizeof(kCheckpointMagic));
-  p += sizeof(kCheckpointMagic);
-  p = StoreU32(p, kCheckpointVersion);
-  p = StoreU32(p, static_cast<uint32_t>(num_nodes));
-  p = StoreU32(p, static_cast<uint32_t>(graph.num_edges()));
-  p = StoreU32(p, static_cast<uint32_t>(alphabet.size()));
-  p = StoreU32(p, num_named);
-  for (Symbol s = 0; s < alphabet.size(); ++s) {
-    p = StoreStr(p, alphabet.Label(s));
+  void Str(const std::string& s) {
+    U32(static_cast<uint32_t>(s.size()));
+    Bytes(s.data(), s.size());
   }
+
+  void Bytes(const char* p, size_t n) {
+    while (n > 0) {
+      if (used_ == chunk_.size()) Flush();
+      const size_t k = std::min(n, chunk_.size() - used_);
+      std::memcpy(chunk_.data() + used_, p, k);
+      used_ += k;
+      p += k;
+      n -= k;
+    }
+  }
+
+  /// Writes the masked CRC of every byte written so far and appends the
+  /// last chunk. Returns the first Append failure.
+  Status Finish() {
+    crc_ = crc32c::Extend(crc_, chunk_.data(), used_);
+    sealed_ = true;
+    U32(crc32c::Mask(crc_));
+    Flush();
+    return status_;
+  }
+
+ private:
+  void Flush() {
+    if (!sealed_) crc_ = crc32c::Extend(crc_, chunk_.data(), used_);
+    if (status_.ok()) status_ = file_->Append(chunk_.data(), used_);
+    used_ = 0;
+  }
+
+  WritableFile* file_;
+  PageVector<char> chunk_;
+  size_t used_ = 0;
+  uint32_t crc_ = 0;
+  bool sealed_ = false;  // crc_ covers the body; the CRC itself follows
+  Status status_;
+};
+
+// An in-memory WritableFile for the one-shot EncodeCheckpoint.
+class StringFile : public WritableFile {
+ public:
+  explicit StringFile(std::string* out) : out_(out) {}
+  Status Append(const void* data, size_t n) override {
+    out_->append(static_cast<const char*>(data), n);
+    return Status::OK();
+  }
+  Status Sync() override { return Status::OK(); }
+  Status Close() override { return Status::OK(); }
+
+ private:
+  std::string* out_;
+};
+
+}  // namespace
+
+Status EncodeCheckpoint(const GraphDb& graph, WritableFile* file) {
+  const Alphabet& alphabet = graph.alphabet();
+  const NodeId num_nodes = graph.num_nodes();
+  ChunkWriter w(file);
+  w.Bytes(kCheckpointMagic, sizeof(kCheckpointMagic));
+  w.U32(kCheckpointVersion);
+  w.U32(static_cast<uint32_t>(num_nodes));
+  w.U32(static_cast<uint32_t>(graph.num_edges()));
+  w.U32(static_cast<uint32_t>(alphabet.size()));
+  w.U32(Measure(graph).num_named);
+  for (Symbol s = 0; s < alphabet.size(); ++s) w.Str(alphabet.Label(s));
   for (NodeId v = 0; v < num_nodes; ++v) {
     const std::string& name = graph.StoredName(v);
     if (name.empty()) continue;
-    p = StoreU32(p, static_cast<uint32_t>(v));
-    p = StoreStr(p, name);
+    w.U32(static_cast<uint32_t>(v));
+    w.Str(name);
   }
   for (NodeId v = 0; v < num_nodes; ++v) {
-    p = StoreU32(p, static_cast<uint32_t>(graph.Out(v).size()));
+    w.U32(static_cast<uint32_t>(graph.Out(v).size()));
   }
   for (NodeId v = 0; v < num_nodes; ++v) {
     for (const auto& [label, to] : graph.Out(v)) {
-      p = StoreU32(p, static_cast<uint32_t>(label));
-      p = StoreU32(p, static_cast<uint32_t>(to));
+      w.U32(static_cast<uint32_t>(label));
+      w.U32(static_cast<uint32_t>(to));
     }
   }
-  const size_t body = size - kCheckpointCrc;
-  ECRPQ_DCHECK(p == out.data() + body);
-  StoreU32(p, crc32c::Mask(crc32c::Value(out.data(), body)));
+  return w.Finish();
+}
+
+std::string EncodeCheckpoint(const GraphDb& graph) {
+  const size_t size = Measure(graph).size;
+  std::string out;
+  out.reserve(size);
+  StringFile file(&out);
+  Status st = EncodeCheckpoint(graph, &file);
+  ECRPQ_DCHECK(st.ok() && out.size() == size);
   return out;
 }
 
@@ -344,21 +428,25 @@ Result<GraphDb> DecodeCheckpoint(std::string_view image) {
     return CheckpointError("out-degrees do not sum to the edge count");
   }
 
-  std::vector<Edge> edges;
-  edges.reserve(num_edges);
-  for (uint32_t v = 0; v < num_nodes; ++v) {
-    for (uint32_t k = LoadU32(degrees + 4 * size_t{v}); k > 0; --k) {
-      const uint32_t label = LoadU32(arcs);
-      const uint32_t to = LoadU32(arcs + 4);
-      arcs += 8;
-      if (label >= num_labels || to >= num_nodes) {
-        return CheckpointError("edge out of range");
-      }
-      edges.push_back({static_cast<NodeId>(v), static_cast<Symbol>(label),
-                       static_cast<NodeId>(to)});
-    }
-  }
-  graph.AddEdges(edges);
+  // Out-lists are filled straight from the image; an out-of-range arc is
+  // replaced by a valid one and fails the decode once the fill is done.
+  bool in_range = true;
+  graph.AppendOutRows(
+      [&](NodeId v) {
+        return static_cast<int>(LoadU32(degrees + 4 * static_cast<size_t>(v)));
+      },
+      [&] {
+        const uint32_t label = LoadU32(arcs);
+        const uint32_t to = LoadU32(arcs + 4);
+        arcs += 8;
+        if (label >= num_labels || to >= num_nodes) {
+          in_range = false;
+          return std::pair<Symbol, NodeId>(0, 0);
+        }
+        return std::pair<Symbol, NodeId>(static_cast<Symbol>(label),
+                                         static_cast<NodeId>(to));
+      });
+  if (!in_range) return CheckpointError("edge out of range");
   return graph;
 }
 

@@ -26,6 +26,8 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/io.h"
+#include "util/page_alloc.h"
 #include "util/status.h"
 
 namespace ecrpq {
@@ -54,7 +56,18 @@ Status DecodeEdgeDeltaPayload(std::string_view payload,
 /// duplicate labels or names, unordered ids, out-of-range labels or
 /// targets, a degree sum other than num_edges, and trailing bytes — all
 /// as InvalidArgument. The retired line-oriented text checkpoint is not
-/// read: it fails as "unsupported checkpoint format".
+/// read: it fails as "unsupported checkpoint format". Decode fills the
+/// out-lists straight from the image (GraphDb::AppendOutRows).
+///
+/// Encoding streams: the image is formatted into one chunk of
+/// kCheckpointChunkBytes at a time, and each full chunk is folded into a
+/// running CRC and appended to `file`, so no buffer of image size exists.
+/// The chunk is kPageMapMinBytes (1 MiB), so it is a mapping of its own
+/// (util/page_alloc.h). An image of at most one chunk is a single Append.
+/// Returns the first Append failure; `file` then holds a prefix.
+inline constexpr size_t kCheckpointChunkBytes = kPageMapMinBytes;
+Status EncodeCheckpoint(const GraphDb& graph, WritableFile* file);
+/// The same image as one string, sized exactly (tests, tools, benches).
 std::string EncodeCheckpoint(const GraphDb& graph);
 Result<GraphDb> DecodeCheckpoint(std::string_view image);
 

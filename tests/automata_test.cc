@@ -355,6 +355,20 @@ TEST_P(FlatTableIdentityTest, IntersectMatchesHashMapProduct) {
   }
 }
 
+// The hash-interned subset construction numbers DFA states exactly as the
+// map-interned one: same table, same flags, so every complement is
+// unchanged too.
+TEST_P(FlatTableIdentityTest, DeterminizeMatchesMapInterning) {
+  Rng rng(GetParam() + 9700);
+  for (int round = 0; round < 8; ++round) {
+    const int symbols = 1 + static_cast<int>(rng.Below(4));
+    Nfa a = RandomNfa(&rng, symbols, 1 + static_cast<int>(rng.Below(12)));
+    EXPECT_EQ(Dump(Determinize(a).ToNfa()),
+              Dump(reference::Determinize(a).ToNfa()))
+        << Dump(a);
+  }
+}
+
 // On(s, symbol) against a scan of s's arcs, ε included, on random NFAs
 // and on a chain whose every state has one arc on the same symbol.
 TEST_P(FlatTableIdentityTest, ArcsBySymbolOnMatchesScan) {

@@ -410,6 +410,98 @@ TEST(DurabilityDegraded, MutateGraphCheckpointFailureBlocksUntilProbe) {
   EXPECT_TRUE(reopened.value()->graph().FindNode("mx").has_value());
 }
 
+// A disk that fails one append — writing `torn_bytes` of it first — and
+// then works again, unlinks included (FaultPlan faults are sticky).
+class OneAppendFaultFs : public FaultInjectingFileSystem {
+ public:
+  OneAppendFaultFs()
+      : FaultInjectingFileSystem(PosixFileSystem(),
+                                 std::make_shared<FaultPlan>()) {}
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, bool truncate) override {
+    auto base = PosixFileSystem()->NewWritableFile(path, truncate);
+    if (!base.ok()) return base.status();
+    return std::unique_ptr<WritableFile>(
+        new File(std::move(base).value(), this));
+  }
+
+  int fail_append_after = 0;  // 1 = the next append
+  size_t torn_bytes = 0;
+
+ private:
+  class File : public WritableFile {
+   public:
+    File(std::unique_ptr<WritableFile> base, OneAppendFaultFs* fs)
+        : base_(std::move(base)), fs_(fs) {}
+    Status Append(const void* data, size_t n) override {
+      if (fs_->fail_append_after > 0 && --fs_->fail_append_after == 0) {
+        base_->Append(data, std::min(n, fs_->torn_bytes));
+        return Status::Unavailable("injected write fault");
+      }
+      return base_->Append(data, n);
+    }
+    Status Sync() override { return base_->Sync(); }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<WritableFile> base_;
+    OneAppendFaultFs* fs_;
+  };
+};
+
+// A checkpoint streams in chunks: a failure on a later chunk, clean or
+// torn, publishes nothing and leaves no .tmp behind, and the next probe
+// republishes it.
+TEST(DurabilityDegraded, CheckpointFailingMidStreamPublishesNothing) {
+  for (size_t torn_bytes : {size_t{0}, size_t{100}}) {
+    SCOPED_TRACE("torn bytes " + std::to_string(torn_bytes));
+    TempDir dir;
+    OneAppendFaultFs fs;
+    DurabilityOptions durability;
+    durability.fs = &fs;
+    durability.probe_interval_ms = 0;
+    auto opened = Database::OpenDurable(dir.path(), durability,
+                                        DeterministicOptions(), SeedGraph());
+    ASSERT_TRUE(opened.ok());
+    Database& db = *opened.value();
+    ASSERT_TRUE(db.CommitDelta(BatchN(0)).ok());
+
+    // An image of three chunks whose second Append fails.
+    fs.fail_append_after = 2;
+    fs.torn_bytes = torn_bytes;
+    db.MutateGraph([](GraphDb& g) {
+      const NodeId first = g.AddNodes(1000);
+      const Symbol label = g.alphabet_ptr()->Intern("bulk");
+      std::vector<Edge> edges;
+      for (int i = 0; i < 300000; ++i) {
+        edges.push_back({first + i % 1000, label, first + (i * 7) % 1000});
+      }
+      g.AddEdges(edges);
+    });
+    EXPECT_EQ(fs.fail_append_after, 0) << "the fault did not fire";
+    EXPECT_TRUE(db.write_degraded());
+    auto names = fs.ListDir(dir.path());
+    ASSERT_TRUE(names.ok());
+    for (const std::string& name : names.value()) {
+      EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
+      EXPECT_NE(name, CheckpointName(1));
+    }
+    EXPECT_TRUE(fs.FileExists(dir.path() + "/" + CheckpointName(0)));
+
+    EXPECT_TRUE(db.ProbeDurability());
+    EXPECT_FALSE(db.write_degraded());
+    EXPECT_TRUE(fs.FileExists(dir.path() + "/" + CheckpointName(1)));
+    const std::string fingerprint = Fingerprint(db);
+    EXPECT_GT(fingerprint.size(), 2 * kCheckpointChunkBytes);
+    opened.value().reset();
+    auto reopened = Database::OpenDurable(dir.path(), DurabilityOptions{},
+                                          DeterministicOptions(), GraphDb());
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(Fingerprint(*reopened.value()), fingerprint);
+  }
+}
+
 // ---- fsync policies ---------------------------------------------------------
 
 TEST(Durability, IntervalAndNeverPoliciesFlushOnDemand) {

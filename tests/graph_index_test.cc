@@ -289,6 +289,37 @@ TEST(GraphIndex, BuildMatchesSortedReferenceOnLargeGraph) {
   }
 }
 
+// The lane-parallel in-side inversion starts at kParallelBuildMinEdges:
+// one edge below it every lane count runs the serial passes, one batch
+// above it the lanes split the counting, bucketing and dealing. Either
+// way every lane count, including more lanes than the pool runs, must
+// give the serial build. Hubs, isolated nodes (empty rows) and labels
+// from 64 on (the shared mask bit) are all present.
+TEST(GraphIndex, BuildAtEveryLaneCountAroundParallelThreshold) {
+  constexpr int kLabels = 70;
+  for (int target : {GraphIndex::kParallelBuildMinEdges - 1,
+                     GraphIndex::kParallelBuildMinEdges + 4099}) {
+    SCOPED_TRACE(target);
+    GraphDb g = RandomMultigraph(7 + target, kLabels, 30000, target);
+    // Top up to exactly `target` edges, all out of and into hub 0 on the
+    // highest labels.
+    for (int i = 0; g.num_edges() < target; ++i) {
+      const Symbol label = static_cast<Symbol>(kLabels - 1 - i % 6);
+      if (i % 2 == 0) {
+        g.AddEdge(0, label, static_cast<NodeId>(i % 20000));
+      } else {
+        g.AddEdge(static_cast<NodeId>(i % 20000), label, 0);
+      }
+    }
+    ASSERT_EQ(g.num_edges(), target);
+    const SortedReference ref = BuildSortedReference(g);
+    for (int lanes : {1, 2, 3, 4, 8}) {
+      SCOPED_TRACE(lanes);
+      ExpectMatchesSortedReference(*GraphIndex::Build(g, lanes), ref);
+    }
+  }
+}
+
 // Engine equivalence: indexed evaluation returns exactly the same answer
 // sets as brute force on small graphs.
 const char* kEquivalenceQueries[] = {

@@ -1,7 +1,8 @@
 // Reference versions of the automaton and relation constructions that the
 // library builds on flat arc tables: ε-removal by per-state closure,
-// trimming over per-state predecessor lists, the product over a hash map
-// of pair ids with a binary search per arc, and the relation algebra that
+// trimming over per-state predecessor lists, subset construction over a
+// std::map of subsets, the product over a hash map of pair ids with a
+// binary search per arc, and the relation algebra that
 // decodes every arc letter into a TupleLetter. Tests assert that the
 // library's automata are byte-identical to these: the same state
 // numbering, flags and arc order, as printed by Dump.
@@ -11,11 +12,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "automata/dfa.h"
 #include "automata/nfa.h"
 #include "automata/operations.h"
 #include "relations/builtin.h"
@@ -113,6 +116,53 @@ inline Nfa Trim(const Nfa& nfa) {
     }
   }
   return out;
+}
+
+// Subset construction interning each subset in a std::map, numbered in
+// discovery order.
+inline Dfa Determinize(const Nfa& nfa_in) {
+  const Nfa nfa = reference::RemoveEpsilons(nfa_in);
+  std::map<std::vector<StateId>, StateId> ids;
+  std::vector<std::vector<StateId>> sets;
+  std::vector<bool> accepting;
+  auto intern = [&](std::vector<StateId> set) {
+    auto [it, inserted] = ids.emplace(std::move(set), 0);
+    if (inserted) {
+      it->second = static_cast<StateId>(sets.size());
+      sets.push_back(it->first);
+      bool acc = false;
+      for (StateId s : it->first) acc = acc || nfa.IsAccepting(s);
+      accepting.push_back(acc);
+    }
+    return it->second;
+  };
+  const StateId initial = intern(nfa.InitialStates());
+  std::vector<std::vector<StateId>> table;
+  for (size_t i = 0; i < sets.size(); ++i) {
+    std::vector<std::vector<StateId>> next(nfa.num_symbols());
+    for (StateId s : sets[i]) {
+      for (const Nfa::Arc& arc : nfa.ArcsFrom(s)) {
+        next[arc.first].push_back(arc.second);
+      }
+    }
+    std::vector<StateId> row(nfa.num_symbols());
+    for (Symbol a = 0; a < nfa.num_symbols(); ++a) {
+      std::sort(next[a].begin(), next[a].end());
+      next[a].erase(std::unique(next[a].begin(), next[a].end()),
+                    next[a].end());
+      row[a] = intern(std::move(next[a]));
+    }
+    table.push_back(std::move(row));
+  }
+  Dfa dfa(nfa.num_symbols(), static_cast<int>(sets.size()));
+  dfa.set_initial(initial);
+  for (size_t i = 0; i < table.size(); ++i) {
+    if (accepting[i]) dfa.SetAccepting(static_cast<StateId>(i));
+    for (Symbol a = 0; a < nfa.num_symbols(); ++a) {
+      dfa.SetNext(static_cast<StateId>(i), a, table[i][a]);
+    }
+  }
+  return dfa;
 }
 
 inline Nfa Intersect(const Nfa& a_in, const Nfa& b_in) {

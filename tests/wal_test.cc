@@ -67,6 +67,38 @@ TEST(Crc32c, ExtendMatchesWholeBuffer) {
   }
 }
 
+// The SSE4.2 path and the slicing table agree on every length up to
+// 4096 at every start alignment, and on chained Extend calls. (Where the
+// CPU lacks SSE4.2, ExtendHardware is the table and this is trivial.)
+TEST(Crc32c, HardwarePathMatchesTable) {
+  std::mt19937 rng(17);
+  std::vector<uint8_t> buf(4096 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng());
+  for (size_t align = 0; align < 8; ++align) {
+    const uint8_t* p = buf.data() + align;
+    for (size_t len = 0; len <= 4096; ++len) {
+      const uint32_t init = len % 3 == 0 ? 0u : static_cast<uint32_t>(rng());
+      ASSERT_EQ(crc32c::ExtendHardware(init, p, len),
+                crc32c::ExtendTable(init, p, len))
+          << "align " << align << " len " << len;
+    }
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t len = rng() % 4097;
+    const uint32_t whole = crc32c::ExtendTable(0, buf.data(), len);
+    uint32_t hardware = 0, table = 0;
+    for (size_t at = 0; at < len;) {
+      const size_t piece = std::min<size_t>(len - at, rng() % 97);
+      hardware = crc32c::ExtendHardware(hardware, buf.data() + at, piece);
+      table = crc32c::ExtendTable(table, buf.data() + at, piece);
+      at += piece;
+    }
+    ASSERT_EQ(hardware, whole) << "trial " << trial;
+    ASSERT_EQ(table, whole) << "trial " << trial;
+    ASSERT_EQ(crc32c::Extend(0, buf.data(), len), whole);
+  }
+}
+
 TEST(Crc32c, MaskRoundTripsAndChangesValue) {
   for (uint32_t crc : {0u, 1u, 0xdeadbeefu, 0xffffffffu, 0xe3069283u}) {
     EXPECT_EQ(crc32c::Unmask(crc32c::Mask(crc)), crc);
@@ -224,6 +256,147 @@ TEST(WalFormat, CheckpointRoundTripsRandomGraphsWithAwkwardNames) {
       EXPECT_EQ(d.FindNode(name), g.FindNode(name));
     }
     EXPECT_EQ(EncodeCheckpoint(d), image);
+  }
+}
+
+// The checkpoint layout documented in wal_format.h, encoded in one pass
+// into one string: the byte-for-byte oracle for the streaming encoder.
+std::string ReferenceCheckpoint(const GraphDb& g) {
+  std::string out = "ECRPQCKP";
+  auto u32 = [&](uint32_t v) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  auto str = [&](const std::string& s) {
+    u32(static_cast<uint32_t>(s.size()));
+    out += s;
+  };
+  uint32_t named = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) named += !g.StoredName(v).empty();
+  u32(2);
+  u32(static_cast<uint32_t>(g.num_nodes()));
+  u32(static_cast<uint32_t>(g.num_edges()));
+  u32(static_cast<uint32_t>(g.alphabet().size()));
+  u32(named);
+  for (Symbol s = 0; s < g.alphabet().size(); ++s) str(g.alphabet().Label(s));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (g.StoredName(v).empty()) continue;
+    u32(static_cast<uint32_t>(v));
+    str(g.StoredName(v));
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    u32(static_cast<uint32_t>(g.Out(v).size()));
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const auto& [label, to] : g.Out(v)) {
+      u32(static_cast<uint32_t>(label));
+      u32(static_cast<uint32_t>(to));
+    }
+  }
+  u32(crc32c::Mask(crc32c::Value(out.data(), out.size())));
+  return out;
+}
+
+// Records what a streamed checkpoint appends, call by call.
+class RecordingFile : public WritableFile {
+ public:
+  Status Append(const void* data, size_t n) override {
+    bytes.append(static_cast<const char*>(data), n);
+    appends.push_back(n);
+    return Status::OK();
+  }
+  Status Sync() override { return Status::OK(); }
+  Status Close() override { return Status::OK(); }
+
+  std::string bytes;
+  std::vector<size_t> appends;
+};
+
+// GraphDb::version() after DecodeCheckpoint: one bump per AddNodes and
+// AddNode call of the decoder, and one for all the edges.
+uint64_t DecodedVersion(const GraphDb& g) {
+  uint64_t version = 0;
+  NodeId next = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (g.StoredName(v).empty()) continue;
+    version += (v > next) + 1;
+    next = v + 1;
+  }
+  return version + 2;
+}
+
+void ExpectStreamsLikeReference(const GraphDb& g) {
+  const std::string reference = ReferenceCheckpoint(g);
+  EXPECT_EQ(EncodeCheckpoint(g), reference);
+  RecordingFile file;
+  ASSERT_TRUE(EncodeCheckpoint(g, &file).ok());
+  EXPECT_EQ(file.bytes, reference);
+  // Full chunks, then the rest: one Append per started chunk.
+  const size_t chunks =
+      (reference.size() + kCheckpointChunkBytes - 1) / kCheckpointChunkBytes;
+  ASSERT_EQ(file.appends.size(), chunks);
+  for (size_t i = 0; i + 1 < chunks; ++i) {
+    EXPECT_EQ(file.appends[i], kCheckpointChunkBytes) << "chunk " << i;
+  }
+  EXPECT_EQ(file.appends.back(),
+            reference.size() - (chunks - 1) * kCheckpointChunkBytes);
+
+  auto decoded = DecodeCheckpoint(file.bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const GraphDb& d = decoded.value();
+  EXPECT_EQ(d.num_edges(), g.num_edges());
+  EXPECT_EQ(d.version(), DecodedVersion(g));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    ASSERT_EQ(d.StoredName(v), g.StoredName(v)) << v;
+    ASSERT_EQ(d.Out(v), g.Out(v)) << v;
+  }
+}
+
+TEST(WalFormat, StreamedCheckpointMatchesReferenceAcrossChunks) {
+  {
+    SCOPED_TRACE("empty graph");
+    ExpectStreamsLikeReference(GraphDb());
+  }
+  {
+    SCOPED_TRACE("a node name longer than a chunk");
+    GraphDb g;
+    const NodeId big =
+        g.AddNode(std::string(kCheckpointChunkBytes + 1001, 'x'));
+    g.AddEdge(big, "a", g.AddNode("y"));
+    g.AddEdge(g.AddNode(), "b", big);
+    ExpectStreamsLikeReference(g);
+  }
+  // Images ending just before, on and just after a chunk boundary: the
+  // CRC, a length prefix and the name bytes each straddle it somewhere.
+  GraphDb probe;
+  probe.AddEdge(probe.AddNode("a"), "l", probe.AddNode("b"));
+  const size_t one_byte_name = ReferenceCheckpoint(probe).size();
+  for (int delta = -9; delta <= 9; ++delta) {
+    SCOPED_TRACE("image size chunk + " + std::to_string(delta));
+    const size_t len = kCheckpointChunkBytes + delta - one_byte_name + 1;
+    GraphDb g;
+    g.AddEdge(g.AddNode("a"), "l", g.AddNode(std::string(len, 'n')));
+    ASSERT_EQ(ReferenceCheckpoint(g).size(), kCheckpointChunkBytes + delta);
+    ExpectStreamsLikeReference(g);
+  }
+  {
+    SCOPED_TRACE("three chunks of edges");
+    auto alphabet = Alphabet::FromLabels({"a", "b", "c"});
+    std::mt19937 rng(5);
+    GraphDb g(alphabet);
+    g.AddNodes(5000);
+    std::vector<Edge> edges;
+    for (int i = 0; i < 300000; ++i) {
+      edges.push_back({static_cast<NodeId>(rng() % 5000),
+                       static_cast<Symbol>(rng() % 3),
+                       static_cast<NodeId>(rng() % 5000)});
+    }
+    g.AddEdges(edges);
+    g.AddNode("late");
+    ExpectStreamsLikeReference(g);
+  }
+  for (uint32_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("awkward graph " + std::to_string(seed));
+    ExpectStreamsLikeReference(RandomCheckpointGraph(seed));
   }
 }
 
