@@ -38,16 +38,21 @@ Nfa BuildScanLanguage(const GraphDb& graph,
 }
 
 // Reused across one lane's anchors: the ls × |V| visited bitmap, all
-// clear between scans, and the scan's BFS queue, which also lists every
-// bit the scan set.
+// clear between scans, and the scan's BFS queue, which keeps its drained
+// entries as the list of bits to clear (see ScanFromSource).
 struct ScanScratch {
   std::vector<bool> seen;
   std::vector<std::pair<StateId, NodeId>> work;
 };
 
 // One anchor's BFS over (language state, node). Accepting product states
-// yield `ends`, sorted and distinct. Clears only the `seen` bits it set,
-// so an anchor costs its own expansions, not ls × |V|.
+// yield `ends`, sorted and distinct. While the scan has set fewer bits
+// than the bitmap has 64-bit words, the drained queue lists them and
+// only those are cleared, so a small scan costs its own expansions, not
+// ls × |V|. Past that, clearing the whole bitmap is cheaper, and drained
+// entries are dropped once they outnumber the frontier, so the queue
+// (kept across anchors) holds at most a bitmap's bytes, or a frontier's
+// worth, of drained entries.
 // With `backward` the traversal walks in-edges (the caller passes the
 // REVERSED language NFA, so accepting states are the forward-initial
 // ones and `ends` collects path SOURCES). Polls `cancel` every few
@@ -76,11 +81,18 @@ void ScanFromSource(const GraphDb& graph, const GraphIndex& index,
     }
   };
   for (StateId q : lang_initial) push(q, start);
+  const size_t list_limit = seen.size() / 64 + 1;
+  bool listed = true;  // work[0, head) lists every bit set so far
   uint32_t since_poll = 0;
   for (size_t head = 0; head < work.size(); ++head) {
     if (cancel != nullptr && ++since_poll >= 2048) {
       since_poll = 0;
       if (cancel->cancelled()) break;
+    }
+    if (head >= list_limit && 2 * head >= work.size()) {
+      work.erase(work.begin(), work.begin() + head);
+      head = 0;
+      listed = false;
     }
     const auto [q, v] = work[head];
     // CSR label slices: touch only the neighbors carrying exactly the
@@ -91,8 +103,12 @@ void ScanFromSource(const GraphDb& graph, const GraphIndex& index,
       for (NodeId to : slice) push(arc.second, to);
     }
   }
-  for (const auto& [q, v] : work) {
-    seen[static_cast<size_t>(q) * stride + v] = false;
+  if (listed) {
+    for (const auto& [q, v] : work) {
+      seen[static_cast<size_t>(q) * stride + v] = false;
+    }
+  } else {
+    seen.assign(seen.size(), false);
   }
   std::sort(ends->begin(), ends->end());
   ends->erase(std::unique(ends->begin(), ends->end()), ends->end());

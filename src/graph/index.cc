@@ -94,6 +94,26 @@ std::vector<NodeId> SplitByEdges(const PageVector<int32_t>& offsets,
   return split;
 }
 
+// Runs work(lane, part) once for every part in [0, parts) on `parts`
+// pool lanes. The lanes claim parts from one cursor, so a lane that
+// starts late, or a queued lane the caller reclaims and runs inline,
+// finds the parts taken and adds no work. One part runs inline, without
+// touching the pool.
+template <typename Work>
+void ForEachPart(int parts, const Work& work) {
+  if (parts == 1) {
+    work(0, 0);
+    return;
+  }
+  std::atomic<int> cursor{0};
+  ThreadPool::Shared().RunOnWorkers(parts, [&](int lane) {
+    for (int part; (part = cursor.fetch_add(
+                        1, std::memory_order_relaxed)) < parts;) {
+      work(lane, part);
+    }
+  });
+}
+
 // Every node once, by descending degree(v), ties by ascending id: a stable
 // counting sort in O(V + max degree). The exact std::stable_sort order
 // that GraphIndex::RepairDegreeOrder maintains on delta snapshots.
@@ -112,182 +132,157 @@ std::vector<NodeId> OrderByDegree(int n, DegreeFn degree) {
 
 }  // namespace
 
-// The in-side CSR, dealt from the finished out-side by two stable counting
-// passes instead of a per-row sort: bucketing the out edges by label keeps
-// each bucket in source order, so dealing the buckets label by label into
-// their target rows leaves every in-row (label, source)-sorted. The only
-// edge-sized scratch is the buckets, 8 bytes per edge. The sequential
-// passes also give the label statistics.
+// The in-side CSR, dealt from the finished out-side by stable counting
+// passes instead of a per-row sort. Every out edge is bucketed by
+// (target range, label), each bucket in source order, so dealing a
+// range's buckets label by label into its rows leaves every in-row
+// (label, source)-sorted. The only edge-sized scratch is the buckets,
+// 8 bytes per edge. The passes, each over `lanes` parts:
+//   1. in-degrees, (source, label) runs and label counts, over source
+//      parts;
+//   2. with more than one target range, the label counts split by
+//      target range, over source parts;
+//   3. bucketing, over source parts: part p's edges of a bucket land
+//      after those of the parts before p, so the bucket stays in source
+//      order;
+//   4. dealing, over target ranges: a range reads only its own buckets,
+//      then sets its rows' masks and target counts.
+// Source parts and target ranges are balanced by edge count. From
+// kParallelBuildMinEdges on the parts run on pool lanes; below it, or at
+// one thread, there is one part of each kind and no pool. Each part is
+// done once, so the output is byte-identical at any lane count.
 void GraphIndex::InvertOutSide(const Side& out, int num_threads, Side* in) {
   const int n = num_nodes_;
   const int e = out.offsets[n];
+  const int num_labels = num_labels_;
+  const int stats_size = std::max(num_labels, 1);
   // The partition must match the lanes RunOnWorkers really runs: it caps
   // them at the pool size plus the caller.
   const int lanes =
       num_threads <= 1 || e < kParallelBuildMinEdges
           ? 1
           : std::min(num_threads, ThreadPool::Shared().num_threads() + 1);
-  if (lanes > 1) {
-    InvertOutSideParallel(out, lanes, in);
-    return;
-  }
-  const int stats_size = std::max(num_labels_, 1);
-  label_source_counts_.assign(stats_size, 0);
-  label_target_counts_.assign(stats_size, 0);
-  std::vector<int32_t> bucket_end(num_labels_ + 1, 0);
-  in->offsets.assign(n + 1, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    Symbol prev = -1;
-    for (int32_t i = out.offsets[v]; i < out.offsets[v + 1]; ++i) {
-      const Symbol label = out.labels[i];
-      ++bucket_end[label + 1];
-      ++in->offsets[out.targets[i] + 1];
-      if (label != prev) ++label_source_counts_[label];
-      prev = label;
-    }
-  }
-  label_counts_.assign(bucket_end.begin() + 1, bucket_end.end());
-  label_counts_.resize(stats_size, 0);
-  std::partial_sum(bucket_end.begin(), bucket_end.end(), bucket_end.begin());
-  std::partial_sum(in->offsets.begin(), in->offsets.end(),
-                   in->offsets.begin());
+  const size_t cells = static_cast<size_t>(lanes) * num_labels;
 
-  in->labels.resize(e);
-  in->targets.resize(e);
-  {
-    // Filling advances each label's start to its end.
-    PageVector<std::pair<NodeId, NodeId>> by_label(e);  // (source, target)
-    for (NodeId v = 0; v < n; ++v) {
-      for (int32_t i = out.offsets[v]; i < out.offsets[v + 1]; ++i) {
-        by_label[bucket_end[out.labels[i]]++] = {v, out.targets[i]};
-      }
-    }
-    PageVector<int32_t> cursor(in->offsets.begin(), in->offsets.end() - 1);
-    int32_t i = 0;
-    for (Symbol label = 0; label < num_labels_; ++label) {
-      for (; i < bucket_end[label]; ++i) {
-        const auto [source, target] = by_label[i];
-        const int32_t at = cursor[target]++;
-        in->labels[at] = label;
-        in->targets[at] = source;
-      }
-    }
-  }
-
-  in->masks.assign(n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    Symbol prev = -1;
-    uint64_t mask = 0;
-    for (int32_t j = in->offsets[v]; j < in->offsets[v + 1]; ++j) {
-      const Symbol label = in->labels[j];
-      if (label != prev) ++label_target_counts_[label];
-      prev = label;
-      mask |= 1ULL << std::min<Symbol>(label, 63);
-    }
-    in->masks[v] = mask;
-  }
-}
-
-// InvertOutSide's passes on `lanes` lanes, with the serial pass's output:
-//   1. each lane counts labels, (source, label) runs and in-degrees over
-//      its source range;
-//   2. each lane fills its part of every label bucket — the buckets hold
-//      (label, lane) parts in that order, so each is still in source
-//      order;
-//   3. each lane deals every bucket, label by label, into the rows of its
-//      target range, then sets those rows' masks and target counts.
-// Source and target ranges are balanced by edge count. The lanes of one
-// pass never write the same slot, and the passes are separate
-// RunOnWorkers calls, so no lane waits on another.
-void GraphIndex::InvertOutSideParallel(const Side& out, int lanes, Side* in) {
-  const int n = num_nodes_;
-  const int e = out.offsets[n];
-  const int num_labels = num_labels_;
-  const int stats_size = std::max(num_labels, 1);
-  ThreadPool& pool = ThreadPool::Shared();
-
+  // 1. In-degrees, (source, label) runs and each part's label counts,
+  //    stored as its range-0 row of `counts` (the whole answer on one
+  //    lane). Lane 0 counts in-degrees straight into in->offsets
+  //    (shifted by one), the other lanes into arrays of their own; each
+  //    part tallies labels into vectors of its own, not into rows of the
+  //    shared ones, which would share cache lines between lanes.
+  //    counts[(part * lanes + range) * num_labels + label].
   const std::vector<NodeId> source_split = SplitByEdges(out.offsets, lanes);
-  std::vector<int32_t> lane_counts(static_cast<size_t>(lanes) * num_labels, 0);
-  std::vector<int32_t> lane_runs(static_cast<size_t>(lanes) * num_labels, 0);
+  in->offsets.assign(n + 1, 0);
   std::vector<PageVector<int32_t>> lane_in_degrees(lanes);
-  // Each lane tallies into vectors of its own, not into rows of the
-  // shared ones, which would share cache lines between lanes.
-  pool.RunOnWorkers(lanes, [&](int lane) {
-    std::vector<int32_t> counts(num_labels, 0), runs(num_labels, 0);
-    PageVector<int32_t>& in_degree = lane_in_degrees[lane];
-    in_degree.assign(n, 0);
-    for (NodeId v = source_split[lane]; v < source_split[lane + 1]; ++v) {
+  std::vector<int32_t> counts(static_cast<size_t>(lanes) * cells, 0);
+  std::vector<int32_t> runs(cells, 0);
+  ForEachPart(lanes, [&](int lane, int part) {
+    PageVector<int32_t>& own = lane_in_degrees[lane];
+    if (lane > 0 && own.empty()) own.assign(n + 1, 0);
+    int32_t* in_degree = lane == 0 ? in->offsets.data() : own.data();
+    std::vector<int32_t> own_counts(num_labels, 0), own_runs(num_labels, 0);
+    for (NodeId v = source_split[part]; v < source_split[part + 1]; ++v) {
       Symbol prev = -1;
       for (int32_t i = out.offsets[v]; i < out.offsets[v + 1]; ++i) {
         const Symbol label = out.labels[i];
-        ++counts[label];
-        ++in_degree[out.targets[i]];
-        if (label != prev) ++runs[label];
+        ++own_counts[label];
+        ++in_degree[out.targets[i] + 1];
+        if (label != prev) ++own_runs[label];
         prev = label;
       }
     }
-    const size_t row = static_cast<size_t>(lane) * num_labels;
-    std::copy(counts.begin(), counts.end(), lane_counts.begin() + row);
-    std::copy(runs.begin(), runs.end(), lane_runs.begin() + row);
+    std::copy(own_counts.begin(), own_counts.end(),
+              counts.begin() + static_cast<size_t>(part) * cells);
+    std::copy(own_runs.begin(), own_runs.end(),
+              runs.begin() + static_cast<size_t>(part) * num_labels);
   });
-
-  in->offsets.assign(n + 1, 0);
   for (const PageVector<int32_t>& in_degree : lane_in_degrees) {
-    for (NodeId v = 0; v < n; ++v) in->offsets[v + 1] += in_degree[v];
+    if (in_degree.empty()) continue;
+    for (NodeId v = 1; v <= n; ++v) in->offsets[v] += in_degree[v];
   }
   lane_in_degrees.clear();
   std::partial_sum(in->offsets.begin(), in->offsets.end(),
                    in->offsets.begin());
-  // bucket_start[l] .. bucket_start[l + 1] is label l's bucket; `fill`
-  // is each (lane, label) part's next slot.
+
+  // 2. On more lanes, split each part's label counts by target range,
+  //    read from a node -> range table.
+  const std::vector<NodeId> target_split = SplitByEdges(in->offsets, lanes);
+  PageVector<uint16_t> range_of_node;
+  if (lanes > 1) {
+    range_of_node.resize(n);
+    for (int range = 0; range < lanes; ++range) {
+      std::fill(range_of_node.begin() + target_split[range],
+                range_of_node.begin() + target_split[range + 1], range);
+    }
+    ForEachPart(lanes, [&](int, int part) {
+      std::vector<int32_t> own_counts(cells, 0);
+      for (int32_t i = out.offsets[source_split[part]];
+           i < out.offsets[source_split[part + 1]]; ++i) {
+        ++own_counts[static_cast<size_t>(range_of_node[out.targets[i]]) *
+                         num_labels + out.labels[i]];
+      }
+      std::copy(own_counts.begin(), own_counts.end(),
+                counts.begin() + static_cast<size_t>(part) * cells);
+    });
+  }
+  auto range_of = [&](NodeId target) -> size_t {
+    return lanes == 1 ? 0 : range_of_node[target];
+  };
+
+  // Bucket (range, label) spans bucket_start[range * num_labels + label]
+  // up to the next bucket's start; `fill` is each part's first slot in it.
   label_counts_.assign(stats_size, 0);
   label_source_counts_.assign(stats_size, 0);
-  std::vector<int32_t> bucket_start(num_labels + 1, 0);
-  std::vector<int32_t> fill(lane_counts.size());
+  std::vector<int32_t> bucket_start(cells + 1, e);
+  std::vector<int32_t> fill(counts.size());
   int32_t at = 0;
-  for (Symbol label = 0; label < num_labels; ++label) {
-    bucket_start[label] = at;
-    for (int lane = 0; lane < lanes; ++lane) {
-      const size_t k = static_cast<size_t>(lane) * num_labels + label;
-      fill[k] = at;
-      at += lane_counts[k];
-      label_counts_[label] += lane_counts[k];
-      label_source_counts_[label] += lane_runs[k];
+  for (int range = 0; range < lanes; ++range) {
+    for (Symbol label = 0; label < num_labels; ++label) {
+      bucket_start[static_cast<size_t>(range) * num_labels + label] = at;
+      for (int part = 0; part < lanes; ++part) {
+        const size_t k = static_cast<size_t>(part) * cells +
+                         static_cast<size_t>(range) * num_labels + label;
+        fill[k] = at;
+        at += counts[k];
+        label_counts_[label] += counts[k];
+      }
     }
   }
-  bucket_start[num_labels] = at;
+  for (size_t k = 0; k < runs.size(); ++k) {
+    label_source_counts_[k % num_labels] += runs[k];
+  }
 
-  PageVector<std::pair<NodeId, NodeId>> by_label(e);  // (source, target)
-  pool.RunOnWorkers(lanes, [&](int lane) {
-    const auto row = fill.begin() + static_cast<size_t>(lane) * num_labels;
-    std::vector<int32_t> next(row, row + num_labels);
-    for (NodeId v = source_split[lane]; v < source_split[lane + 1]; ++v) {
+  // 3.
+  PageVector<std::pair<NodeId, NodeId>> buckets(e);  // (source, target)
+  ForEachPart(lanes, [&](int, int part) {
+    const auto row = fill.begin() + static_cast<size_t>(part) * cells;
+    std::vector<int32_t> next(row, row + cells);
+    for (NodeId v = source_split[part]; v < source_split[part + 1]; ++v) {
       for (int32_t i = out.offsets[v]; i < out.offsets[v + 1]; ++i) {
-        by_label[next[out.labels[i]]++] = {v, out.targets[i]};
+        const NodeId target = out.targets[i];
+        buckets[next[range_of(target) * num_labels + out.labels[i]]++] = {
+            v, target};
       }
     }
   });
 
+  // 4.
   in->labels.resize(e);
   in->targets.resize(e);
   in->masks.resize(n);
-  const std::vector<NodeId> target_split = SplitByEdges(in->offsets, lanes);
-  std::vector<int64_t> lane_target_counts(
+  std::vector<int64_t> range_target_counts(
       static_cast<size_t>(lanes) * stats_size, 0);
-  pool.RunOnWorkers(lanes, [&](int lane) {
-    const NodeId lo = target_split[lane];
-    const NodeId hi = target_split[lane + 1];
-    if (lo == hi) return;
+  ForEachPart(lanes, [&](int, int range) {
+    const NodeId lo = target_split[range];
+    const NodeId hi = target_split[range + 1];
     PageVector<int32_t> cursor(in->offsets.begin() + lo,
                                in->offsets.begin() + hi);
-    const uint32_t width = static_cast<uint32_t>(hi - lo);
-    int32_t i = 0;
+    const size_t first = static_cast<size_t>(range) * num_labels;
+    int32_t i = bucket_start[first];
     for (Symbol label = 0; label < num_labels; ++label) {
-      for (; i < bucket_start[label + 1]; ++i) {
-        const auto [source, target] = by_label[i];
-        const uint32_t row = static_cast<uint32_t>(target - lo);
-        if (row >= width) continue;
-        const int32_t slot = cursor[row]++;
+      for (; i < bucket_start[first + label + 1]; ++i) {
+        const auto [source, target] = buckets[i];
+        const int32_t slot = cursor[target - lo]++;
         in->labels[slot] = label;
         in->targets[slot] = source;
       }
@@ -305,12 +300,12 @@ void GraphIndex::InvertOutSideParallel(const Side& out, int lanes, Side* in) {
       in->masks[v] = mask;
     }
     std::copy(target_counts.begin(), target_counts.end(),
-              lane_target_counts.begin() +
-                  static_cast<size_t>(lane) * stats_size);
+              range_target_counts.begin() +
+                  static_cast<size_t>(range) * stats_size);
   });
   label_target_counts_.assign(stats_size, 0);
-  for (size_t k = 0; k < lane_target_counts.size(); ++k) {
-    label_target_counts_[k % stats_size] += lane_target_counts[k];
+  for (size_t k = 0; k < range_target_counts.size(); ++k) {
+    label_target_counts_[k % stats_size] += range_target_counts[k];
   }
 }
 

@@ -333,7 +333,6 @@ class GraphIndex : public std::enable_shared_from_this<GraphIndex> {
   /// Build helper: fills `in` as the transpose of the finished `out`
   /// side, plus the three label statistics (see index.cc).
   void InvertOutSide(const Side& out, int num_threads, Side* in);
-  void InvertOutSideParallel(const Side& out, int lanes, Side* in);
   /// ApplyDelta helper: merges one side's batch into a new SegSide and
   /// splices the touched rows into `next`'s overlay (see index.cc).
   static void ApplySide(const GraphIndex& prev, bool out_side,

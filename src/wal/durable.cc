@@ -212,7 +212,10 @@ Status DurableLog::AppendEdgeDelta(const std::vector<Edge>& add,
 
 Status DurableLog::WriteCheckpoint(const CheckpointWriteFn& write,
                                    uint64_t applied_lsn) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  // Concurrent checkpoints of one graph share the .tmp name, so writers
+  // take turns; mutex_ is held only to publish and prune, so appends,
+  // the interval flusher and stats() never wait on encoding or fsync.
+  std::lock_guard<std::mutex> checkpoint_lock(checkpoint_mutex_);
   const std::string final_path = dir_ + "/" + CheckpointName(applied_lsn);
   const std::string tmp_path = final_path + ".tmp";
 
@@ -228,9 +231,10 @@ Status DurableLog::WriteCheckpoint(const CheckpointWriteFn& write,
     ECRPQ_RETURN_IF_ERROR(fs_->SyncDir(dir_));
     return Status::OK();
   }();
+  if (!st.ok()) fs_->Remove(tmp_path);  // best effort
+  std::lock_guard<std::mutex> lock(mutex_);
   if (!st.ok()) {
     ++checkpoint_failures_;
-    fs_->Remove(tmp_path);  // best effort
     return st;
   }
   ++checkpoints_;

@@ -28,7 +28,10 @@
 //
 // Thread safety: all public methods are safe to call concurrently; one
 // internal mutex serializes writer access (appends are additionally
-// serialized by the caller's graph lock — lock order graph → log).
+// serialized by the caller's graph lock — lock order graph → log). A
+// checkpoint streams and fsyncs its .tmp under a checkpoint mutex of
+// its own and takes the writer mutex only to publish and prune, so
+// appends and syncs proceed while an image is written.
 
 #ifndef ECRPQ_WAL_DURABLE_H_
 #define ECRPQ_WAL_DURABLE_H_
@@ -125,7 +128,9 @@ class DurableLog {
   /// into a .tmp file that is renamed into place only after a clean
   /// write and fsync; on any failure the .tmp is removed and nothing is
   /// published. The caller guarantees the image is of a graph with
-  /// exactly that LSN applied.
+  /// exactly that LSN applied. Concurrent calls take turns; appends,
+  /// Flush and stats() wait only for the publish and prune, not for
+  /// `write` or the fsync.
   Status WriteCheckpoint(const CheckpointWriteFn& write,
                          uint64_t applied_lsn);
 
@@ -160,6 +165,7 @@ class DurableLog {
   FileSystem* const fs_;
   int lock_fd_ = -1;
 
+  std::mutex checkpoint_mutex_;  // one checkpoint writer; before mutex_
   mutable std::mutex mutex_;
   std::unique_ptr<WalWriter> writer_;
   uint64_t durable_lsn_ = 0;

@@ -290,10 +290,10 @@ TEST(GraphIndex, BuildMatchesSortedReferenceOnLargeGraph) {
 }
 
 // The lane-parallel in-side inversion starts at kParallelBuildMinEdges:
-// one edge below it every lane count runs the serial passes, one batch
-// above it the lanes split the counting, bucketing and dealing. Either
-// way every lane count, including more lanes than the pool runs, must
-// give the serial build. Hubs, isolated nodes (empty rows) and labels
+// one edge below it every lane count runs the passes as one part, one
+// batch above it the lanes split the counting, bucketing and dealing.
+// Either way every lane count, including more lanes than the pool runs,
+// must give the sorted reference. Hubs, isolated nodes (empty rows) and labels
 // from 64 on (the shared mask bit) are all present.
 TEST(GraphIndex, BuildAtEveryLaneCountAroundParallelThreshold) {
   constexpr int kLabels = 70;
