@@ -144,9 +144,9 @@ BENCHMARK_CAPTURE(ScanPipeline, monolithic, Mode::kMonolithic)
 //
 // The planned pipeline at num_threads ∈ {1, 2, 4, 8}. threads/1 is the
 // exact serial path — CI diffs its fresh median against the committed
-// baseline as the serial-regression guard — and the [parallel-1toN]
-// twin-speedup lines printed at exit feed the hardware-aware scaling
-// gate.
+// baseline as the serial-regression guard. Only the leaves take lanes
+// (joins and semi-joins run serially at every tier), so the
+// [parallel-1toN] twin-speedup lines printed at exit measure the leaves.
 
 void RunPlannedThreads(benchmark::State& state, const std::string& case_name,
                        const GraphDb& g, const std::string& query_text) {
@@ -179,10 +179,9 @@ void RunPlannedThreads(benchmark::State& state, const std::string& case_name,
                    {"answers", static_cast<double>(answers)}});
 }
 
-// cross/ — the 36-node cross-component workload: far below the
-// partitioned-join row threshold, so every join stays inline-serial on
-// its actual rows; the tier guards the small-plan path against lane
-// overhead (its 1→N "speedup" should hover near 1x).
+// cross/ — the 36-node cross-component workload: the seeded eq
+// component's product searches split over lanes (one search per seed
+// row), and its joins are small and serial.
 void CrossThreads(benchmark::State& state) {
   GraphDb g = CrossComponentGraph(36, /*rare=*/3);
   RunPlannedThreads(state, "cross/Planned", g, kCrossQuery);
@@ -199,11 +198,10 @@ BENCHMARK(CrossThreads)
 // ~1.3M edges), both binding (x, y). Each component materializes a
 // ~10^5-row table (one label class of the edge set); sideways seeding is
 // declined (the seed projection overflows the seed-row cap), the
-// SemiJoinFilter fixpoint reduces both tables with the partitioned
-// build / morsel-probe path, and the streamed final join probes a
-// radix-partitioned index of the second table — the morsel-parallel
-// join pipeline end to end, on tables large enough that every build
-// runs partitioned.
+// SemiJoinFilter fixpoint reduces both tables, and the streamed final
+// join probes a hash index of the second table — the join pipeline end
+// to end on large tables. The joins run serially; at threads/N only the
+// two scans split their sources over lanes.
 void LargeJoinPipeline(benchmark::State& state) {
   static const GraphDb& g = *[] {
     auto alphabet = Alphabet::FromLabels({"a", "b", "c", "d"});
@@ -221,10 +219,8 @@ BENCHMARK(LargeJoinPipeline)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// streamed/ChainJoin — a two-table final join small enough that the
-// planner once estimated it below the partitioned-join threshold and ran
-// it as a nested loop (1844 x 2897 scan rows, 7593 answers); the
-// streamed hash join probes an index instead.
+// streamed/ChainJoin — a small two-table final join (1844 x 2897 scan
+// rows, 7593 answers).
 void StreamedChainJoin(benchmark::State& state) {
   static const GraphDb& g = *[] {
     Rng rng(7);
@@ -237,8 +233,8 @@ void StreamedChainJoin(benchmark::State& state) {
 BENCHMARK(StreamedChainJoin)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // large/FinalJoin — a two-table final join over a power-law graph (2^15
-// nodes, 327,680 edges) with 196,785 answers: the index build on the
-// second table is large enough to take lanes.
+// nodes, 327,680 edges) with 196,785 answers: one large serial index
+// build and probe; at threads/4 only the scans take lanes.
 void LargeFinalJoin(benchmark::State& state) {
   static const GraphDb& g = *[] {
     Rng rng(42);

@@ -326,8 +326,7 @@ Status ExecutePlan(const ResolvedQuery& rq, const EvalOptions& options,
 
   // Semi-join reduction between the component tables before the join:
   // rows with no partner on a shared variable can never contribute
-  // (Yannakakis' first phase, at component granularity). Each pass takes
-  // lanes only when its actual input is large enough (SemiJoinFilterOp).
+  // (Yannakakis' first phase, at component granularity).
   bool changed = tables.size() > 1;
   for (int rounds = 0;
        changed && rounds < static_cast<int>(tables.size()) + 2; ++rounds) {
@@ -335,7 +334,7 @@ Status ExecutePlan(const ResolvedQuery& rq, const EvalOptions& options,
     for (size_t i = 0; i < tables.size(); ++i) {
       for (size_t j = 0; j < tables.size(); ++j) {
         if (i == j) continue;
-        if (SemiJoinFilterOp(&tables[i], tables[j], stats, num_threads)) {
+        if (SemiJoinFilterOp(&tables[i], tables[j], stats)) {
           changed = true;
         }
         if (tables[i].rows.empty()) return Status::OK();  // empty answer
@@ -360,8 +359,7 @@ Status ExecutePlan(const ResolvedQuery& rq, const EvalOptions& options,
       op.rows_out = left.rows.size();
       stats.operators.push_back(std::move(op));
     } else {
-      left = HashJoinOp(left, tables[step.right], stats, num_threads,
-                        &step.keep);
+      left = HashJoinOp(left, tables[step.right], step.keep, stats);
       tables.erase(tables.begin() + step.right);
     }
     if (cancel != nullptr && cancel->cancelled()) {
@@ -391,8 +389,8 @@ Status ExecutePlan(const ResolvedQuery& rq, const EvalOptions& options,
   }
   HeadTupleEmitter emitter(rq, options, sink, heads_distinct);
   std::vector<NodeId> head(head_vars.size());
-  StreamJoinOp(tables, query.node_variables().size(), stats, num_threads,
-               cancel, [&](const std::vector<NodeId>& binding) {
+  StreamJoinOp(tables, query.node_variables().size(), stats, cancel,
+               [&](const std::vector<NodeId>& binding) {
                  for (size_t k = 0; k < head_vars.size(); ++k) {
                    head[k] = binding[head_vars[k]];
                  }
@@ -558,8 +556,8 @@ Result<PathAnswerSet> BuildPathAnswerSet(
     others.push_back(std::move(table));
   }
   std::set<std::vector<NodeId>> anchors;
-  StreamJoinOp(others, fixed.size(), stats, /*num_threads=*/1,
-               /*cancel=*/nullptr, [&](const std::vector<NodeId>& binding) {
+  StreamJoinOp(others, fixed.size(), stats, /*cancel=*/nullptr,
+               [&](const std::vector<NodeId>& binding) {
                  std::vector<NodeId> anchor = fixed;
                  for (int v : comp.vars) {
                    if (binding[v] >= 0) anchor[v] = binding[v];

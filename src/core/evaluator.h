@@ -112,12 +112,11 @@ struct EvalOptions {
   /// Degree of intra-query parallelism. Operator leaves partition their
   /// degree-ordered seed sets (start assignments, seed rows, scan
   /// sources) into morsels executed on the shared work-stealing pool,
-  /// one independent search per item; large joins build partitioned
-  /// tables and probe morsel-wise. A leaf with a single anchor
-  /// assignment is one search and runs on one lane. 0 = auto (the
-  /// ECRPQ_THREADS environment variable when set, else hardware
-  /// concurrency); 1 = the exact single-threaded path (no pool
-  /// involvement). Results do not
+  /// one independent search per item; joins run serially on the
+  /// calling thread. A leaf with a single anchor assignment is one
+  /// search and runs on one lane. 0 = auto (the ECRPQ_THREADS
+  /// environment variable when set, else hardware concurrency); 1 = the
+  /// exact single-threaded path (no pool involvement). Results do not
   /// depend on it: parallel leaves merge per-worker outputs at barrier
   /// points in canonical seed order, so the emitted tuple sequence — and
   /// therefore which k tuples a `limit` keeps — is the same at any lane

@@ -1543,17 +1543,16 @@ Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
 
 namespace {
 
-// FNV-1a over selected columns of a row (partitioned joins) — the
-// parallel paths hash keys in place instead of materializing a key vector
-// per row.
-uint64_t HashRowKey(const std::vector<NodeId>& row,
-                    const std::vector<int>& cols) {
+// FNV-1a over selected columns of a row, mixed so that its low bits pick
+// the bucket. Hashes the key in place instead of materializing a key
+// vector per row.
+uint64_t KeyHash(const std::vector<NodeId>& row, const std::vector<int>& cols) {
   uint64_t h = 1469598103934665603ULL;
   for (int c : cols) {
     h ^= static_cast<uint32_t>(row[c]);
     h *= 1099511628211ULL;
   }
-  return h;
+  return MixHash64(h);
 }
 
 bool KeysEqual(const std::vector<NodeId>& a, const std::vector<int>& a_cols,
@@ -1565,241 +1564,106 @@ bool KeysEqual(const std::vector<NodeId>& a, const std::vector<int>& a_cols,
   return true;
 }
 
-// Rows below this skip the parallel join paths (partitioning overhead
-// would dominate).
-constexpr size_t kParallelJoinRows = 4096;
-
-// Morsel sizes of the radix passes. Fixed constants — never derived from
-// the lane count — because morsel boundaries define the canonical
-// concatenation order of per-morsel results, which must be identical at
-// any thread count.
-constexpr size_t kJoinBuildGrain = 2048;
-constexpr size_t kJoinProbeGrain = 1024;
-
-// Radix partition count for a build side of `n` rows: one table below
-// the parallel threshold, else enough partitions to keep per-partition
-// tables cache-resident and every lane busy — a pure function of the
-// input size so partition boundaries (and with them the build layout)
-// are thread-count independent.
-size_t JoinPartitionCount(size_t n) {
-  if (n < kParallelJoinRows) return 1;
-  return std::bit_ceil(
-      std::clamp<size_t>(n / kJoinBuildGrain, size_t{16}, size_t{256}));
-}
-
-// A radix-partitioned build side: per-morsel partition counters size one
-// exact reservation, lanes scatter row ids into per-partition slices
-// (morsel order within a partition, row order within a morsel — so ids
-// ascend within every partition), and each partition's hash table is
-// built independently. Buckets map the mixed key hash to the build row
-// ids carrying it, ascending — the same per-key probe order as the
-// serial ordered-map build.
-struct PartitionedBuild {
-  size_t P = 0;
-  std::vector<uint64_t> row_hash;    // mixed key hash per build row
-  std::vector<uint32_t> part_begin;  // P + 1 partition bounds
-  std::vector<uint32_t> part_rows;   // row ids, partition-major
-  std::vector<std::unordered_map<uint64_t, std::vector<uint32_t>>> tables;
-
-  // Build row ids whose mixed key hash is `h`, or nullptr.
-  const std::vector<uint32_t>* Find(uint64_t h) const {
-    const auto& table = tables[h & (P - 1)];
-    auto it = table.find(h);
-    return it == table.end() ? nullptr : &it->second;
-  }
-};
-
-PartitionedBuild BuildPartitioned(
-    const std::vector<std::vector<NodeId>>& rows,
-    const std::vector<int>& key_cols, int lanes,
-    std::vector<uint64_t>* lane_rows) {
-  PartitionedBuild b;
-  const size_t n = rows.size();
-  const size_t P = b.P = JoinPartitionCount(n);
-  const size_t grain = kJoinBuildGrain;
-  const size_t n_morsels = (n + grain - 1) / grain;
-  b.row_hash.resize(n);
-  std::vector<uint32_t> counts(n_morsels * P, 0);
-  ParallelMorsels(lanes, n, grain,
-                  [&](size_t begin, size_t end, int lane_id) {
-                    uint32_t* c = counts.data() + (begin / grain) * P;
-                    for (size_t r = begin; r < end; ++r) {
-                      const uint64_t h =
-                          MixHash64(HashRowKey(rows[r], key_cols));
-                      b.row_hash[r] = h;
-                      ++c[h & (P - 1)];
-                    }
-                    (*lane_rows)[lane_id] += end - begin;
-                  });
-  // Exclusive scans: partition base offsets, then per-(morsel, partition)
-  // write cursors.
-  b.part_begin.assign(P + 1, 0);
-  for (size_t m = 0; m < n_morsels; ++m) {
-    for (size_t p = 0; p < P; ++p) b.part_begin[p + 1] += counts[m * P + p];
-  }
-  for (size_t p = 0; p < P; ++p) b.part_begin[p + 1] += b.part_begin[p];
-  std::vector<uint32_t> offsets(n_morsels * P);
-  for (size_t p = 0; p < P; ++p) {
-    uint32_t cur = b.part_begin[p];
-    for (size_t m = 0; m < n_morsels; ++m) {
-      offsets[m * P + p] = cur;
-      cur += counts[m * P + p];
+// The hash index every join builds over its build side: a power-of-two
+// `head_` array of at least 2 buckets per row, a `next_` link per row
+// and each row's key hash. Rows are linked from last to first, so every
+// bucket lists its row ids in ascending order, and a probe yields the
+// matching rows in build-row order.
+class JoinIndex {
+ public:
+  JoinIndex(const std::vector<std::vector<NodeId>>& rows,
+            const std::vector<int>& key_cols)
+      : rows_(&rows),
+        key_cols_(key_cols),
+        head_(std::bit_ceil(std::max<size_t>(2 * rows.size(), 2)), kNone),
+        next_(rows.size()),
+        hash_(rows.size()) {
+    const size_t mask = head_.size() - 1;
+    for (size_t r = rows.size(); r-- > 0;) {
+      hash_[r] = KeyHash(rows[r], key_cols_);
+      uint32_t& head = head_[hash_[r] & mask];
+      next_[r] = head;
+      head = static_cast<uint32_t>(r);
     }
   }
-  b.part_rows.resize(n);
-  ParallelMorsels(lanes, n, grain,
-                  [&](size_t begin, size_t end, int lane_id) {
-                    (void)lane_id;
-                    // Each morsel's cursor cells are touched by exactly
-                    // one lane, so the in-place bump is race-free.
-                    uint32_t* off = offsets.data() + (begin / grain) * P;
-                    for (size_t r = begin; r < end; ++r) {
-                      b.part_rows[off[b.row_hash[r] & (P - 1)]++] =
-                          static_cast<uint32_t>(r);
-                    }
-                  });
-  b.tables.resize(P);
-  ParallelMorsels(lanes, P, 1, [&](size_t begin, size_t end, int lane_id) {
-    (void)lane_id;
-    for (size_t p = begin; p < end; ++p) {
-      auto& table = b.tables[p];
-      table.reserve(b.part_begin[p + 1] - b.part_begin[p]);
-      for (uint32_t i = b.part_begin[p]; i < b.part_begin[p + 1]; ++i) {
-        const uint32_t r = b.part_rows[i];
-        table[b.row_hash[r]].push_back(r);
+
+  // Calls `fn(row id)` for every indexed row whose key equals the
+  // `probe_cols` of `probe`, in ascending row order, until `fn` returns
+  // false. Returns false when `fn` stopped the walk.
+  template <typename Fn>
+  bool ForEachMatch(const std::vector<NodeId>& probe,
+                    const std::vector<int>& probe_cols, Fn&& fn) const {
+    const uint64_t h = KeyHash(probe, probe_cols);
+    for (uint32_t r = head_[h & (head_.size() - 1)]; r != kNone;
+         r = next_[r]) {
+      if (hash_[r] != h ||
+          !KeysEqual(probe, probe_cols, (*rows_)[r], key_cols_)) {
+        continue;
       }
+      if (!fn(r)) return false;
     }
-  });
-  return b;
-}
+    return true;
+  }
+
+ private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  const std::vector<std::vector<NodeId>>* rows_;
+  std::vector<int> key_cols_;
+  std::vector<uint32_t> head_;  // first row id per bucket, or kNone
+  std::vector<uint32_t> next_;  // next row id in the same bucket
+  std::vector<uint64_t> hash_;  // key hash per row
+};
 
 }  // namespace
 
 BindingTable HashJoinOp(const BindingTable& left, const BindingTable& right,
-                        EvalStats& stats, int num_threads,
-                        const std::vector<int>* project) {
+                        const std::vector<int>& project, EvalStats& stats) {
   OperatorStats op;
   op.op = "HashJoin";
   op.rows_in = left.rows.size() + right.rows.size();
 
-  // Shared variables and output layout: left columns, then right's
-  // non-shared columns.
-  std::vector<std::pair<int, int>> shared;  // (left col, right col)
-  std::vector<int> right_extra;             // right cols not shared
+  // Key columns: the variables both sides bind.
+  std::vector<int> left_cols, right_cols;
   for (size_t rc = 0; rc < right.vars.size(); ++rc) {
-    int lc = left.ColumnOf(right.vars[rc]);
-    if (lc >= 0) {
-      shared.emplace_back(lc, static_cast<int>(rc));
-    } else {
-      right_extra.push_back(static_cast<int>(rc));
-    }
-  }
-  for (const auto& [lc, rc] : shared) {
+    const int lc = left.ColumnOf(right.vars[rc]);
+    if (lc < 0) continue;
+    left_cols.push_back(lc);
+    right_cols.push_back(static_cast<int>(rc));
     op.detail += (op.detail.empty() ? "on" : ",");
-    (void)lc;
     op.detail += " v" + std::to_string(right.vars[rc]);
   }
-  if (shared.empty()) op.detail = "cross";
+  if (left_cols.empty()) op.detail = "cross";
 
+  // Each output column reads the left row when the left side binds it,
+  // else the matched right row.
+  std::vector<std::pair<bool, int>> sources;  // (from left, column)
+  op.detail += ", project onto";
+  for (int v : project) {
+    const int lc = left.ColumnOf(v);
+    sources.emplace_back(lc >= 0, lc >= 0 ? lc : right.ColumnOf(v));
+    op.detail += " v" + std::to_string(v);
+  }
+
+  // Probe in left-row order, each row's matches by ascending right row
+  // id, and keep the distinct projected rows in that order without
+  // materializing the joined rows.
+  const JoinIndex index(right.rows, right_cols);
+  op.build_rows = right.rows.size();
+  op.probe_rows = left.rows.size();
   BindingTable out;
-  out.vars = left.vars;
-  for (int rc : right_extra) out.vars.push_back(right.vars[rc]);
-
-  // Radix-partitioned build of the right side (count -> exact
-  // reservation -> scatter -> per-partition tables), on `lanes` lanes
-  // when the input is large enough to amortize them, else inline.
-  const int lanes =
-      num_threads > 1 && left.rows.size() + right.rows.size() >=
-                             kParallelJoinRows
-          ? num_threads
-          : 1;
-  op.threads = lanes;
-  std::vector<int> left_cols, right_cols;  // key columns per side
-  for (const auto& [lc, rc] : shared) {
-    left_cols.push_back(lc);
-    right_cols.push_back(rc);
-  }
-  std::vector<uint64_t> lane_build(lanes, 0), lane_probe(lanes, 0);
-  PartitionedBuild build =
-      BuildPartitioned(right.rows, right_cols, lanes, &lane_build);
-
-  // Two-pass morsel probe. Pass 1 records the matching (probe row, build
-  // row) id pairs per morsel — hash collisions across distinct keys are
-  // resolved by re-checking the key columns. Pass 2 sizes the output with
-  // ONE exact reservation and materializes each morsel's matches into its
-  // disjoint slice, concatenating in morsel order — left-row order, with
-  // each row's matches by ascending right row id, at any thread count.
-  // Output rows are distinct: both inputs hold distinct rows, and an
-  // output is its left row plus the right row's non-key columns.
-  const size_t grain = kJoinProbeGrain;
-  const size_t num_morsels = (left.rows.size() + grain - 1) / grain;
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> matches(
-      num_morsels);
-  ParallelMorsels(
-      lanes, left.rows.size(), grain,
-      [&](size_t begin, size_t end, int lane_id) {
-        std::vector<std::pair<uint32_t, uint32_t>>& found =
-            matches[begin / grain];
-        for (size_t i = begin; i < end; ++i) {
-          const std::vector<NodeId>& lrow = left.rows[i];
-          const uint64_t h = MixHash64(HashRowKey(lrow, left_cols));
-          const std::vector<uint32_t>* ids = build.Find(h);
-          if (ids == nullptr) continue;
-          for (uint32_t r : *ids) {
-            if (!KeysEqual(lrow, left_cols, right.rows[r], right_cols)) {
-              continue;
-            }
-            found.emplace_back(static_cast<uint32_t>(i), r);
-          }
-        }
-        lane_probe[lane_id] += end - begin;
-      });
-  std::vector<size_t> out_off(num_morsels + 1, 0);
-  for (size_t m = 0; m < num_morsels; ++m) {
-    out_off[m + 1] = out_off[m] + matches[m].size();
-  }
-  stats.join_tuples += out_off[num_morsels];
-  if (project != nullptr) {
-    // Early projection: the distinct projected rows in match order,
-    // without materializing the joined rows.
-    std::vector<std::pair<const BindingTable*, int>> sources;
-    op.detail += ", project onto";
-    for (int v : *project) {
-      const int lc = left.ColumnOf(v);
-      sources.emplace_back(lc >= 0 ? &left : &right,
-                           lc >= 0 ? lc : right.ColumnOf(v));
-      op.detail += " v" + std::to_string(v);
-    }
-    out.vars = *project;
-    DistinctRows distinct(&out.rows);
-    for (const auto& morsel : matches) {
-      for (const auto& [i, r] : morsel) {
-        std::vector<NodeId>* row = distinct.candidate();
-        for (const auto& [table, col] : sources) {
-          row->push_back(table->rows[table == &left ? i : r][col]);
-        }
-        distinct.Add();
+  out.vars = project;
+  DistinctRows distinct(&out.rows);
+  for (const std::vector<NodeId>& lrow : left.rows) {
+    index.ForEachMatch(lrow, left_cols, [&](uint32_t r) {
+      ++stats.join_tuples;
+      std::vector<NodeId>* row = distinct.candidate();
+      for (const auto& [from_left, col] : sources) {
+        row->push_back(from_left ? lrow[col] : right.rows[r][col]);
       }
-    }
-  } else {
-    out.AppendRowSlots(out_off[num_morsels]);
-    ParallelMorsels(
-        lanes, num_morsels, 1, [&](size_t begin, size_t end, int lane_id) {
-          (void)lane_id;
-          for (size_t m = begin; m < end; ++m) {
-            size_t o = out_off[m];
-            for (const auto& [i, r] : matches[m]) {
-              std::vector<NodeId>& row = out.rows[o++];
-              row.reserve(left.vars.size() + right_extra.size());
-              row.assign(left.rows[i].begin(), left.rows[i].end());
-              for (int rc : right_extra) row.push_back(right.rows[r][rc]);
-            }
-          }
-        });
-  }
-  for (int l = 0; l < lanes; ++l) {
-    op.build_rows += lane_build[l];
-    op.probe_rows += lane_probe[l];
+      distinct.Add();
+      return true;
+    });
   }
 
   op.rows_out = out.rows.size();
@@ -1808,13 +1672,11 @@ BindingTable HashJoinOp(const BindingTable& left, const BindingTable& right,
 }
 
 void StreamJoinOp(const std::vector<BindingTable>& tables, size_t num_vars,
-                  EvalStats& stats, int num_threads,
-                  const CancellationToken* cancel,
+                  EvalStats& stats, const CancellationToken* cancel,
                   const std::function<bool(const std::vector<NodeId>&)>& emit) {
   OperatorStats op;
   op.op = "HashJoin";
   op.detail = "streamed over " + std::to_string(tables.size()) + " tables";
-  op.threads = 1;
 
   // Per table: the variables bound by earlier tables (its probe key, read
   // from the binding) with their columns here, and the columns it binds.
@@ -1834,17 +1696,11 @@ void StreamJoinOp(const std::vector<BindingTable>& tables, size_t num_vars,
     }
     for (int v : t.vars) bound[v] = true;
   }
-  std::vector<PartitionedBuild> builds(n);
+  std::vector<JoinIndex> indexes;
+  indexes.reserve(n);
   for (size_t k = 1; k < n; ++k) {
-    const int lanes =
-        num_threads > 1 && tables[k].rows.size() >= kParallelJoinRows
-            ? num_threads
-            : 1;
-    op.threads = std::max(op.threads, lanes);
-    std::vector<uint64_t> lane_build(lanes, 0);
-    builds[k] = BuildPartitioned(tables[k].rows, key_cols[k], lanes,
-                                 &lane_build);
-    for (uint64_t rows : lane_build) op.build_rows += rows;
+    indexes.emplace_back(tables[k].rows, key_cols[k]);
+    op.build_rows += tables[k].rows.size();
   }
 
   // Depth-first probe. A level overwrites the variables it binds for
@@ -1869,111 +1725,54 @@ void StreamJoinOp(const std::vector<BindingTable>& tables, size_t num_vars,
       return true;
     }
     ++op.probe_rows;
-    const std::vector<uint32_t>* ids =
-        builds[k].Find(MixHash64(HashRowKey(binding, key_vars[k])));
-    if (ids == nullptr) return true;
-    for (uint32_t r : *ids) {
-      if (!KeysEqual(binding, key_vars[k], t.rows[r], key_cols[k])) continue;
-      if (!descend(r)) return false;
-    }
-    return true;
+    return indexes[k - 1].ForEachMatch(binding, key_vars[k], descend);
   };
   extend(extend, 0);
   stats.operators.push_back(std::move(op));
 }
 
 bool SemiJoinFilterOp(BindingTable* target, const BindingTable& filter,
-                      EvalStats& stats, int num_threads) {
-  std::vector<std::pair<int, int>> shared;  // (target col, filter col)
+                      EvalStats& stats) {
+  std::vector<int> target_cols, filter_cols;
   for (size_t fc = 0; fc < filter.vars.size(); ++fc) {
-    int tc = target->ColumnOf(filter.vars[fc]);
-    if (tc >= 0) shared.emplace_back(tc, static_cast<int>(fc));
+    const int tc = target->ColumnOf(filter.vars[fc]);
+    if (tc < 0) continue;
+    target_cols.push_back(tc);
+    filter_cols.push_back(static_cast<int>(fc));
   }
-  if (shared.empty()) return false;
+  if (target_cols.empty()) return false;
 
   OperatorStats op;
   op.op = "SemiJoinFilter";
   op.rows_in = target->rows.size();
-  for (const auto& [tc, fc] : shared) {
-    (void)fc;
+  for (int tc : target_cols) {
     op.detail += (op.detail.empty() ? "on v" : ",v") +
                  std::to_string(target->vars[tc]);
   }
 
-  // Radix-partitioned build of the filter keys, then a two-pass morsel
-  // probe: pass 1 flags the surviving target rows and counts them per
-  // morsel, pass 2 moves survivors into ONE exactly-reserved output in
-  // morsel order — the kept rows keep their original relative order at
-  // any thread count. Lanes as in HashJoinOp.
-  const int lanes =
-      num_threads > 1 && target->rows.size() + filter.rows.size() >=
-                             kParallelJoinRows
-          ? num_threads
-          : 1;
-  op.threads = lanes;
-  std::vector<int> target_cols, filter_cols;
-  for (const auto& [tc, fc] : shared) {
-    target_cols.push_back(tc);
-    filter_cols.push_back(fc);
+  // Compact the matched rows to the front in place; kept rows keep their
+  // order.
+  const JoinIndex index(filter.rows, filter_cols);
+  op.build_rows = filter.rows.size();
+  op.probe_rows = target->rows.size();
+  std::vector<std::vector<NodeId>>& rows = target->rows;
+  size_t kept = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    // Stopping at the first match makes ForEachMatch return false.
+    if (index.ForEachMatch(rows[i], target_cols,
+                           [](uint32_t) { return false; })) {
+      continue;
+    }
+    if (kept != i) rows[kept] = std::move(rows[i]);
+    ++kept;
   }
-  std::vector<uint64_t> lane_build(lanes, 0), lane_probe(lanes, 0);
-  PartitionedBuild build =
-      BuildPartitioned(filter.rows, filter_cols, lanes, &lane_build);
-  const size_t grain = kJoinProbeGrain;
-  const size_t n = target->rows.size();
-  const size_t num_morsels = (n + grain - 1) / grain;
-  std::vector<uint8_t> keep(n, 0);
-  std::vector<size_t> kept_counts(num_morsels, 0);
-  ParallelMorsels(
-      lanes, n, grain, [&](size_t begin, size_t end, int lane_id) {
-        // A serial run gets one call spanning every morsel.
-        for (size_t i = begin; i < end; ++i) {
-          const std::vector<NodeId>& trow = target->rows[i];
-          const uint64_t h = MixHash64(HashRowKey(trow, target_cols));
-          const std::vector<uint32_t>* ids = build.Find(h);
-          bool hit = false;
-          if (ids != nullptr) {
-            for (uint32_t r : *ids) {
-              if (KeysEqual(trow, target_cols, filter.rows[r],
-                            filter_cols)) {
-                hit = true;
-                break;
-              }
-            }
-          }
-          keep[i] = hit;
-          kept_counts[i / grain] += hit;
-        }
-        lane_probe[lane_id] += end - begin;
-      });
-  std::vector<size_t> out_off(num_morsels + 1, 0);
-  for (size_t m = 0; m < num_morsels; ++m) {
-    out_off[m + 1] = out_off[m] + kept_counts[m];
-  }
-  std::vector<std::vector<NodeId>> kept(out_off[num_morsels]);
-  ParallelMorsels(
-      lanes, num_morsels, 1, [&](size_t begin, size_t end, int lane_id) {
-        (void)lane_id;
-        for (size_t m = begin; m < end; ++m) {
-          size_t o = out_off[m];
-          const size_t lo = m * grain;
-          const size_t hi = std::min(lo + grain, n);
-          for (size_t i = lo; i < hi; ++i) {
-            if (keep[i]) kept[o++] = std::move(target->rows[i]);
-          }
-        }
-      });
-  for (int l = 0; l < lanes; ++l) {
-    op.build_rows += lane_build[l];
-    op.probe_rows += lane_probe[l];
-  }
-  bool shrank = kept.size() < target->rows.size();
-  target->rows = std::move(kept);
+  const bool shrank = kept < rows.size();
+  rows.resize(kept);
 
   // Only filtering passes are profiled — the fixpoint driver calls this
   // repeatedly, and no-op passes would drown the operator profile.
   if (shrank) {
-    op.rows_out = target->rows.size();
+    op.rows_out = kept;
     stats.operators.push_back(std::move(op));
   }
   return shrank;

@@ -13,9 +13,9 @@
 //                      (core/reachability.h)
 //   ProductExpand      one synchronization component: the on-the-fly
 //                      convolution product search (Thm 6.1)
-//   HashJoin           natural join of two binding tables on shared vars
-//                      (HashJoinOp), or the streamed multi-way final join
-//                      (StreamJoinOp)
+//   HashJoin           projected natural join of two binding tables on
+//                      shared vars (HashJoinOp), or the streamed
+//                      multi-way final join (StreamJoinOp)
 //   SemiJoinFilter     reduce a table to rows matched by another
 //   Project            ProjectDistinct, the early-projection step
 //   LinearConstraintCheck  the counting engine's per-assignment ILP
@@ -41,16 +41,16 @@
 // configuration on the same nodes whose state-subsets intersect for
 // every relation (meet-in-the-middle).
 //
-// Execution is morsel-driven parallel (core/parallel.h) when the caller
-// passes num_threads > 1: leaves partition their seed sets (scan sources,
-// seed rows, start assignments) into morsels pulled by worker lanes, and
-// joins over enough actual rows (kParallelJoinRows, ops.cc) build partitioned
-// tables (and, except the streamed final join, probe morsel-wise). A
+// Leaves are morsel-driven parallel (core/parallel.h) when the caller
+// passes num_threads > 1: they partition their seed sets (scan sources,
+// seed rows, start assignments) into morsels pulled by worker lanes. A
 // leaf with a single anchor assignment is one product search (or one
 // scan BFS) and runs on one lane. Workers accumulate into private stats
 // and result sets merged at the operator barrier in canonical lane
 // order, so results and counters are thread-count-independent;
-// num_threads == 1 runs everything on the calling thread.
+// num_threads == 1 runs everything on the calling thread. Joins and
+// semi-joins run serially on the calling thread, each over one flat
+// hash index of its build side (ops.cc).
 //
 // Every operator appends one OperatorStats entry (rows in/out, frontier
 // expansions, visited-table occupancy, worker lanes) to
@@ -88,16 +88,6 @@ struct BindingTable {
     BindingTable t;
     t.rows.push_back({});
     return t;
-  }
-
-  /// Size-then-fill bulk append (the GraphDb::FromEdges idiom): grows the
-  /// table by `n` empty row slots in one exact reservation and returns
-  /// the index of the first, so parallel writers can fill disjoint
-  /// slices without reallocation races or per-row push_back churn.
-  size_t AppendRowSlots(size_t n) {
-    const size_t first = rows.size();
-    rows.resize(first + n);
-    return first;
   }
 };
 
@@ -176,58 +166,43 @@ Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
                           std::set<std::vector<NodeId>>* results,
                           ProductGraphSink* graph_sink);
 
-/// Natural hash join on shared variables, materialized; output columns
-/// are left.vars followed by right's non-shared vars. Rows stay distinct.
-/// With `project` (vars of either input) the output is instead the
-/// distinct projection of the joined rows onto those columns, in first
-/// occurrence order, built without materializing the joined rows (the
-/// early-projection merge); EvalStats::join_tuples still counts every
-/// joined row.
-/// Appends a HashJoin OperatorStats entry (with build/probe row counts
-/// merged from the per-lane counters). The plan executor uses it for
-/// early-projection merges; its final join is StreamJoinOp. The join is
-/// radix-partitioned:
-/// per-morsel partition counters size one exact reservation, build rows
-/// are scattered into per-partition slices and each partition's hash
-/// table is built independently, and the probe runs morsel-wise in two
-/// passes (match, then size-then-fill into the reserved output). With
-/// num_threads > 1 and enough rows those passes run on worker lanes. The
-/// partition count depends only on the input sizes — never the lane
-/// count — and probe matches concatenate in canonical morsel order
-/// (left-row order, each row's matches by ascending right row id), so
-/// the output rows and their order are thread-count independent.
+/// Natural hash join on shared variables, projected: the output is the
+/// distinct projection of the joined rows onto `project` (vars of either
+/// input), built without materializing the joined rows (the
+/// early-projection merge of the plan executor; its final join is
+/// StreamJoinOp). The right side is indexed, the left side probes it,
+/// and rows come in first-occurrence order of the joined rows: left-row
+/// order, each row's matches by ascending right row id.
+/// EvalStats::join_tuples counts every joined row. Appends a HashJoin
+/// OperatorStats entry (build_rows: right rows; probe_rows: left rows).
 BindingTable HashJoinOp(const BindingTable& left, const BindingTable& right,
-                        EvalStats& stats, int num_threads = 1,
-                        const std::vector<int>* project = nullptr);
+                        const std::vector<int>& project, EvalStats& stats);
 
 /// The plan executor's final join: the natural join of `tables`,
 /// streamed depth-first without materializing it. Each table after the
 /// first gets a hash index on the columns it shares with the tables
-/// before it (HashJoinOp's radix-partitioned build, on `num_threads`
-/// lanes when the table has enough rows). Each table-0 row is then
-/// extended through tables 1, 2, ... by probing those indexes, and
+/// before it (the same index HashJoinOp builds). Each table-0 row is
+/// then extended through tables 1, 2, ... by probing those indexes, and
 /// `emit` receives every joined tuple as a binding indexed by node
 /// variable (`num_vars` entries, -1 where no table binds the variable).
 /// Tuples come in table-0 row order, each table's matches by ascending
-/// row id: the nested-loop join's order, at any lane count, so a
-/// limit's cut point never depends on the lanes. With no tables the
+/// row id: the nested-loop join's order. With no tables the
 /// join is the unit: one all-unbound binding. `emit` returns false to
 /// stop the join; it also stops once `cancel` (optional) trips. Appends
 /// one HashJoin entry (build_rows: rows indexed; probe_rows: index
 /// lookups; rows_out: emitted tuples); EvalStats::join_tuples counts the
 /// emitted tuples.
 void StreamJoinOp(const std::vector<BindingTable>& tables, size_t num_vars,
-                  EvalStats& stats, int num_threads,
-                  const CancellationToken* cancel,
+                  EvalStats& stats, const CancellationToken* cancel,
                   const std::function<bool(const std::vector<NodeId>&)>& emit);
 
 /// Keeps rows of `target` matched by some row of `filter` on their shared
 /// variables (no-op without shared variables). Appends a SemiJoinFilter
 /// entry when rows were actually removed. Returns true when `target`
-/// shrank. Same partitioned build and morsel-wise probe as HashJoinOp;
-/// kept rows keep their order.
+/// shrank. `filter` is indexed as in HashJoinOp (build_rows: filter
+/// rows; probe_rows: target rows); kept rows keep their order.
 bool SemiJoinFilterOp(BindingTable* target, const BindingTable& filter,
-                      EvalStats& stats, int num_threads = 1);
+                      EvalStats& stats);
 
 }  // namespace ecrpq
 

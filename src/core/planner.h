@@ -22,8 +22,7 @@
 // components are single atoms, so its plan is the all-scan plan of
 // Thm 6.5.
 //
-// The plan fixes what runs and in which order, not how many lanes a join
-// uses: every join operator decides that from the actual rows it sees
+// The plan fixes what runs and in which order; joins always run serially
 // (core/ops.h).
 //
 // Planning is a pure function of (query, compiled relations, index
@@ -105,7 +104,7 @@ struct ProjectionStep {
   /// -1: drop the columns of `left` that are neither head variables nor
   /// in any other table. Otherwise `left` and `right` share a non-head
   /// variable found in no other table: replace them by their joined,
-  /// deduplicated projection onto `keep` (HashJoinOp's `project`).
+  /// deduplicated projection onto `keep` (HashJoinOp).
   int right = -1;
   std::vector<int> keep;  ///< the columns of the result, in order
 };

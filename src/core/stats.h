@@ -32,11 +32,10 @@ struct OperatorStats {
   /// opposite half-search tested for a (node, state)-compatible meet.
   /// Zero for forward/backward leaves and non-leaf operators.
   uint64_t meet_checks = 0;
-  /// Join-pipeline row counters: rows hashed into the (partitioned) build
-  /// side and rows probed against it. Each worker lane counts privately
-  /// and the totals are merged in canonical lane order at the operator
-  /// barrier, so they are identical at any thread count. Zero for
-  /// operators that neither build nor probe (leaves).
+  /// Join-pipeline row counters: rows hashed into the build side's index
+  /// and rows probed against it. Joins run serially, so they are
+  /// identical at any thread count. Zero for operators that neither
+  /// build nor probe (leaves).
   uint64_t build_rows = 0;
   uint64_t probe_rows = 0;
   double est_rows = -1.0;  ///< planner estimate, -1 when unplanned

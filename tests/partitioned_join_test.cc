@@ -1,17 +1,17 @@
-// Skew robustness of the radix-partitioned join pipeline (core/ops.h).
+// The join operators of core/ops.h against nested-loop references.
 //
 // Power-law key distributions concentrate a large fraction of rows on a
-// handful of hot keys, so a few partitions carry most of the build and a
-// few probe buckets dominate the match volume. The partitioned HashJoinOp
-// and SemiJoinFilterOp must still produce byte-identical tables — rows AND
-// row order — to the serial implementations at every lane count, and the
-// per-lane build/probe counters must merge to the same totals. This file
-// runs under the CI ThreadSanitizer job (full ctest), so the partition
-// scatter and the two-pass probe are also raced deliberately here.
+// handful of hot keys, so a few index buckets carry most of the build
+// side and dominate the match volume; a tiny key space makes every
+// bucket chain long. HashJoinOp, SemiJoinFilterOp and
+// StreamJoinOp must still produce exactly the nested-loop join's rows —
+// content AND order — and its join_tuples, build_rows and probe_rows.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/evaluator.h"
@@ -47,7 +47,7 @@ void BuildSkewedTables(BindingTable* left, BindingTable* right) {
   Rng rng(97);
   left->vars = {0, 1};
   right->vars = {1, 2};
-  for (int i = 0; i < 9000; ++i) {
+  for (int i = 0; i < 3000; ++i) {
     left->rows.push_back({static_cast<NodeId>(rng.Below(4000)),
                           SkewedKey(&rng, /*cold_range=*/400)});
     right->rows.push_back({SkewedKey(&rng, /*cold_range=*/200),
@@ -62,85 +62,119 @@ const OperatorStats& LastOp(const EvalStats& stats) {
   return stats.operators.back();
 }
 
-TEST(PartitionedJoin, SkewedHashJoinMatchesSerialAtEveryLaneCount) {
-  BindingTable left, right;
-  BuildSkewedTables(&left, &right);
-  // Both sides comfortably above the stay-inline row threshold.
-  ASSERT_GE(left.rows.size(), 4096u);
-  ASSERT_GE(right.rows.size(), 4096u);
-
-  EvalStats serial_stats;
-  const BindingTable serial = HashJoinOp(left, right, serial_stats, 1);
-  ASSERT_FALSE(serial.rows.empty());
-  const OperatorStats& serial_op = LastOp(serial_stats);
-  EXPECT_EQ(serial_op.op, "HashJoin");
-  EXPECT_EQ(serial_op.build_rows, right.rows.size());
-  EXPECT_EQ(serial_op.probe_rows, left.rows.size());
-
-  for (int threads : {2, 4, 8}) {
-    EvalStats stats;
-    const BindingTable parallel = HashJoinOp(left, right, stats, threads);
-    EXPECT_EQ(parallel.vars, serial.vars) << "threads=" << threads;
-    EXPECT_EQ(parallel.rows, serial.rows)  // content AND order
-        << "threads=" << threads;
-    EXPECT_EQ(stats.join_tuples, serial_stats.join_tuples)
-        << "threads=" << threads;
-    // The per-lane build/probe counters must merge to the serial totals
-    // regardless of how the morsels were distributed over lanes.
-    const OperatorStats& op = LastOp(stats);
-    EXPECT_EQ(op.op, "HashJoin");
-    EXPECT_EQ(op.threads, threads);
-    EXPECT_EQ(op.build_rows, serial_op.build_rows) << "threads=" << threads;
-    EXPECT_EQ(op.probe_rows, serial_op.probe_rows) << "threads=" << threads;
-    EXPECT_EQ(op.rows_in, serial_op.rows_in);
-    EXPECT_EQ(op.rows_out, serial_op.rows_out);
+// The nested-loop SemiJoinFilterOp reference: the target rows agreeing
+// with some filter row on the shared variables, in target order.
+std::vector<std::vector<NodeId>> NestedLoopSemiJoin(
+    const BindingTable& target, const BindingTable& filter) {
+  std::vector<std::vector<NodeId>> kept;
+  for (const std::vector<NodeId>& trow : target.rows) {
+    for (const std::vector<NodeId>& frow : filter.rows) {
+      bool match = true;
+      for (size_t fc = 0; fc < filter.vars.size() && match; ++fc) {
+        const int tc = target.ColumnOf(filter.vars[fc]);
+        match = tc < 0 || trow[tc] == frow[fc];
+      }
+      if (match) {
+        kept.push_back(trow);
+        break;
+      }
+    }
   }
+  return kept;
 }
 
-TEST(PartitionedJoin, SkewedSemiJoinFilterMatchesSerialAtEveryLaneCount) {
+// HashJoinOp projected onto every column (left vars, then right's
+// non-shared vars) against the nested-loop join: every (left row, right
+// row) pair agreeing on the shared variables, in left-row order and
+// ascending right row order. Both inputs hold distinct rows, so the
+// joined rows are distinct and the projection drops none. The reference
+// is walked in step with the output instead of materialized.
+void ExpectHashJoinMatchesReference(const BindingTable& left,
+                                    const BindingTable& right) {
+  std::vector<int> vars = left.vars;
+  std::vector<std::pair<int, int>> shared;  // (left col, right col)
+  std::vector<int> extra;                   // right cols not shared
+  for (size_t rc = 0; rc < right.vars.size(); ++rc) {
+    const int lc = left.ColumnOf(right.vars[rc]);
+    if (lc >= 0) {
+      shared.emplace_back(lc, static_cast<int>(rc));
+    } else {
+      vars.push_back(right.vars[rc]);
+      extra.push_back(static_cast<int>(rc));
+    }
+  }
+  EvalStats stats;
+  const BindingTable got = HashJoinOp(left, right, vars, stats);
+  EXPECT_EQ(got.vars, vars);
+
+  uint64_t tuples = 0, mismatches = 0;
+  for (const std::vector<NodeId>& lrow : left.rows) {
+    for (const std::vector<NodeId>& rrow : right.rows) {
+      bool match = true;
+      for (const auto& [lc, rc] : shared) match = match && lrow[lc] == rrow[rc];
+      if (!match) continue;
+      if (tuples < got.rows.size()) {
+        const std::vector<NodeId>& row = got.rows[tuples];
+        bool same = std::equal(lrow.begin(), lrow.end(), row.begin());
+        for (size_t j = 0; j < extra.size(); ++j) {
+          same = same && row[lrow.size() + j] == rrow[extra[j]];
+        }
+        mismatches += !same;
+      }
+      ++tuples;
+    }
+  }
+  ASSERT_GT(tuples, 0u);
+  EXPECT_EQ(got.rows.size(), tuples);
+  EXPECT_EQ(mismatches, 0u);  // content AND order
+  EXPECT_EQ(stats.join_tuples, tuples);
+  const OperatorStats& op = LastOp(stats);
+  EXPECT_EQ(op.op, "HashJoin");
+  EXPECT_EQ(op.build_rows, right.rows.size());
+  EXPECT_EQ(op.probe_rows, left.rows.size());
+  EXPECT_EQ(op.rows_in, left.rows.size() + right.rows.size());
+  EXPECT_EQ(op.rows_out, tuples);
+}
+
+TEST(JoinOps, SkewedHashJoinMatchesNestedLoopReference) {
   BindingTable left, right;
   BuildSkewedTables(&left, &right);
+  ExpectHashJoinMatchesReference(left, right);
+}
 
-  EvalStats serial_stats;
-  BindingTable serial_target = left;
-  const bool serial_shrank =
-      SemiJoinFilterOp(&serial_target, right, serial_stats, 1);
+TEST(JoinOps, SkewedSemiJoinFilterMatchesNestedLoopReference) {
+  BindingTable left, right;
+  BuildSkewedTables(&left, &right);
+  const std::vector<std::vector<NodeId>> want = NestedLoopSemiJoin(left, right);
   // Cold left keys in [209, 409) have no right partner, so rows must
-  // actually have been removed (the operator only records stats then).
-  ASSERT_TRUE(serial_shrank);
-  ASSERT_LT(serial_target.rows.size(), left.rows.size());
-  const OperatorStats& serial_op = LastOp(serial_stats);
-  EXPECT_EQ(serial_op.op, "SemiJoinFilter");
-  EXPECT_EQ(serial_op.build_rows, right.rows.size());
-  EXPECT_EQ(serial_op.probe_rows, left.rows.size());
+  // actually be removed (the operator only records stats then), and the
+  // first row survives, so compaction keeps a row in its own slot.
+  ASSERT_LT(want.size(), left.rows.size());
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(want.front(), left.rows.front());
 
-  for (int threads : {2, 4, 8}) {
-    EvalStats stats;
-    BindingTable target = left;
-    const bool shrank = SemiJoinFilterOp(&target, right, stats, threads);
-    EXPECT_EQ(shrank, serial_shrank) << "threads=" << threads;
-    EXPECT_EQ(target.vars, serial_target.vars);
-    EXPECT_EQ(target.rows, serial_target.rows)  // content AND order
-        << "threads=" << threads;
-    const OperatorStats& op = LastOp(stats);
-    EXPECT_EQ(op.op, "SemiJoinFilter");
-    EXPECT_EQ(op.threads, threads);
-    EXPECT_EQ(op.build_rows, serial_op.build_rows) << "threads=" << threads;
-    EXPECT_EQ(op.probe_rows, serial_op.probe_rows) << "threads=" << threads;
-    EXPECT_EQ(op.rows_in, serial_op.rows_in);
-    EXPECT_EQ(op.rows_out, serial_op.rows_out);
-  }
+  EvalStats stats;
+  BindingTable target = left;
+  EXPECT_TRUE(SemiJoinFilterOp(&target, right, stats));
+  EXPECT_EQ(target.vars, left.vars);
+  EXPECT_EQ(target.rows, want);  // content AND order
+  const OperatorStats& op = LastOp(stats);
+  EXPECT_EQ(op.op, "SemiJoinFilter");
+  EXPECT_EQ(op.build_rows, right.rows.size());
+  EXPECT_EQ(op.probe_rows, left.rows.size());
+  EXPECT_EQ(op.rows_in, left.rows.size());
+  EXPECT_EQ(op.rows_out, want.size());
 }
 
-// Hash-collision safety net: many distinct keys land in few partitions
-// when the key space is tiny, and every probe hit must re-check the real
-// key columns, not just the 64-bit hash.
-TEST(PartitionedJoin, TinyKeySpaceCrossCheck) {
+// A tiny key space: three keys carry every row, so each bucket chain is
+// hundreds of rows long and each left row matches a third of the right
+// side.
+TEST(JoinOps, TinyKeySpaceMatchesNestedLoopReference) {
   Rng rng(7);
   BindingTable left, right;
   left.vars = {0, 1};
   right.vars = {1, 2};
-  for (int i = 0; i < 6000; ++i) {
+  for (int i = 0; i < 2000; ++i) {
     left.rows.push_back({static_cast<NodeId>(rng.Below(3000)),
                          static_cast<NodeId>(rng.Below(3))});
     right.rows.push_back({static_cast<NodeId>(rng.Below(3)),
@@ -148,12 +182,23 @@ TEST(PartitionedJoin, TinyKeySpaceCrossCheck) {
   }
   Dedup(&left);
   Dedup(&right);
+  ExpectHashJoinMatchesReference(left, right);
 
-  EvalStats serial_stats, parallel_stats;
-  const BindingTable serial = HashJoinOp(left, right, serial_stats, 1);
-  const BindingTable parallel = HashJoinOp(left, right, parallel_stats, 8);
-  EXPECT_EQ(serial.rows, parallel.rows);
-  EXPECT_EQ(serial_stats.join_tuples, parallel_stats.join_tuples);
+  // Semi-join: only the right rows with key 0 filter, so the left rows
+  // keyed 1 and 2 go.
+  BindingTable filter;
+  filter.vars = right.vars;
+  for (const std::vector<NodeId>& row : right.rows) {
+    if (row[0] == 0) filter.rows.push_back(row);
+  }
+  const std::vector<std::vector<NodeId>> want =
+      NestedLoopSemiJoin(left, filter);
+  EvalStats stats;
+  BindingTable target = left;
+  EXPECT_TRUE(SemiJoinFilterOp(&target, filter, stats));
+  EXPECT_EQ(target.rows, want);
+  EXPECT_EQ(LastOp(stats).build_rows, filter.rows.size());
+  EXPECT_EQ(LastOp(stats).probe_rows, left.rows.size());
 }
 
 // ---- the streamed final join ----------------------------------------------
@@ -191,9 +236,8 @@ void NestedLoopJoin(const std::vector<BindingTable>& tables, size_t k,
 
 // 1–4 random tables over 5 variables: skewed keys, cross joins (a table
 // sharing no column with the earlier ones) and a tiny key space (many
-// distinct keys per partition, so probe hits must re-check the key
-// columns). The last table is sometimes large enough for the
-// partitioned build to take lanes.
+// rows per key, so probe hits must re-check the key columns). The last
+// table is sometimes large (5000 rows before dedup).
 std::vector<BindingTable> RandomJoinTables(Rng* rng) {
   const size_t n = 1 + rng->Below(4);
   const bool tiny = rng->Chance(0.3);
@@ -225,7 +269,7 @@ std::vector<BindingTable> RandomJoinTables(Rng* rng) {
   return tables;
 }
 
-TEST(StreamJoin, MatchesNestedLoopReferenceAtEveryLaneCount) {
+TEST(StreamJoin, MatchesNestedLoopReference) {
   int crosses = 0;
   int large = 0;
   for (uint64_t seed = 0; seed < 200; ++seed) {
@@ -249,38 +293,32 @@ TEST(StreamJoin, MatchesNestedLoopReferenceAtEveryLaneCount) {
       build_rows += tables[k].rows.size();
     }
 
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      EvalStats stats;
-      std::vector<std::vector<NodeId>> got;
-      StreamJoinOp(tables, 5, stats, threads, /*cancel=*/nullptr,
-                   [&](const std::vector<NodeId>& b) {
-                     got.push_back(b);
-                     return true;
-                   });
-      EXPECT_EQ(got, want);  // content AND order
-      EXPECT_EQ(stats.join_tuples, want.size());
-      const OperatorStats& op = LastOp(stats);
-      EXPECT_EQ(op.op, "HashJoin");
-      EXPECT_EQ(op.rows_out, want.size());
-      EXPECT_EQ(op.build_rows, build_rows);
-      EXPECT_EQ(op.probe_rows, probes);
-      const bool builds_large =
-          tables.size() > 1 && tables.back().rows.size() >= 4096;
-      EXPECT_EQ(op.threads, builds_large ? threads : 1);
+    EvalStats stats;
+    std::vector<std::vector<NodeId>> got;
+    StreamJoinOp(tables, 5, stats, /*cancel=*/nullptr,
+                 [&](const std::vector<NodeId>& b) {
+                   got.push_back(b);
+                   return true;
+                 });
+    EXPECT_EQ(got, want);  // content AND order
+    EXPECT_EQ(stats.join_tuples, want.size());
+    const OperatorStats& op = LastOp(stats);
+    EXPECT_EQ(op.op, "HashJoin");
+    EXPECT_EQ(op.rows_out, want.size());
+    EXPECT_EQ(op.build_rows, build_rows);
+    EXPECT_EQ(op.probe_rows, probes);
 
-      // A stop after k tuples keeps exactly the first k.
-      if (want.size() < 2) continue;
-      const size_t k = 1 + rng.Below(want.size() - 1);
-      std::vector<std::vector<NodeId>> first;
-      StreamJoinOp(tables, 5, stats, threads, /*cancel=*/nullptr,
-                   [&](const std::vector<NodeId>& b) {
-                     first.push_back(b);
-                     return first.size() < k;
-                   });
-      EXPECT_EQ(first, std::vector<std::vector<NodeId>>(
-                           want.begin(), want.begin() + k));
-    }
+    // A stop after k tuples keeps exactly the first k.
+    if (want.size() < 2) continue;
+    const size_t k = 1 + rng.Below(want.size() - 1);
+    std::vector<std::vector<NodeId>> first;
+    StreamJoinOp(tables, 5, stats, /*cancel=*/nullptr,
+                 [&](const std::vector<NodeId>& b) {
+                   first.push_back(b);
+                   return first.size() < k;
+                 });
+    EXPECT_EQ(first, std::vector<std::vector<NodeId>>(want.begin(),
+                                                      want.begin() + k));
   }
   EXPECT_GT(crosses, 0);
   EXPECT_GT(large, 0);
@@ -289,7 +327,7 @@ TEST(StreamJoin, MatchesNestedLoopReferenceAtEveryLaneCount) {
 TEST(StreamJoin, NoTablesIsTheUnitAndCancelStops) {
   EvalStats stats;
   int calls = 0;
-  StreamJoinOp({}, 3, stats, 1, /*cancel=*/nullptr,
+  StreamJoinOp({}, 3, stats, /*cancel=*/nullptr,
                [&](const std::vector<NodeId>& b) {
                  EXPECT_EQ(b, (std::vector<NodeId>{-1, -1, -1}));
                  ++calls;
@@ -303,11 +341,10 @@ TEST(StreamJoin, NoTablesIsTheUnitAndCancelStops) {
   CancellationToken cancel;
   cancel.Cancel();
   calls = 0;
-  StreamJoinOp({t}, 1, stats, 1, &cancel,
-               [&](const std::vector<NodeId>&) {
-                 ++calls;
-                 return true;
-               });
+  StreamJoinOp({t}, 1, stats, &cancel, [&](const std::vector<NodeId>&) {
+    ++calls;
+    return true;
+  });
   EXPECT_EQ(calls, 0);
 }
 

@@ -157,9 +157,8 @@ TEST(PlannerProperty, RandomQueriesMatchBruteForceUnderAnyJoinOrder) {
 
     // The join-pipeline determinism contract: tuples AND merged engine
     // counters are byte-identical at every worker-lane count, because
-    // every pipeline choice (partition counts, morsel boundaries, the
-    // final join's emission order) is a pure function of the plan and
-    // input sizes — never the lane count. The explicit serial run is the reference;
+    // leaves merge their lanes in canonical order and every join runs
+    // serially. The explicit serial run is the reference;
     // OperatorStats::threads legitimately reports the lane count and is
     // the only field allowed to differ.
     EvalOptions serial_opts = options;
@@ -438,7 +437,7 @@ TEST(BindingTableOps, HashJoinOnSharedVarsAndCross) {
   right.vars = {1, 2};
   right.rows = {{20, 30}, {20, 31}, {21, 32}, {99, 33}};
   EvalStats stats;
-  BindingTable joined = HashJoinOp(left, right, stats);
+  BindingTable joined = HashJoinOp(left, right, {0, 1, 2}, stats);
   EXPECT_EQ(joined.vars, (std::vector<int>{0, 1, 2}));
   std::set<std::vector<NodeId>> rows(joined.rows.begin(), joined.rows.end());
   EXPECT_EQ(rows, (std::set<std::vector<NodeId>>{
@@ -451,8 +450,14 @@ TEST(BindingTableOps, HashJoinOnSharedVarsAndCross) {
   BindingTable disjoint;
   disjoint.vars = {5};
   disjoint.rows = {{1}, {2}};
-  BindingTable cross = HashJoinOp(left, disjoint, stats);
+  BindingTable cross = HashJoinOp(left, disjoint, {0, 1, 5}, stats);
   EXPECT_EQ(cross.rows.size(), 6u);
+
+  // A projection keeps each distinct projected row once.
+  BindingTable projected = HashJoinOp(left, right, {1}, stats);
+  EXPECT_EQ(projected.vars, (std::vector<int>{1}));
+  EXPECT_EQ(projected.rows, (std::vector<std::vector<NodeId>>{{20}, {21}}));
+  EXPECT_EQ(stats.operators.back().rows_out, 2u);
 }
 
 TEST(BindingTableOps, SemiJoinFilterAndProjectDistinct) {

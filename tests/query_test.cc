@@ -156,12 +156,16 @@ TEST(Analysis, CrpqVsEcrpq) {
   auto crpq = ParseQuery("Ans(x) <- (x, p, y), a*(p)", *alphabet);
   ASSERT_TRUE(crpq.ok());
   EXPECT_TRUE(Analyze(crpq.value()).is_crpq);
+  // Describe() leads with the Figure 1 class that PreparedQuery::analysis()
+  // and query_shell print.
+  EXPECT_EQ(Analyze(crpq.value()).Describe().rfind("CRPQ", 0), 0u);
 
   auto ecrpq = ParseQuery("Ans(x) <- (x, p, y), (x, q, y), el(p, q)",
                           *alphabet);
   ASSERT_TRUE(ecrpq.ok());
   QueryAnalysis analysis = Analyze(ecrpq.value());
   EXPECT_FALSE(analysis.is_crpq);
+  EXPECT_EQ(analysis.Describe().rfind("ECRPQ", 0), 0u);
   EXPECT_EQ(analysis.components.size(), 1u);
 }
 
