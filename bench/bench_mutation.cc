@@ -21,8 +21,8 @@
 //       twin times GraphIndex::Build on an identically mutated graph.
 //   DbWriteToRead/{delta,rebuild}/batch/1000
 //       end-to-end through Database: ApplyDelta (snapshot-swap protocol,
-//       single-flight, plan-cache bookkeeping) against MutateGraph +
-//       lazy full rebuild on first graph_index().
+//       plan-cache bookkeeping) against MutateGraph, which materialises
+//       a scratch GraphDb from the snapshot and rebuilds it in full.
 //   DurableWriteToRead/{always,interval,never}/batch/1000
 //       the same 1000-edge CommitDelta through the write-ahead log at
 //       each fsync policy — the durability tax over DbWriteToRead/delta
@@ -32,8 +32,9 @@
 //       and a 32-segment delta chain (the overlay-directory tax).
 //   Checkpoint/{encode,decode}, DurableReopen
 //       the full-graph checkpoint every compaction and MutateGraph
-//       publishes: encoding the 3M-edge graph, decoding the image, and
-//       Database::OpenDurable on a data dir holding it (recovery time).
+//       publishes: encoding the 3M-edge graph from its snapshot, decoding
+//       the image into base columns, and Database::OpenDurable on a data
+//       dir holding it (recovery time, sealing the snapshot included).
 
 #include <benchmark/benchmark.h>
 
@@ -84,7 +85,7 @@ struct Batch {
 // `size` edges, 90% adds / 10% removals. Removals are distinct edges
 // sampled from `g`'s live adjacency, so the batch satisfies the Delta
 // contract (every removed edge present exactly once per listing).
-Batch MakeBatch(const GraphDb& g, int size, uint64_t seed) {
+Batch MakeBatch(const GraphIndex& g, int size, uint64_t seed) {
   Rng rng(seed);
   Batch b;
   const int removes = size / 10;
@@ -97,9 +98,10 @@ Batch MakeBatch(const GraphDb& g, int size, uint64_t seed) {
   for (int i = 0; i < removes; ++i) {
     for (int tries = 0; tries < 64; ++tries) {
       NodeId v = static_cast<NodeId>(rng.Below(g.num_nodes()));
-      const auto& out = g.Out(v);
-      if (out.empty()) continue;
-      auto [label, to] = out[rng.Below(out.size())];
+      if (g.out_degree(v) == 0) continue;
+      const size_t k = rng.Below(g.out_degree(v));
+      const Symbol label = g.OutLabels(v)[k];
+      const NodeId to = g.OutTargets(v)[k];
       uint64_t key = (static_cast<uint64_t>(v) << 35) |
                      (static_cast<uint64_t>(label) << 32) |
                      static_cast<uint64_t>(to);
@@ -139,7 +141,7 @@ void IndexDeltaWriteToRead(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   const GraphDb& g = BaseGraph();
   const GraphIndexPtr& base = BaseIndex();
-  Batch b = MakeBatch(g, batch, /*seed=*/7);
+  Batch b = MakeBatch(*base, batch, /*seed=*/7);
   GraphIndex::Delta delta;
   delta.added = b.add;
   delta.removed = b.remove;
@@ -169,7 +171,7 @@ BENCHMARK(IndexDeltaWriteToRead)
 void IndexRebuildWriteToRead(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   const GraphDb& g = BaseGraph();
-  Batch b = MakeBatch(g, batch, /*seed=*/7);
+  Batch b = MakeBatch(*BaseIndex(), batch, /*seed=*/7);
   GraphDb mutated = MutatedCopy(g, b);  // batch applied outside the timer
   MedianTimer timer;
   for (auto _ : state) {
@@ -208,7 +210,7 @@ void DbDeltaWriteToRead(benchmark::State& state) {
   uint64_t seed = 1000;
   MedianTimer timer;
   for (auto _ : state) {
-    Batch b = MakeBatch(db.graph(), batch, seed++);
+    Batch b = MakeBatch(*db.graph_index(), batch, seed++);
     timer.Begin();
     MutationSummary summary = db.ApplyDelta(b.add, b.remove);
     GraphIndexPtr snap = db.graph_index();
@@ -232,13 +234,13 @@ void DbRebuildWriteToRead(benchmark::State& state) {
   uint64_t seed = 1000;  // same batch stream as the delta twin
   MedianTimer timer;
   for (auto _ : state) {
-    Batch b = MakeBatch(db.graph(), batch, seed++);
+    Batch b = MakeBatch(*db.graph_index(), batch, seed++);
     timer.Begin();
     db.MutateGraph([&](GraphDb& g) {
       for (const Edge& e : b.add) g.AddEdge(e.from, e.label, e.to);
       for (const Edge& e : b.remove) g.RemoveEdge(e.from, e.label, e.to);
     });
-    GraphIndexPtr snap = db.graph_index();  // lazy full rebuild
+    GraphIndexPtr snap = db.graph_index();  // built inside MutateGraph
     size_t sum = ProbeBatch(*snap, b);
     timer.End();
     benchmark::DoNotOptimize(sum);
@@ -277,7 +279,7 @@ void DurableWriteToRead(benchmark::State& state, FsyncPolicy policy,
   uint64_t seed = 1000;  // same stream as the non-durable twin
   MedianTimer timer;
   for (auto _ : state) {
-    Batch b = MakeBatch(db.graph(), batch, seed++);
+    Batch b = MakeBatch(*db.graph_index(), batch, seed++);
     timer.Begin();
     auto summary = db.CommitDelta(b.add, b.remove);
     GraphIndexPtr snap = db.graph_index();
@@ -324,11 +326,12 @@ BenchProps CheckpointProps(const GraphDb& g, size_t image_bytes) {
 
 void CheckpointEncode(benchmark::State& state) {
   const GraphDb& g = BaseGraph();
+  const GraphIndex& snapshot = *BaseIndex();
   size_t bytes = 0;
   MedianTimer timer;
   for (auto _ : state) {
     timer.Begin();
-    std::string image = EncodeCheckpoint(g);
+    std::string image = EncodeCheckpoint(g, snapshot);
     timer.End();
     bytes = image.size();
     benchmark::DoNotOptimize(image.data());
@@ -341,13 +344,14 @@ BENCHMARK(CheckpointEncode)->Unit(benchmark::kMillisecond);
 
 void CheckpointDecode(benchmark::State& state) {
   const GraphDb& g = BaseGraph();
-  const std::string image = EncodeCheckpoint(g);
+  const std::string image = EncodeCheckpoint(g, *BaseIndex());
   MedianTimer timer;
   for (auto _ : state) {
     timer.Begin();
     auto decoded = DecodeCheckpoint(image);
     timer.End();
-    if (!decoded.ok() || decoded.value().num_edges() != g.num_edges()) {
+    if (!decoded.ok() ||
+        decoded.value().catalog.num_edges() != g.num_edges()) {
       state.SkipWithError("checkpoint did not round-trip");
       return;
     }
@@ -358,7 +362,8 @@ void CheckpointDecode(benchmark::State& state) {
 BENCHMARK(CheckpointDecode)->Unit(benchmark::kMillisecond);
 
 // Reopens a data dir whose newest checkpoint holds the base graph (no
-// log tail): flock, checkpoint read + decode, empty WAL scan. The
+// log tail): flock, checkpoint read + decode into base columns, the
+// in-side inversion that seals the snapshot, empty WAL scan. The
 // Database teardown stays outside the timer.
 void DurableReopen(benchmark::State& state) {
   char tmpl[] = "/tmp/ecrpq-bench-reopen-XXXXXX";
@@ -420,7 +425,7 @@ const ChainFixture& Chain() {
     Database db(BaseGraph(), BenchDbOptions());
     (void)db.graph_index();
     for (int i = 0; i < kChain; ++i) {
-      Batch b = MakeBatch(f->mutated, kChainBatch, /*seed=*/9000 + i);
+      Batch b = MakeBatch(*snap, kChainBatch, /*seed=*/9000 + i);
       for (const Edge& e : b.add) f->mutated.AddEdge(e.from, e.label, e.to);
       for (const Edge& e : b.remove) {
         f->mutated.RemoveEdge(e.from, e.label, e.to);

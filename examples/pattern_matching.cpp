@@ -25,7 +25,9 @@ Word Encode(const Alphabet& alphabet, const char* text) {
   return w;
 }
 
-void Check(const AlphabetPtr& alphabet, const std::string& query_text,
+// Prints whether `text` matches; false (after printing the error) when
+// the query failed to run.
+bool Check(const AlphabetPtr& alphabet, const std::string& query_text,
            const char* text) {
   Word w = Encode(*alphabet, text);
   Database db(WordGraph(alphabet, w));
@@ -35,22 +37,24 @@ void Check(const AlphabetPtr& alphabet, const std::string& query_text,
                              .Set("last", "w" + std::to_string(w.size())));
   if (!match.ok()) {
     std::cerr << match.status().ToString() << "\n";
-    return;
+    return false;
   }
   std::cout << "  \"" << text << "\""
             << (match.value() ? "  MATCHES" : "  no match") << "\n";
+  return true;
 }
 
 }  // namespace
 
 int main() {
   auto alphabet = Alphabet::FromLabels({"a", "b", "c"});
+  bool ok = true;
 
   std::cout << "Squared strings (pattern XX):\n";
   const std::string squared =
       "Ans() <- ($first, p, z), (z, q, $last), eq(p, q)";
   for (const char* text : {"abab", "aab", "aa", "abcabc"}) {
-    Check(alphabet, squared, text);
+    ok = Check(alphabet, squared, text) && ok;
   }
 
   std::cout << "\nPattern aXbX (via the Theorem 7.1 encoder):\n";
@@ -61,14 +65,16 @@ int main() {
   }
   for (const char* text : {"aabab", "abb", "ab"}) {
     // The encoder produces a Query over (x, y) head variables; run it
-    // through the facade's engine defaults via a per-word database.
+    // through the facade's engine defaults via a per-word database, whose
+    // edges are in its snapshot.
     Word w = Encode(*alphabet, text);
     Database db(WordGraph(alphabet, w));
-    auto result = Evaluator(&db.graph(), db.eval_options())
-                      .Evaluate(axbx.value());
+    Evaluator evaluator(&db.graph(), db.eval_options());
+    evaluator.set_graph_index(db.graph_index());
+    auto result = evaluator.Evaluate(axbx.value());
     if (!result.ok()) {
       std::cerr << result.status().ToString() << "\n";
-      continue;
+      return 1;
     }
     NodeId from = *db.graph().FindNode("w0");
     NodeId to = *db.graph().FindNode("w" + std::to_string(w.size()));
@@ -85,7 +91,7 @@ int main() {
       "Ans() <- ($first, p1, z1), (z1, p2, z2), (z2, p3, $last), "
       "a*(p1), b*(p2), c*(p3), el(p1, p2), el(p2, p3)";
   for (const char* text : {"abc", "aabbcc", "aabbc", "aaabbbccc"}) {
-    Check(alphabet, anbncn, text);
+    ok = Check(alphabet, anbncn, text) && ok;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
     if (line.empty()) continue;
     if (line == ":quit" || line == ":q") break;
     if (line == ":graph") {
-      std::cout << GraphToText(db.graph());
+      std::cout << GraphToText(db.graph(), *db.graph_index());
       continue;
     }
     if (line == ":cache") {

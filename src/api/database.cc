@@ -1,5 +1,9 @@
 #include "api/database.h"
 
+#include <map>
+#include <thread>
+#include <tuple>
+
 #include "query/optimizer.h"
 #include "util/status.h"
 #include "wal/durable.h"
@@ -7,10 +11,61 @@
 
 namespace ecrpq {
 
+namespace {
+
+// Decides the removes of one batch under multiset semantics: an edge can
+// be removed while the snapshot's copies of it plus the batch's adds
+// outnumber the batch's earlier removes of it.
+class RemoveCheck {
+ public:
+  RemoveCheck(const GraphIndex& snapshot, const std::vector<Edge>& added)
+      : snapshot_(snapshot) {
+    for (const Edge& e : added) ++balance_[Key(e)];
+  }
+
+  /// True, and the instance is taken, when `e` has one left.
+  bool Take(const Edge& e) {
+    int& balance = balance_[Key(e)];
+    if (balance <= -SnapshotCount(e)) return false;
+    --balance;
+    return true;
+  }
+
+ private:
+  static std::tuple<NodeId, Symbol, NodeId> Key(const Edge& e) {
+    return {e.from, e.label, e.to};
+  }
+  int SnapshotCount(const Edge& e) const {
+    if (e.from < 0 || e.from >= snapshot_.num_nodes() || e.label < 0 ||
+        e.label >= snapshot_.num_labels()) {
+      return 0;
+    }
+    const std::span<const NodeId> targets = snapshot_.Out(e.from, e.label);
+    const auto [lo, hi] = std::equal_range(targets.begin(), targets.end(),
+                                           e.to);
+    return static_cast<int>(hi - lo);
+  }
+
+  const GraphIndex& snapshot_;
+  // Batch adds minus batch removes so far, per edge the batch touches.
+  std::map<std::tuple<NodeId, Symbol, NodeId>, int> balance_;
+};
+
+}  // namespace
+
 Database::Database(GraphDb graph, DatabaseOptions options)
-    : graph_(std::move(graph)),
-      options_(options),
-      registry_(RelationRegistry::Default()) {}
+    : options_(options), registry_(RelationRegistry::Default()) {
+  GraphIndexPtr snapshot = GraphIndex::Build(graph);
+  index_full_builds_.fetch_add(1, std::memory_order_relaxed);
+  InstallLocked(std::move(graph), std::move(snapshot));
+}
+
+void Database::InstallLocked(GraphDb catalog, GraphIndexPtr snapshot) {
+  (void)catalog.TakeAdjacency();
+  graph_ = std::move(catalog);
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  index_ = std::move(snapshot);
+}
 
 Database::~Database() {
   {
@@ -23,7 +78,28 @@ Database::~Database() {
 
 void Database::MutateGraph(const std::function<void(GraphDb&)>& fn) {
   std::unique_lock<std::shared_mutex> lock(graph_mutex_);
-  fn(graph_);
+  // The scratch graph: the catalog with its out-lists back, read from the
+  // snapshot's rows.
+  const GraphIndexPtr old = graph_index();
+  GraphDb scratch = std::move(graph_);
+  std::span<const Symbol> labels;
+  std::span<const NodeId> targets;
+  size_t k = 0;
+  scratch.RestoreAdjacency(
+      [&](NodeId v) {
+        labels = old->OutLabels(v);
+        targets = old->OutTargets(v);
+        k = 0;
+        return static_cast<int>(labels.size());
+      },
+      [&] {
+        ++k;
+        return std::pair<Symbol, NodeId>(labels[k - 1], targets[k - 1]);
+      });
+  fn(scratch);
+  GraphIndexPtr built = GraphIndex::Build(scratch);
+  index_full_builds_.fetch_add(1, std::memory_order_relaxed);
+  InstallLocked(std::move(scratch), std::move(built));
   ClearPlanCache();  // before readers resume (lock order: graph → cache)
   if (wal_ != nullptr) {
     // fn is unloggable (arbitrary code), so the checkpoint IS its
@@ -48,8 +124,11 @@ Status Database::LogBatchLocked(const GraphMutation* mutation,
 }
 
 Status Database::WriteCheckpointLocked(bool required) {
+  const GraphIndexPtr snapshot = graph_index();
   Status st = wal_->WriteCheckpoint(
-      [&](WritableFile* file) { return EncodeCheckpoint(graph_, file); },
+      [&](WritableFile* file) {
+        return EncodeCheckpoint(graph_, *snapshot, file);
+      },
       applied_lsn_.load(std::memory_order_relaxed));
   if (st.ok()) {
     checkpoint_pending_.store(false, std::memory_order_relaxed);
@@ -87,17 +166,23 @@ Result<std::unique_ptr<Database>> Database::OpenDurable(
     DatabaseOptions options, GraphDb seed, WalRecoveryInfo* recovery) {
   std::unique_ptr<Database> db(new Database(GraphDb(), options));
   bool loaded_checkpoint = false;
-  auto load = [&](const std::string& image) -> Status {
-    auto decoded = DecodeCheckpoint(image);
+  auto load = [&](PageVector<char> image) -> Status {
+    auto decoded =
+        DecodeCheckpoint(std::string_view(image.data(), image.size()));
     if (!decoded.ok()) return decoded.status();
-    db->graph_ = std::move(decoded).value();
+    PageVector<char>().swap(image);  // freed before the in-side inversion
+    DecodedCheckpoint& d = decoded.value();
+    GraphIndexPtr snapshot =
+        GraphIndex::FromOutRows(d.catalog, std::move(d.rows));
+    db->InstallLocked(std::move(d.catalog), std::move(snapshot));
     loaded_checkpoint = true;
     return Status::OK();
   };
   // Replay re-runs recovered batches through the normal (non-durable —
-  // wal_ is not attached yet) ApplyDelta machinery: name resolution
-  // and id assignment are deterministic, so the replayed graph matches
-  // the one the records were logged against.
+  // wal_ is not attached yet) CommitDelta machinery, as deltas on the
+  // recovered snapshot: name resolution and id assignment are
+  // deterministic, so the replayed graph matches the one the records
+  // were logged against.
   auto replay_mutation = [&](GraphMutation&& mutation) -> Status {
     db->ApplyDelta(mutation);
     return Status::OK();
@@ -134,11 +219,20 @@ Result<std::unique_ptr<Database>> Database::OpenDurable(
                               " but no checkpoint — refusing to guess the "
                               "base state");
     }
-    db->graph_ = std::move(seed);
+    std::unique_lock<std::shared_mutex> lock(db->graph_mutex_);
+    GraphIndexPtr snapshot = GraphIndex::Build(seed);
+    db->index_full_builds_.fetch_add(1, std::memory_order_relaxed);
+    // The seed's out-lists are one small heap block per node: a second
+    // thread frees them while the first checkpoint is written.
+    std::thread release([lists = seed.TakeAdjacency()]() mutable {
+      GraphDb::OutLists().swap(lists);
+    });
+    db->InstallLocked(std::move(seed), std::move(snapshot));
     // The initial checkpoint pins node/symbol ids for id-level records;
     // a durable dir must never exist without one.
-    std::unique_lock<std::shared_mutex> lock(db->graph_mutex_);
-    ECRPQ_RETURN_IF_ERROR(db->WriteCheckpointLocked(/*required=*/true));
+    Status st = db->WriteCheckpointLocked(/*required=*/true);
+    release.join();
+    ECRPQ_RETURN_IF_ERROR(st);
   }
   if (recovery != nullptr) *recovery = info;
   return db;
@@ -151,12 +245,7 @@ Result<MutationSummary> Database::CommitDelta(const GraphMutation& mutation) {
   // graph exactly as it was — memory never runs ahead of recovery.
   uint64_t lsn = 0;
   ECRPQ_RETURN_IF_ERROR(LogBatchLocked(&mutation, nullptr, nullptr, &lsn));
-  GraphIndexPtr prev;
-  {
-    std::lock_guard<std::mutex> cache_lock(cache_mutex_);
-    prev = index_;
-  }
-  const bool prev_fresh = IndexFresh(prev);
+  const GraphIndexPtr prev = graph_index();
   const uint64_t pre_version = graph_.version();
   const int old_num_labels = graph_.alphabet().size();
   const int old_num_nodes = graph_.num_nodes();
@@ -178,22 +267,23 @@ Result<MutationSummary> Database::CommitDelta(const GraphMutation& mutation) {
   for (const EdgeSpec& spec : mutation.add_edges) {
     const NodeId from = resolve(spec.from);
     const NodeId to = resolve(spec.to);
-    graph_.AddEdge(from, spec.label, to);  // interns the label if new
-    delta.added.push_back({from, *graph_.alphabet().Find(spec.label), to});
+    delta.added.push_back(
+        {from, graph_.alphabet_ptr()->Intern(spec.label), to});
   }
+  RemoveCheck removable(*prev, delta.added);
   for (const EdgeSpec& spec : mutation.remove_edges) {
     const auto from = graph_.FindNode(spec.from);
     const auto to = graph_.FindNode(spec.to);
     const auto label = graph_.alphabet().Find(spec.label);
-    if (from && to && label && graph_.RemoveEdge(*from, *label, *to)) {
+    if (from && to && label && removable.Take({*from, *label, *to})) {
       delta.removed.push_back({*from, *label, *to});
     } else {
       ++summary.skipped_removes;
     }
   }
   summary.lsn = lsn;
-  return FinishDeltaLocked(std::move(prev), prev_fresh, pre_version,
-                           old_num_labels, old_num_nodes, &delta, &summary);
+  return FinishDeltaLocked(prev, pre_version, old_num_labels, old_num_nodes,
+                           &delta, &summary);
 }
 
 Result<MutationSummary> Database::CommitDelta(const std::vector<Edge>& add,
@@ -215,37 +305,26 @@ Result<MutationSummary> Database::CommitDelta(const std::vector<Edge>& add,
   }
   uint64_t lsn = 0;
   ECRPQ_RETURN_IF_ERROR(LogBatchLocked(nullptr, &add, &remove, &lsn));
-  GraphIndexPtr prev;
-  {
-    std::lock_guard<std::mutex> cache_lock(cache_mutex_);
-    prev = index_;
-  }
-  const bool prev_fresh = IndexFresh(prev);
+  const GraphIndexPtr prev = graph_index();
   const uint64_t pre_version = graph_.version();
   const int old_num_labels = graph_.alphabet().size();
   const int old_num_nodes = graph_.num_nodes();
 
   MutationSummary summary;
   GraphIndex::Delta delta;
-  delta.added.reserve(add.size());
-  for (const Edge& e : add) {
-    ECRPQ_DCHECK(e.from >= 0 && e.from < graph_.num_nodes());
-    ECRPQ_DCHECK(e.to >= 0 && e.to < graph_.num_nodes());
-    ECRPQ_DCHECK(e.label >= 0 && e.label < graph_.alphabet().size());
-    graph_.AddEdge(e.from, e.label, e.to);
-    delta.added.push_back(e);
-  }
+  delta.added = add;
+  RemoveCheck removable(*prev, add);
   for (const Edge& e : remove) {
     if (e.from >= 0 && e.from < graph_.num_nodes() && e.to >= 0 &&
-        e.to < graph_.num_nodes() && graph_.RemoveEdge(e.from, e.label, e.to)) {
+        e.to < graph_.num_nodes() && removable.Take(e)) {
       delta.removed.push_back(e);
     } else {
       ++summary.skipped_removes;
     }
   }
   summary.lsn = lsn;
-  return FinishDeltaLocked(std::move(prev), prev_fresh, pre_version,
-                           old_num_labels, old_num_nodes, &delta, &summary);
+  return FinishDeltaLocked(prev, pre_version, old_num_labels, old_num_nodes,
+                           &delta, &summary);
 }
 
 MutationSummary Database::ApplyDelta(const GraphMutation& mutation) {
@@ -266,9 +345,10 @@ MutationSummary Database::ApplyDelta(const std::vector<Edge>& add,
 }
 
 MutationSummary Database::FinishDeltaLocked(
-    GraphIndexPtr prev, bool prev_fresh, uint64_t pre_version,
-    int old_num_labels, int old_num_nodes, GraphIndex::Delta* delta,
-    MutationSummary* summary) {
+    const GraphIndexPtr& prev, uint64_t pre_version, int old_num_labels,
+    int old_num_nodes, GraphIndex::Delta* delta, MutationSummary* summary) {
+  graph_.CountEdges(static_cast<int>(delta->added.size()),
+                    static_cast<int>(delta->removed.size()));
   delta->new_num_nodes = graph_.num_nodes();
   delta->new_num_labels = graph_.alphabet().size();
   delta->new_version = graph_.version();
@@ -282,11 +362,8 @@ MutationSummary Database::FinishDeltaLocked(
   const bool changed = graph_.version() != pre_version;
   if (!changed) return *summary;  // empty batch: snapshot still current
 
-  GraphIndexPtr next;
-  if (prev_fresh && prev != nullptr) {
-    next = prev->ApplyDelta(*delta);
-    summary->delta_applied = true;
-  }
+  GraphIndexPtr next = prev->ApplyDelta(*delta);
+  summary->delta_applied = true;
   const bool alphabet_grew = delta->new_num_labels != old_num_labels;
   {
     std::lock_guard<std::mutex> cache_lock(cache_mutex_);
@@ -298,8 +375,6 @@ MutationSummary Database::FinishDeltaLocked(
       cache_.clear();
       lru_.clear();
     }
-    // next == nullptr (no index yet / stale) drops the
-    // snapshot; the next reader full-builds, coalesced by build_mutex_.
     index_ = next;
   }
   if (ShouldCompact(next)) {
@@ -307,11 +382,11 @@ MutationSummary Database::FinishDeltaLocked(
       ScheduleCompaction();
     } else {
       // Synchronous fold under the exclusive lock already held: the
-      // writer pays the O(V+E) rebuild, deterministically.
-      GraphIndexPtr built = GraphIndex::Build(graph_);
+      // writer pays the O(V+E) copy, deterministically.
+      GraphIndexPtr folded = next->Fold();
       {
         std::lock_guard<std::mutex> cache_lock(cache_mutex_);
-        index_ = built;
+        index_ = folded;
       }
       // Compaction is the checkpoint cadence: the fold already paid
       // O(V+E), the snapshot rides along and lets the log prune.
@@ -327,25 +402,17 @@ void Database::CompactIndexNow() { CompactIfOverThreshold(/*force=*/true); }
 
 void Database::CompactIfOverThreshold(bool force) {
   auto read_lock = ReadLock();
+  // Folds serialize; the graph is stable under the shared guard (writers
+  // queue behind the fold) while readers keep executing.
+  std::lock_guard<std::mutex> fold_lock(fold_mutex_);
+  const GraphIndexPtr current = graph_index();
+  if (!current->has_delta()) return;
+  if (!force && !ShouldCompact(current)) return;  // raced a newer fold
+  GraphIndexPtr folded = current->Fold();
   {
     std::lock_guard<std::mutex> cache_lock(cache_mutex_);
-    if (!IndexFresh(index_) || !index_->has_delta()) return;
-    if (!force && !ShouldCompact(index_)) return;  // raced a newer fold
-  }
-  // Fold outside cache_mutex_ (readers keep hitting the plan cache) but
-  // inside the shared graph guard (the graph is stable; writers queue
-  // behind the fold — the same profile a reader-side full rebuild had).
-  std::lock_guard<std::mutex> build_lock(build_mutex_);
-  {
-    std::lock_guard<std::mutex> cache_lock(cache_mutex_);
-    if (!IndexFresh(index_) || !index_->has_delta()) return;
-  }
-  GraphIndexPtr built = GraphIndex::Build(graph_);
-  index_full_builds_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> cache_lock(cache_mutex_);
-    index_ = built;  // distinct GraphIndexPtr: result-cache entries for the
-                     // delta snapshot miss from here on (correct, rare)
+    index_ = folded;  // distinct GraphIndexPtr: result-cache entries for the
+                      // delta snapshot miss from here on (correct, rare)
   }
   // Checkpoint at compaction time (still under the shared graph guard,
   // so graph_ and applied_lsn_ are a consistent pair — writers need

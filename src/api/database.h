@@ -13,6 +13,14 @@
 // reuses the compiled plan (parse, optimization, relation automata,
 // analysis) instead of redoing the query-dependent work.
 //
+// The graph is held once: as a GraphIndex snapshot (graph/index.h), the
+// only adjacency, plus a GraphDb catalog of node names, labels and counts
+// with no out-lists (GraphDb::TakeAdjacency). The constructor and
+// OpenDurable build the first snapshot from the seed graph and free the
+// seed's out-lists (a fresh durable dir frees them on a second thread while
+// its first checkpoint is written); writes advance the snapshot by deltas,
+// and compaction folds the deltas into a new base.
+//
 // Concurrency model
 // -----------------
 // A Database is safe for inter-query parallelism: any number of threads
@@ -21,9 +29,9 @@
 // protocol:
 //
 //   - the graph is guarded by a reader/writer lock: every execution holds
-//     it shared for its whole engine run; MutateGraph takes it exclusive,
-//     applies the mutation, and invalidates the caches before readers
-//     resume;
+//     it shared for its whole engine run; writers (CommitDelta,
+//     MutateGraph) take it exclusive and install the next snapshot before
+//     readers resume;
 //   - the CSR GraphIndex is an immutable snapshot behind a shared_ptr:
 //     executions pin the current snapshot and keep using it even while a
 //     newer one is built (the swap happens under a mutex, the old
@@ -31,9 +39,8 @@
 //   - the LRU plan cache (and its hit/miss counters) is mutex-guarded;
 //     the per-plan physical-plan memo has its own lock in CompiledPlan.
 //
-// NOT thread-safe: mutable_graph() (a bare reference for single-threaded
-// loading — use MutateGraph once queries may be in flight) and reading
-// graph() while a writer is inside MutateGraph.
+// NOT thread-safe: reading graph() while a writer is inside CommitDelta or
+// MutateGraph (hold SharedReadGuard() around such reads).
 
 #ifndef ECRPQ_API_DATABASE_H_
 #define ECRPQ_API_DATABASE_H_
@@ -108,9 +115,8 @@ struct MutationSummary {
   int num_nodes = 0;
   int num_edges = 0;
   uint64_t version = 0;
-  /// True when the index advanced via the O(delta) overlay path; false
-  /// when there was no index to advance (first use or a stale snapshot)
-  /// and the next reader full-builds lazily.
+  /// True when the batch changed the graph and the snapshot advanced by
+  /// a delta (GraphIndex::ApplyDelta); false for an empty batch.
   bool delta_applied = false;
   /// True when a durable Database rejected the batch (degraded WAL):
   /// nothing was applied. Only the legacy ApplyDelta wrappers report
@@ -139,8 +145,9 @@ class Database {
   // ---- durability (src/wal/) ----
 
   /// Opens a crash-safe Database backed by the write-ahead log in
-  /// `dir`: flocks the dir, loads the newest checkpoint snapshot,
-  /// replays the WAL tail through the ApplyDelta machinery (truncating
+  /// `dir`: flocks the dir, decodes the newest checkpoint straight into
+  /// the columns of a base snapshot (freeing the image before the
+  /// in-side inversion), replays the WAL tail as deltas (truncating
   /// at the first torn/corrupt record), and arranges for every
   /// subsequent CommitDelta to append to the log BEFORE touching the
   /// graph. On a fresh dir the graph starts as `seed` and an initial
@@ -188,40 +195,38 @@ class Database {
     return applied_lsn_.load(std::memory_order_relaxed);
   }
 
+  /// The graph's catalog: alphabet(), num_nodes(), num_edges(),
+  /// version(), NodeName(), FindNode() and StoredName() are exact, but it
+  /// holds no out-lists (has_adjacency() is false; Out, HasEdge and ToNfa
+  /// abort). The edges are in graph_index(): GraphToText(graph(),
+  /// *graph_index()) prints the graph, and an Evaluator over graph() needs
+  /// set_graph_index(graph_index()). Read it under SharedReadGuard() while
+  /// writers may run.
   const GraphDb& graph() const { return graph_; }
 
-  /// Mutable graph access for single-threaded loading. Mutations can grow
-  /// the alphabet, so cached plans are dropped; outstanding PreparedQuery
-  /// handles keep their (possibly stale) plans and re-resolve constants
-  /// per execution. The cached GraphIndex snapshot is dropped with the
-  /// plans and rebuilt lazily on the next execution. NOT safe while other
-  /// threads execute queries — use MutateGraph for that.
-  GraphDb& mutable_graph() {
-    ClearPlanCache();
-    return graph_;
-  }
-
-  /// Thread-safe mutation: runs `fn` with exclusive access to the graph
-  /// (all concurrent executions drain first and block until `fn`
-  /// returns), then invalidates the plan cache and the GraphIndex
-  /// snapshot. Executions that pinned the old snapshot before the write
-  /// finish against it; later executions see the new graph and a fresh
-  /// snapshot.
-  /// NOTE: this is the heavyweight escape hatch — `fn` can do anything to
-  /// the graph, so the index snapshot is dropped wholesale and the next
-  /// reader pays a full O(V+E) rebuild (coalesced: see
-  /// graph_index_locked). Batched edge/node writes should use ApplyDelta,
-  /// which advances the snapshot in O(batch) instead.
+  /// Thread-safe arbitrary mutation: materialises a scratch GraphDb from
+  /// the catalog and the snapshot, runs `fn` on it with exclusive access
+  /// (all concurrent executions drain first and block until the call
+  /// returns), then builds a fresh snapshot from the result, frees its
+  /// out-lists and drops the plan cache. Executions that pinned the old
+  /// snapshot before the write finish against it.
+  /// NOTE: this is the heavyweight escape hatch. Each call costs
+  /// O(V + E) twice, the scratch out-lists and a full GraphIndex::Build,
+  /// and holds both beside the old snapshot while it runs. Batched
+  /// edge/node writes should use CommitDelta, which advances the
+  /// snapshot in O(batch) instead. (There is no mutable_graph(): a
+  /// Database has no GraphDb adjacency to hand out.)
   /// On a durable Database the arbitrary `fn` cannot be logged as a
   /// WAL record, so durability comes from a synchronous checkpoint
   /// published before this returns; if that publish fails the write
   /// path degrades (CommitDelta rejects, ProbeDurability retries).
   void MutateGraph(const std::function<void(GraphDb&)>& fn);
 
-  /// The O(delta) write path. Applies the batch to the graph under the
-  /// exclusive writer lock (concurrent executions drain first), then
-  /// advances the index by layering a delta segment onto the current
-  /// snapshot (GraphIndex::ApplyDelta) instead of discarding it — cost
+  /// The O(delta) write path. Under the exclusive writer lock
+  /// (concurrent executions drain first) it resolves names in the
+  /// catalog, checks each remove against the snapshot's rows and the
+  /// batch's own adds, and advances the index by layering a delta
+  /// segment onto the current snapshot (GraphIndex::ApplyDelta) — cost
   /// O(|batch| + Σ degree(touched)), independent of graph size.
   /// Executions that pinned the old snapshot finish against it; the
   /// serving layer's snapshot-keyed result cache misses naturally (each
@@ -230,16 +235,16 @@ class Database {
   /// it); constants re-resolve per execution, and plans re-cost against
   /// the new snapshot. When the overlay outgrows
   /// DatabaseOptions::compact_delta_fraction of the base (or
-  /// compact_max_segments), segments are folded into a fresh base via the
-  /// parallel Build — on a background thread by default.
+  /// compact_max_segments), segments are folded into a fresh base
+  /// (GraphIndex::Fold) — on a background thread by default.
   /// On a durable Database this forwards through CommitDelta; a WAL
   /// rejection surfaces as MutationSummary::rejected (durable callers
   /// should prefer CommitDelta for the typed error).
   MutationSummary ApplyDelta(const GraphMutation& mutation);
 
   /// Id-level overload: labels already interned, node ids in range
-  /// (callers doing bulk ingest with ids they minted via MutateGraph /
-  /// mutable_graph). `remove` entries matching no edge are skipped and
+  /// (callers doing bulk ingest with ids they minted via MutateGraph or
+  /// the seed). `remove` entries matching no edge are skipped and
   /// counted, same as the name-level path.
   MutationSummary ApplyDelta(const std::vector<Edge>& add,
                              const std::vector<Edge>& remove);
@@ -250,17 +255,14 @@ class Database {
   /// and tools; normal operation relies on the threshold policy.
   void CompactIndexNow();
 
-  /// The session's CSR label index of the graph (see graph/index.h):
-  /// built lazily on first use, shared by every PreparedQuery execution,
-  /// and invalidated together with the plan cache on graph or relation
-  /// mutation. A snapshot whose node/edge/label counters no longer match
-  /// the graph is rebuilt here too (GraphDb is append-only, so the
-  /// counters detect mutation through a retained mutable_graph()
-  /// reference). Never null. Thread-safe: the returned snapshot is
-  /// immutable and stays valid after later invalidations.
+  /// The current snapshot of the graph (see graph/index.h), the only
+  /// adjacency the session holds; every PreparedQuery execution pins one.
+  /// Never null. Thread-safe: the returned snapshot is immutable and
+  /// stays valid after later writes and compactions; under ReadLock it
+  /// matches graph().
   GraphIndexPtr graph_index() const {
-    std::shared_lock<std::shared_mutex> lock(graph_mutex_);
-    return graph_index_locked();
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    return index_;
   }
 
   /// The session's relation registry (a copy of the built-ins).
@@ -307,9 +309,11 @@ class Database {
 
   // ---- plan cache introspection ----
 
-  /// Number of full O(V+E) GraphIndex::Build runs this session performed
-  /// on the lazy read path (graph_index). With single-flight coalescing,
-  /// N readers racing one invalidation contribute exactly 1.
+  /// Number of full O(V+E) GraphIndex::Build runs from a GraphDb this
+  /// session performed: the constructor's (OpenDurable constructs over an
+  /// empty graph), the seed's when OpenDurable starts a fresh dir, and
+  /// one per MutateGraph. Recovery seals decoded rows and compaction
+  /// folds; neither counts.
   uint64_t index_full_builds() const {
     return index_full_builds_.load(std::memory_order_relaxed);
   }
@@ -330,7 +334,6 @@ class Database {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     cache_.clear();
     lru_.clear();
-    index_.reset();  // same invalidation point: the graph may change next
   }
 
  private:
@@ -344,47 +347,18 @@ class Database {
     return std::shared_lock<std::shared_mutex>(graph_mutex_);
   }
 
-  /// True when `index` is a current snapshot of graph_. Every GraphDb
-  /// mutation — including add+remove sequences that leave the node/edge
-  /// counts unchanged — bumps the graph's monotone version counter, and
-  /// snapshots record the version they were built at, so a single compare
-  /// is sound even against mutation through a retained mutable_graph()
-  /// reference. Caller holds ReadLock.
-  bool IndexFresh(const GraphIndexPtr& index) const {
-    return index != nullptr && index->version() == graph_.version();
-  }
+  /// Installs a catalog and the snapshot of the same graph (the
+  /// constructor, recovery and MutateGraph), freeing whatever out-lists
+  /// `catalog` still holds. Caller holds the exclusive graph lock, or is
+  /// the only user of a Database under construction.
+  void InstallLocked(GraphDb catalog, GraphIndexPtr snapshot);
 
-  /// graph_index() body; the caller must hold ReadLock (shared or
-  /// exclusive) so the staleness check and the rebuild read a stable
-  /// graph. Single-flight: racing readers that all miss serialize on
-  /// build_mutex_, the first one runs the O(V+E) build, and the rest find
-  /// the fresh snapshot on their post-acquire recheck — N racing readers
-  /// after one invalidation cost exactly one build. The build runs
-  /// OUTSIDE cache_mutex_, so concurrent plan-cache hits never wait on
-  /// it. Lock order: graph_mutex_ → build_mutex_ → cache_mutex_.
-  GraphIndexPtr graph_index_locked() const {
-    {
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      if (IndexFresh(index_)) return index_;
-    }
-    std::lock_guard<std::mutex> build_lock(build_mutex_);
-    {
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      if (IndexFresh(index_)) return index_;  // a coalesced builder won
-    }
-    GraphIndexPtr built = GraphIndex::Build(graph_);
-    index_full_builds_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    index_ = built;  // fresh by construction: graph stable under ReadLock
-    return index_;
-  }
-
-  /// Shared tail of the ApplyDelta overloads: stamps the post-batch
-  /// totals, advances (or drops) the index snapshot, clears plans iff the
-  /// alphabet grew, and triggers compaction. Caller holds the exclusive
-  /// graph lock; `prev`/`prev_fresh` were captured BEFORE the batch
-  /// touched graph_.
-  MutationSummary FinishDeltaLocked(GraphIndexPtr prev, bool prev_fresh,
+  /// Shared tail of the CommitDelta overloads: records the batch in the
+  /// catalog, stamps the post-batch totals, advances the snapshot by
+  /// `delta`, clears plans iff the alphabet grew, and triggers
+  /// compaction. Caller holds the exclusive graph lock; the pre-batch
+  /// values were captured before the batch touched graph_.
+  MutationSummary FinishDeltaLocked(const GraphIndexPtr& prev,
                                     uint64_t pre_version, int old_num_labels,
                                     int old_num_nodes,
                                     GraphIndex::Delta* delta,
@@ -397,7 +371,8 @@ class Database {
                         const std::vector<Edge>* add,
                         const std::vector<Edge>* remove, uint64_t* lsn);
 
-  /// Serializes graph_ and publishes a checkpoint at applied_lsn_.
+  /// Serializes graph_ and its snapshot and publishes a checkpoint at
+  /// applied_lsn_.
   /// `required` marks a checkpoint the log cannot live without (the
   /// MutateGraph path: its mutation has no WAL record) — failure then
   /// degrades the write path until ProbeDurability republishes. The
@@ -415,7 +390,7 @@ class Database {
   /// Folds the current snapshot into a fresh base if (still) over
   /// threshold — the background thread's work item. Takes the shared
   /// graph guard for the whole fold: readers keep executing, writers
-  /// wait (same contention profile a reader-side rebuild had).
+  /// wait.
   void CompactIfOverThreshold(bool force);
   void CompactLoop();
   /// Wakes (lazily spawning) the background compactor. Only touches
@@ -423,13 +398,13 @@ class Database {
   /// (compact_mutex_ is a leaf in the lock order).
   void ScheduleCompaction();
 
-  GraphDb graph_;
+  GraphDb graph_;  // the catalog: names, labels, counts, no out-lists
   DatabaseOptions options_;
   RelationRegistry registry_;
 
   // Durability (null/0 on an in-memory Database). wal_ is attached by
   // OpenDurable after recovery; every write-path use checks for null.
-  // Lock order: graph_mutex_ (and possibly build_mutex_) before the
+  // Lock order: graph_mutex_ (and possibly fold_mutex_) before the
   // log's internal mutex; the log never takes Database locks.
   std::unique_ptr<DurableLog> wal_;
   std::atomic<uint64_t> applied_lsn_{0};
@@ -439,18 +414,18 @@ class Database {
   std::atomic<bool> checkpoint_pending_{false};
 
   /// Readers = executions (and snapshot/prepare graph reads); writer =
-  /// MutateGraph / RegisterRelation.
+  /// CommitDelta / MutateGraph / RegisterRelation.
   mutable std::shared_mutex graph_mutex_;
 
-  /// Serializes full index builds on the lazy read path (single-flight).
-  /// Writers never take it: ApplyDelta/MutateGraph swap under the
-  /// exclusive graph lock, which excludes every reader-side builder.
-  mutable std::mutex build_mutex_;
-  mutable std::atomic<uint64_t> index_full_builds_{0};
+  /// Serializes folds (the background compactor and CompactIndexNow).
+  /// Writers never take it: they swap under the exclusive graph lock,
+  /// which excludes every fold.
+  std::mutex fold_mutex_;
+  std::atomic<uint64_t> index_full_builds_{0};
 
   /// Guards index_, lru_, cache_, hits_, misses_.
   mutable std::mutex cache_mutex_;
-  mutable GraphIndexPtr index_;  // lazy CSR snapshot of graph_
+  GraphIndexPtr index_;  // the snapshot of graph_; never null
 
   // Background compaction: lazily spawned on the first over-threshold
   // delta, woken by ScheduleCompaction, joined by the destructor.

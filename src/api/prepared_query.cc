@@ -22,7 +22,7 @@ PhysicalPlanPtr PreparedQuery::PlanForIndex(GraphIndexPtr index) const {
 }
 
 PhysicalPlanPtr PreparedQuery::plan() const {
-  return PlanForIndex(db_->graph_index());  // may lazily (re)build
+  return PlanForIndex(db_->graph_index());
 }
 
 Explanation PreparedQuery::Explain() const {
@@ -124,7 +124,7 @@ Result<ResultCursor> PreparedQuery::Execute(const Params& params,
   auto read_lock = db_->ReadLock();
   auto bound = BindParams(params);
   if (!bound.ok()) return bound.status();
-  GraphIndexPtr index = db_->graph_index_locked();
+  GraphIndexPtr index = db_->graph_index();
   // The cached physical plan is structural (components, ordering,
   // estimates), so it survives parameter substitution; an engine override
   // invalidates it for this execution (the engine replans on the fly).
@@ -149,7 +149,7 @@ Result<QueryResult> PreparedQuery::ExecuteAll(const Params& params) const {
     return QueryResult({}, {}, std::move(stats));
   }
   Evaluator evaluator(&db_->graph(), EffectiveOptions({}));
-  GraphIndexPtr index = db_->graph_index_locked();
+  GraphIndexPtr index = db_->graph_index();
   evaluator.set_graph_index(index);
   PhysicalPlanPtr physical = PlanForIndex(std::move(index));
   return MaterializeResult([&](ResultSink& sink, EvalStats& stats) {

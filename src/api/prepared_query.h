@@ -153,7 +153,7 @@ class PreparedQuery {
   /// the session's current GraphIndex snapshot. Cached on the shared
   /// CompiledPlan — every PreparedQuery handle of the same text shares
   /// one costed plan — and re-costed automatically when the Database
-  /// invalidates its index (graph or relation mutation). Thread-safe.
+  /// swaps its snapshot (a write or a compaction). Thread-safe.
   PhysicalPlanPtr plan() const;
 
   /// Explains the execution without running it: chosen engine, operator

@@ -39,11 +39,13 @@ void ResultCursor::Run(uint64_t limit) {
   // Hold the session's read guard for the engine run: MutateGraph waits
   // for in-flight cursors, and the engine (including its worker lanes,
   // which run while this thread blocks on the lane barrier) reads a
-  // stable graph. The Evaluator revalidates the pinned index snapshot
-  // against the graph counters, so a mutation between Execute and the
-  // first Next() is picked up here.
+  // stable graph. The snapshot is pinned again here, so a write between
+  // Execute and the first Next() is picked up.
   std::shared_lock<std::shared_mutex> read_lock;
-  if (db_ != nullptr) read_lock = db_->ReadLock();
+  if (db_ != nullptr) {
+    read_lock = db_->ReadLock();
+    index_ = db_->graph_index();
+  }
   Evaluator evaluator(graph_, options_);
   evaluator.set_graph_index(index_);
   status_ = evaluator.Evaluate(*query_, sink_, stats_, compiled_,

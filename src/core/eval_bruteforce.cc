@@ -12,12 +12,14 @@ namespace ecrpq {
 Result<std::vector<GroundAnswer>> BruteForceAnswers(const GraphDb& graph,
                                                     const Query& query,
                                                     int max_len,
-                                                    CompiledQueryPtr compiled) {
+                                                    CompiledQueryPtr compiled,
+                                                    GraphIndexPtr index) {
   auto resolved_or = ResolveQuery(graph, query, std::move(compiled));
   if (!resolved_or.ok()) return resolved_or.status();
   const ResolvedQuery& rq = resolved_or.value();
 
-  const std::vector<Path> all_paths = EnumerateAllPaths(graph, max_len);
+  if (index == nullptr) index = GraphIndex::Build(graph);
+  const std::vector<Path> all_paths = EnumerateAllPaths(*index, max_len);
   const int num_path_vars = static_cast<int>(query.path_variables().size());
   const int num_node_vars = static_cast<int>(query.node_variables().size());
 
@@ -119,9 +121,10 @@ Result<std::vector<GroundAnswer>> BruteForceAnswers(const GraphDb& graph,
 
 Status EvaluateBruteForce(const GraphDb& graph, const Query& query,
                           const EvalOptions& options, ResultSink& sink,
-                          EvalStats& stats, CompiledQueryPtr compiled) {
+                          EvalStats& stats, CompiledQueryPtr compiled,
+                          GraphIndexPtr index) {
   auto answers = BruteForceAnswers(graph, query, options.bruteforce_max_len,
-                                   std::move(compiled));
+                                   std::move(compiled), std::move(index));
   if (!answers.ok()) return answers.status();
   stats.engine = "bruteforce";
   if (options.cancellation != nullptr &&

@@ -22,16 +22,19 @@ struct GroundAnswer {
 /// All ground answers with every assigned path of length <= max_len.
 /// Deduplicated, deterministic order. `compiled` (optional) reuses a
 /// prior CompileQuery result instead of recompiling inside ResolveQuery.
+/// Paths are enumerated over `index`, a snapshot of `graph` (built here
+/// when null); `graph` may be a catalog without out-lists.
 Result<std::vector<GroundAnswer>> BruteForceAnswers(
     const GraphDb& graph, const Query& query, int max_len,
-    CompiledQueryPtr compiled = nullptr);
+    CompiledQueryPtr compiled = nullptr, GraphIndexPtr index = nullptr);
 
 /// Streaming view over BruteForceAnswers (node tuples only; path answers
 /// omitted).
 Status EvaluateBruteForce(const GraphDb& graph, const Query& query,
                           const EvalOptions& options, ResultSink& sink,
                           EvalStats& stats,
-                          CompiledQueryPtr compiled = nullptr);
+                          CompiledQueryPtr compiled = nullptr,
+                          GraphIndexPtr index = nullptr);
 
 /// Materializing convenience wrapper (sorted tuples).
 Result<QueryResult> EvaluateBruteForce(const GraphDb& graph,

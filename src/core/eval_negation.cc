@@ -191,8 +191,9 @@ namespace {
 // (the all-pad letter id (|Σ|+1)^k - 1 is excluded).
 class RepContext {
  public:
-  RepContext(const GraphDb& graph, int k)
+  RepContext(const GraphDb& graph, const GraphIndex& index, int k)
       : graph_(graph),
+        index_(index),
         k_(k),
         ta_(graph.alphabet().size(), std::max(k, 1)),
         universe_(0) {
@@ -265,8 +266,11 @@ class RepContext {
       std::vector<std::vector<std::pair<Symbol, NodeId>>> per_track(k_);
       for (int t = 0; t < k_; ++t) {
         per_track[t].push_back({kPad, from_nodes[t]});
-        for (const auto& [label, to] : graph_.Out(from_nodes[t])) {
-          per_track[t].push_back({label, to});
+        const std::span<const Symbol> labels = index_.OutLabels(from_nodes[t]);
+        const std::span<const NodeId> targets =
+            index_.OutTargets(from_nodes[t]);
+        for (size_t i = 0; i < labels.size(); ++i) {
+          per_track[t].push_back({labels[i], targets[i]});
         }
       }
       TupleLetter letter(k_);
@@ -305,6 +309,7 @@ class RepContext {
   }
 
   const GraphDb& graph_;
+  const GraphIndex& index_;
   int k_;
   TupleAlphabet ta_;
   int64_t node_pow_;
@@ -323,7 +328,7 @@ struct Rep {
 class NegationEvaluator {
  public:
   NegationEvaluator(const GraphDb& graph, NegationStats* stats)
-      : graph_(graph), stats_(stats) {}
+      : graph_(graph), index_(GraphIndex::Build(graph)), stats_(stats) {}
 
   Result<bool> EvalBool(const Formula& f,
                         std::map<std::string, NodeId>* env) {
@@ -447,7 +452,7 @@ class NegationEvaluator {
       it = contexts_
                .emplace(tracks,
                         std::make_unique<RepContext>(
-                            graph_, static_cast<int>(tracks.size())))
+                            graph_, *index_, static_cast<int>(tracks.size())))
                .first;
     }
     return *it->second;
@@ -512,8 +517,11 @@ class NegationEvaluator {
     nfa.AddTransition(0, ctx.InitSymbol({from.value()}),
                       1 + from.value());
     for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-      for (const auto& [label, w] : graph_.Out(v)) {
-        nfa.AddTransition(1 + v, ctx.LetterSymbol({label}, {w}), 1 + w);
+      const std::span<const Symbol> labels = index_->OutLabels(v);
+      const std::span<const NodeId> targets = index_->OutTargets(v);
+      for (size_t i = 0; i < labels.size(); ++i) {
+        nfa.AddTransition(1 + v, ctx.LetterSymbol({labels[i]}, {targets[i]}),
+                          1 + targets[i]);
       }
     }
     nfa.SetAccepting(1 + to.value());
@@ -820,6 +828,8 @@ class NegationEvaluator {
   }
 
   const GraphDb& graph_;
+  // The graph's snapshot: the evaluator reads edges only through it.
+  const GraphIndexPtr index_;
   NegationStats* stats_;
   std::map<std::vector<std::string>, std::unique_ptr<RepContext>> contexts_;
 };

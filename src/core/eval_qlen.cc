@@ -19,10 +19,10 @@ namespace {
 // Distinct successors of `v` with labels ignored (ascending): the unary
 // abstraction of a node's out-neighbourhood, shared by the product
 // fallback's graph construction and the arithmetic path's skeleton NFA.
-void DistinctSuccessors(const GraphDb& graph, NodeId v,
+void DistinctSuccessors(const GraphIndex& index, NodeId v,
                         std::vector<NodeId>* targets) {
-  targets->clear();
-  for (const auto& [label, to] : graph.Out(v)) targets->push_back(to);
+  const std::span<const NodeId> out = index.OutTargets(v);
+  targets->assign(out.begin(), out.end());
   std::sort(targets->begin(), targets->end());
   targets->erase(std::unique(targets->begin(), targets->end()),
                  targets->end());
@@ -75,9 +75,9 @@ bool IsEqualLengthLike(const RegularRelation& rel) {
 // Product-based fallback (general length relations): erase edge labels and
 // replace every relation by its unary-relabeled length abstraction, then
 // run the product engine.
-Status EvaluateQlenProduct(const GraphDb& graph, const Query& query,
-                           const EvalOptions& options, ResultSink& sink,
-                           EvalStats& stats) {
+Status EvaluateQlenProduct(const GraphDb& graph, const GraphIndex& index,
+                           const Query& query, const EvalOptions& options,
+                           ResultSink& sink, EvalStats& stats) {
   auto unary_alphabet = Alphabet::FromLabels({"."});
   GraphDb named_unary(unary_alphabet);
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
@@ -85,7 +85,7 @@ Status EvaluateQlenProduct(const GraphDb& graph, const Query& query,
   }
   std::vector<NodeId> targets;
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    DistinctSuccessors(graph, v, &targets);
+    DistinctSuccessors(index, v, &targets);
     for (NodeId to : targets) named_unary.AddEdge(v, Symbol{0}, to);
   }
 
@@ -125,11 +125,11 @@ Status EvaluateQlenProduct(const GraphDb& graph, const Query& query,
 // flags in O(|starts| + |ends|) and shares the transition structure.
 class UnaryGraphView {
  public:
-  explicit UnaryGraphView(const GraphDb& graph) : nfa_(1) {
-    nfa_.AddStates(graph.num_nodes());
+  explicit UnaryGraphView(const GraphIndex& index) : nfa_(1) {
+    nfa_.AddStates(index.num_nodes());
     std::vector<NodeId> targets;
-    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-      DistinctSuccessors(graph, v, &targets);
+    for (NodeId v = 0; v < index.num_nodes(); ++v) {
+      DistinctSuccessors(index, v, &targets);
       for (NodeId to : targets) nfa_.AddTransition(v, 0, to);
     }
   }
@@ -174,7 +174,8 @@ class UnionFind {
 
 Status EvaluateQlen(const GraphDb& graph, const Query& query,
                     const EvalOptions& options, ResultSink& sink,
-                    EvalStats& stats, CompiledQueryPtr compiled) {
+                    EvalStats& stats, CompiledQueryPtr compiled,
+                    GraphIndexPtr index) {
   if (!query.head_paths().empty()) {
     return Status::Unimplemented(
         "Q_len abstracts paths to lengths; path outputs are undefined "
@@ -188,12 +189,13 @@ Status EvaluateQlen(const GraphDb& graph, const Query& query,
   auto resolved_or = ResolveQuery(graph, query, std::move(compiled));
   if (!resolved_or.ok()) return resolved_or.status();
   ResolvedQuery& rq = resolved_or.value();
+  if (index == nullptr) index = GraphIndex::Build(graph);
 
   // Arithmetic fast path (the progression machinery of Claim 6.7.1/2):
   // applicable when every >=2-ary relation abstracts to equal-length.
   for (const ResolvedRelation& rel : rq.relations()) {
     if (rel.relation->arity() >= 2 && !IsEqualLengthLike(*rel.relation)) {
-      return EvaluateQlenProduct(graph, query, options, sink, stats);
+      return EvaluateQlenProduct(graph, *index, query, options, sink, stats);
     }
   }
 
@@ -203,7 +205,7 @@ Status EvaluateQlen(const GraphDb& graph, const Query& query,
     return Status::Cancelled("query execution cancelled");
   }
 
-  UnaryGraphView length_view(graph);
+  UnaryGraphView length_view(*index);
 
   const int num_tracks = static_cast<int>(query.path_variables().size());
   const int num_vars = static_cast<int>(query.node_variables().size());

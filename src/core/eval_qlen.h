@@ -24,10 +24,13 @@ namespace ecrpq {
 /// Evaluates Q_len(G): the query with every relation replaced by its
 /// length abstraction, streaming distinct tuples into `sink`. Head path
 /// variables are not supported (lengths do not determine paths); node
-/// heads and Boolean queries are.
+/// heads and Boolean queries are. Edges are read from `index`, a
+/// snapshot of `graph` (built here when null); `graph` gives names and
+/// counts only, so it may be a catalog without out-lists.
 Status EvaluateQlen(const GraphDb& graph, const Query& query,
                     const EvalOptions& options, ResultSink& sink,
-                    EvalStats& stats, CompiledQueryPtr compiled = nullptr);
+                    EvalStats& stats, CompiledQueryPtr compiled = nullptr,
+                    GraphIndexPtr index = nullptr);
 
 /// Materializing convenience wrapper (sorted tuples).
 Result<QueryResult> EvaluateQlen(const GraphDb& graph, const Query& query,

@@ -48,20 +48,21 @@ Status Evaluator::Evaluate(const Query& query, ResultSink& sink,
                            EvalStats& stats, CompiledQueryPtr compiled,
                            const PhysicalPlan* plan) const {
   const Engine engine = SelectEngine(query, options_.engine);
-  // Build (or refresh) the cached index. GraphDb is append-only, so a
-  // snapshot is stale iff one of its counters moved — revalidating here
-  // keeps a reused Evaluator correct when the graph was grown between
-  // Evaluate calls. Brute force and Q_len never read the index; skip it
-  // there.
-  GraphIndexPtr index;
-  if (engine != Engine::kBruteForce && engine != Engine::kQlen) {
-    if (index_ == nullptr || index_->num_nodes() != graph_->num_nodes() ||
-        index_->num_edges() != graph_->num_edges() ||
-        index_->num_labels() != graph_->alphabet().size()) {
-      index_ = GraphIndex::Build(*graph_);
+  // Build (or refresh) the cached index, which every engine reads edges
+  // from. A snapshot is stale iff one of its counters moved —
+  // revalidating here keeps a reused Evaluator correct when the graph
+  // was grown between Evaluate calls.
+  if (index_ == nullptr || index_->num_nodes() != graph_->num_nodes() ||
+      index_->num_edges() != graph_->num_edges() ||
+      index_->num_labels() != graph_->alphabet().size()) {
+    if (!graph_->has_adjacency()) {
+      return Status::FailedPrecondition(
+          "the graph is a catalog without edges: attach its snapshot with "
+          "set_graph_index");
     }
-    index = index_;
+    index_ = GraphIndex::Build(*graph_);
   }
+  GraphIndexPtr index = index_;
   switch (engine) {
     case Engine::kProduct:
       return EvaluateProduct(*graph_, query, options_, sink, stats,
@@ -71,10 +72,10 @@ Status Evaluator::Evaluate(const Query& query, ResultSink& sink,
                               std::move(compiled), std::move(index));
     case Engine::kQlen:
       return EvaluateQlen(*graph_, query, options_, sink, stats,
-                          std::move(compiled));
+                          std::move(compiled), std::move(index));
     case Engine::kBruteForce:
       return EvaluateBruteForce(*graph_, query, options_, sink, stats,
-                                std::move(compiled));
+                                std::move(compiled), std::move(index));
     case Engine::kAuto:
       break;
   }

@@ -203,9 +203,10 @@ class Evaluator {
       : graph_(graph), options_(options) {}
 
   /// Attaches a prebuilt CSR index for `graph` (api::Database shares its
-  /// cached one this way). Without it, the evaluator builds one lazily on
-  /// the first Evaluate call of an engine that reads it and reuses it
-  /// afterwards; a snapshot whose node/edge/label counters no
+  /// snapshot this way; its `graph` is a catalog without out-lists, so
+  /// the index is required there). Without it, the evaluator builds one
+  /// on the first Evaluate call and reuses it afterwards, since every
+  /// engine reads edges from it; a snapshot whose node/edge/label counters no
   /// longer match the graph is rebuilt automatically (GraphDb is
   /// append-only, so the counters detect every mutation). Not
   /// thread-safe: concurrent Evaluate calls on one Evaluator race on the
@@ -233,7 +234,7 @@ class Evaluator {
  private:
   const GraphDb* graph_;
   EvalOptions options_;
-  mutable GraphIndexPtr index_;  // lazily built snapshot, see above
+  mutable GraphIndexPtr index_;  // attached or built snapshot, see above
 };
 
 }  // namespace ecrpq

@@ -13,19 +13,19 @@
 
 #include "core/parallel.h"
 #include "core/reachability.h"
+#include "core/row_set.h"
 
 namespace ecrpq {
 
 namespace {
 
-// Appends distinct rows to a row list, keeping first occurrences in
-// order: Add() appends the candidate row and takes it back when an equal
-// row is already there. The set holds row ids, so each row is stored
-// once.
+// Appends distinct rows of one width to a row list, keeping first
+// occurrences in order: each candidate is probed in a packed row set, and
+// only a new row is copied into a heap row of the list.
 class DistinctRows {
  public:
-  explicit DistinctRows(std::vector<std::vector<NodeId>>* rows)
-      : rows_(rows), seen_(0, Hash{rows}, Equal{rows}) {}
+  DistinctRows(std::vector<std::vector<NodeId>>* rows, size_t width)
+      : rows_(rows), seen_(width) {}
 
   // The cleared candidate row to fill before Add().
   std::vector<NodeId>* candidate() {
@@ -34,29 +34,12 @@ class DistinctRows {
   }
 
   void Add() {
-    rows_->push_back(std::move(candidate_));
-    if (seen_.insert(static_cast<uint32_t>(rows_->size() - 1)).second) {
-      candidate_ = {};
-    } else {
-      candidate_ = std::move(rows_->back());
-      rows_->pop_back();
-    }
+    if (seen_.Insert(candidate_)) rows_->push_back(candidate_);
   }
 
  private:
-  struct Hash {
-    const std::vector<std::vector<NodeId>>* rows;
-    size_t operator()(uint32_t i) const { return RowHash()((*rows)[i]); }
-  };
-  struct Equal {
-    const std::vector<std::vector<NodeId>>* rows;
-    bool operator()(uint32_t a, uint32_t b) const {
-      return (*rows)[a] == (*rows)[b];
-    }
-  };
-
   std::vector<std::vector<NodeId>>* rows_;
-  std::unordered_set<uint32_t, Hash, Equal> seen_;
+  PackedRowSet seen_;
   std::vector<NodeId> candidate_;
 };
 
@@ -72,7 +55,7 @@ BindingTable ProjectDistinct(const BindingTable& table,
     ECRPQ_DCHECK(c >= 0);
     cols.push_back(c);
   }
-  DistinctRows distinct(&out.rows);
+  DistinctRows distinct(&out.rows, cols.size());
   for (const std::vector<NodeId>& row : table.rows) {
     std::vector<NodeId>* projected = distinct.candidate();
     for (int c : cols) projected->push_back(row[c]);
@@ -1653,7 +1636,7 @@ BindingTable HashJoinOp(const BindingTable& left, const BindingTable& right,
   op.probe_rows = left.rows.size();
   BindingTable out;
   out.vars = project;
-  DistinctRows distinct(&out.rows);
+  DistinctRows distinct(&out.rows, sources.size());
   for (const std::vector<NodeId>& lrow : left.rows) {
     index.ForEachMatch(lrow, left_cols, [&](uint32_t r) {
       ++stats.join_tuples;

@@ -1,7 +1,9 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <functional>
+#include <iostream>
 
 namespace ecrpq {
 
@@ -11,18 +13,25 @@ GraphDb::GraphDb(AlphabetPtr alphabet) : alphabet_(std::move(alphabet)) {
 
 GraphDb::GraphDb() : alphabet_(std::make_shared<Alphabet>()) {}
 
+void GraphDb::AbortNoAdjacency() {
+  std::cerr << "GraphDb: edges read or written through a catalog without "
+               "out-lists (a Database's edges are in its graph_index())"
+            << std::endl;
+  std::abort();
+}
+
 NodeId GraphDb::AddNode() {
   ++version_;
-  out_.emplace_back();
+  if (has_adjacency_) out_.emplace_back();
   names_.emplace_back();
-  return static_cast<NodeId>(out_.size() - 1);
+  return static_cast<NodeId>(names_.size() - 1);
 }
 
 NodeId GraphDb::AddNodes(int count) {
   ECRPQ_DCHECK(count >= 0);
   ++version_;
-  const NodeId first = static_cast<NodeId>(out_.size());
-  out_.resize(out_.size() + count);
+  const NodeId first = static_cast<NodeId>(names_.size());
+  if (has_adjacency_) out_.resize(out_.size() + count);
   names_.resize(names_.size() + count);
   return first;
 }
@@ -89,6 +98,7 @@ std::string GraphDb::NodeName(NodeId node) const {
 }
 
 void GraphDb::AddEdge(NodeId from, Symbol label, NodeId to) {
+  CheckAdjacency();
   ECRPQ_DCHECK(from >= 0 && from < num_nodes());
   ECRPQ_DCHECK(to >= 0 && to < num_nodes());
   ECRPQ_DCHECK(label >= 0 && label < alphabet_->size());
@@ -98,6 +108,7 @@ void GraphDb::AddEdge(NodeId from, Symbol label, NodeId to) {
 }
 
 bool GraphDb::RemoveEdge(NodeId from, Symbol label, NodeId to) {
+  CheckAdjacency();
   ECRPQ_DCHECK(from >= 0 && from < num_nodes());
   ECRPQ_DCHECK(to >= 0 && to < num_nodes());
   auto& out = out_[from];
@@ -114,6 +125,7 @@ void GraphDb::AddEdge(NodeId from, std::string_view label, NodeId to) {
 }
 
 void GraphDb::AddEdges(const std::vector<Edge>& edges) {
+  CheckAdjacency();
   const int n = num_nodes();
   std::vector<int32_t> out_deg(n, 0);
   for (const Edge& e : edges) {
@@ -139,6 +151,7 @@ GraphDb GraphDb::FromEdges(AlphabetPtr alphabet, int num_nodes,
 }
 
 bool GraphDb::HasEdge(NodeId from, Symbol label, NodeId to) const {
+  CheckAdjacency();
   for (const auto& [l, t] : out_[from]) {
     if (l == label && t == to) return true;
   }
@@ -147,6 +160,7 @@ bool GraphDb::HasEdge(NodeId from, Symbol label, NodeId to) const {
 
 Nfa GraphDb::ToNfa(const std::vector<NodeId>& initial,
                    const std::vector<NodeId>& accepting) const {
+  CheckAdjacency();
   Nfa nfa(alphabet_->size());
   nfa.AddStates(num_nodes());
   for (NodeId v = 0; v < num_nodes(); ++v) {

@@ -7,6 +7,13 @@
 // initial/final nodes.
 // Each edge is stored once, in its source's out-list (GraphIndex derives
 // the in-side), and each node name once, in a table of names by id.
+//
+// A GraphDb is the builder of a graph: generators, loaders and seeds fill
+// one, and GraphIndex::Build turns it into the CSR snapshot the engines
+// read. A Database keeps no out-lists at all: the snapshot is its graph,
+// and TakeAdjacency() leaves the GraphDb as the catalog beside it, holding
+// names, labels, node and edge counts and version() only; reading edges
+// through a catalog aborts in every build type.
 
 #ifndef ECRPQ_GRAPH_GRAPH_H_
 #define ECRPQ_GRAPH_GRAPH_H_
@@ -15,6 +22,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "automata/alphabet.h"
@@ -114,22 +122,48 @@ class GraphDb {
   /// churn that dominates multi-million-edge loads.
   void AddEdges(const std::vector<Edge>& edges);
 
-  /// Bulk-appends out-edges from a caller's own encoding, with no edge
-  /// list in between (the checkpoint loader's path): every node v, in id
-  /// order, gets degree(v) edges, each the (label, target) pair the next
-  /// next_arc() call returns — interned labels and existing node ids only.
-  /// Reserves each row exactly and bumps version() once, like AddEdges.
+  /// Outgoing (label, target) lists, by node.
+  using OutLists = std::vector<std::vector<std::pair<Symbol, NodeId>>>;
+
+  /// Gives up every out-list and keeps names, labels, num_edges() and
+  /// version(): what is left is the catalog of a graph whose edges live
+  /// elsewhere (a Database's GraphIndex snapshot). A catalog still adds
+  /// nodes; its edge changes are recorded with CountEdges. Out, HasEdge,
+  /// AddEdge, AddEdges, RemoveEdge and ToNfa need the out-lists and abort
+  /// on a catalog. The caller decides where the returned lists are freed.
+  [[nodiscard]] OutLists TakeAdjacency() {
+    has_adjacency_ = false;
+    return std::exchange(out_, {});
+  }
+  bool has_adjacency() const { return has_adjacency_; }
+
+  /// Records on a catalog that `added` edges were added and `removed`
+  /// removed (the caller keeps the edges and checked that the removed ones
+  /// existed): num_edges() and version() move as AddEdge and RemoveEdge
+  /// would move them, one version step per edge.
+  void CountEdges(int added, int removed) {
+    ECRPQ_DCHECK(!has_adjacency_);
+    num_edges_ += added - removed;
+    version_ += static_cast<uint64_t>(added) + removed;
+  }
+
+  /// Gives a catalog its out-lists back from a caller's own encoding:
+  /// every node v, in id order, gets degree(v) edges, each the (label,
+  /// target) pair the next next_arc() call returns. The degrees must sum
+  /// to num_edges(). The graph is the same, so version() does not move.
   template <typename DegreeFn, typename ArcFn>
-  void AppendOutRows(DegreeFn degree, ArcFn next_arc) {
+  void RestoreAdjacency(DegreeFn degree, ArcFn next_arc) {
+    ECRPQ_DCHECK(!has_adjacency_);
+    out_.resize(names_.size());
+    int64_t restored = 0;
     for (NodeId v = 0; v < num_nodes(); ++v) {
       const int d = degree(v);
-      if (d == 0) continue;
-      std::vector<std::pair<Symbol, NodeId>>& row = out_[v];
-      row.reserve(row.size() + d);
-      for (int k = 0; k < d; ++k) row.push_back(next_arc());
-      num_edges_ += d;
+      out_[v].reserve(d);
+      for (int k = 0; k < d; ++k) out_[v].push_back(next_arc());
+      restored += d;
     }
-    ++version_;
+    ECRPQ_DCHECK(restored == num_edges_);
+    has_adjacency_ = true;
   }
 
   /// One-shot bulk construction: `num_nodes` anonymous nodes plus
@@ -138,7 +172,7 @@ class GraphDb {
   static GraphDb FromEdges(AlphabetPtr alphabet, int num_nodes,
                            const std::vector<Edge>& edges);
 
-  int num_nodes() const { return static_cast<int>(out_.size()); }
+  int num_nodes() const { return static_cast<int>(names_.size()); }
   int num_edges() const { return num_edges_; }
 
   /// Monotone mutation counter: bumped by every node/edge addition and
@@ -153,6 +187,7 @@ class GraphDb {
 
   /// Outgoing (label, target) pairs of `node`, in insertion order.
   const std::vector<std::pair<Symbol, NodeId>>& Out(NodeId node) const {
+    CheckAdjacency();
     return out_[node];
   }
 
@@ -169,13 +204,21 @@ class GraphDb {
   Nfa ToNfaAllStates() const;
 
  private:
+  /// Aborts, in every build type, when the out-lists were given up: a
+  /// catalog answering Out or HasEdge with empty rows would read as a
+  /// graph without edges.
+  void CheckAdjacency() const {
+    if (!has_adjacency_) [[unlikely]] AbortNoAdjacency();
+  }
+  [[noreturn]] static void AbortNoAdjacency();
   static uint32_t NameHash(std::string_view name);
   /// The slot holding `name`, or the empty slot where it would go.
   size_t FindSlot(std::string_view name, uint32_t hash) const;
   void GrowNameTable();
 
   AlphabetPtr alphabet_;
-  std::vector<std::vector<std::pair<Symbol, NodeId>>> out_;
+  OutLists out_;
+  bool has_adjacency_ = true;       // false once TakeAdjacency ran
   std::vector<std::string> names_;  // empty string = anonymous
   // Open-addressing name table over names_: each slot holds
   // hash32 << 32 | (id + 1), 0 = empty. Power-of-two size, at most half

@@ -18,40 +18,55 @@ uint64_t PackKey(Symbol label, NodeId other) {
          static_cast<uint32_t>(other);
 }
 
-// Size-then-fill out-side CSR: the offsets pass sizes every array exactly,
-// then each row is sorted as packed (label << 32 | target) keys in a
-// reused scratch buffer and written to its own slice — so the fill
-// parallelizes over node ranges with byte-identical output.
-void BuildOutCsr(const GraphDb& graph, int num_threads,
-                 PageVector<int32_t>* offsets, PageVector<Symbol>* labels,
-                 PageVector<NodeId>* targets, PageVector<uint64_t>* masks) {
-  const int n = graph.num_nodes();
-  offsets->assign(n + 1, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    (*offsets)[v + 1] =
-        (*offsets)[v] + static_cast<int32_t>(graph.Out(v).size());
-  }
-  const int e = (*offsets)[n];
-  labels->resize(e);
-  targets->resize(e);
+// Puts every out-row of `rows` in (label, target) order and sets its
+// label mask. With a `source` (Build; the offsets are already sized) each
+// row is packed straight from its out-list as (label << 32 | target) keys,
+// sorted in a reused scratch buffer and written to its own slice. Without
+// one, a row already in order (every row a checkpoint written from a
+// snapshot holds) is only read and any other is sorted the same way in
+// place. The pass splits over node ranges with byte-identical output.
+void SortOutRows(int num_threads, const GraphDb* source,
+                 GraphIndex::OutRows* rows, PageVector<uint64_t>* masks) {
+  const int n = static_cast<int>(rows->offsets.size()) - 1;
+  const int e = rows->offsets[n];
   masks->assign(n, 0);
+  Symbol* labels = rows->labels.data();
+  NodeId* targets = rows->targets.data();
 
-  auto fill_range = [&](NodeId vbegin, NodeId vend,
+  auto sort_range = [&](NodeId vbegin, NodeId vend,
                         std::vector<uint64_t>& keys) {
     for (NodeId v = vbegin; v < vend; ++v) {
-      keys.clear();
-      for (const auto& [label, other] : graph.Out(v)) {
-        keys.push_back(PackKey(label, other));
+      const int32_t begin = rows->offsets[v];
+      const int32_t end = rows->offsets[v + 1];
+      bool sorted = source == nullptr;
+      for (int32_t i = begin + 1; i < end && sorted; ++i) {
+        sorted = PackKey(labels[i - 1], targets[i - 1]) <=
+                 PackKey(labels[i], targets[i]);
       }
-      std::sort(keys.begin(), keys.end());
-      const int32_t base = (*offsets)[v];
       uint64_t mask = 0;
-      for (size_t i = 0; i < keys.size(); ++i) {
-        const Symbol label = static_cast<Symbol>(keys[i] >> 32);
-        (*labels)[base + i] = label;
-        (*targets)[base + i] = static_cast<NodeId>(
-            static_cast<uint32_t>(keys[i]));
-        mask |= 1ULL << std::min<Symbol>(label, 63);
+      if (sorted) {
+        for (int32_t i = begin; i < end; ++i) {
+          mask |= 1ULL << std::min<Symbol>(labels[i], 63);
+        }
+      } else {
+        keys.clear();
+        if (source != nullptr) {
+          for (const auto& [label, target] : source->Out(v)) {
+            keys.push_back(PackKey(label, target));
+          }
+        } else {
+          for (int32_t i = begin; i < end; ++i) {
+            keys.push_back(PackKey(labels[i], targets[i]));
+          }
+        }
+        std::sort(keys.begin(), keys.end());
+        for (int32_t i = begin; i < end; ++i) {
+          const Symbol label = static_cast<Symbol>(keys[i - begin] >> 32);
+          labels[i] = label;
+          targets[i] =
+              static_cast<NodeId>(static_cast<uint32_t>(keys[i - begin]));
+          mask |= 1ULL << std::min<Symbol>(label, 63);
+        }
       }
       (*masks)[v] = mask;
     }
@@ -60,7 +75,7 @@ void BuildOutCsr(const GraphDb& graph, int num_threads,
   if (num_threads <= 1 || e < GraphIndex::kParallelBuildMinEdges ||
       n <= kBuildGrain) {
     std::vector<uint64_t> keys;
-    fill_range(0, n, keys);
+    sort_range(0, n, keys);
     return;
   }
   std::atomic<int> cursor{0};
@@ -70,7 +85,7 @@ void BuildOutCsr(const GraphDb& graph, int num_threads,
       const int begin = cursor.fetch_add(kBuildGrain,
                                          std::memory_order_relaxed);
       if (begin >= n) return;
-      fill_range(begin, std::min(n, begin + kBuildGrain), keys);
+      sort_range(begin, std::min(n, begin + kBuildGrain), keys);
     }
   });
 }
@@ -115,8 +130,8 @@ void ForEachPart(int parts, const Work& work) {
 }
 
 // Every node once, by descending degree(v), ties by ascending id: a stable
-// counting sort in O(V + max degree). The exact std::stable_sort order
-// that GraphIndex::RepairDegreeOrder maintains on delta snapshots.
+// counting sort in O(V + max degree), the order a std::stable_sort by
+// descending degree gives.
 template <typename DegreeFn>
 std::vector<NodeId> OrderByDegree(int n, DegreeFn degree) {
   int max_degree = 0;
@@ -314,37 +329,117 @@ GraphIndexPtr GraphIndex::Build(const GraphDb& graph) {
 }
 
 GraphIndexPtr GraphIndex::Build(const GraphDb& graph, int num_threads) {
+  ECRPQ_DCHECK(graph.has_adjacency());
+  const int n = graph.num_nodes();
+  OutRows rows;
+  rows.offsets.assign(n + 1, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    rows.offsets[v + 1] =
+        rows.offsets[v] + static_cast<int32_t>(graph.Out(v).size());
+  }
+  rows.labels.resize(graph.num_edges());
+  rows.targets.resize(graph.num_edges());
+  return Seal(graph, &graph, std::move(rows), num_threads);
+}
+
+GraphIndexPtr GraphIndex::FromOutRows(const GraphDb& catalog, OutRows rows,
+                                      int num_threads) {
+  return Seal(catalog, nullptr, std::move(rows), num_threads);
+}
+
+GraphIndexPtr GraphIndex::Seal(const GraphDb& catalog, const GraphDb* source,
+                               OutRows rows, int num_threads) {
+  ECRPQ_DCHECK(static_cast<int>(rows.offsets.size()) ==
+               catalog.num_nodes() + 1);
+  ECRPQ_DCHECK(rows.offsets.back() == catalog.num_edges());
   if (num_threads <= 0) {
-    num_threads = graph.num_edges() >= kParallelBuildMinEdges
+    num_threads = catalog.num_edges() >= kParallelBuildMinEdges
                       ? ThreadPool::DefaultParallelism()
                       : 1;
   }
   auto index = std::shared_ptr<GraphIndex>(new GraphIndex());
-  index->num_nodes_ = graph.num_nodes();
-  index->num_edges_ = graph.num_edges();
-  index->num_labels_ = graph.alphabet().size();
-  index->version_ = graph.version();
+  index->num_nodes_ = catalog.num_nodes();
+  index->num_edges_ = catalog.num_edges();
+  index->num_labels_ = catalog.alphabet().size();
+  index->version_ = catalog.version();
 
   auto base = std::make_shared<Base>();
-  base->num_nodes = graph.num_nodes();
-  BuildOutCsr(graph, num_threads, &base->out.offsets, &base->out.labels,
-              &base->out.targets, &base->out.masks);
+  base->num_nodes = catalog.num_nodes();
+  SortOutRows(num_threads, source, &rows, &base->out.masks);
+  base->out.offsets = std::move(rows.offsets);
+  base->out.labels = std::move(rows.labels);
+  base->out.targets = std::move(rows.targets);
   index->InvertOutSide(base->out, num_threads, &base->in);
   index->base_ = base;
   index->bout_ = &base->out;
   index->bin_ = &base->in;
-  index->base_num_nodes_ = graph.num_nodes();
-  index->base_num_edges_ = graph.num_edges();
+  index->base_num_nodes_ = catalog.num_nodes();
+  index->base_num_edges_ = catalog.num_edges();
+  index->EnsureDegreeOrders();
+  return index;
+}
 
-  const PageVector<int32_t>& out_off = base->out.offsets;
-  const PageVector<int32_t>& in_off = base->in.offsets;
-  index->by_degree_ = OrderByDegree(index->num_nodes_, [&](NodeId v) {
-    return out_off[v + 1] - out_off[v] + in_off[v + 1] - in_off[v];
-  });
-  index->by_in_degree_ = OrderByDegree(index->num_nodes_, [&](NodeId v) {
-    return in_off[v + 1] - in_off[v];
-  });
-  index->orders_ready_.store(true, std::memory_order_release);
+// One side of a fold: every row of the new base is copied from the overlay
+// row that shadows it or else from the old base, with its mask. Nodes past
+// the old base without an overlay row are edge-less.
+void GraphIndex::FoldSide(const Overlay& overlay, const Side& old,
+                          Side* side) const {
+  const int n = num_nodes_;
+  auto base_len = [&](NodeId v) {
+    return v < base_num_nodes_ ? old.offsets[v + 1] - old.offsets[v] : 0;
+  };
+  side->offsets.resize(n + 1);
+  side->offsets[0] = 0;
+  size_t k = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const bool shadowed = k < overlay.nodes.size() && overlay.nodes[k] == v;
+    side->offsets[v + 1] =
+        side->offsets[v] + (shadowed ? overlay.rows[k++].len : base_len(v));
+  }
+  side->labels.resize(side->offsets[n]);
+  side->targets.resize(side->offsets[n]);
+  side->masks.resize(n);
+  k = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const int32_t at = side->offsets[v];
+    if (k < overlay.nodes.size() && overlay.nodes[k] == v) {
+      const RowRef& row = overlay.rows[k++];
+      std::copy_n(row.labels, row.len, side->labels.data() + at);
+      std::copy_n(row.targets, row.len, side->targets.data() + at);
+      side->masks[v] = row.mask;
+    } else if (v < base_num_nodes_) {
+      std::copy(old.labels.begin() + old.offsets[v],
+                old.labels.begin() + old.offsets[v + 1],
+                side->labels.begin() + at);
+      std::copy(old.targets.begin() + old.offsets[v],
+                old.targets.begin() + old.offsets[v + 1],
+                side->targets.begin() + at);
+      side->masks[v] = old.masks[v];
+    } else {
+      side->masks[v] = 0;
+    }
+  }
+}
+
+GraphIndexPtr GraphIndex::Fold() const {
+  auto index = std::shared_ptr<GraphIndex>(new GraphIndex());
+  index->num_nodes_ = num_nodes_;
+  index->num_edges_ = num_edges_;
+  index->num_labels_ = num_labels_;
+  index->version_ = version_;
+  auto base = std::make_shared<Base>();
+  base->num_nodes = num_nodes_;
+  FoldSide(out_overlay_, *bout_, &base->out);
+  FoldSide(in_overlay_, *bin_, &base->in);
+  index->base_ = base;
+  index->bout_ = &base->out;
+  index->bin_ = &base->in;
+  index->base_num_nodes_ = num_nodes_;
+  index->base_num_edges_ = num_edges_;
+  index->label_counts_ = label_counts_;
+  index->label_source_counts_ = label_source_counts_;
+  index->label_target_counts_ = label_target_counts_;
+  index->EnsureDegreeOrders();
   return index;
 }
 
@@ -497,67 +592,22 @@ void GraphIndex::ApplySide(const GraphIndex& prev, bool out_side,
   for (; b < touched->size(); ++b) push_new(b);
 }
 
-// Re-establishes the exact fresh-build permutation order after a batch:
-// both orders are sorted by (-key, id) with unique ids, so dropping the
-// dirty nodes from the previous order (their keys may have changed) and
-// merging them back in sorted by their NEW keys reproduces the
-// stable_sort result of a from-scratch Build. O(V + |dirty| log |dirty|)
-// with trivial constants — no full sort.
-void GraphIndex::RepairDegreeOrder(const GraphIndex& prev,
-                                   const std::vector<NodeId>& dirty,
-                                   bool in_only) const {
-  auto key = [&](NodeId v) {
-    return in_only ? in_degree(v) : out_degree(v) + in_degree(v);
-  };
-  auto before = [&](NodeId a, int ka, NodeId b, int kb) {
-    return ka > kb || (ka == kb && a < b);
-  };
-
-  std::vector<NodeId> dirty_by_id = dirty;  // sorted by id (membership)
-  std::vector<std::pair<int, NodeId>> dirty_by_key;
-  dirty_by_key.reserve(dirty.size());
-  for (NodeId v : dirty) dirty_by_key.emplace_back(key(v), v);
-  std::sort(dirty_by_key.begin(), dirty_by_key.end(),
-            [&](const auto& x, const auto& y) {
-              return before(x.second, x.first, y.second, y.first);
-            });
-
-  const std::vector<NodeId>& old_order =
-      in_only ? prev.by_in_degree_ : prev.by_degree_;
-  std::vector<NodeId>& order = in_only ? by_in_degree_ : by_degree_;
-  order.clear();
-  order.reserve(num_nodes_);
-  size_t d = 0;
-  for (NodeId v : old_order) {
-    if (std::binary_search(dirty_by_id.begin(), dirty_by_id.end(), v)) {
-      continue;  // re-inserted from dirty_by_key at its new position
-    }
-    const int kv = key(v);
-    while (d < dirty_by_key.size() &&
-           before(dirty_by_key[d].second, dirty_by_key[d].first, v, kv)) {
-      order.push_back(dirty_by_key[d++].second);
-    }
-    order.push_back(v);
-  }
-  while (d < dirty_by_key.size()) order.push_back(dirty_by_key[d++].second);
-}
-
-// Materializes a delta snapshot's degree permutations on first use.
-// ApplyDelta defers the O(V) merge repair so the write path stays
-// O(delta); the first reader asking for a seeding order pays it once per
-// snapshot, first materializing any unread ancestors (the recursion
-// bottoms out at the eager base build). Double-checked: once materialized
-// the accessor cost is a single acquire load.
+// Materializes the degree permutations on first use: two counting sorts
+// over the snapshot's own degrees, O(V + max degree) plus one overlay
+// lookup per node and side on a delta snapshot. A sealed base runs it as
+// it is built; a delta snapshot defers it to its first reader, so the
+// write path stays O(delta) and no snapshot refers to an older one.
+// Double-checked: once materialized the accessor cost is a single
+// acquire load.
 void GraphIndex::EnsureDegreeOrders() const {
   if (orders_ready_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(orders_mutex_);
   if (orders_ready_.load(std::memory_order_relaxed)) return;
-  const GraphIndexPtr parent = repair_parent_;
-  parent->EnsureDegreeOrders();
-  RepairDegreeOrder(*parent, repair_dirty_, /*in_only=*/false);
-  RepairDegreeOrder(*parent, repair_dirty_, /*in_only=*/true);
-  repair_parent_.reset();  // stop pinning the ancestor chain
-  repair_dirty_ = {};
+  by_degree_ = OrderByDegree(num_nodes_, [&](NodeId v) {
+    return out_degree(v) + in_degree(v);
+  });
+  by_in_degree_ =
+      OrderByDegree(num_nodes_, [&](NodeId v) { return in_degree(v); });
   orders_ready_.store(true, std::memory_order_release);
 }
 
@@ -606,26 +656,6 @@ GraphIndexPtr GraphIndex::ApplyDelta(const Delta& delta) const {
   for (const RowRef& row : next->out_overlay_.rows) {
     next->delta_edges_ += row.len;
   }
-
-  // Nodes whose degree (either side) may have changed, plus the batch's
-  // fresh nodes — even edge-less new nodes appear in a fresh build's
-  // permutations. The O(V) permutation repair itself is deferred to the
-  // first NodesBy*Degree() call (EnsureDegreeOrders): the write path
-  // only records the parent and the dirty set, keeping it O(delta).
-  std::vector<NodeId> dirty;
-  dirty.reserve(touched_out.size() + touched_in.size() +
-                (next->num_nodes_ - num_nodes_));
-  std::merge(touched_out.begin(), touched_out.end(), touched_in.begin(),
-             touched_in.end(), std::back_inserter(dirty));
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  for (NodeId v = num_nodes_; v < next->num_nodes_; ++v) {
-    if (!std::binary_search(dirty.begin(), dirty.end(), v)) {
-      dirty.push_back(v);
-    }
-  }
-  std::sort(dirty.begin(), dirty.end());
-  next->repair_parent_ = shared_from_this();
-  next->repair_dirty_ = std::move(dirty);
   return next;
 }
 

@@ -1,13 +1,12 @@
-// Segmented CSR label index over a GraphDb — the evaluation hot-path view.
+// Segmented CSR label index of a graph — the evaluation hot-path view, and
+// in a Database the graph itself.
 //
 // Theorem 6.1's NLOGSPACE data-complexity argument works on-the-fly: a
 // product configuration holds one graph node per path variable plus one
 // NFA state-set per relation, and a step only needs the edges of those
 // nodes *restricted to the letters the relation states can currently
-// read*. GraphDb's out-lists (one unsorted (label, target) vector per
-// node) force every step to scan a node's full out-list even when the
-// live letter set is a fraction of the alphabet. GraphIndex realizes the
-// restricted-edge access the theorem assumes, and holds the only in-edges:
+// read*. GraphIndex realizes the restricted-edge access the theorem
+// assumes:
 //
 //   * out- and in-edges in CSR form (one offsets array, one labels array,
 //     one targets array), sorted by (node, label, target) — the
@@ -21,13 +20,23 @@
 //     enumeration visits high-degree nodes first, which reaches accepting
 //     configurations sooner under early termination (LIMIT / EXISTS).
 //
+// The snapshot is the graph
+// -------------------------
+// Every engine reads the graph through a snapshot, and a Database holds no
+// other adjacency: its GraphDb is only the catalog (names, labels, counts;
+// see GraphDb::TakeAdjacency). A GraphDb with out-lists is a builder that
+// Build turns into a snapshot: seeds, MutateGraph's scratch graph and
+// engines run standalone on a GraphDb.
+//
 // Snapshots and deltas
 // --------------------
-// An index is an immutable snapshot; engines never see it change. Two
+// An index is an immutable snapshot; engines never see it change. Three
 // ways a snapshot comes to exist:
 //
-//   * Build(graph): a sealed BASE — size-then-fill CSR construction,
-//     O(V + E + max degree) plus each out-row's own sort.
+//   * Build(graph) / FromOutRows(catalog, rows): a sealed BASE —
+//     size-then-fill CSR construction, O(V + E + max degree) plus a sort
+//     of each out-row not yet in (label, target) order. FromOutRows takes
+//     the out-rows as columns the caller filled (the checkpoint decoder).
 //   * snapshot->ApplyDelta(batch): a DELTA snapshot layered on the same
 //     base. The batch's touched nodes get fully *merged* logical rows
 //     (previous view of the row ⊎ adds ∖ removes, kept (label, target)-
@@ -36,11 +45,16 @@
 //     segment) untouched. Removing every edge of a row leaves an empty
 //     row in the segment — the tombstone that shadows the base row.
 //     Cost is O(|batch| + Σ degree(touched) + |overlay|), independent of
-//     V and E — the O(delta) write path Database::ApplyDelta rides.
+//     V and E — the O(delta) write path Database::CommitDelta rides.
+//   * snapshot->Fold(): compaction. Each row of a new base is copied from
+//     the overlay row that shadows it or from the old base, masks and
+//     label statistics carry over, and the degree orders are counted
+//     from the new base: no sort, no inversion, no GraphDb.
 //
 // A delta snapshot presents the exact logical view a from-scratch Build
 // of the mutated graph would: identical slices, masks, degrees, label
-// statistics, and degree-ordered permutations (property-tested in
+// statistics, and degree-ordered permutations, and a folded base is
+// byte-identical to that Build (both property-tested in
 // tests/index_delta_test.cc), so engines and planner cost models are
 // byte-for-byte oblivious to which kind of snapshot they run on. Each
 // row lookup costs one branch when the overlay is empty and one binary
@@ -51,10 +65,9 @@
 // Database (src/api) owns the snapshot-swap protocol: executions pin a
 // snapshot shared_ptr for their whole run and finish against it even as
 // writers chain new delta snapshots; the serving layer's result cache
-// keys on the snapshot pointer, so every ApplyDelta (and every
-// compaction) is a distinct cache generation. Every engine except brute
-// force reads the graph through a snapshot; one that is handed none
-// builds its own.
+// keys on the snapshot pointer, so every delta (and every compaction) is
+// a distinct cache generation. An engine handed no snapshot builds its
+// own.
 
 #ifndef ECRPQ_GRAPH_INDEX_H_
 #define ECRPQ_GRAPH_INDEX_H_
@@ -75,13 +88,14 @@ namespace ecrpq {
 class GraphIndex;
 using GraphIndexPtr = std::shared_ptr<const GraphIndex>;
 
-class GraphIndex : public std::enable_shared_from_this<GraphIndex> {
+class GraphIndex {
  public:
-  /// One MutateGraph batch in index terms: already-interned labels,
-  /// resolved node ids, and the post-batch totals of the graph the batch
-  /// was applied to. `removed` must list only edges that were actually
-  /// present (Database::ApplyDelta filters through GraphDb::RemoveEdge),
-  /// each entry deleting one instance under multiset semantics.
+  /// One write batch in index terms: already-interned labels, resolved
+  /// node ids, and the post-batch totals of the graph the batch was
+  /// applied to. `removed` must list only edges that are present once
+  /// `added` is in (Database::CommitDelta checks them against the
+  /// snapshot's rows), each entry deleting one instance under multiset
+  /// semantics.
   struct Delta {
     std::vector<Edge> added;
     std::vector<Edge> removed;
@@ -97,8 +111,18 @@ class GraphIndex : public std::enable_shared_from_this<GraphIndex> {
   /// smaller graphs build serially (the hand-off costs more than it saves).
   static constexpr int kParallelBuildMinEdges = 1 << 19;
 
+  /// Out-side CSR columns a caller filled: offsets has num_nodes + 1
+  /// entries, labels and targets hold the rows back to back, and a row
+  /// need not be in (label, target) order.
+  struct OutRows {
+    PageVector<int32_t> offsets;
+    PageVector<Symbol> labels;
+    PageVector<NodeId> targets;
+  };
+
   /// Builds a sealed base index (CSR arrays, masks, counts, permutation)
-  /// from the current state of `graph`: each out-row is filled by sorting
+  /// from the current state of `graph`, as FromOutRows with the rows
+  /// copied from the out-lists. Each out-row is sorted as
   /// packed (label << 32 | target) keys, the in-side is dealt from the
   /// finished out-side by stable counting passes (no sort; 8 B/edge of
   /// scratch, freed on return), and both degree orders are counting sorts.
@@ -115,6 +139,22 @@ class GraphIndex : public std::enable_shared_from_this<GraphIndex> {
   /// The lanes write disjoint slices in the serial order, so the built
   /// index is byte-identical at any lane count.
   static GraphIndexPtr Build(const GraphDb& graph, int num_threads);
+
+  /// Seals out-rows the caller filled into a base snapshot of the graph
+  /// `catalog` describes (names are not read; its node, edge and label
+  /// counts and version() are the snapshot's). Rows already in (label,
+  /// target) order are only read, any other is sorted; then as Build,
+  /// and byte-identical to Build of the same graph. `rows` is moved into
+  /// the base, so the only scratch is the in-side inversion's.
+  static GraphIndexPtr FromOutRows(const GraphDb& catalog, OutRows rows,
+                                   int num_threads = 0);
+
+  /// Compaction: a sealed base with this snapshot's logical view, its
+  /// rows copied from the overlay or the old base, its masks and label
+  /// statistics carried over, and its degree orders counted from the new
+  /// base. Byte-identical to Build of the same graph; O(V + E) copying
+  /// with no sort and no scratch beyond the new base.
+  GraphIndexPtr Fold() const;
 
   /// A new snapshot presenting this snapshot's view plus `delta`. Shares
   /// the base CSR and all prior segments; adds one segment holding the
@@ -228,8 +268,8 @@ class GraphIndex : public std::enable_shared_from_this<GraphIndex> {
 
   /// Every node exactly once, by descending (out + in) degree; ties by
   /// ascending id. Frontier seeding order. On a delta snapshot the first
-  /// call materializes the repaired permutation (see EnsureDegreeOrders);
-  /// every later call is a plain reference return.
+  /// call counts it (see EnsureDegreeOrders); every later call is a plain
+  /// reference return.
   const std::vector<NodeId>& NodesByDegree() const {
     EnsureDegreeOrders();
     return by_degree_;
@@ -330,17 +370,20 @@ class GraphIndex : public std::enable_shared_from_this<GraphIndex> {
             side.targets.data() + side.offsets[node + 1]};
   }
 
+  /// Build and FromOutRows: seals `rows` of the graph `catalog`
+  /// describes, first filling them from `source`'s out-lists if given.
+  static GraphIndexPtr Seal(const GraphDb& catalog, const GraphDb* source,
+                            OutRows rows, int num_threads);
   /// Build helper: fills `in` as the transpose of the finished `out`
   /// side, plus the three label statistics (see index.cc).
   void InvertOutSide(const Side& out, int num_threads, Side* in);
+  /// Fold helper: one side of the new base from `overlay` over `old`.
+  void FoldSide(const Overlay& overlay, const Side& old, Side* side) const;
   /// ApplyDelta helper: merges one side's batch into a new SegSide and
   /// splices the touched rows into `next`'s overlay (see index.cc).
   static void ApplySide(const GraphIndex& prev, bool out_side,
                         const Delta& delta, GraphIndex* next,
                         SegSide* seg_side, std::vector<NodeId>* touched);
-  void RepairDegreeOrder(const GraphIndex& prev,
-                         const std::vector<NodeId>& dirty,
-                         bool in_only) const;
   void EnsureDegreeOrders() const;
 
   int num_nodes_ = 0;
@@ -367,19 +410,12 @@ class GraphIndex : public std::enable_shared_from_this<GraphIndex> {
   std::vector<int64_t> label_counts_;
   std::vector<int64_t> label_source_counts_, label_target_counts_;
 
-  // Degree permutations, materialized lazily on delta snapshots: the
-  // write path only records the parent snapshot and the batch's dirty
-  // nodes, and the first NodesBy*Degree() call runs the O(V) merge
-  // repair (EnsureDegreeOrders), then drops the parent reference. Until
-  // then the snapshot pins its unrepaired ancestors — bounded by the
-  // compaction segment cap, and released as soon as any reader (or any
-  // descendant's reader, recursively) asks for a seeding order.
+  // Degree permutations, counted on a base as it is sealed and on a delta
+  // snapshot by its first NodesBy*Degree() call (EnsureDegreeOrders).
   mutable std::vector<NodeId> by_degree_;
   mutable std::vector<NodeId> by_in_degree_;
   mutable std::mutex orders_mutex_;
   mutable std::atomic<bool> orders_ready_{false};
-  mutable GraphIndexPtr repair_parent_;
-  mutable std::vector<NodeId> repair_dirty_;
 };
 
 }  // namespace ecrpq

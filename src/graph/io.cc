@@ -1,6 +1,7 @@
 #include "graph/io.h"
 
 #include <charconv>
+#include <span>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -60,7 +61,12 @@ Result<GraphDb> ParseGraphText(std::string_view text, AlphabetPtr alphabet) {
   return graph;
 }
 
-std::string GraphToText(const GraphDb& graph) {
+namespace {
+
+// GraphToText over any edge source: `for_each_out(v, emit)` calls
+// emit(label, target) once per out-edge of v.
+template <typename ForEachOut>
+std::string GraphText(const GraphDb& graph, ForEachOut for_each_out) {
   // Anonymous nodes have no stored name; they are exported under their
   // "n<id>" display name. When a *named* node already owns that string,
   // reusing it verbatim would merge the two nodes on re-import, so the
@@ -90,12 +96,28 @@ std::string GraphToText(const GraphDb& graph) {
     out += "node " + display[v] + "\n";
   }
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    for (const auto& [label, to] : graph.Out(v)) {
+    for_each_out(v, [&](Symbol label, NodeId to) {
       out += "edge " + display[v] + " " + graph.alphabet().Label(label) +
              " " + display[to] + "\n";
-    }
+    });
   }
   return out;
+}
+
+}  // namespace
+
+std::string GraphToText(const GraphDb& graph) {
+  return GraphText(graph, [&](NodeId v, const auto& emit) {
+    for (const auto& [label, to] : graph.Out(v)) emit(label, to);
+  });
+}
+
+std::string GraphToText(const GraphDb& catalog, const GraphIndex& snapshot) {
+  return GraphText(catalog, [&](NodeId v, const auto& emit) {
+    const std::span<const Symbol> labels = snapshot.OutLabels(v);
+    const std::span<const NodeId> targets = snapshot.OutTargets(v);
+    for (size_t i = 0; i < labels.size(); ++i) emit(labels[i], targets[i]);
+  });
 }
 
 Result<GraphDb> ParseEdgeListText(std::string_view text,

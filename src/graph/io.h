@@ -17,6 +17,7 @@
 #include <string_view>
 
 #include "graph/graph.h"
+#include "graph/index.h"
 #include "util/status.h"
 
 namespace ecrpq {
@@ -33,6 +34,11 @@ Result<GraphDb> ParseGraphText(std::string_view text,
 /// disambiguated with trailing underscores if a named node owns that
 /// string, so distinct nodes never merge on re-import.
 std::string GraphToText(const GraphDb& graph);
+
+/// GraphToText of the graph whose names and labels are in `catalog` and
+/// whose edges are in `snapshot` (a Database's graph() and
+/// graph_index()). Each node's edges come in (label, target) order.
+std::string GraphToText(const GraphDb& catalog, const GraphIndex& snapshot);
 
 /// Graphviz DOT rendering.
 std::string GraphToDot(const GraphDb& graph);

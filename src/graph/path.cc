@@ -37,7 +37,7 @@ std::string Path::ToString(const GraphDb& graph) const {
   return out;
 }
 
-std::vector<Path> EnumeratePathsFrom(const GraphDb& graph, NodeId start,
+std::vector<Path> EnumeratePathsFrom(const GraphIndex& index, NodeId start,
                                      int max_len) {
   std::vector<Path> out;
   std::vector<Path> frontier = {Path(start)};
@@ -45,9 +45,11 @@ std::vector<Path> EnumeratePathsFrom(const GraphDb& graph, NodeId start,
   for (int depth = 0; depth < max_len; ++depth) {
     std::vector<Path> next;
     for (const Path& p : frontier) {
-      for (const auto& [label, to] : graph.Out(p.end())) {
+      const std::span<const Symbol> labels = index.OutLabels(p.end());
+      const std::span<const NodeId> targets = index.OutTargets(p.end());
+      for (size_t i = 0; i < labels.size(); ++i) {
         Path extended = p;
-        extended.Append(label, to);
+        extended.Append(labels[i], targets[i]);
         out.push_back(extended);
         next.push_back(std::move(extended));
       }
@@ -58,10 +60,10 @@ std::vector<Path> EnumeratePathsFrom(const GraphDb& graph, NodeId start,
   return out;
 }
 
-std::vector<Path> EnumerateAllPaths(const GraphDb& graph, int max_len) {
+std::vector<Path> EnumerateAllPaths(const GraphIndex& index, int max_len) {
   std::vector<Path> out;
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    std::vector<Path> from = EnumeratePathsFrom(graph, v, max_len);
+  for (NodeId v = 0; v < index.num_nodes(); ++v) {
+    std::vector<Path> from = EnumeratePathsFrom(index, v, max_len);
     out.insert(out.end(), from.begin(), from.end());
   }
   return out;

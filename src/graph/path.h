@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/index.h"
 #include "util/status.h"
 
 namespace ecrpq {
@@ -58,12 +59,13 @@ class Path {
   std::vector<std::pair<Symbol, NodeId>> steps_;
 };
 
-/// All paths of `graph` starting anywhere, with length <= max_len, in BFS
-/// order. Intended for brute-force reference evaluation on small graphs.
-std::vector<Path> EnumerateAllPaths(const GraphDb& graph, int max_len);
+/// All paths of the graph `index` snapshots, starting anywhere, with
+/// length <= max_len, in BFS order (each node's edges in (label, target)
+/// order). Intended for brute-force reference evaluation on small graphs.
+std::vector<Path> EnumerateAllPaths(const GraphIndex& index, int max_len);
 
 /// All paths from `start` with length <= max_len.
-std::vector<Path> EnumeratePathsFrom(const GraphDb& graph, NodeId start,
+std::vector<Path> EnumeratePathsFrom(const GraphIndex& index, NodeId start,
                                      int max_len);
 
 }  // namespace ecrpq

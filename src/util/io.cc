@@ -74,21 +74,33 @@ class PosixFileSystemImpl : public FileSystem {
     return std::unique_ptr<WritableFile>(new PosixWritableFile(fd, path));
   }
 
-  Status ReadFile(const std::string& path, std::string* out) override {
+  Status ReadFile(const std::string& path, PageVector<char>* out) override {
     int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0) return ErrnoStatus("open", path);
-    out->clear();
-    char buf[1 << 16];
+    // Sized once from fstat, so the file is read in place with no growth
+    // copies; a file that grew meanwhile is appended from a probe buffer.
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+      ::close(fd);
+      return ErrnoStatus("fstat", path);
+    }
+    out->resize(static_cast<size_t>(st.st_size));
+    size_t have = 0;
+    char probe[1 << 16];
     for (;;) {
-      ssize_t r = ::read(fd, buf, sizeof buf);
+      const bool in_place = have < out->size();
+      ssize_t r = in_place ? ::read(fd, out->data() + have, out->size() - have)
+                           : ::read(fd, probe, sizeof probe);
       if (r < 0) {
         if (errno == EINTR) continue;
         ::close(fd);
         return ErrnoStatus("read", path);
       }
       if (r == 0) break;
-      out->append(buf, static_cast<size_t>(r));
+      if (!in_place) out->insert(out->end(), probe, probe + r);
+      have += static_cast<size_t>(r);
     }
+    out->resize(have);
     ::close(fd);
     return Status::OK();
   }

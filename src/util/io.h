@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "util/page_alloc.h"
 #include "util/status.h"
 
 namespace ecrpq {
@@ -52,8 +53,9 @@ class FileSystem {
   virtual Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path, bool truncate) = 0;
 
-  /// Reads the whole file into `out`.
-  virtual Status ReadFile(const std::string& path, std::string* out) = 0;
+  /// Reads the whole file into `out`, a page-mapped buffer from 1 MiB on
+  /// (a checkpoint image or a log segment is freed back to the kernel).
+  virtual Status ReadFile(const std::string& path, PageVector<char>* out) = 0;
 
   /// Atomic rename (the checkpoint publish step).
   virtual Status Rename(const std::string& from, const std::string& to) = 0;
@@ -135,7 +137,7 @@ class FaultInjectingFileSystem : public FileSystem {
 
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path, bool truncate) override;
-  Status ReadFile(const std::string& path, std::string* out) override {
+  Status ReadFile(const std::string& path, PageVector<char>* out) override {
     return base_->ReadFile(path, out);
   }
   Status Rename(const std::string& from, const std::string& to) override;

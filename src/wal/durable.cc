@@ -55,10 +55,10 @@ Result<std::unique_ptr<DurableLog>> DurableLog::Open(
   }
 
   if (have_ckpt) {
-    std::string image;
+    PageVector<char> image;
     ECRPQ_RETURN_IF_ERROR(
         fs->ReadFile(dir + "/" + CheckpointName(newest_ckpt), &image));
-    ECRPQ_RETURN_IF_ERROR(load_checkpoint(image));
+    ECRPQ_RETURN_IF_ERROR(load_checkpoint(std::move(image)));
     log->checkpoint_lsn_ = newest_ckpt;
     log->has_checkpoint_ = true;
     log->recovery_.checkpoint_lsn = newest_ckpt;

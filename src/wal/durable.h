@@ -96,8 +96,9 @@ struct WalStats {
 class DurableLog {
  public:
   /// Replay callbacks apply one recovered record to the caller's graph
-  /// state; a non-ok return aborts Open.
-  using CheckpointLoadFn = std::function<Status(const std::string& image)>;
+  /// state; a non-ok return aborts Open. The checkpoint loader owns the
+  /// image it is handed, so it can free it as soon as it is decoded.
+  using CheckpointLoadFn = std::function<Status(PageVector<char> image)>;
   using MutationReplayFn = std::function<Status(GraphMutation&&)>;
   using EdgeDeltaReplayFn =
       std::function<Status(std::vector<Edge>&&, std::vector<Edge>&&)>;

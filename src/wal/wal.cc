@@ -166,7 +166,7 @@ Result<WalScanStats> ScanWal(FileSystem* fs, const std::string& dir,
     }
     if (expected_lsn == 0) expected_lsn = seg.first_lsn;
 
-    std::string data;
+    PageVector<char> data;
     Status st = fs->ReadFile(dir + "/" + seg.name, &data);
     if (!st.ok()) return st;
     ++stats.segments;

@@ -210,6 +210,8 @@ struct CheckpointLayout {
 
 CheckpointLayout Measure(const GraphDb& graph) {
   const Alphabet& alphabet = graph.alphabet();
+  // The catalog's edge count is the snapshot's: the caller passes both of
+  // one graph.
   CheckpointLayout layout;
   layout.size = kCheckpointHeader +
                 4 * static_cast<size_t>(graph.num_nodes()) +
@@ -303,7 +305,10 @@ class StringFile : public WritableFile {
 
 }  // namespace
 
-Status EncodeCheckpoint(const GraphDb& graph, WritableFile* file) {
+Status EncodeCheckpoint(const GraphDb& graph, const GraphIndex& snapshot,
+                        WritableFile* file) {
+  ECRPQ_DCHECK(snapshot.num_nodes() == graph.num_nodes() &&
+               snapshot.num_edges() == graph.num_edges());
   const Alphabet& alphabet = graph.alphabet();
   const NodeId num_nodes = graph.num_nodes();
   ChunkWriter w(file);
@@ -321,28 +326,31 @@ Status EncodeCheckpoint(const GraphDb& graph, WritableFile* file) {
     w.Str(name);
   }
   for (NodeId v = 0; v < num_nodes; ++v) {
-    w.U32(static_cast<uint32_t>(graph.Out(v).size()));
+    w.U32(static_cast<uint32_t>(snapshot.out_degree(v)));
   }
   for (NodeId v = 0; v < num_nodes; ++v) {
-    for (const auto& [label, to] : graph.Out(v)) {
-      w.U32(static_cast<uint32_t>(label));
-      w.U32(static_cast<uint32_t>(to));
+    const std::span<const Symbol> labels = snapshot.OutLabels(v);
+    const std::span<const NodeId> targets = snapshot.OutTargets(v);
+    for (size_t i = 0; i < labels.size(); ++i) {
+      w.U32(static_cast<uint32_t>(labels[i]));
+      w.U32(static_cast<uint32_t>(targets[i]));
     }
   }
   return w.Finish();
 }
 
-std::string EncodeCheckpoint(const GraphDb& graph) {
+std::string EncodeCheckpoint(const GraphDb& graph,
+                             const GraphIndex& snapshot) {
   const size_t size = Measure(graph).size;
   std::string out;
   out.reserve(size);
   StringFile file(&out);
-  Status st = EncodeCheckpoint(graph, &file);
+  Status st = EncodeCheckpoint(graph, snapshot, &file);
   ECRPQ_DCHECK(st.ok() && out.size() == size);
   return out;
 }
 
-Result<GraphDb> DecodeCheckpoint(std::string_view image) {
+Result<DecodedCheckpoint> DecodeCheckpoint(std::string_view image) {
   if (image.size() < sizeof(kCheckpointMagic) ||
       std::memcmp(image.data(), kCheckpointMagic, sizeof(kCheckpointMagic)) !=
           0) {
@@ -396,8 +404,10 @@ Result<GraphDb> DecodeCheckpoint(std::string_view image) {
   }
 
   // Named nodes in increasing id order; the anonymous ones between them
-  // are created in bulk.
+  // are created in bulk. The graph is a catalog from the start: its edges
+  // go into the rows below.
   GraphDb graph(alphabet);
+  (void)graph.TakeAdjacency();
   for (uint32_t i = 0; i < num_named; ++i) {
     uint32_t id;
     std::string_view name;
@@ -428,26 +438,28 @@ Result<GraphDb> DecodeCheckpoint(std::string_view image) {
     return CheckpointError("out-degrees do not sum to the edge count");
   }
 
-  // Out-lists are filled straight from the image; an out-of-range arc is
-  // replaced by a valid one and fails the decode once the fill is done.
-  bool in_range = true;
-  graph.AppendOutRows(
-      [&](NodeId v) {
-        return static_cast<int>(LoadU32(degrees + 4 * static_cast<size_t>(v)));
-      },
-      [&] {
-        const uint32_t label = LoadU32(arcs);
-        const uint32_t to = LoadU32(arcs + 4);
-        arcs += 8;
-        if (label >= num_labels || to >= num_nodes) {
-          in_range = false;
-          return std::pair<Symbol, NodeId>(0, 0);
-        }
-        return std::pair<Symbol, NodeId>(static_cast<Symbol>(label),
-                                         static_cast<NodeId>(to));
-      });
-  if (!in_range) return CheckpointError("edge out of range");
-  return graph;
+  // The rows go straight from the image into the base's columns.
+  GraphIndex::OutRows rows;
+  rows.offsets.resize(size_t{num_nodes} + 1);
+  rows.offsets[0] = 0;
+  for (uint32_t v = 0; v < num_nodes; ++v) {
+    rows.offsets[v + 1] =
+        rows.offsets[v] +
+        static_cast<int32_t>(LoadU32(degrees + 4 * size_t{v}));
+  }
+  rows.labels.resize(num_edges);
+  rows.targets.resize(num_edges);
+  for (uint32_t i = 0; i < num_edges; ++i, arcs += 8) {
+    const uint32_t label = LoadU32(arcs);
+    const uint32_t to = LoadU32(arcs + 4);
+    if (label >= num_labels || to >= num_nodes) {
+      return CheckpointError("edge out of range");
+    }
+    rows.labels[i] = static_cast<Symbol>(label);
+    rows.targets[i] = static_cast<NodeId>(to);
+  }
+  graph.CountEdges(static_cast<int>(num_edges), 0);
+  return DecodedCheckpoint{std::move(graph), std::move(rows)};
 }
 
 }  // namespace ecrpq

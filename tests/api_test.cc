@@ -118,7 +118,9 @@ TEST(PreparedQuery, ParameterErrors) {
 
   // Evaluating a parameterized query through the engine layer directly is
   // a FailedPrecondition, not a crash.
-  auto raw = Evaluator(&db.graph()).Evaluate(prepared.value().query());
+  Evaluator evaluator(&db.graph());
+  evaluator.set_graph_index(db.graph_index());
+  auto raw = evaluator.Evaluate(prepared.value().query());
   ASSERT_FALSE(raw.ok());
   EXPECT_EQ(raw.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -312,9 +314,9 @@ TEST(PreparedQuery, PhysicalPlanCachedAndRecostedOnIndexInvalidation) {
   EXPECT_EQ(sibling.value().plan().get(), first.get());
 
   // Graph mutation invalidates the index; the plan must be re-costed.
-  // (mutable_graph clears the plan cache, but the outstanding handle keeps
+  // (MutateGraph clears the plan cache, but the outstanding handle keeps
   // its CompiledPlan — exactly the path the weak_ptr re-cost covers.)
-  db.mutable_graph().AddEdge(0, "advisor", 3);
+  db.MutateGraph([](GraphDb& g) { g.AddEdge(0, "advisor", 3); });
   PhysicalPlanPtr recosted = prepared.value().plan();
   EXPECT_NE(recosted.get(), first.get());
 }

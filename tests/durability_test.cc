@@ -81,7 +81,7 @@ GraphMutation BatchN(int i) {
 }
 
 std::string Fingerprint(const Database& db) {
-  return EncodeCheckpoint(db.graph());
+  return EncodeCheckpoint(db.graph(), *db.graph_index());
 }
 
 // ---- basic lifecycle --------------------------------------------------------
@@ -461,8 +461,12 @@ TEST(DurabilityDegraded, CheckpointFailingMidStreamPublishesNothing) {
     DurabilityOptions durability;
     durability.fs = &fs;
     durability.probe_interval_ms = 0;
-    auto opened = Database::OpenDurable(dir.path(), durability,
-                                        DeterministicOptions(), SeedGraph());
+    // No compaction: on this small seed the first batch would fold and
+    // checkpoint at LSN 1 itself, the LSN the MutateGraph below publishes.
+    DatabaseOptions options = DeterministicOptions();
+    options.compact_delta_fraction = 1e9;
+    auto opened = Database::OpenDurable(dir.path(), durability, options,
+                                        SeedGraph());
     ASSERT_TRUE(opened.ok());
     Database& db = *opened.value();
     ASSERT_TRUE(db.CommitDelta(BatchN(0)).ok());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <string>
@@ -9,6 +10,7 @@
 #include <unordered_map>
 
 #include "graph/generators.h"
+#include "graph/index.h"
 #include "graph/io.h"
 #include "graph/path.h"
 
@@ -75,10 +77,11 @@ TEST(Path, Enumeration) {
   g.AddEdge(a, x, b);
   g.AddEdge(b, x, a);
   // Paths from A with length <= 2: A, A-B, A-B-A.
-  std::vector<Path> from_a = EnumeratePathsFrom(g, a, 2);
+  GraphIndexPtr index = GraphIndex::Build(g);
+  std::vector<Path> from_a = EnumeratePathsFrom(*index, a, 2);
   EXPECT_EQ(from_a.size(), 3u);
   // All paths length <= 1: two empty + two edges.
-  EXPECT_EQ(EnumerateAllPaths(g, 1).size(), 4u);
+  EXPECT_EQ(EnumerateAllPaths(*index, 1).size(), 4u);
 }
 
 TEST(Generators, WordGraphSpellsWord) {
@@ -311,6 +314,56 @@ TEST(GraphIo, RoundTripAnonymousNameCollision) {
   EXPECT_TRUE(parsed.value().HasEdge(
       renamed, *parsed.value().alphabet().Find("x"),
       *parsed.value().FindNode("n0")));
+}
+
+// The catalog-plus-snapshot export (a Database's graph() and
+// graph_index()) writes the same graph as the export of the GraphDb the
+// snapshot was built from.
+TEST(GraphIo, CatalogAndSnapshotTextMatchesGraphText) {
+  auto alphabet = Alphabet::FromLabels({"a", "b", "c"});
+  GraphDb g(alphabet);
+  NodeId ann = g.AddNode("ann");
+  NodeId anon = g.AddNode();
+  NodeId bob = g.AddNode("bob");
+  g.AddNode("n1");  // owns the anonymous node's display name
+  g.AddEdge(bob, "b", anon);
+  g.AddEdge(ann, "c", bob);
+  g.AddEdge(ann, "a", anon);
+  g.AddEdge(ann, "c", bob);
+
+  GraphDb catalog = g;
+  GraphIndexPtr snapshot = GraphIndex::Build(catalog);
+  (void)catalog.TakeAdjacency();
+  auto from_catalog = ParseGraphText(GraphToText(catalog, *snapshot));
+  auto from_graph = ParseGraphText(GraphToText(g));
+  ASSERT_TRUE(from_catalog.ok()) << from_catalog.status().ToString();
+  ASSERT_TRUE(from_graph.ok()) << from_graph.status().ToString();
+  const GraphDb& h = from_catalog.value();
+  const GraphDb& expected = from_graph.value();
+  ASSERT_EQ(h.num_nodes(), expected.num_nodes());
+  ASSERT_EQ(h.num_edges(), expected.num_edges());
+  for (NodeId v = 0; v < h.num_nodes(); ++v) {
+    EXPECT_EQ(h.NodeName(v), expected.NodeName(v)) << v;
+    auto out = h.Out(v);
+    auto want = expected.Out(v);
+    std::sort(out.begin(), out.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(out, want) << h.NodeName(v);
+  }
+}
+
+// A catalog has given up its out-lists: reading edges through it aborts
+// in every build type instead of answering as a graph without edges.
+TEST(GraphDbDeathTest, CatalogRefusesEdgeAccess) {
+  GraphDb g;
+  NodeId a = g.AddNode("a");
+  g.AddEdge(a, "x", a);
+  (void)g.TakeAdjacency();
+  EXPECT_EQ(g.num_edges(), 1);
+  EXPECT_DEATH((void)g.Out(a), "catalog without out-lists");
+  EXPECT_DEATH((void)g.HasEdge(a, 0, a), "catalog without out-lists");
+  EXPECT_DEATH((void)g.ToNfaAllStates(), "catalog without out-lists");
+  EXPECT_DEATH(g.AddEdge(a, 0, a), "catalog without out-lists");
 }
 
 TEST(GraphIo, ParseErrorsAndComments) {

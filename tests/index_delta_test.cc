@@ -22,51 +22,11 @@
 #include "graph/index.h"
 #include "query/parser.h"
 #include "server/result_cache.h"
+#include "snapshot_compare.h"
 #include "util/random.h"
 
 namespace ecrpq {
 namespace {
-
-template <typename T>
-std::vector<T> ToVec(std::span<const T> s) {
-  return std::vector<T>(s.begin(), s.end());
-}
-
-// Full structural equality of two snapshots' logical views. `fresh` is a
-// from-scratch Build of the mutated graph; `snap` the delta chain.
-void CheckSameView(const GraphIndexPtr& fresh, const GraphIndexPtr& snap) {
-  ASSERT_EQ(fresh->num_nodes(), snap->num_nodes());
-  ASSERT_EQ(fresh->num_edges(), snap->num_edges());
-  ASSERT_EQ(fresh->num_labels(), snap->num_labels());
-  ASSERT_EQ(fresh->version(), snap->version());
-
-  for (Symbol a = 0; a < fresh->num_labels(); ++a) {
-    ASSERT_EQ(fresh->LabelCount(a), snap->LabelCount(a)) << "label " << a;
-    ASSERT_EQ(fresh->LabelSourceCount(a), snap->LabelSourceCount(a))
-        << "label " << a;
-    ASSERT_EQ(fresh->LabelTargetCount(a), snap->LabelTargetCount(a))
-        << "label " << a;
-  }
-  // Permutations must be IDENTICAL, not just degree-sorted: frontier
-  // seeding order feeds engine counters, and those must match too.
-  ASSERT_EQ(fresh->NodesByDegree(), snap->NodesByDegree());
-  ASSERT_EQ(fresh->NodesByInDegree(), snap->NodesByInDegree());
-
-  for (NodeId v = 0; v < fresh->num_nodes(); ++v) {
-    ASSERT_EQ(ToVec(fresh->OutLabels(v)), ToVec(snap->OutLabels(v)))
-        << "node " << v;
-    ASSERT_EQ(ToVec(fresh->OutTargets(v)), ToVec(snap->OutTargets(v)))
-        << "node " << v;
-    ASSERT_EQ(ToVec(fresh->InLabels(v)), ToVec(snap->InLabels(v)))
-        << "node " << v;
-    ASSERT_EQ(ToVec(fresh->InSources(v)), ToVec(snap->InSources(v)))
-        << "node " << v;
-    ASSERT_EQ(fresh->OutLabelMask(v), snap->OutLabelMask(v)) << "node " << v;
-    ASSERT_EQ(fresh->InLabelMask(v), snap->InLabelMask(v)) << "node " << v;
-    ASSERT_EQ(fresh->out_degree(v), snap->out_degree(v)) << "node " << v;
-    ASSERT_EQ(fresh->in_degree(v), snap->in_degree(v)) << "node " << v;
-  }
-}
 
 // One random mutation batch applied to `g`, returned in index terms.
 // Mixes adds between existing nodes, edges on freshly created nodes,
@@ -201,6 +161,51 @@ TEST(IndexDeltaProperty, HundredBatchesMatchFreshBuild) {
   EXPECT_GT(snap->delta_nodes(), 0u);
 }
 
+// Compaction folds: at random points of random delta chains, Fold() must
+// be a sealed base equal to a from-scratch Build of the same graph in
+// every base column (rows and offsets, read through a base-only
+// snapshot), mask, label statistic and both degree orders. The chains mix
+// adds, removes (same-batch add-then-remove, duplicate edges), emptied
+// rows, fresh edge-less nodes, label growth and node-only batches, and
+// go on from each folded base.
+TEST(IndexFoldProperty, FoldEqualsBuildOverRandomChains) {
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    auto alphabet = Alphabet::FromLabels({"a", "b", "c"});
+    GraphDb g = PowerLawGraph(alphabet, 200 + static_cast<int>(seed) * 20,
+                              900, &rng);
+    GraphIndexPtr snap = GraphIndex::Build(g);
+    int next_label = 0;
+    int folds = 0;
+    for (int step = 0; step < 40; ++step) {
+      GraphIndex::Delta delta;
+      if (rng.Chance(0.1)) {
+        // Node-only batch: fresh edge-less nodes and nothing else.
+        g.AddNodes(static_cast<int>(rng.Range(1, 3)));
+        delta.new_num_nodes = g.num_nodes();
+        delta.new_num_labels = g.alphabet().size();
+        delta.new_version = g.version();
+      } else {
+        delta = RandomBatch(&g, &rng, &next_label);
+      }
+      snap = snap->ApplyDelta(delta);
+      if (step % 7 != 6 && step != 39) continue;
+      // Fold both before and after a reader counted the degree orders.
+      if (rng.Chance(0.5)) (void)snap->NodesByDegree();
+      GraphIndexPtr folded = snap->Fold();
+      ASSERT_FALSE(folded->has_delta());
+      ASSERT_EQ(folded->delta_nodes(), 0u);
+      ASSERT_EQ(folded->base_edges(), g.num_edges());
+      CheckSameView(GraphIndex::Build(g), folded);
+      if (HasFatalFailure()) return;
+      snap = folded;
+      ++folds;
+    }
+    EXPECT_EQ(folds, 6);
+  }
+}
+
 TEST(IndexDelta, TombstoneShadowsBaseRow) {
   GraphDb g;
   NodeId x = g.AddNode("x");
@@ -318,6 +323,28 @@ GraphDb NamedDemo() {
   return g;
 }
 
+// A cursor runs on the snapshot current at its first Next(): a write
+// that lands between Execute and Next (here one that adds a node) is
+// seen, not an error — the catalog has no out-lists to rebuild from.
+TEST(DatabaseDelta, CursorRunsOnSnapshotCurrentAtFirstNext) {
+  Database db(NamedDemo());
+  auto prepared = db.Prepare("Ans(y) <- (x, p, y), 'advisor'(p)");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto cursor = prepared.value().Execute();
+  ASSERT_TRUE(cursor.ok());
+  GraphMutation m;
+  m.add_edges.push_back({"eva", "advisor", "zed"});
+  ASSERT_EQ(db.ApplyDelta(m).new_nodes, 1);
+  std::vector<std::string> got;
+  while (cursor.value().Next()) {
+    got.push_back(db.graph().NodeName(cursor.value().tuple()[0]));
+  }
+  ASSERT_TRUE(cursor.value().status().ok())
+      << cursor.value().status().ToString();
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<std::string>{"eva", "zed"}));
+}
+
 TEST(DatabaseDelta, ReadersPinPreDeltaSnapshot) {
   // NamedDemo has 3 edges, so the default compact_delta_fraction (0.10)
   // would schedule a background fold for even a 1-edge batch — and the
@@ -395,10 +422,12 @@ TEST(DatabaseDelta, SingleFlightCoalescesRacingBuilders) {
   Rng rng(7);
   auto alphabet = Alphabet::FromLabels({"a", "b", "c", "d"});
   Database db(PowerLawGraph(alphabet, 50000, 400000, &rng));
-  (void)db.graph_index();  // initial build
-  db.MutateGraph([](GraphDb&) {});  // invalidate wholesale
-
+  (void)db.graph_index();  // built by the constructor
+  // MutateGraph rebuilds wholesale, once, before readers resume; the
+  // racing readers below all get that snapshot and build nothing.
   const uint64_t before = db.index_full_builds();
+  db.MutateGraph([](GraphDb&) {});
+
   std::vector<std::thread> threads;
   std::vector<GraphIndexPtr> got(8);
   for (int t = 0; t < 8; ++t) {

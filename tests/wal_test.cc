@@ -14,9 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "api/database.h"
 #include "graph/graph.h"
+#include "graph/index.h"
+#include "snapshot_compare.h"
 #include "util/crc32c.h"
 #include "util/io.h"
+#include "wal/durable.h"
 #include "wal/wal.h"
 #include "wal/wal_format.h"
 
@@ -148,6 +152,17 @@ TEST(WalFormat, DecodeRejectsGarbage) {
 
 // ---- checkpoint codec -------------------------------------------------------
 
+// The image of a GraphDb with out-lists: its catalog plus a snapshot
+// built from it.
+std::string Encode(const GraphDb& g) {
+  return EncodeCheckpoint(g, *GraphIndex::Build(g));
+}
+
+// Seals a decoded image's rows into its snapshot.
+GraphIndexPtr Seal(DecodedCheckpoint* decoded) {
+  return GraphIndex::FromOutRows(decoded->catalog, std::move(decoded->rows));
+}
+
 TEST(WalFormat, CheckpointRoundTripPreservesAnonymity) {
   GraphDb g;
   NodeId ann = g.AddNode("ann");
@@ -157,9 +172,9 @@ TEST(WalFormat, CheckpointRoundTripPreservesAnonymity) {
   g.AddEdge(anon, "likes a lot", bob);  // label with spaces survives
   g.AddEdge(bob, "advisor", ann);
 
-  auto decoded = DecodeCheckpoint(EncodeCheckpoint(g));
+  auto decoded = DecodeCheckpoint(Encode(g));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const GraphDb& d = decoded.value();
+  const GraphDb& d = decoded.value().catalog;
   EXPECT_EQ(d.num_nodes(), g.num_nodes());
   EXPECT_EQ(d.num_edges(), g.num_edges());
   EXPECT_EQ(d.FindNode("ann"), std::optional<NodeId>(ann));
@@ -170,13 +185,13 @@ TEST(WalFormat, CheckpointRoundTripPreservesAnonymity) {
   EXPECT_EQ(d.NodeName(anon), g.NodeName(anon));
   EXPECT_FALSE(d.FindNode(d.NodeName(anon)).has_value());
   // Byte-identical re-encode: the codec is canonical.
-  EXPECT_EQ(EncodeCheckpoint(d), EncodeCheckpoint(g));
+  EXPECT_EQ(EncodeCheckpoint(d, *Seal(&decoded.value())), Encode(g));
 }
 
 TEST(WalFormat, CheckpointRejectsCorruptText) {
   GraphDb g;
   g.AddEdge(g.AddNode("a"), "l", g.AddNode("b"));
-  std::string text = EncodeCheckpoint(g);
+  std::string text = Encode(g);
   EXPECT_FALSE(DecodeCheckpoint("bogus header\n").ok());
   EXPECT_FALSE(DecodeCheckpoint(text + "trailing junk\n").ok());
   EXPECT_FALSE(DecodeCheckpoint(text.substr(0, text.size() / 2)).ok());
@@ -232,10 +247,12 @@ TEST(WalFormat, CheckpointRoundTripsRandomGraphsWithAwkwardNames) {
   for (uint32_t seed = 1; seed <= 60; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const GraphDb g = RandomCheckpointGraph(seed);
-    const std::string image = EncodeCheckpoint(g);
+    const std::string image = Encode(g);
     auto decoded = DecodeCheckpoint(image);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    const GraphDb& d = decoded.value();
+    const GraphDb& d = decoded.value().catalog;
+    const GraphIndexPtr snapshot = Seal(&decoded.value());
+    const GraphIndexPtr fresh = GraphIndex::Build(g);
     ASSERT_EQ(d.num_nodes(), g.num_nodes());
     ASSERT_EQ(d.num_edges(), g.num_edges());
     ASSERT_EQ(d.alphabet().size(), g.alphabet().size());
@@ -248,20 +265,25 @@ TEST(WalFormat, CheckpointRoundTripsRandomGraphsWithAwkwardNames) {
       if (!g.StoredName(v).empty()) {
         EXPECT_EQ(d.FindNode(g.StoredName(v)), std::optional<NodeId>(v));
       }
-      EXPECT_EQ(d.Out(v), g.Out(v));
+      EXPECT_EQ(ToVec(snapshot->OutLabels(v)), ToVec(fresh->OutLabels(v)));
+      EXPECT_EQ(ToVec(snapshot->OutTargets(v)),
+                ToVec(fresh->OutTargets(v)));
     }
     // Anonymous nodes stay anonymous even where a real name looks like
     // the synthetic "n<id>" display name.
     for (const std::string& name : AwkwardStrings()) {
       EXPECT_EQ(d.FindNode(name), g.FindNode(name));
     }
-    EXPECT_EQ(EncodeCheckpoint(d), image);
+    EXPECT_EQ(EncodeCheckpoint(d, *snapshot), image);
   }
 }
 
 // The checkpoint layout documented in wal_format.h, encoded in one pass
-// into one string: the byte-for-byte oracle for the streaming encoder.
-std::string ReferenceCheckpoint(const GraphDb& g) {
+// into one string. With sorted rows it is the byte-for-byte oracle for
+// the streaming encoder, which writes the snapshot's (label, target)-
+// sorted rows; with insertion-ordered rows it is the image encoders wrote
+// from GraphDb out-lists before the snapshot was the only adjacency.
+std::string ReferenceCheckpoint(const GraphDb& g, bool sorted_rows) {
   std::string out = "ECRPQCKP";
   auto u32 = [&](uint32_t v) {
     for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
@@ -287,7 +309,9 @@ std::string ReferenceCheckpoint(const GraphDb& g) {
     u32(static_cast<uint32_t>(g.Out(v).size()));
   }
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (const auto& [label, to] : g.Out(v)) {
+    std::vector<std::pair<Symbol, NodeId>> row = g.Out(v);
+    if (sorted_rows) std::sort(row.begin(), row.end());
+    for (const auto& [label, to] : row) {
       u32(static_cast<uint32_t>(label));
       u32(static_cast<uint32_t>(to));
     }
@@ -312,7 +336,7 @@ class RecordingFile : public WritableFile {
 };
 
 // GraphDb::version() after DecodeCheckpoint: one bump per AddNodes and
-// AddNode call of the decoder, and one for all the edges.
+// AddNode call of the decoder, and one per edge the catalog counts.
 uint64_t DecodedVersion(const GraphDb& g) {
   uint64_t version = 0;
   NodeId next = 0;
@@ -321,14 +345,15 @@ uint64_t DecodedVersion(const GraphDb& g) {
     version += (v > next) + 1;
     next = v + 1;
   }
-  return version + 2;
+  return version + 1 + static_cast<uint64_t>(g.num_edges());
 }
 
 void ExpectStreamsLikeReference(const GraphDb& g) {
-  const std::string reference = ReferenceCheckpoint(g);
-  EXPECT_EQ(EncodeCheckpoint(g), reference);
+  const std::string reference = ReferenceCheckpoint(g, /*sorted_rows=*/true);
+  const GraphIndexPtr fresh = GraphIndex::Build(g);
+  EXPECT_EQ(EncodeCheckpoint(g, *fresh), reference);
   RecordingFile file;
-  ASSERT_TRUE(EncodeCheckpoint(g, &file).ok());
+  ASSERT_TRUE(EncodeCheckpoint(g, *fresh, &file).ok());
   EXPECT_EQ(file.bytes, reference);
   // Full chunks, then the rest: one Append per started chunk.
   const size_t chunks =
@@ -342,12 +367,15 @@ void ExpectStreamsLikeReference(const GraphDb& g) {
 
   auto decoded = DecodeCheckpoint(file.bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const GraphDb& d = decoded.value();
+  const GraphDb& d = decoded.value().catalog;
   EXPECT_EQ(d.num_edges(), g.num_edges());
   EXPECT_EQ(d.version(), DecodedVersion(g));
+  const GraphIndexPtr snapshot = Seal(&decoded.value());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     ASSERT_EQ(d.StoredName(v), g.StoredName(v)) << v;
-    ASSERT_EQ(d.Out(v), g.Out(v)) << v;
+    ASSERT_EQ(ToVec(snapshot->OutLabels(v)), ToVec(fresh->OutLabels(v))) << v;
+    ASSERT_EQ(ToVec(snapshot->OutTargets(v)), ToVec(fresh->OutTargets(v)))
+        << v;
   }
 }
 
@@ -369,13 +397,14 @@ TEST(WalFormat, StreamedCheckpointMatchesReferenceAcrossChunks) {
   // CRC, a length prefix and the name bytes each straddle it somewhere.
   GraphDb probe;
   probe.AddEdge(probe.AddNode("a"), "l", probe.AddNode("b"));
-  const size_t one_byte_name = ReferenceCheckpoint(probe).size();
+  const size_t one_byte_name = ReferenceCheckpoint(probe, true).size();
   for (int delta = -9; delta <= 9; ++delta) {
     SCOPED_TRACE("image size chunk + " + std::to_string(delta));
     const size_t len = kCheckpointChunkBytes + delta - one_byte_name + 1;
     GraphDb g;
     g.AddEdge(g.AddNode("a"), "l", g.AddNode(std::string(len, 'n')));
-    ASSERT_EQ(ReferenceCheckpoint(g).size(), kCheckpointChunkBytes + delta);
+    ASSERT_EQ(ReferenceCheckpoint(g, true).size(),
+              kCheckpointChunkBytes + delta);
     ExpectStreamsLikeReference(g);
   }
   {
@@ -408,7 +437,7 @@ TEST(WalFormat, CheckpointRejectsEveryTruncationAndByteFlip) {
   g.AddEdge(a, "l", anon);
   g.AddEdge(anon, "m m", b);
   g.AddEdge(b, "l", a);
-  const std::string image = EncodeCheckpoint(g);
+  const std::string image = Encode(g);
   ASSERT_TRUE(DecodeCheckpoint(image).ok());
   for (size_t len = 0; len < image.size(); ++len) {
     auto decoded = DecodeCheckpoint(image.substr(0, len));
@@ -442,7 +471,7 @@ void ResealCrc(std::string* image) {
 TEST(WalFormat, CheckpointForgedCountsRejectedBeforeAllocating) {
   GraphDb g;
   g.AddEdge(g.AddNode("a"), "l", g.AddNode());
-  const std::string image = EncodeCheckpoint(g);
+  const std::string image = Encode(g);
   // Header offsets: magic 0, version 8, nodes 12, edges 16, labels 20,
   // named 24.
   struct Forgery {
@@ -488,28 +517,28 @@ TEST(WalFormat, CheckpointRejectsStructuralLies) {
   const NodeId b = g.AddNode("b");
   g.AddEdge(a, "x", b);
   g.AddEdge(a, "y", b);
-  std::string image = EncodeCheckpoint(g);
+  std::string image = Encode(g);
   // Labels start at 28: (u32 1, "x"), (u32 1, "y").
   image[28 + 4 + 1 + 4] = 'x';
   reject(image, "duplicate label");
 
-  image = EncodeCheckpoint(g);
+  image = Encode(g);
   // Named nodes follow at 38: (id 0, "a"), (id 1, "b"). Repeating the
   // first entry names no node twice, but ids must strictly increase.
   OverwriteU32(&image, 38 + 9, 0);
   image[38 + 9 + 8] = 'a';
   reject(image, "named-node entry repeated");
 
-  image = EncodeCheckpoint(g);
+  image = Encode(g);
   image[38 + 9 + 8] = 'a';
   reject(image, "duplicate node name");
 
-  image = EncodeCheckpoint(g);
+  image = Encode(g);
   image.erase(38 + 9 + 8, 1);
   OverwriteU32(&image, 38 + 9 + 4, 0);
   reject(image, "empty node name");
 
-  image = EncodeCheckpoint(g);
+  image = Encode(g);
   // Out-degrees at 56 (node 0: 2, node 1: 0); move one edge to node 1.
   OverwriteU32(&image, 56, 1);
   OverwriteU32(&image, 60, 1);
@@ -520,19 +549,19 @@ TEST(WalFormat, CheckpointRejectsStructuralLies) {
   OverwriteU32(&image, 60, 0);
   reject(image, "degree sum below the edge count");
 
-  image = EncodeCheckpoint(g);
+  image = Encode(g);
   // Edges at 64: (label, to) pairs.
   OverwriteU32(&image, 64, 2);
   reject(image, "label out of range");
-  image = EncodeCheckpoint(g);
+  image = Encode(g);
   OverwriteU32(&image, 68, 2);
   reject(image, "target out of range");
 
-  image = EncodeCheckpoint(g);
+  image = Encode(g);
   image.insert(image.size() - 4, "z");
   reject(image, "trailing byte");
 
-  image = EncodeCheckpoint(g);
+  image = Encode(g);
   OverwriteU32(&image, 8, 1);
   reject(image, "unknown version");
 }
@@ -545,6 +574,152 @@ TEST(WalFormat, TextCheckpointIsAnUnsupportedFormat) {
   EXPECT_NE(decoded.status().message().find("unsupported checkpoint format"),
             std::string::npos)
       << decoded.status().message();
+}
+
+// ---- recovery from insertion-ordered checkpoints ----------------------------
+
+// Applies a logged name-level batch to a GraphDb as Database::CommitDelta
+// does: nodes, then adds, then removes, each remove taking one instance
+// and a remove that matches nothing skipped.
+void ApplyMutation(GraphDb* g, const GraphMutation& m) {
+  auto resolve = [&](const std::string& name) {
+    const auto found = g->FindNode(name);
+    return found.has_value() ? *found : g->AddNode(name);
+  };
+  for (const std::string& name : m.add_nodes) {
+    if (name.empty()) {
+      g->AddNode();
+    } else {
+      resolve(name);
+    }
+  }
+  for (const EdgeSpec& spec : m.add_edges) {
+    const NodeId from = resolve(spec.from);
+    const NodeId to = resolve(spec.to);
+    g->AddEdge(from, spec.label, to);
+  }
+  for (const EdgeSpec& spec : m.remove_edges) {
+    const auto from = g->FindNode(spec.from);
+    const auto to = g->FindNode(spec.to);
+    const auto label = g->alphabet().Find(spec.label);
+    if (from && to && label) g->RemoveEdge(*from, *label, *to);
+  }
+}
+
+// A random id-level batch over g's current nodes and labels, applied to
+// g: adds (one of them twice), removes of present edges, and one remove
+// of an absent edge.
+void RandomEdgeDelta(GraphDb* g, std::mt19937* rng, std::vector<Edge>* add,
+                     std::vector<Edge>* remove) {
+  const int n = g->num_nodes();
+  for (int i = 0; i < 20; ++i) {
+    add->push_back({static_cast<NodeId>((*rng)() % n),
+                    static_cast<Symbol>((*rng)() % g->alphabet().size()),
+                    static_cast<NodeId>((*rng)() % n)});
+  }
+  add->push_back(add->front());
+  for (const Edge& e : *add) g->AddEdge(e.from, e.label, e.to);
+  for (int i = 0; i < 8; ++i) {
+    const NodeId from = static_cast<NodeId>((*rng)() % n);
+    if (g->Out(from).empty()) continue;
+    const auto [label, to] = g->Out(from)[(*rng)() % g->Out(from).size()];
+    ASSERT_TRUE(g->RemoveEdge(from, label, to));
+    remove->push_back({from, label, to});
+  }
+  const Edge absent = {0, static_cast<Symbol>(g->alphabet().size() - 1), 0};
+  if (!g->HasEdge(absent.from, absent.label, absent.to)) {
+    remove->push_back(absent);
+  }
+}
+
+// Data dirs written before the snapshot was the only adjacency hold
+// checkpoints whose rows are in insertion order. A dir with such an image
+// (duplicate edges, rows reordered by removals, awkward names) and a WAL
+// tail of edge deltas and a GraphMutation that removes an edge it adds
+// must reopen to the graph the records describe.
+TEST(WalRecovery, ReopensInsertionOrderedCheckpointsWithTail) {
+  int unsorted_images = 0;
+  for (uint32_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    GraphDb g = RandomCheckpointGraph(seed);
+    if (g.alphabet().size() == 0) g.alphabet_ptr()->Intern("x");
+    bool unsorted = false;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      unsorted |= !std::is_sorted(g.Out(v).begin(), g.Out(v).end());
+    }
+    TempDir dir;
+    {
+      std::ofstream out(dir.path() + "/" + CheckpointName(0),
+                        std::ios::binary);
+      const std::string image = ReferenceCheckpoint(g, /*sorted_rows=*/false);
+      ASSERT_EQ(image != Encode(g), unsorted);
+      out << image;
+      unsorted_images += unsorted;
+    }
+
+    std::mt19937 rng(seed);
+    auto writer = WalWriter::Open(PosixFileSystem(), dir.path(), 64 << 20,
+                                  /*first_lsn=*/1, "", 0);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    uint64_t lsn = 0;
+    std::vector<Edge> add, remove;
+    RandomEdgeDelta(&g, &rng, &add, &remove);
+    if (HasFatalFailure()) return;
+    ASSERT_TRUE(writer.value()
+                    ->Append(WalRecordType::kEdgeDelta,
+                             EncodeEdgeDeltaPayload(add, remove), &lsn)
+                    .ok());
+    GraphMutation m;
+    m.add_nodes = {"fresh", ""};
+    m.add_edges = {{"fresh", "brand\nnew", AwkwardStrings()[3]},
+                   {g.NodeName(0), "brand\nnew", "fresh"},
+                   {"fresh", "brand\nnew", AwkwardStrings()[3]}};
+    m.remove_edges = {{g.NodeName(0), "brand\nnew", "fresh"},
+                      {"fresh", "brand\nnew", AwkwardStrings()[3]},
+                      {"fresh", "never", "fresh"}};
+    ApplyMutation(&g, m);
+    ASSERT_TRUE(writer.value()
+                    ->Append(WalRecordType::kMutation,
+                             EncodeMutationPayload(m), &lsn)
+                    .ok());
+    add.clear();
+    remove.clear();
+    RandomEdgeDelta(&g, &rng, &add, &remove);
+    if (HasFatalFailure()) return;
+    ASSERT_TRUE(writer.value()
+                    ->Append(WalRecordType::kEdgeDelta,
+                             EncodeEdgeDeltaPayload(add, remove), &lsn)
+                    .ok());
+    ASSERT_TRUE(writer.value()->Sync().ok());
+    writer.value().reset();
+
+    WalRecoveryInfo info;
+    DatabaseOptions options;
+    options.background_compaction = false;
+    auto db = Database::OpenDurable(dir.path(), DurabilityOptions{}, options,
+                                    GraphDb(), &info);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_TRUE(info.checkpoint_loaded);
+    EXPECT_EQ(info.replayed, 3u);
+    EXPECT_EQ(db.value()->applied_lsn(), 3u);
+    const GraphDb& c = db.value()->graph();
+    ASSERT_EQ(c.num_nodes(), g.num_nodes());
+    ASSERT_EQ(c.num_edges(), g.num_edges());
+    ASSERT_EQ(c.alphabet().size(), g.alphabet().size());
+    for (Symbol l = 0; l < g.alphabet().size(); ++l) {
+      EXPECT_EQ(c.alphabet().Label(l), g.alphabet().Label(l));
+    }
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      EXPECT_EQ(c.StoredName(v), g.StoredName(v));
+      EXPECT_EQ(c.NodeName(v), g.NodeName(v));
+    }
+    for (const std::string& name : AwkwardStrings()) {
+      EXPECT_EQ(c.FindNode(name), g.FindNode(name));
+    }
+    CheckSameView(GraphIndex::Build(g), db.value()->graph_index(),
+                  /*same_version=*/false);
+  }
+  EXPECT_GE(unsorted_images, 5);
 }
 
 // ---- segment naming ---------------------------------------------------------

@@ -86,15 +86,16 @@ int main(int argc, char** argv) {
   if (!have_ckpt) {
     std::printf("checkpoint  (none)\n");
   } else {
-    std::string image;
+    PageVector<char> image;
     Status read = fs->ReadFile(dir + "/" + CheckpointName(newest_ckpt), &image);
     if (!read.ok()) {
       std::fprintf(stderr, "error: %s\n", read.ToString().c_str());
       return 2;
     }
-    auto decoded = DecodeCheckpoint(image);
+    auto decoded =
+        DecodeCheckpoint(std::string_view(image.data(), image.size()));
     if (decoded.ok()) {
-      const GraphDb& g = decoded.value();
+      const GraphDb& g = decoded.value().catalog;
       int named = 0;
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
         if (!g.StoredName(v).empty()) ++named;
