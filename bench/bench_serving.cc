@@ -2,7 +2,7 @@
 // in-process ecrpq-serverd instance driven by hundreds of client
 // threads while a writer races MutateGraph against the result cache.
 //
-// Four cases:
+// Five cases:
 //
 //   ServingMixed      200+ concurrent client connections, each running a
 //                     burst of executes against one shared prepared
@@ -16,6 +16,10 @@
 //                     eligible vs. explicitly bypassed. The exit-time
 //                     twin line measures the cache win instead of
 //                     asserting it.
+//   ServingExecute/large  one hub-anchored reachability read of about
+//                     6k rows with the cache bypassed, every page
+//                     fetched: the rows path from engine leaf through
+//                     rendering to ROWS/FETCH frames.
 //   ServingDeadline   a burn query (minutes of search, zero answers)
 //                     with a 100 ms wire deadline; the median is the
 //                     observed cancellation latency over the wire.
@@ -244,6 +248,67 @@ void ServingExecuteNocache(benchmark::State& state) {
 }
 BENCHMARK(ServingExecuteNocache)
     ->Iterations(5)  // each bypassed run pays the full ~1.5 s search
+    ->Unit(benchmark::kMillisecond);
+
+// ---- a large result, paged ---------------------------------------------------
+
+// A named random graph over {a, b} with 3 edges per node: (a|b)+ from v0
+// reaches most of it.
+GraphDb NamedRandomGraph(int nodes) {
+  const GraphDb random = MakeRandomGraph(nodes);
+  GraphDb g(random.alphabet_ptr());
+  for (int v = 0; v < nodes; ++v) g.AddNode("v" + std::to_string(v));
+  for (NodeId v = 0; v < nodes; ++v) {
+    for (const auto& [label, to] : random.Out(v)) g.AddEdge(v, label, to);
+  }
+  return g;
+}
+
+void ServingExecuteLarge(benchmark::State& state) {
+  Database db(NamedRandomGraph(6144));
+  ServingOptions options;
+  options.port = 0;
+  Server server(&db, options);
+  Client client;
+  if (!server.Start().ok() ||
+      !client.Connect("127.0.0.1", server.port()).ok()) {
+    state.SkipWithError("server start or connect failed");
+    return;
+  }
+  uint32_t stmt_id = 0;
+  if (!client.Prepare(R"(Ans(y) <- ("v0", p, y), (a|b)+(p))", &stmt_id)
+           .ok()) {
+    state.SkipWithError("prepare failed");
+    return;
+  }
+  Client::ExecuteSpec spec;
+  spec.bypass_cache = true;
+  MedianTimer timer;
+  size_t rows = 0, pages = 0;
+  for (auto _ : state) {
+    Client::RowsPage page;
+    timer.Begin();
+    Status status = client.Execute(stmt_id, spec, &page);
+    rows = page.rows.size();
+    pages = 1;
+    while (status.ok() && !page.done) {
+      status = client.Fetch(page.cursor_id, 0, &page);
+      rows += page.rows.size();
+      ++pages;
+    }
+    timer.End();
+    if (!status.ok()) {
+      state.SkipWithError(status.ToString().c_str());
+      return;
+    }
+  }
+  server.Stop();
+  RecordBenchCase("ServingExecute/large", timer,
+                  {{"rows", static_cast<double>(rows)},
+                   {"pages", static_cast<double>(pages)}});
+}
+BENCHMARK(ServingExecuteLarge)
+    ->Iterations(40)
     ->Unit(benchmark::kMillisecond);
 
 // ---- deadline cancellation latency ------------------------------------------

@@ -62,6 +62,8 @@ bool ResultCursor::Next() {
   size_t next = (rows_returned_ == 0) ? 0 : pos_ + 1;
   if (next >= sink_.tuples.size()) return false;
   pos_ = next;
+  const std::span<const NodeId> current = sink_.tuples[pos_];
+  tuple_.assign(current.begin(), current.end());
   ++rows_returned_;
   return true;
 }

@@ -12,6 +12,10 @@
 //     const std::vector<NodeId>& row = cursor.value().tuple();
 //     ...
 //   }
+//
+// The engine's rows stay packed in one buffer (core/row_set.h); tuple()
+// copies the current one into a row buffer that each Next() refills,
+// and row() reads it in place.
 
 #ifndef ECRPQ_API_RESULT_CURSOR_H_
 #define ECRPQ_API_RESULT_CURSOR_H_
@@ -20,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/evaluator.h"
@@ -39,8 +44,13 @@ class ResultCursor {
   /// (check status()). The first call triggers evaluation.
   bool Next();
 
-  /// The current tuple; valid after Next() returned true.
-  const std::vector<NodeId>& tuple() const { return sink_.tuples[pos_]; }
+  /// The current tuple; valid after Next() returned true, until the next
+  /// Next() (which refills it).
+  const std::vector<NodeId>& tuple() const { return tuple_; }
+
+  /// The current tuple read in place from the engine's packed rows; valid
+  /// after Next() returned true, as long as the cursor lives.
+  std::span<const NodeId> row() const { return sink_.tuples[pos_]; }
 
   /// The Prop 5.2 answer automaton of the current tuple, or null when the
   /// query head has no path variables (or path answers were disabled).
@@ -102,6 +112,7 @@ class ResultCursor {
   EvalStats stats_;
   Status status_;
   size_t pos_ = 0;
+  std::vector<NodeId> tuple_;  // the current row, refilled by Next()
   uint64_t rows_returned_ = 0;
 };
 

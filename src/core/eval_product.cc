@@ -81,6 +81,21 @@ Result<CompiledQueryPtr> CompileQuery(const Query& query, int base_size) {
     }
     out->relations.push_back(std::move(rr));
   }
+  // A path variable of one atom whose relations are all unary is a
+  // ReachabilityScan leaf whenever it forms its own component.
+  out->scan_languages.resize(query.path_variables().size());
+  for (size_t p = 0; p < out->scan_languages.size(); ++p) {
+    std::vector<const RegularRelation*> languages;
+    bool unary = query.atoms_of_path()[p].size() == 1;
+    for (const ResolvedRelation& rr : out->relations) {
+      if (std::find(rr.paths.begin(), rr.paths.end(), p) == rr.paths.end()) {
+        continue;
+      }
+      unary = unary && rr.relation->arity() == 1;
+      languages.push_back(rr.relation);
+    }
+    if (unary) out->scan_languages[p] = BuildScanLanguage(base_size, languages);
+  }
   out->analysis = Analyze(query);
   return CompiledQueryPtr(std::move(out));
 }
@@ -265,15 +280,14 @@ Status ExecutePlan(const ResolvedQuery& rq, const EvalOptions& options,
       if (covered > 0 && rows <= kMaxSeedRows && rows < std::pow(V, covered)) {
         seeds = std::move(parts[0]);
         for (size_t k = 1; k < parts.size(); ++k) {
-          BindingTable crossed;
-          crossed.vars = seeds.vars;
-          crossed.vars.insert(crossed.vars.end(), parts[k].vars.begin(),
-                              parts[k].vars.end());
-          for (const std::vector<NodeId>& a : seeds.rows) {
-            for (const std::vector<NodeId>& b : parts[k].rows) {
-              std::vector<NodeId> row = a;
-              row.insert(row.end(), b.begin(), b.end());
-              crossed.rows.push_back(std::move(row));
+          std::vector<int> vars = seeds.vars;
+          vars.insert(vars.end(), parts[k].vars.begin(), parts[k].vars.end());
+          BindingTable crossed(std::move(vars));
+          for (std::span<const NodeId> a : seeds.rows) {
+            for (std::span<const NodeId> b : parts[k].rows) {
+              std::span<NodeId> row = crossed.rows.Append();
+              std::copy(a.begin(), a.end(), row.begin());
+              std::copy(b.begin(), b.end(), row.begin() + a.size());
             }
           }
           seeds = std::move(crossed);
@@ -286,15 +300,12 @@ Status ExecutePlan(const ResolvedQuery& rq, const EvalOptions& options,
     // session parallelism); the plan only contributes its cost-based
     // demotion of leaves too small to amortize lanes.
     const int leaf_threads = pc.demoted_serial ? 1 : num_threads;
-    std::set<std::vector<NodeId>> results;
+    BindingTable table(comp.vars);
     Status st = ExecuteComponentOp(rq, comp, options, fixed, seeds_ptr,
                                    pc.est_rows, pc.direction, leaf_threads,
-                                   stats, &results, /*graph_sink=*/nullptr);
+                                   stats, &table.rows, /*graph_sink=*/nullptr);
     if (!st.ok()) return st;
-    if (results.empty()) return Status::OK();  // empty answer
-    BindingTable table;
-    table.vars = comp.vars;
-    table.rows.assign(results.begin(), results.end());
+    if (table.rows.empty()) return Status::OK();  // empty answer
     tables.push_back(std::move(table));
   }
 
@@ -516,33 +527,32 @@ Result<PathAnswerSet> BuildPathAnswerSet(
       graph.alphabet().size());
   std::vector<BindingTable> others;
   for (const ComponentSpec& other : other_components) {
-    std::set<std::vector<NodeId>> results;
+    BindingTable table(other.vars);
     Status st = ExecuteComponentOp(rq, other, options, fixed,
                                    /*seeds=*/nullptr, /*est_rows=*/-1.0,
                                    SearchDirection::kAuto,
-                                   /*num_threads=*/1, stats, &results,
+                                   /*num_threads=*/1, stats, &table.rows,
                                    /*graph_sink=*/nullptr);
     if (!st.ok()) return st;
-    if (results.empty()) return empty;  // unsatisfiable side condition
-    BindingTable table;
-    table.vars = other.vars;
-    table.rows.assign(results.begin(), results.end());
+    if (table.rows.empty()) return empty;  // unsatisfiable side condition
     others.push_back(std::move(table));
   }
-  std::set<std::vector<NodeId>> anchors;
+  RowBuffer anchors(fixed.size());
   StreamJoinOp(others, fixed.size(), stats, /*cancel=*/nullptr,
                [&](const std::vector<NodeId>& binding) {
-                 std::vector<NodeId> anchor = fixed;
+                 std::span<NodeId> anchor = anchors.Append();
+                 std::copy(fixed.begin(), fixed.end(), anchor.begin());
                  for (int v : comp.vars) {
                    if (binding[v] >= 0) anchor[v] = binding[v];
                  }
-                 anchors.insert(std::move(anchor));
                  return true;
                });
   if (anchors.empty()) return empty;
+  anchors.SortUnique();
 
   ProductGraphSink sink;
-  for (const std::vector<NodeId>& anchor : anchors) {
+  for (std::span<const NodeId> row : anchors) {
+    const std::vector<NodeId> anchor(row.begin(), row.end());
     Status st = ExecuteComponentOp(rq, comp, options, anchor,
                                    /*seeds=*/nullptr, /*est_rows=*/-1.0,
                                    SearchDirection::kForward,

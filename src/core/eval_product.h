@@ -20,11 +20,13 @@
 #define ECRPQ_CORE_EVAL_PRODUCT_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "automata/operations.h"
 #include "core/evaluator.h"
+#include "core/reachability.h"
 #include "core/row_set.h"
 #include "query/analysis.h"
 
@@ -95,6 +97,10 @@ struct ResolvedRelation {
 /// executions; ResolveQuery builds it on the fly when absent.
 struct CompiledQuery {
   std::vector<ResolvedRelation> relations;
+  /// Per path variable: the language of a ReachabilityScan leaf over it,
+  /// built when the variable has one path atom and every relation
+  /// reading it is unary (in relation order); empty otherwise.
+  std::vector<std::optional<ScanLanguage>> scan_languages;
   QueryAnalysis analysis;
   int base_size = 0;  ///< alphabet size the relations were checked against
 };

@@ -89,7 +89,7 @@ Result<QueryResult> MaterializeResult(
   Status st = run(sink, stats);
   if (!st.ok()) return st;
   sink.SortRows();
-  return QueryResult(std::move(sink.tuples), std::move(sink.path_answers),
+  return QueryResult(sink.tuples.ToVectors(), std::move(sink.path_answers),
                      std::move(stats));
 }
 

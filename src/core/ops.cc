@@ -6,10 +6,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/parallel.h"
 #include "core/reachability.h"
@@ -17,50 +17,39 @@
 
 namespace ecrpq {
 
-namespace {
-
-// Appends distinct rows of one width to a row list, keeping first
-// occurrences in order: each candidate is probed in a packed row set, and
-// only a new row is copied into a heap row of the list.
-class DistinctRows {
- public:
-  DistinctRows(std::vector<std::vector<NodeId>>* rows, size_t width)
-      : rows_(rows), seen_(width) {}
-
-  // The cleared candidate row to fill before Add().
-  std::vector<NodeId>* candidate() {
-    candidate_.clear();
-    return &candidate_;
-  }
-
-  void Add() {
-    if (seen_.Insert(candidate_)) rows_->push_back(candidate_);
-  }
-
- private:
-  std::vector<std::vector<NodeId>>* rows_;
-  PackedRowSet seen_;
-  std::vector<NodeId> candidate_;
-};
-
-}  // namespace
-
 BindingTable ProjectDistinct(const BindingTable& table,
                              const std::vector<int>& vars) {
-  BindingTable out;
-  out.vars = vars;
   std::vector<int> cols;
   for (int v : vars) {
     int c = table.ColumnOf(v);
     ECRPQ_DCHECK(c >= 0);
     cols.push_back(c);
   }
-  DistinctRows distinct(&out.rows, cols.size());
-  for (const std::vector<NodeId>& row : table.rows) {
-    std::vector<NodeId>* projected = distinct.candidate();
-    for (int c : cols) projected->push_back(row[c]);
-    distinct.Add();
+  BindingTable out(vars);
+  // Rows sorted on a column prefix (a leaf's, say) bring equal
+  // projections onto that prefix together: keep each first one.
+  bool prefix = true;
+  for (size_t k = 0; k < cols.size(); ++k) {
+    prefix = prefix && cols[k] == static_cast<int>(k);
   }
+  if (prefix && table.rows.Ascending(/*strict=*/false)) {
+    for (std::span<const NodeId> row : table.rows) {
+      std::span<const NodeId> key = row.first(cols.size());
+      if (out.rows.empty() ||
+          !std::equal(key.begin(), key.end(),
+                      out.rows[out.rows.size() - 1].begin())) {
+        out.rows.push_back(key);
+      }
+    }
+    return out;
+  }
+  PackedRowSet distinct(cols.size());
+  std::vector<NodeId> projected(cols.size());
+  for (std::span<const NodeId> row : table.rows) {
+    for (size_t k = 0; k < cols.size(); ++k) projected[k] = row[cols[k]];
+    distinct.Insert(projected);
+  }
+  out.rows = std::move(distinct).TakeRows();
   return out;
 }
 
@@ -101,11 +90,9 @@ ComponentSpec BuildComponentSpec(const ResolvedQuery& rq,
 
 bool IsReachabilityScanComponent(const ResolvedQuery& rq,
                                  const ComponentSpec& comp) {
-  if (comp.atom_indices.size() != 1 || comp.tracks.size() != 1) return false;
-  for (int r : comp.relation_indices) {
-    if (rq.relations()[r].relation->arity() != 1) return false;
-  }
-  return true;
+  return comp.atom_indices.size() == 1 &&
+         rq.compiled->scan_languages[rq.atoms[comp.atom_indices[0]].path]
+             .has_value();
 }
 
 namespace {
@@ -398,18 +385,16 @@ class ComponentSearch {
   template <typename Emit>
   void ProcessConfig(const ProductConfig& current,
                      const std::vector<NodeId>& anchor_nodes,
-                     const std::vector<NodeId>& fixed,
-                     std::set<std::vector<NodeId>>* results, bool* accepted,
-                     Emit&& emit) {
+                     const std::vector<NodeId>& fixed, RowBuffer* results,
+                     bool* accepted, Emit&& emit) {
     *accepted = false;
     if (Accepting(current)) {
-      std::vector<NodeId> assignment;
       const std::vector<NodeId>& starts =
           backward_ ? current.nodes : anchor_nodes;
       const std::vector<NodeId>& ends =
           backward_ ? anchor_nodes : current.nodes;
-      if (ConsistentAssignment(starts, ends, fixed, &assignment)) {
-        if (results != nullptr) results->insert(std::move(assignment));
+      if (ConsistentAssignment(starts, ends, fixed, &scratch_assignment_)) {
+        if (results != nullptr) results->push_back(scratch_assignment_);
         *accepted = true;
       }
     }
@@ -437,9 +422,8 @@ class ComponentSearch {
   // popped-configuration counter checked against max_configs; `cancel`
   // (optional) stops the search cooperatively.
   Status Run(const std::vector<NodeId>& anchor_nodes,
-             const std::vector<NodeId>& fixed,
-             std::set<std::vector<NodeId>>* results, ProductGraphSink* sink,
-             std::atomic<uint64_t>* configs_budget,
+             const std::vector<NodeId>& fixed, RowBuffer* results,
+             ProductGraphSink* sink, std::atomic<uint64_t>* configs_budget,
              CancellationToken* cancel) {
     ProductConfig init;
     if (!MakeInitialConfig(anchor_nodes, &init)) return Status::OK();
@@ -689,58 +673,42 @@ class ComponentSearch {
   // (label, target) candidates of every track can be materialized before
   // the cross-track recursion. Edges are allowed forward only while the
   // track has not padded (bit unset); backward always (a started track
-  // must keep reading; an unstarted one may start here). Gathering
-  // follows the exact iteration order of the former in-place paths, so
-  // the emission sequence — and with it sink recording and every
-  // counter — is byte-identical:
-  //   * masked small rows (degree <= 16): linear filter of the CSR row,
-  //     ascending (label, target) — a binary search per label costs more
-  //     than reading a handful of edges;
-  //   * masked large rows: live letters in ascending label order via
-  //     countr_zero, each label's slice ascending by target;
-  //   * unmasked rows: the full CSR row.
+  // must keep reading; an unstarted one may start here). Candidates come
+  // in ascending (label, target) order either way:
+  //   * small rows (degree <= 16), and every row when the alphabet is
+  //     too large for letter masks: a linear filter of the CSR row — a
+  //     binary search per label costs more than reading a few edges;
+  //   * large rows: live letters in ascending order via countr_zero,
+  //     each label's slice ascending by target.
   void GatherCandidates(int t, const ProductConfig& current) {
     std::vector<std::pair<Symbol, NodeId>>& cands = scratch_cands_[t];
     cands.clear();
     if (!backward_ && (current.padmask & (1u << t)) != 0) return;
     const NodeId v = current.nodes[t];
-    if (use_masks_) {
-      const uint64_t node_mask =
-          backward_ ? index_->InLabelMask(v) : index_->OutLabelMask(v);
-      const uint64_t mask = live_[t] & node_mask;
-      const int degree =
-          backward_ ? index_->in_degree(v) : index_->out_degree(v);
-      if (mask == 0) {
-        // No live letter at this node: the track can only pad.
-      } else if (degree <= 16) {
-        std::span<const Symbol> labels =
-            backward_ ? index_->InLabels(v) : index_->OutLabels(v);
-        std::span<const NodeId> targets =
-            backward_ ? index_->InSources(v) : index_->OutTargets(v);
-        for (size_t i = 0; i < labels.size(); ++i) {
-          if (((mask >> std::min<Symbol>(labels[i], 63)) & 1) == 0) {
-            continue;
-          }
-          cands.emplace_back(labels[i], targets[i]);
-        }
-      } else {
-        uint64_t bits = mask;
-        while (bits != 0) {
-          Symbol label = static_cast<Symbol>(std::countr_zero(bits));
-          bits &= bits - 1;
-          std::span<const NodeId> slice =
-              backward_ ? index_->In(v, label) : index_->Out(v, label);
-          for (NodeId to : slice) cands.emplace_back(label, to);
-        }
-      }
-    } else {
+    const uint64_t mask =
+        use_masks_ ? live_[t] & (backward_ ? index_->InLabelMask(v)
+                                           : index_->OutLabelMask(v))
+                   : ~0ULL;
+    if (mask == 0) return;  // no live letter here: the track can only pad
+    const int degree =
+        backward_ ? index_->in_degree(v) : index_->out_degree(v);
+    if (!use_masks_ || degree <= 16) {
       std::span<const Symbol> labels =
           backward_ ? index_->InLabels(v) : index_->OutLabels(v);
       std::span<const NodeId> targets =
           backward_ ? index_->InSources(v) : index_->OutTargets(v);
       for (size_t i = 0; i < labels.size(); ++i) {
-        cands.emplace_back(labels[i], targets[i]);
+        if (((mask >> std::min<Symbol>(labels[i], 63)) & 1) != 0) {
+          cands.emplace_back(labels[i], targets[i]);
+        }
       }
+      return;
+    }
+    for (uint64_t bits = mask; bits != 0; bits &= bits - 1) {
+      const Symbol label = static_cast<Symbol>(std::countr_zero(bits));
+      std::span<const NodeId> slice =
+          backward_ ? index_->In(v, label) : index_->Out(v, label);
+      for (NodeId to : slice) cands.emplace_back(label, to);
     }
   }
 
@@ -763,6 +731,7 @@ class ComponentSearch {
   // Per-track edge candidates of the configuration being expanded.
   std::vector<std::vector<std::pair<Symbol, NodeId>>> scratch_cands_;
   ProductConfig scratch_next_;  // the successor handed to emit
+  std::vector<NodeId> scratch_assignment_;  // an accepted assignment
   uint64_t visited_configs_ = 0;
   uint64_t frontier_expansions_ = 0;
   uint64_t arcs_explored_ = 0;
@@ -796,8 +765,7 @@ bool DeriveAnchorNodes(const ResolvedQuery& rq, const ComponentSpec& comp,
 // assignments (merged into EvalStats at the operator barrier).
 Status EnumerateAndRun(const ResolvedQuery& rq, ComponentSearch& search,
                        const std::vector<NodeId>& fixed,
-                       uint64_t* start_assignments,
-                       std::set<std::vector<NodeId>>* results,
+                       uint64_t* start_assignments, RowBuffer* results,
                        ProductGraphSink* sink,
                        std::atomic<uint64_t>* configs_budget,
                        CancellationToken* cancel) {
@@ -829,7 +797,7 @@ Status EnumerateAndRun(const ResolvedQuery& rq, ComponentSearch& search,
     // Seed from high-degree nodes first (GraphIndex permutation; the
     // in-degree-descending one for backward searches): under early
     // termination the densest frontiers reach answers soonest. The
-    // answer set is order-independent (results is a set).
+    // answer set is order-independent (the leaf sorts its rows).
     const std::vector<NodeId>& order = backward
                                            ? rq.index->NodesByInDegree()
                                            : rq.index->NodesByDegree();
@@ -856,9 +824,11 @@ struct BidirCounters {
 // Per-lane state of the ProductExpand drivers (the serial path is one
 // lane).
 struct ExpandLane {
+  explicit ExpandLane(size_t arity) : results(arity) {}
+
   std::unique_ptr<SubsetPool> pool;
   std::unique_ptr<ComponentSearch> search;
-  std::set<std::vector<NodeId>> results;
+  RowBuffer results;  // accepted assignments, possibly repeated
   uint64_t start_assignments = 0;
   BidirCounters bidir;  // bidirectional overlays only
   Status status;
@@ -873,44 +843,6 @@ struct ExpandLane {
     return *search;
   }
 };
-
-// Barrier-point merge of the ProductExpand drivers: lane results fold
-// into the global set in canonical lane order, counters sum into the
-// operator entry, and the first hard lane error wins over the Cancelled
-// echoes other lanes report after one of them tripped the shared token.
-// Lanes that merely OBSERVED the tripped token exit without recording a
-// status, so an externally killed run whose lanes all bailed that way
-// still reports Cancelled instead of an empty success.
-Status MergeExpandLanes(std::vector<ExpandLane>& lanes,
-                        const CancellationToken* cancel, EvalStats& stats,
-                        OperatorStats& op,
-                        std::set<std::vector<NodeId>>* results) {
-  Status combined = Status::OK();
-  for (ExpandLane& lane : lanes) {
-    if (!lane.status.ok() &&
-        (combined.ok() || (combined.code() == StatusCode::kCancelled &&
-                           lane.status.code() != StatusCode::kCancelled))) {
-      combined = lane.status;
-    }
-    stats.start_assignments += lane.start_assignments;
-    op.meet_checks += lane.bidir.meet_checks;
-    op.visited_configs += lane.bidir.visited_configs;
-    op.frontier_expansions += lane.bidir.frontier_expansions;
-    stats.arcs_explored += lane.bidir.arcs_explored;
-    if (lane.search != nullptr) {
-      op.visited_configs += lane.search->visited_configs();
-      op.frontier_expansions += lane.search->frontier_expansions();
-      stats.arcs_explored += lane.search->arcs_explored();
-    }
-    if (results != nullptr) {
-      results->insert(lane.results.begin(), lane.results.end());
-    }
-  }
-  if (combined.ok() && cancel != nullptr && cancel->cancelled()) {
-    return Status::Cancelled(kCancelledMessage);
-  }
-  return combined;
-}
 
 // Applies one seed row on top of `fixed`; false when they disagree.
 bool OverlaySeedRow(const BindingTable& seeds, size_t row,
@@ -954,7 +886,7 @@ Status BidirectionalProductSearch(const ResolvedQuery& rq,
                                   std::atomic<uint64_t>* configs_budget,
                                   CancellationToken* cancel,
                                   BidirCounters* counters,
-                                  std::set<std::vector<NodeId>>* results) {
+                                  RowBuffer* results) {
   SubsetPool pool;
   ComponentSearch fwd_search(rq, comp, options, &pool, /*backward=*/false);
   ComponentSearch bwd_search(rq, comp, options, &pool, /*backward=*/true);
@@ -986,15 +918,6 @@ Status BidirectionalProductSearch(const ResolvedQuery& rq,
   const int relations = static_cast<int>(comp.relation_indices.size());
   Side fwd(tracks, relations, rq.graph->num_nodes());
   Side bwd(tracks, relations, rq.graph->num_nodes());
-
-  auto node_key = [](const ProductConfig& c) {
-    uint64_t h = 1469598103934665603ULL;
-    for (NodeId v : c.nodes) {
-      h ^= static_cast<uint32_t>(v);
-      h *= 1099511628211ULL;
-    }
-    return h;
-  };
 
   // Forward config `f` and backward config `b` meet iff they sit on the
   // same nodes, no track has both ended (forward pad bit) and started
@@ -1035,7 +958,7 @@ Status BidirectionalProductSearch(const ResolvedQuery& rq,
                       const Side& other) {
     auto [id, inserted] = side.visited.FindOrInsert(c);
     if (!inserted) return;
-    const uint64_t key = node_key(c);
+    const uint64_t key = RowHash()(c.nodes);
     side.by_nodes[key].push_back(id);
     auto it = other.by_nodes.find(key);
     if (it == other.by_nodes.end()) return;
@@ -1084,18 +1007,18 @@ Status BidirectionalProductSearch(const ResolvedQuery& rq,
   counters->visited_configs += fwd.visited.size() + bwd.visited.size();
   counters->meet_checks += meet_checks;
   if (!status.ok()) return status;
-  if (found && results != nullptr) results->insert(assignment);
+  if (found && results != nullptr) results->push_back(assignment);
   return Status::OK();
 }
 
 // Runs the product searches of one overlay of bindings (`fixed`, or
-// `fixed` plus one seed row) on `lane`: one meet-in-the-middle search
-// when bidirectional (every endpoint is bound, so the overlay has a
-// unique candidate assignment), else one search per anchor assignment.
+// `fixed` plus one seed row) on `lane`, into the lane's rows: one
+// meet-in-the-middle search when bidirectional (every endpoint is bound,
+// so the overlay has a unique candidate assignment), else one search per
+// anchor assignment.
 Status ExpandOverlay(const ResolvedQuery& rq, const ComponentSpec& comp,
                      const EvalOptions& options, SearchDirection direction,
                      const std::vector<NodeId>& overlay, ExpandLane& lane,
-                     std::set<std::vector<NodeId>>* results,
                      ProductGraphSink* sink,
                      std::atomic<uint64_t>* configs_budget,
                      CancellationToken* cancel) {
@@ -1108,107 +1031,78 @@ Status ExpandOverlay(const ResolvedQuery& rq, const ComponentSpec& comp,
     ++lane.start_assignments;
     return BidirectionalProductSearch(rq, comp, options, starts, ends,
                                       overlay, configs_budget, cancel,
-                                      &lane.bidir, results);
+                                      &lane.bidir, &lane.results);
   }
   ComponentSearch& search = lane.Search(
       rq, comp, options, direction == SearchDirection::kBackward);
   return EnumerateAndRun(rq, search, overlay, &lane.start_assignments,
-                         results, sink, configs_budget, cancel);
+                         &lane.results, sink, configs_budget, cancel);
 }
 
-// Morsel-parallel ProductExpand over seed rows: lanes claim row morsels
-// and run each row's searches serially (each lane reuses one search —
-// warm subset pools and mask caches across its rows).
-Status MorselSeedRowsExpand(const ResolvedQuery& rq,
-                            const ComponentSpec& comp,
-                            const EvalOptions& options,
-                            SearchDirection direction, int num_lanes,
-                            const std::vector<NodeId>& fixed,
-                            const BindingTable& seeds,
-                            std::atomic<uint64_t>* configs_budget,
-                            CancellationToken* cancel, EvalStats& stats,
-                            OperatorStats& op,
-                            std::set<std::vector<NodeId>>* results) {
-  std::vector<ExpandLane> lanes(num_lanes);
+// Runs the ProductExpand searches of `items` independent overlays on
+// `num_lanes` lanes: lanes claim morsels of items, and `run(i, lane)`
+// runs item i's searches into the lane's rows (a lane reuses one search
+// — warm subset pools and mask caches — across its items). The first
+// failing item cancels the rest; one lane runs the items in order on the
+// calling thread. At the barrier, lane rows append to `results` in lane
+// order, counters sum into the operator entry, and the first hard lane
+// error wins over the Cancelled echoes of the other lanes. Lanes that
+// merely observed a tripped token record no status, so an externally
+// killed run still reports Cancelled instead of an empty success.
+Status MorselExpand(int num_lanes, size_t items, size_t arity,
+                    CancellationToken* cancel, EvalStats& stats,
+                    OperatorStats& op, RowBuffer* results,
+                    const std::function<Status(size_t, ExpandLane&)>& run) {
+  std::vector<ExpandLane> lanes;
+  for (int i = 0; i < num_lanes; ++i) lanes.emplace_back(arity);
   std::atomic<bool> failed{false};
-  const size_t grain =
-      std::max<size_t>(1, seeds.rows.size() / (num_lanes * 8));
+  const size_t grain = std::max<size_t>(1, items / (num_lanes * 8));
   ParallelMorsels(
-      num_lanes, seeds.rows.size(), grain,
-      [&](size_t begin, size_t end, int lane_id) {
+      num_lanes, items, grain, [&](size_t begin, size_t end, int lane_id) {
         ExpandLane& lane = lanes[lane_id];
-        std::vector<NodeId> overlay;
-        for (size_t r = begin; r < end; ++r) {
+        for (size_t i = begin; i < end; ++i) {
           if (failed.load(std::memory_order_relaxed) ||
-              cancel->cancelled()) {
+              (cancel != nullptr && cancel->cancelled())) {
             return;
           }
-          overlay = fixed;
-          if (!OverlaySeedRow(seeds, r, &overlay)) continue;
-          Status st = ExpandOverlay(rq, comp, options, direction, overlay,
-                                    lane, &lane.results, /*sink=*/nullptr,
-                                    configs_budget, cancel);
+          Status st = run(i, lane);
           if (!st.ok()) {
             lane.status = st;
             failed.store(true, std::memory_order_relaxed);
-            cancel->Cancel();
+            if (cancel != nullptr) cancel->Cancel();
             return;
           }
         }
       });
-  return MergeExpandLanes(lanes, cancel, stats, op, results);
-}
-
-// Morsel-parallel ProductExpand over the first unbound anchor variable
-// (start vars forward, end vars backward): the degree-ordered node list
-// (in-degree-descending for backward) is split into morsels, and each
-// lane pins the variable to its claimed nodes, serially enumerating any
-// remaining anchor variables per pin.
-Status MorselStartNodesExpand(const ResolvedQuery& rq,
-                              const ComponentSpec& comp,
-                              const EvalOptions& options,
-                              SearchDirection direction, int num_lanes,
-                              const std::vector<NodeId>& overlay, int var,
-                              std::atomic<uint64_t>* configs_budget,
-                              CancellationToken* cancel, EvalStats& stats,
-                              OperatorStats& op,
-                              std::set<std::vector<NodeId>>* results) {
-  const bool backward = direction == SearchDirection::kBackward;
-  const std::vector<NodeId>& order = backward ? rq.index->NodesByInDegree()
-                                             : rq.index->NodesByDegree();
-  std::vector<ExpandLane> lanes(num_lanes);
-  std::atomic<bool> failed{false};
-  const size_t grain = std::max<size_t>(1, order.size() / (num_lanes * 8));
-  ParallelMorsels(num_lanes, order.size(), grain,
-                  [&](size_t begin, size_t end, int lane_id) {
-                    ExpandLane& lane = lanes[lane_id];
-                    ComponentSearch& search =
-                        lane.Search(rq, comp, options, backward);
-                    std::vector<NodeId> pinned;
-                    for (size_t i = begin; i < end; ++i) {
-                      if (failed.load(std::memory_order_relaxed) ||
-                          cancel->cancelled()) {
-                        return;
-                      }
-                      pinned = overlay;
-                      pinned[var] = order[i];
-                      Status st = EnumerateAndRun(
-                          rq, search, pinned, &lane.start_assignments,
-                          &lane.results, nullptr, configs_budget, cancel);
-                      if (!st.ok()) {
-                        lane.status = st;
-                        failed.store(true, std::memory_order_relaxed);
-                        cancel->Cancel();
-                        return;
-                      }
-                    }
-                  });
-  return MergeExpandLanes(lanes, cancel, stats, op, results);
+  Status combined = Status::OK();
+  for (ExpandLane& lane : lanes) {
+    if (!lane.status.ok() &&
+        (combined.ok() || (combined.code() == StatusCode::kCancelled &&
+                           lane.status.code() != StatusCode::kCancelled))) {
+      combined = lane.status;
+    }
+    stats.start_assignments += lane.start_assignments;
+    op.meet_checks += lane.bidir.meet_checks;
+    op.visited_configs += lane.bidir.visited_configs;
+    op.frontier_expansions += lane.bidir.frontier_expansions;
+    stats.arcs_explored += lane.bidir.arcs_explored;
+    if (lane.search != nullptr) {
+      op.visited_configs += lane.search->visited_configs();
+      op.frontier_expansions += lane.search->frontier_expansions();
+      stats.arcs_explored += lane.search->arcs_explored();
+    }
+    if (results != nullptr) results->Append(lane.results);
+  }
+  if (combined.ok() && cancel != nullptr && cancel->cancelled()) {
+    return Status::Cancelled(kCancelledMessage);
+  }
+  return combined;
 }
 
 // ReachabilityScan leaf: single path atom, all-unary languages. One
-// intersected-NFA BFS per anchor (restricted to seeded sources/targets
-// when available) instead of the subset-tracking product search; the
+// BFS per anchor over the compiled query's scan language for the atom's
+// path (restricted to seeded sources/targets when available) instead of
+// the subset-tracking product search; the
 // per-anchor BFSes run morsel-parallel on `num_threads` lanes. The
 // direction decides which side anchors the BFSes: forward scans from
 // sources, backward scans from targets through the reversed NFA over
@@ -1222,20 +1116,15 @@ Status ScanComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
                        const BindingTable* seeds, SearchDirection direction,
                        int num_threads, CancellationToken* cancel,
                        EvalStats& stats, OperatorStats& op,
-                       std::set<std::vector<NodeId>>* results) {
+                       RowBuffer* results) {
   const ResolvedAtom& atom = rq.atoms[comp.atom_indices[0]];
-  std::vector<const RegularRelation*> languages;
-  for (int r : comp.relation_indices) {
-    languages.push_back(rq.relations()[r].relation);
-  }
+  const std::optional<ScanLanguage>& language =
+      rq.compiled->scan_languages[atom.path];
+  ECRPQ_DCHECK(language.has_value());
 
   // Endpoint restrictions: constant > fixed > seeded column > all nodes.
-  auto bound_of = [&](const ResolvedTerm& term) -> NodeId {
-    if (term.is_const) return term.node;
-    return fixed[term.var];
-  };
   auto collect = [&](const ResolvedTerm& term, std::vector<NodeId>* out) {
-    NodeId bound = bound_of(term);
+    const NodeId bound = term.is_const ? term.node : fixed[term.var];
     if (bound >= 0) {
       out->push_back(bound);
       return true;
@@ -1244,11 +1133,11 @@ Status ScanComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
                        ? seeds->ColumnOf(term.var)
                        : -1;
     if (seed_col < 0) return false;
-    std::set<NodeId> distinct;
-    for (const std::vector<NodeId>& row : seeds->rows) {
-      distinct.insert(row[seed_col]);
+    for (std::span<const NodeId> row : seeds->rows) {
+      out->push_back(row[seed_col]);
     }
-    out->assign(distinct.begin(), distinct.end());
+    std::sort(out->begin(), out->end());
+    out->erase(std::unique(out->begin(), out->end()), out->end());
     return true;
   };
   // Only the sides the direction anchors are materialized (a forward
@@ -1295,9 +1184,9 @@ Status ScanComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
 
   ReachabilityScanStats scan_stats;
   uint64_t meet_checks = 0;
-  std::vector<std::pair<NodeId, NodeId>> pairs = ReachabilityPairsDirected(
-      *rq.graph, languages, *rq.index, source_ptr, target_ptr,
-      direction, &scan_stats, &meet_checks, num_threads, cancel);
+  RowBuffer pairs = ReachabilityPairsDirected(
+      *rq.graph, *language, *rq.index, source_ptr, target_ptr, direction,
+      &scan_stats, &meet_checks, num_threads, cancel);
   if (cancel != nullptr && cancel->cancelled()) {
     return Status::Cancelled(kCancelledMessage);
   }
@@ -1305,53 +1194,50 @@ Status ScanComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
   op.visited_configs += scan_stats.visited_states;
   op.meet_checks += meet_checks;
   stats.arcs_explored += scan_stats.frontier_expansions;
-  switch (direction) {
-    case SearchDirection::kBidirectional:
-      stats.start_assignments += sources.size() * targets.size();
-      break;
-    case SearchDirection::kBackward:
-      stats.start_assignments +=
-          target_ptr != nullptr ? targets.size() : rq.graph->num_nodes();
-      break;
-    default:
-      stats.start_assignments +=
-          source_ptr != nullptr ? sources.size() : rq.graph->num_nodes();
-      break;
+  stats.start_assignments += direction == SearchDirection::kBidirectional
+                                 ? sources.size() * targets.size()
+                                 : num_anchors;
+  // With two free, unfixed, unseeded variables the pairs are the rows.
+  if (comp.vars.size() == 2 && fixed[comp.vars[0]] < 0 &&
+      fixed[comp.vars[1]] < 0 && seeds == nullptr && results->empty()) {
+    *results = std::move(pairs);
+    return Status::OK();
   }
-  // Seed-row compatibility set (projection of seed rows onto comp.vars).
-  std::unordered_set<std::vector<NodeId>, RowHash> seed_set;
-  std::vector<int> seed_cols;
+  // Else each pair binds the atom's variables over `fixed`. It is kept
+  // when it agrees with the constants, the fixed bindings and (seeded)
+  // some seed row; its row is the binding read at comp.vars. Only the
+  // atom's two variables are ever written, so `binding` is `fixed`
+  // elsewhere.
+  std::vector<NodeId> key(seeds != nullptr ? seeds->vars.size() : 0);
+  PackedRowSet seed_set(key.size());
   if (seeds != nullptr) {
-    for (int v : seeds->vars) seed_cols.push_back(v);
-    for (const std::vector<NodeId>& row : seeds->rows) seed_set.insert(row);
+    for (std::span<const NodeId> row : seeds->rows) seed_set.Insert(row);
   }
-
-  std::vector<NodeId> binding, key;
-  for (const auto& [u, v] : pairs) {
+  std::vector<NodeId> binding = fixed;
+  for (std::span<const NodeId> pair : pairs) {
+    const NodeId u = pair[0], v = pair[1];
     if (atom.from.is_const && u != atom.from.node) continue;
     if (atom.to.is_const && v != atom.to.node) continue;
-    binding = fixed;
-    bool ok = true;
     if (!atom.from.is_const) {
-      if (binding[atom.from.var] >= 0 && binding[atom.from.var] != u) {
-        ok = false;
-      }
+      if (fixed[atom.from.var] >= 0 && fixed[atom.from.var] != u) continue;
       binding[atom.from.var] = u;
     }
-    if (ok && !atom.to.is_const) {
-      if (binding[atom.to.var] >= 0 && binding[atom.to.var] != v) ok = false;
-      if (ok) binding[atom.to.var] = v;
+    if (!atom.to.is_const) {
+      const NodeId prior =
+          !atom.from.is_const && atom.to.var == atom.from.var
+              ? u
+              : fixed[atom.to.var];
+      if (prior >= 0 && prior != v) continue;
+      binding[atom.to.var] = v;
     }
-    if (!ok) continue;
     if (seeds != nullptr) {
-      key.clear();
-      for (int var : seed_cols) key.push_back(binding[var]);
-      if (seed_set.find(key) == seed_set.end()) continue;
+      for (size_t k = 0; k < key.size(); ++k) {
+        key[k] = binding[seeds->vars[k]];
+      }
+      if (!seed_set.Contains(key)) continue;
     }
-    std::vector<NodeId> assignment;
-    assignment.reserve(comp.vars.size());
-    for (int var : comp.vars) assignment.push_back(binding[var]);
-    results->insert(std::move(assignment));
+    std::span<NodeId> row = results->Append();
+    for (size_t k = 0; k < row.size(); ++k) row[k] = binding[comp.vars[k]];
   }
   return Status::OK();
 }
@@ -1417,8 +1303,7 @@ Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
                           const std::vector<NodeId>& fixed,
                           const BindingTable* seeds, double est_rows,
                           SearchDirection direction, int num_threads,
-                          EvalStats& stats,
-                          std::set<std::vector<NodeId>>* results,
+                          EvalStats& stats, RowBuffer* results,
                           ProductGraphSink* graph_sink) {
   OperatorStats op;
   op.detail = ComponentDetail(comp);
@@ -1479,46 +1364,52 @@ Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
   } else {
     op.op = "ProductExpand";
     op.direction = SearchDirectionName(dir);
-    if (lanes <= 1) {
-      // Serial path: one overlay per seed row (or `fixed` alone), each
-      // run on the calling thread.
-      op.threads = 1;
-      std::vector<ExpandLane> serial(1);
-      if (seeded) {
-        for (size_t r = 0; r < seeds->rows.size() && status.ok(); ++r) {
-          overlay = fixed;
-          if (!OverlaySeedRow(*seeds, r, &overlay)) continue;
-          status = ExpandOverlay(rq, comp, options, dir, overlay, serial[0],
-                                 results, graph_sink, &configs_budget,
-                                 cancel);
-        }
-      } else {
-        status = ExpandOverlay(rq, comp, options, dir, fixed, serial[0],
-                               results, graph_sink, &configs_budget, cancel);
-      }
-      serial[0].status = status;
-      status = MergeExpandLanes(serial, cancel, stats, op, nullptr);
-    } else if (seed_rows_split) {
-      op.threads = static_cast<int>(
-          std::min<size_t>(lanes, seeds->rows.size()));
-      status = MorselSeedRowsExpand(rq, comp, options, dir, lanes, fixed,
-                                    *seeds, &configs_budget, cancel, stats,
-                                    op, results);
-    } else {
+    if (first_unbound >= 0) {
+      // Lanes pin the first unbound anchor variable (start vars forward,
+      // end vars backward) to morsels of the degree-ordered node list
+      // (in-degree-descending backward), each enumerating any remaining
+      // anchor variables per pin.
+      const bool backward = dir == SearchDirection::kBackward;
+      const std::vector<NodeId>& order = backward
+                                             ? rq.index->NodesByInDegree()
+                                             : rq.index->NodesByDegree();
       op.threads = std::min(lanes, rq.graph->num_nodes());
-      status = MorselStartNodesExpand(rq, comp, options, dir, lanes, overlay,
-                                      first_unbound, &configs_budget, cancel,
-                                      stats, op, results);
-    }
-    if (status.ok() && cancel != nullptr && cancel->cancelled()) {
-      status = Status::Cancelled(kCancelledMessage);
+      status = MorselExpand(
+          lanes, order.size(), comp.vars.size(), cancel, stats, op, results,
+          [&](size_t i, ExpandLane& lane) {
+            std::vector<NodeId> pinned = overlay;
+            pinned[first_unbound] = order[i];
+            return EnumerateAndRun(
+                rq, lane.Search(rq, comp, options, backward), pinned,
+                &lane.start_assignments, &lane.results, /*sink=*/nullptr,
+                &configs_budget, cancel);
+          });
+    } else {
+      // One overlay per seed row (lanes split the rows), or `fixed`
+      // alone.
+      const size_t items = seeded ? seeds->rows.size() : 1;
+      op.threads = static_cast<int>(
+          std::max<size_t>(1, std::min<size_t>(lanes, items)));
+      status = MorselExpand(
+          lanes, items, comp.vars.size(), cancel, stats, op, results,
+          [&](size_t r, ExpandLane& lane) {
+            std::vector<NodeId> row_overlay = fixed;
+            if (seeded && !OverlaySeedRow(*seeds, r, &row_overlay)) {
+              return Status::OK();
+            }
+            return ExpandOverlay(rq, comp, options, dir, row_overlay, lane,
+                                 graph_sink, &configs_budget, cancel);
+          });
     }
   }
 
   stats.configs_explored =
       std::max(stats.configs_explored,
                configs_budget.load(std::memory_order_relaxed));
-  op.rows_out = (results != nullptr) ? results->size() - before : 0;
+  if (results != nullptr) {
+    results->SortUnique();
+    op.rows_out = results->size() - before;
+  }
   if (graph_sink != nullptr) op.rows_out = graph_sink->configs.size();
   stats.operators.push_back(std::move(op));
   return status;
@@ -1529,7 +1420,7 @@ namespace {
 // FNV-1a over selected columns of a row, mixed so that its low bits pick
 // the bucket. Hashes the key in place instead of materializing a key
 // vector per row.
-uint64_t KeyHash(const std::vector<NodeId>& row, const std::vector<int>& cols) {
+uint64_t KeyHash(std::span<const NodeId> row, const std::vector<int>& cols) {
   uint64_t h = 1469598103934665603ULL;
   for (int c : cols) {
     h ^= static_cast<uint32_t>(row[c]);
@@ -1538,9 +1429,8 @@ uint64_t KeyHash(const std::vector<NodeId>& row, const std::vector<int>& cols) {
   return MixHash64(h);
 }
 
-bool KeysEqual(const std::vector<NodeId>& a, const std::vector<int>& a_cols,
-               const std::vector<NodeId>& b,
-               const std::vector<int>& b_cols) {
+bool KeysEqual(std::span<const NodeId> a, const std::vector<int>& a_cols,
+               std::span<const NodeId> b, const std::vector<int>& b_cols) {
   for (size_t k = 0; k < a_cols.size(); ++k) {
     if (a[a_cols[k]] != b[b_cols[k]]) return false;
   }
@@ -1554,8 +1444,7 @@ bool KeysEqual(const std::vector<NodeId>& a, const std::vector<int>& a_cols,
 // matching rows in build-row order.
 class JoinIndex {
  public:
-  JoinIndex(const std::vector<std::vector<NodeId>>& rows,
-            const std::vector<int>& key_cols)
+  JoinIndex(const RowBuffer& rows, const std::vector<int>& key_cols)
       : rows_(&rows),
         key_cols_(key_cols),
         head_(std::bit_ceil(std::max<size_t>(2 * rows.size(), 2)), kNone),
@@ -1574,7 +1463,7 @@ class JoinIndex {
   // `probe_cols` of `probe`, in ascending row order, until `fn` returns
   // false. Returns false when `fn` stopped the walk.
   template <typename Fn>
-  bool ForEachMatch(const std::vector<NodeId>& probe,
+  bool ForEachMatch(std::span<const NodeId> probe,
                     const std::vector<int>& probe_cols, Fn&& fn) const {
     const uint64_t h = KeyHash(probe, probe_cols);
     for (uint32_t r = head_[h & (head_.size() - 1)]; r != kNone;
@@ -1591,7 +1480,7 @@ class JoinIndex {
  private:
   static constexpr uint32_t kNone = UINT32_MAX;
 
-  const std::vector<std::vector<NodeId>>* rows_;
+  const RowBuffer* rows_;
   std::vector<int> key_cols_;
   std::vector<uint32_t> head_;  // first row id per bucket, or kNone
   std::vector<uint32_t> next_;  // next row id in the same bucket
@@ -1634,20 +1523,22 @@ BindingTable HashJoinOp(const BindingTable& left, const BindingTable& right,
   const JoinIndex index(right.rows, right_cols);
   op.build_rows = right.rows.size();
   op.probe_rows = left.rows.size();
-  BindingTable out;
-  out.vars = project;
-  DistinctRows distinct(&out.rows, sources.size());
-  for (const std::vector<NodeId>& lrow : left.rows) {
+  PackedRowSet distinct(sources.size());
+  std::vector<NodeId> candidate(sources.size());
+  for (std::span<const NodeId> lrow : left.rows) {
     index.ForEachMatch(lrow, left_cols, [&](uint32_t r) {
       ++stats.join_tuples;
-      std::vector<NodeId>* row = distinct.candidate();
-      for (const auto& [from_left, col] : sources) {
-        row->push_back(from_left ? lrow[col] : right.rows[r][col]);
+      std::span<const NodeId> rrow = right.rows[r];
+      for (size_t k = 0; k < sources.size(); ++k) {
+        const auto& [from_left, col] = sources[k];
+        candidate[k] = from_left ? lrow[col] : rrow[col];
       }
-      distinct.Add();
+      distinct.Insert(candidate);
       return true;
     });
   }
+  BindingTable out(project);
+  out.rows = std::move(distinct).TakeRows();
 
   op.rows_out = out.rows.size();
   stats.operators.push_back(std::move(op));
@@ -1698,7 +1589,8 @@ void StreamJoinOp(const std::vector<BindingTable>& tables, size_t num_vars,
     }
     const BindingTable& t = tables[k];
     auto descend = [&](uint32_t r) {
-      for (int c : bind_cols[k]) binding[t.vars[c]] = t.rows[r][c];
+      std::span<const NodeId> row = t.rows[r];
+      for (int c : bind_cols[k]) binding[t.vars[c]] = row[c];
       return self(self, k + 1);
     };
     if (k == 0) {
@@ -1733,29 +1625,24 @@ bool SemiJoinFilterOp(BindingTable* target, const BindingTable& filter,
                  std::to_string(target->vars[tc]);
   }
 
-  // Compact the matched rows to the front in place; kept rows keep their
-  // order.
+  // Keep the matched rows, in order. Stopping at the first match makes
+  // ForEachMatch return false.
   const JoinIndex index(filter.rows, filter_cols);
   op.build_rows = filter.rows.size();
   op.probe_rows = target->rows.size();
-  std::vector<std::vector<NodeId>>& rows = target->rows;
-  size_t kept = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    // Stopping at the first match makes ForEachMatch return false.
-    if (index.ForEachMatch(rows[i], target_cols,
-                           [](uint32_t) { return false; })) {
-      continue;
+  RowBuffer kept(target->rows.arity());
+  for (std::span<const NodeId> row : target->rows) {
+    if (!index.ForEachMatch(row, target_cols, [](uint32_t) { return false; })) {
+      kept.push_back(row);
     }
-    if (kept != i) rows[kept] = std::move(rows[i]);
-    ++kept;
   }
-  const bool shrank = kept < rows.size();
-  rows.resize(kept);
+  const bool shrank = kept.size() < target->rows.size();
+  target->rows = std::move(kept);
 
   // Only filtering passes are profiled — the fixpoint driver calls this
   // repeatedly, and no-op passes would drown the operator profile.
   if (shrank) {
-    op.rows_out = kept;
+    op.rows_out = target->rows.size();
     stats.operators.push_back(std::move(op));
   }
   return shrank;

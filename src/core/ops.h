@@ -46,9 +46,12 @@
 // seed rows, start assignments) into morsels pulled by worker lanes. A
 // leaf with a single anchor assignment is one product search (or one
 // scan BFS) and runs on one lane. Workers accumulate into private stats
-// and result sets merged at the operator barrier in canonical lane
-// order, so results and counters are thread-count-independent;
-// num_threads == 1 runs everything on the calling thread. Joins and
+// and flat row buffers; at the operator barrier the buffers are
+// concatenated and one sort-unique pass gives the leaf its rows in
+// lexicographic order, so results and counters are
+// thread-count-independent; num_threads == 1 runs everything on the
+// calling thread. Every row, from leaf to sink, lives in a packed
+// fixed-arity RowBuffer (core/row_set.h). Joins and
 // semi-joins run serially on the calling thread, each over one flat
 // hash index of its build side (ops.cc).
 //
@@ -60,20 +63,24 @@
 #define ECRPQ_CORE_OPS_H_
 
 #include <functional>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "core/eval_product.h"
 #include "core/evaluator.h"
+#include "core/row_set.h"
 
 namespace ecrpq {
 
 /// A materialized relation over node variables: column i holds bindings
-/// of global node-variable `vars[i]`; rows are distinct.
+/// of global node-variable `vars[i]`; rows are distinct and packed in one
+/// buffer of arity vars.size().
 struct BindingTable {
+  explicit BindingTable(std::vector<int> table_vars = {})
+      : vars(std::move(table_vars)), rows(vars.size()) {}
+
   std::vector<int> vars;
-  std::vector<std::vector<NodeId>> rows;
+  RowBuffer rows;
 
   /// Column index of `var`, or -1 when absent.
   int ColumnOf(int var) const {
@@ -81,13 +88,6 @@ struct BindingTable {
       if (vars[i] == var) return static_cast<int>(i);
     }
     return -1;
-  }
-
-  /// The table with no columns and one (empty) row — the join identity.
-  static BindingTable Unit() {
-    BindingTable t;
-    t.rows.push_back({});
-    return t;
   }
 };
 
@@ -142,10 +142,11 @@ struct ProductGraphSink {
 /// restricted to assignments compatible with at least one seed row:
 /// ProductExpand runs once per seed row with the row overlaid on `fixed`;
 /// ReachabilityScan BFSes only from seeded source nodes and filters ends.
-/// Satisfying component assignments (parallel to comp.vars) accumulate in
-/// `results`; the product graph is recorded into `graph_sink` when
-/// non-null (graph recording forces the ProductExpand path, serial
-/// execution, and the forward direction). `direction` is the planner's
+/// Satisfying component assignments (parallel to comp.vars) are added to
+/// `results` (arity comp.vars.size()), which is left sorted and distinct.
+/// The product graph is recorded into `graph_sink` when non-null (graph
+/// recording forces the ProductExpand path, serial execution, and the
+/// forward direction). `direction` is the planner's
 /// per-leaf choice (kAuto = forward); EvalOptions::direction overrides
 /// it, and infeasible requests degrade (bidirectional needs every
 /// endpoint bound by fixed/seeds/constants, else it falls back to
@@ -162,8 +163,7 @@ Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
                           const std::vector<NodeId>& fixed,
                           const BindingTable* seeds, double est_rows,
                           SearchDirection direction, int num_threads,
-                          EvalStats& stats,
-                          std::set<std::vector<NodeId>>* results,
+                          EvalStats& stats, RowBuffer* results,
                           ProductGraphSink* graph_sink);
 
 /// Natural hash join on shared variables, projected: the output is the

@@ -68,37 +68,6 @@ ComponentVars CollectComponentVars(const Query& query,
   return out;
 }
 
-// Relations (indices into compiled.relations) reading any track of the
-// component; a relation's paths either all belong or none do.
-std::vector<int> ComponentRelations(const CompiledQuery& compiled,
-                                    const std::vector<int>& tracks) {
-  std::vector<int> out;
-  for (size_t r = 0; r < compiled.relations.size(); ++r) {
-    const ResolvedRelation& rel = compiled.relations[r];
-    if (!rel.paths.empty() &&
-        std::find(tracks.begin(), tracks.end(), rel.paths[0]) !=
-            tracks.end()) {
-      out.push_back(static_cast<int>(r));
-    }
-  }
-  return out;
-}
-
-OpKind LeafKind(const Query& query, const CompiledQuery& compiled,
-                const std::vector<int>& atom_indices,
-                const std::vector<int>& tracks) {
-  (void)query;
-  if (atom_indices.size() != 1 || tracks.size() != 1) {
-    return OpKind::kProductExpand;
-  }
-  for (int r : ComponentRelations(compiled, tracks)) {
-    if (compiled.relations[r].relation->arity() != 1) {
-      return OpKind::kProductExpand;
-    }
-  }
-  return OpKind::kReachabilityScan;
-}
-
 // Per-track statistics under the live first-letter masks: the letters
 // the relations' initial state-sets can read on this track (forward),
 // and — for the backward mirror — the letters their accepting states can
@@ -269,7 +238,10 @@ PhysicalPlan PlanQuery(const Query& query, const CompiledQuery& compiled,
     pc.vars = cv.vars;
     pc.start_vars = cv.start_vars;
     pc.end_vars = cv.end_vars;
-    pc.leaf = LeafKind(query, compiled, group, cv.tracks);
+    // A one-atom component whose path has a scan language is a scan.
+    pc.leaf = group.size() == 1 && compiled.scan_languages[cv.tracks[0]]
+                  ? OpKind::kReachabilityScan
+                  : OpKind::kProductExpand;
     double expand_work = 0.0;
     double bwd_expand_work = 0.0;
     EstimateComponent(compiled, cv, index, &pc.est_rows, &expand_work,

@@ -1,87 +1,81 @@
 #include "core/reachability.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "automata/operations.h"
 #include "core/parallel.h"
 
 namespace ecrpq {
 
-std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
-    const GraphDb& graph,
-    const std::vector<const RegularRelation*>& languages) {
-  return ReachabilityPairs(graph, languages, *GraphIndex::Build(graph));
-}
-
-std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
-    const GraphDb& graph, const std::vector<const RegularRelation*>& languages,
-    const GraphIndex& index) {
-  return ReachabilityPairsDirected(
-      graph, languages, index, /*sources=*/nullptr, /*targets=*/nullptr,
-      SearchDirection::kForward, /*scan_stats=*/nullptr,
-      /*meet_checks=*/nullptr, /*num_threads=*/1, /*cancel=*/nullptr);
-}
-
-namespace {
-
-// The intersected, ε-free, trimmed language NFA a scan simulates.
-Nfa BuildScanLanguage(const GraphDb& graph,
-                      const std::vector<const RegularRelation*>& languages) {
-  Nfa lang = UniverseNfa(graph.alphabet().size());
+ScanLanguage BuildScanLanguage(
+    int base_size, const std::vector<const RegularRelation*>& languages) {
+  Nfa lang = UniverseNfa(base_size);
   for (const RegularRelation* rel : languages) {
     ECRPQ_DCHECK(rel->arity() == 1);
     auto nfa = rel->ToLanguageNfa();
     ECRPQ_DCHECK(nfa.ok());
     lang = IntersectNfa(lang, nfa.value());
   }
-  return Trim(RemoveEpsilons(lang));
+  Nfa forward = Trim(RemoveEpsilons(lang));
+  Nfa reverse = Reverse(forward);
+  return ScanLanguage{std::move(forward), std::move(reverse)};
 }
 
-// Reused across one lane's anchors: the ls × |V| visited bitmap, all
-// clear between scans, and the scan's BFS queue, which keeps its drained
-// entries as the list of bits to clear (see ScanFromSource).
+namespace {
+
+// Reused across a morsel's anchors: the visited bitmap, one row of
+// `row_words` words per language state (bit v is node v), clear between
+// scans, and the BFS queue, whose drained entries list the bits to clear.
 struct ScanScratch {
-  std::vector<bool> seen;
+  size_t row_words = 0;
+  std::vector<uint64_t> seen;
   std::vector<std::pair<StateId, NodeId>> work;
 };
 
-// One anchor's BFS over (language state, node). Accepting product states
-// yield `ends`, sorted and distinct. While the scan has set fewer bits
-// than the bitmap has 64-bit words, the drained queue lists them and
-// only those are cleared, so a small scan costs its own expansions, not
-// ls × |V|. Past that, clearing the whole bitmap is cheaper, and drained
-// entries are dropped once they outnumber the frontier, so the queue
-// (kept across anchors) holds at most a bitmap's bytes, or a frontier's
-// worth, of drained entries.
-// With `backward` the traversal walks in-edges (the caller passes the
-// REVERSED language NFA, so accepting states are the forward-initial
-// ones and `ends` collects path SOURCES). Polls `cancel` every few
-// thousand expansions so even a single-anchor scan over a huge graph
-// unwinds promptly (the caller treats the partial result as void once
-// the token has tripped).
+// One anchor's BFS over (language state, node); accepting states yield
+// `ends`, sorted and distinct. Ends outnumbering the words of the
+// accepting states' bitmap rows are read off those rows in node order;
+// fewer are sorted. While fewer bits are set than the bitmap has words,
+// only the bits the drained queue lists are cleared, so a small scan
+// costs its own expansions; past that the whole bitmap is cleared, and
+// the queue drops drained entries once they outnumber the frontier.
+// With `backward` it walks in-edges over the REVERSED language (`ends`
+// are path sources). It polls `cancel` every few thousand expansions; a
+// tripped token leaves a partial result the caller discards.
 void ScanFromSource(const GraphDb& graph, const GraphIndex& index,
                     const Nfa& lang, const std::vector<StateId>& lang_initial,
-                    NodeId start, bool backward, ScanScratch* scratch,
+                    const std::vector<StateId>& lang_accepting, NodeId start,
+                    bool backward, ScanScratch* scratch,
                     std::vector<NodeId>* ends, ReachabilityScanStats* stats,
                     CancellationToken* cancel) {
-  std::vector<bool>& seen = scratch->seen;
+  std::vector<uint64_t>& seen = scratch->seen;
   std::vector<std::pair<StateId, NodeId>>& work = scratch->work;
-  const size_t stride = graph.num_nodes();
-  if (seen.empty()) seen.assign(lang.num_states() * stride, false);
+  if (seen.empty()) {
+    scratch->row_words = (static_cast<size_t>(graph.num_nodes()) + 63) / 64;
+    seen.assign(lang.num_states() * scratch->row_words, 0);
+  }
+  const size_t row_words = scratch->row_words;
+  auto bit = [row_words](StateId q, NodeId v) {
+    return static_cast<size_t>(q) * row_words * 64 + v;
+  };
   ends->clear();
   work.clear();
   auto push = [&](StateId q, NodeId v) {
     if (stats != nullptr) ++stats->frontier_expansions;
-    const size_t key = static_cast<size_t>(q) * stride + v;
-    if (!seen[key]) {
-      seen[key] = true;
+    const size_t key = bit(q, v);
+    uint64_t& word = seen[key >> 6];
+    const uint64_t mask = uint64_t{1} << (key & 63);
+    if ((word & mask) == 0) {
+      word |= mask;
       if (stats != nullptr) ++stats->visited_states;
       work.emplace_back(q, v);
       if (lang.IsAccepting(q)) ends->push_back(v);
     }
   };
   for (StateId q : lang_initial) push(q, start);
-  const size_t list_limit = seen.size() / 64 + 1;
+  const size_t list_limit = seen.size() + 1;
   bool listed = true;  // work[0, head) lists every bit set so far
   uint32_t since_poll = 0;
   for (size_t head = 0; head < work.size(); ++head) {
@@ -103,15 +97,29 @@ void ScanFromSource(const GraphDb& graph, const GraphIndex& index,
       for (NodeId to : slice) push(arc.second, to);
     }
   }
+  const bool from_rows = ends->size() > lang_accepting.size() * row_words;
+  if (from_rows) {
+    ends->clear();
+    for (size_t w = 0; w < row_words; ++w) {
+      uint64_t bits = 0;
+      for (StateId q : lang_accepting) bits |= seen[q * row_words + w];
+      for (; bits != 0; bits &= bits - 1) {
+        ends->push_back(static_cast<NodeId>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+  }
   if (listed) {
     for (const auto& [q, v] : work) {
-      seen[static_cast<size_t>(q) * stride + v] = false;
+      const size_t key = bit(q, v);
+      seen[key >> 6] &= ~(uint64_t{1} << (key & 63));
     }
   } else {
-    seen.assign(seen.size(), false);
+    seen.assign(seen.size(), 0);
   }
-  std::sort(ends->begin(), ends->end());
-  ends->erase(std::unique(ends->begin(), ends->end()), ends->end());
+  if (!from_rows) {
+    std::sort(ends->begin(), ends->end());
+    ends->erase(std::unique(ends->begin(), ends->end()), ends->end());
+  }
 }
 
 // One (source, target) meet-in-the-middle reachability probe over
@@ -174,17 +182,14 @@ bool BidirectionalReachProbe(const GraphDb& graph, const GraphIndex& index,
 
 }  // namespace
 
-std::vector<std::pair<NodeId, NodeId>> ReachabilityPairsDirected(
-    const GraphDb& graph, const std::vector<const RegularRelation*>& languages,
+RowBuffer ReachabilityPairsDirected(
+    const GraphDb& graph, const ScanLanguage& language,
     const GraphIndex& index, const std::vector<NodeId>* sources,
     const std::vector<NodeId>* targets, SearchDirection direction,
     ReachabilityScanStats* scan_stats, uint64_t* meet_checks,
     int num_threads, CancellationToken* cancel) {
-  // Intersect the language NFAs (over the base alphabet).
-  Nfa lang = BuildScanLanguage(graph, languages);
-
-  std::vector<std::pair<NodeId, NodeId>> out;
-  if (lang.num_states() == 0) return out;
+  RowBuffer out(2);
+  if (language.forward.num_states() == 0) return out;
 
   // Safety degrade: a bidirectional sweep needs both anchor sets.
   if (direction == SearchDirection::kBidirectional &&
@@ -198,15 +203,14 @@ std::vector<std::pair<NodeId, NodeId>> ReachabilityPairsDirected(
     // pairs are few by construction (the planner degrades large anchor
     // products to a one-sided sweep), so the probes run serially and the
     // output order is the pair enumeration order.
-    Nfa rlang = Reverse(lang);
     std::vector<bool> seen_f, seen_b;
     for (NodeId s : *sources) {
       for (NodeId t : *targets) {
         if (cancel != nullptr && cancel->cancelled()) return out;
-        if (BidirectionalReachProbe(graph, index, lang, rlang, s, t,
-                                    &seen_f, &seen_b, scan_stats,
-                                    meet_checks, cancel)) {
-          out.emplace_back(s, t);
+        if (BidirectionalReachProbe(graph, index, language.forward,
+                                    language.reverse, s, t, &seen_f, &seen_b,
+                                    scan_stats, meet_checks, cancel)) {
+          out.push_back(std::array<NodeId, 2>{s, t});
         }
       }
     }
@@ -219,57 +223,52 @@ std::vector<std::pair<NodeId, NodeId>> ReachabilityPairsDirected(
   // per TARGET node over the reversed NFA and in-edges, so a bound
   // target side costs one BFS instead of |V|.
   const bool backward = direction == SearchDirection::kBackward;
-  const Nfa scan_lang = backward ? Reverse(lang) : std::move(lang);
+  const Nfa& scan_lang = backward ? language.reverse : language.forward;
   const std::vector<NodeId>* anchors = backward ? targets : sources;
-  std::vector<StateId> scan_initial = scan_lang.InitialStates();
+  const std::vector<StateId> scan_initial = scan_lang.InitialStates();
+  std::vector<StateId> scan_accepting;
+  for (StateId q = 0; q < scan_lang.num_states(); ++q) {
+    if (scan_lang.IsAccepting(q)) scan_accepting.push_back(q);
+  }
   const int num_anchors = (anchors != nullptr)
                               ? static_cast<int>(anchors->size())
                               : graph.num_nodes();
   auto anchor_of = [&](int s) -> NodeId {
     return (anchors != nullptr) ? (*anchors)[s] : s;
   };
-  auto emit = [&](NodeId anchor, NodeId reached) {
-    if (backward) {
-      out.emplace_back(reached, anchor);
-    } else {
-      out.emplace_back(anchor, reached);
-    }
-  };
 
-  const int lanes = std::min(std::max(num_threads, 1), num_anchors);
-  if (lanes <= 1) {
-    ScanScratch scratch;
-    std::vector<NodeId> ends;
-    for (int s = 0; s < num_anchors; ++s) {
-      if (cancel != nullptr && cancel->cancelled()) break;
-      ScanFromSource(graph, index, scan_lang, scan_initial, anchor_of(s),
-                     backward, &scratch, &ends, scan_stats, cancel);
-      for (NodeId end : ends) emit(anchor_of(s), end);
-    }
-    return out;
-  }
-
-  // Morsel-parallel: per-anchor end-set slots and per-lane counters and
-  // seen bitmaps; the slots are concatenated in anchor order, so the
-  // output is identical to the serial scan's.
-  std::vector<std::vector<NodeId>> slots(num_anchors);
-  std::vector<ReachabilityScanStats> lane_stats(lanes);
+  // Lanes claim morsels of anchors; each morsel's pairs go to its own
+  // buffer, and the buffers are concatenated in anchor order, so the
+  // output is the same at any lane count. One lane runs one morsel.
+  const int lanes = std::max(1, std::min(num_threads, num_anchors));
   const size_t grain =
       std::max<size_t>(1, static_cast<size_t>(num_anchors) / (lanes * 8));
+  std::vector<RowBuffer> morsels((num_anchors + grain - 1) / grain,
+                                 RowBuffer(2));
+  std::vector<ReachabilityScanStats> lane_stats(lanes);
   ParallelMorsels(
       lanes, num_anchors, grain, [&](size_t begin, size_t end, int lane_id) {
         ScanScratch scratch;
-        ReachabilityScanStats* ls =
-            (scan_stats != nullptr) ? &lane_stats[lane_id] : nullptr;
+        std::vector<NodeId> ends;
+        RowBuffer& rows = morsels[begin / grain];
         for (size_t s = begin; s < end; ++s) {
           if (cancel != nullptr && cancel->cancelled()) return;
+          const NodeId anchor = anchor_of(static_cast<int>(s));
           ScanFromSource(graph, index, scan_lang, scan_initial,
-                         anchor_of(static_cast<int>(s)), backward, &scratch,
-                         &slots[s], ls, cancel);
+                         scan_accepting, anchor, backward, &scratch, &ends,
+                         &lane_stats[lane_id], cancel);
+          for (NodeId reached : ends) {
+            rows.push_back(backward ? std::array<NodeId, 2>{reached, anchor}
+                                    : std::array<NodeId, 2>{anchor, reached});
+          }
         }
       });
-  for (int s = 0; s < num_anchors; ++s) {
-    for (NodeId e : slots[s]) emit(anchor_of(s), e);
+  for (RowBuffer& rows : morsels) {
+    if (out.empty()) {
+      out = std::move(rows);
+    } else {
+      out.Append(rows);
+    }
   }
   if (scan_stats != nullptr) {
     for (const ReachabilityScanStats& ls : lane_stats) {

@@ -14,9 +14,26 @@
 #ifndef ECRPQ_CORE_REACHABILITY_H_
 #define ECRPQ_CORE_REACHABILITY_H_
 
+#include <vector>
+
+#include "automata/nfa.h"
 #include "core/evaluator.h"
+#include "core/row_set.h"
 
 namespace ecrpq {
+
+/// The language one ReachabilityScan simulates: the intersection of a
+/// path atom's unary languages over the base alphabet (Σ* for none),
+/// ε-free and trimmed, and its reverse for backward and bidirectional
+/// scans (same state ids). CompileQuery builds one per scannable path
+/// variable (CompiledQuery::scan_languages), so executions reuse it.
+struct ScanLanguage {
+  Nfa forward;
+  Nfa reverse;
+};
+
+ScanLanguage BuildScanLanguage(
+    int base_size, const std::vector<const RegularRelation*>& languages);
 
 /// Counters of one reachability scan (the ReachabilityScan operator's
 /// share of EvalStats::operators).
@@ -25,22 +42,14 @@ struct ReachabilityScanStats {
   uint64_t visited_states = 0;       ///< distinct (state, node) pairs
 };
 
-/// The per-atom reachability relation: all (u, v) pairs connected by a path
-/// whose label lies in every language of `languages` (an intersection; the
-/// empty list means Σ*), in (u, v) order. Exposed for tests. The
-/// (language state, node) frontier expands through `index`'s CSR label
-/// slices — only edges carrying a letter some language arc reads; the
-/// overload without `index` builds one.
-std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
-    const GraphDb& graph, const std::vector<const RegularRelation*>& languages);
-std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
-    const GraphDb& graph, const std::vector<const RegularRelation*>& languages,
-    const GraphIndex& index);
-
 /// Direction-aware reachability scan (the ReachabilityScan leaf's
-/// executable). kForward runs one BFS per source node (`targets` is
-/// ignored — callers filter ends); `sources` (when non-null) restricts it
-/// to paths starting at the listed nodes — the sideways-seeded form the
+/// executable): the (source, target) rows, arity 2, of the pairs joined
+/// by a path whose label is in `language`. The (language state, node)
+/// frontier expands through `index`'s CSR label slices — only edges
+/// carrying a letter some language arc reads. kForward runs one BFS per
+/// source node (`targets` is ignored — callers filter ends), so its rows
+/// come out sorted; `sources` (when non-null, sorted) restricts it to
+/// paths starting at the listed nodes — the sideways-seeded form the
 /// planner emits; null scans from every node. kBackward mirrors it: one
 /// BFS per TARGET over the reversed intersection NFA and the graph's
 /// in-edges (GraphIndex::In slices), emitting every
@@ -55,13 +64,12 @@ std::vector<std::pair<NodeId, NodeId>> ReachabilityPairs(
 ///
 /// Bidirectional probes run serially per pair (anchored pairs are few).
 /// With num_threads > 1 the forward/backward per-anchor BFSes run
-/// morsel-parallel: lanes claim anchor morsels off a shared cursor and
-/// write each anchor's end set into its own slot; the slots are
-/// concatenated in anchor order, making the output identical to the
+/// morsel-parallel: each morsel of anchors fills its own row buffer, and
+/// the buffers are concatenated in anchor order, so the output is the
 /// serial scan's. `cancel` (optional) stops all lanes promptly; the
 /// caller must treat the result as partial once the token has tripped.
-std::vector<std::pair<NodeId, NodeId>> ReachabilityPairsDirected(
-    const GraphDb& graph, const std::vector<const RegularRelation*>& languages,
+RowBuffer ReachabilityPairsDirected(
+    const GraphDb& graph, const ScanLanguage& language,
     const GraphIndex& index, const std::vector<NodeId>* sources,
     const std::vector<NodeId>* targets, SearchDirection direction,
     ReachabilityScanStats* scan_stats, uint64_t* meet_checks,

@@ -1,38 +1,27 @@
 #include "core/result_sink.h"
 
-#include <algorithm>
-#include <numeric>
 #include <utility>
 
 namespace ecrpq {
 
-bool MaterializingSink::Emit(const std::vector<NodeId>& tuple,
+bool MaterializingSink::Emit(std::span<const NodeId> tuple,
                              PathAnswerSet* paths) {
+  if (tuples.empty()) tuples = RowBuffer(tuple.size());
   tuples.push_back(tuple);
   if (paths != nullptr) path_answers.push_back(std::move(*paths));
-  if (limit_ > 0 && tuples.size() >= limit_) {
-    limit_reached_ = true;
-    return false;
-  }
-  return true;
+  return limit_ == 0 || tuples.size() < limit_;
 }
 
 void MaterializingSink::SortRows() {
-  std::vector<size_t> order(tuples.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return tuples[a] < tuples[b];
-  });
-  std::vector<std::vector<NodeId>> sorted_tuples;
-  sorted_tuples.reserve(tuples.size());
-  for (size_t i : order) sorted_tuples.push_back(std::move(tuples[i]));
-  tuples = std::move(sorted_tuples);
   if (!path_answers.empty()) {
     std::vector<PathAnswerSet> sorted_paths;
     sorted_paths.reserve(path_answers.size());
-    for (size_t i : order) sorted_paths.push_back(std::move(path_answers[i]));
+    for (uint32_t i : tuples.SortedOrder()) {
+      sorted_paths.push_back(std::move(path_answers[i]));
+    }
     path_answers = std::move(sorted_paths);
   }
+  tuples.SortUnique();  // the tuples are distinct: a plain sort
 }
 
 }  // namespace ecrpq

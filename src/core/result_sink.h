@@ -29,9 +29,11 @@
 #define ECRPQ_CORE_RESULT_SINK_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/path_answers.h"
+#include "core/row_set.h"
 #include "graph/graph.h"
 
 namespace ecrpq {
@@ -47,32 +49,28 @@ class ResultSink {
   /// (the engine builds one per tuple and does not reuse it). Returns
   /// false to request early termination: the engine stops searching and
   /// returns OK.
-  virtual bool Emit(const std::vector<NodeId>& tuple,
-                    PathAnswerSet* paths) = 0;
+  virtual bool Emit(std::span<const NodeId> tuple, PathAnswerSet* paths) = 0;
 };
 
-/// A sink that materializes rows, optionally stopping after `limit` rows.
+/// A sink that materializes rows into one packed buffer (its arity is
+/// the first tuple's), optionally stopping after `limit` rows.
 class MaterializingSink : public ResultSink {
  public:
   /// `limit` = 0 means unlimited.
   explicit MaterializingSink(uint64_t limit = 0) : limit_(limit) {}
 
-  bool Emit(const std::vector<NodeId>& tuple, PathAnswerSet* paths) override;
-
-  /// True if Emit stopped the engine because `limit` was reached.
-  bool limit_reached() const { return limit_reached_; }
+  bool Emit(std::span<const NodeId> tuple, PathAnswerSet* paths) override;
 
   /// Restores the canonical sorted-by-tuple order (engines emit in
   /// discovery order); keeps path_answers parallel to tuples.
   void SortRows();
 
-  std::vector<std::vector<NodeId>> tuples;
+  RowBuffer tuples;
   /// Empty, or parallel to `tuples`.
   std::vector<PathAnswerSet> path_answers;
 
  private:
   uint64_t limit_;
-  bool limit_reached_ = false;
 };
 
 }  // namespace ecrpq

@@ -59,27 +59,6 @@ struct EvalStats {
   /// Per-operator profile in execution order, populated by the operator
   /// layer (core/ops.h). Empty for engines that bypass it (brute force).
   std::vector<OperatorStats> operators;
-
-  /// Merges another run's (or another worker's) counters into this one:
-  /// numeric counters add, operator profiles append in call order, and the
-  /// engine tag is adopted when unset. Merge is the barrier-point
-  /// primitive of parallel execution — every worker accumulates into a
-  /// private EvalStats and lanes merge in canonical lane order, so a
-  /// sequential run (num_threads = 1) reports exactly the same numbers it
-  /// did before the parallel refactor, and a parallel run reports the
-  /// same totals as the sequential one whenever it explored the same
-  /// space (no early termination).
-  void Merge(const EvalStats& other) {
-    if (engine.empty()) engine = other.engine;
-    configs_explored += other.configs_explored;
-    arcs_explored += other.arcs_explored;
-    start_assignments += other.start_assignments;
-    join_tuples += other.join_tuples;
-    ilp_variables += other.ilp_variables;
-    ilp_constraints += other.ilp_constraints;
-    operators.insert(operators.end(), other.operators.begin(),
-                     other.operators.end());
-  }
 };
 
 }  // namespace ecrpq

@@ -294,6 +294,17 @@ Status Decode(const std::vector<uint8_t>& payload, PrepareReply* m) {
   return Finish(r, "prepare-ok");
 }
 
+void EncodeRows(uint64_t cursor_id, uint8_t flags, uint16_t arity,
+                uint32_t count, std::span<const uint8_t> rows,
+                std::vector<uint8_t>* out) {
+  WireWriter w(out);
+  w.U64(cursor_id);
+  w.U8(flags);
+  w.U16(arity);
+  w.U32(count);
+  out->insert(out->end(), rows.begin(), rows.end());
+}
+
 void Encode(const RowsReply& m, std::vector<uint8_t>* out) {
   WireWriter w(out);
   w.U64(m.cursor_id);

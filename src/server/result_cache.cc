@@ -66,7 +66,7 @@ CachedResultPtr ResultCache::Lookup(const std::string& key,
 void ResultCache::Insert(const std::string& key, const GraphIndexPtr& index,
                          CachedResultPtr result) {
   if (capacity_ == 0 || index == nullptr || result == nullptr ||
-      result->truncated || result->rows.size() > max_rows_) {
+      result->truncated || result->num_rows() > max_rows_) {
     return;
   }
   std::lock_guard<std::mutex> lock(mutex_);

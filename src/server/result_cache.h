@@ -3,7 +3,8 @@
 // Repeated anchored queries (hot prepared statements executed with the
 // same parameters) dominate read-heavy serving traffic; their full
 // answer sets are small and cheap to keep. The cache memoizes the
-// *rendered* result — node-name rows, detached from the graph — keyed by
+// *rendered* result — wire-encoded node-name rows, detached from the
+// graph — keyed by
 //
 //   (query text, canonical parameter bindings, GraphIndex snapshot)
 //
@@ -32,14 +33,21 @@
 
 namespace ecrpq {
 
-/// A memoized, rendered result: node-name rows plus the arity. Shared
-/// (immutable) between the cache and in-flight replies.
+/// A memoized, rendered result, ready for the wire: the node names of
+/// every row, each u32-length-prefixed as a ROWS frame carries them, back
+/// to back in one buffer, with the byte offset where each row starts. A
+/// ROWS page is a byte slice of it. Shared (immutable) between the cache
+/// and in-flight replies.
 struct CachedResult {
   uint16_t arity = 0;
   /// The server's max_result_rows ceiling stopped the execution early;
-  /// rows is a prefix of the full answer set. Never cached.
+  /// the rows are a prefix of the full answer set. Never cached.
   bool truncated = false;
-  std::vector<std::vector<std::string>> rows;
+  std::vector<uint8_t> bytes;
+  /// Row r is bytes [offsets[r], offsets[r + 1]).
+  std::vector<size_t> offsets = {0};
+
+  size_t num_rows() const { return offsets.size() - 1; }
 };
 using CachedResultPtr = std::shared_ptr<const CachedResult>;
 

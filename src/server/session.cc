@@ -24,38 +24,47 @@ Frame OkFrame(uint32_t request_id) {
   return frame;
 }
 
-/// One ROWS page worth of rows out of a rendered result, capped both by
-/// row count and by encoded byte size so the page always fits in one
-/// frame (row count alone doesn't bound it: names are arbitrary-length).
-/// Sets *status only when the next row alone exceeds the frame limit and
-/// therefore can never be sent.
-RowsReply BuildPage(const CachedResultPtr& result, size_t offset,
-                    uint32_t count, Status* status) {
-  RowsReply reply;
-  reply.arity = result->arity;
-  if (result->truncated) reply.flags |= kRowsFlagTruncated;
-  const size_t end = std::min(result->rows.size(), offset + count);
-  size_t budget = kPageByteBudget;
-  for (size_t i = offset; i < end; ++i) {
-    const std::vector<std::string>& row = result->rows[i];
-    size_t encoded = 0;
-    for (const std::string& value : row) encoded += 4 + value.size();
-    if (encoded > budget) {
-      if (reply.rows.empty()) {
-        *status = Status::ResourceExhausted(
-            "result row encodes to " + std::to_string(encoded) +
-            " bytes, beyond the " + std::to_string(kMaxFrameBody) +
-            "-byte frame limit");
-      }
-      return reply;  // never kRowsFlagDone: rows (the big one) remain
-    }
-    budget -= encoded;
-    reply.rows.push_back(row);
+/// The end of the ROWS page of a rendered result that starts at row
+/// `offset`: capped both by row count and by encoded byte size so the
+/// page always fits in one frame (row count alone doesn't bound it:
+/// names are arbitrary-length). Sets *status only when the row at
+/// `offset` alone exceeds the frame limit and therefore can never be
+/// sent.
+size_t PageEnd(const CachedResult& result, size_t offset, uint32_t count,
+               Status* status) {
+  const size_t limit = std::min(result.num_rows(), offset + count);
+  size_t end = offset;
+  while (end < limit &&
+         result.offsets[end + 1] - result.offsets[offset] <= kPageByteBudget) {
+    ++end;
   }
-  if (offset + reply.rows.size() >= result->rows.size()) {
-    reply.flags |= kRowsFlagDone;
+  if (end == offset && end < limit) {
+    *status = Status::ResourceExhausted(
+        "result row encodes to " +
+        std::to_string(result.offsets[end + 1] - result.offsets[end]) +
+        " bytes, beyond the " + std::to_string(kMaxFrameBody) +
+        "-byte frame limit");
   }
-  return reply;
+  return end;
+}
+
+/// A ROWS frame carrying rows [begin, end) of `result` as one byte slice
+/// of its rendered buffer. kRowsFlagDone is set when no rows remain.
+Frame PageFrame(uint32_t request_id, const CachedResult& result,
+                size_t begin, size_t end, uint64_t cursor_id,
+                uint8_t flags) {
+  if (result.truncated) flags |= kRowsFlagTruncated;
+  if (end >= result.num_rows()) flags |= kRowsFlagDone;
+  Frame frame;
+  frame.type = MsgType::kRows;
+  frame.request_id = request_id;
+  EncodeRows(cursor_id, flags, result.arity,
+             static_cast<uint32_t>(end - begin),
+             std::span<const uint8_t>(result.bytes)
+                 .subspan(result.offsets[begin],
+                          result.offsets[end] - result.offsets[begin]),
+             &frame.payload);
+  return frame;
 }
 
 }  // namespace
@@ -304,7 +313,7 @@ Frame Session::HandleExecute(const Frame& frame) {
                             /*from_cache=*/true);
       const bool sent_rows = page.type == MsgType::kRows;
       return finish(std::move(page), sent_rows,
-                    sent_rows ? hit->rows.size() : 0);
+                    sent_rows ? hit->num_rows() : 0);
     }
   }
 
@@ -329,9 +338,9 @@ Frame Session::HandleExecute(const Frame& frame) {
     stats_->executes_error.fetch_add(1, std::memory_order_relaxed);
     return finish(ErrorFrame(frame.request_id, cursor.status()), false, 0);
   }
-  std::vector<std::vector<NodeId>> tuples;
-  while (cursor.value().Next()) tuples.push_back(cursor.value().tuple());
-  const Status& run_status = cursor.value().status();
+  ResultCursor& rows = cursor.value();
+  const bool any = rows.Next();  // runs the engine
+  const Status& run_status = rows.status();
   if (!run_status.ok()) {
     if (run_status.code() == StatusCode::kCancelled) {
       if (deadline.has_value() &&
@@ -346,25 +355,24 @@ Frame Session::HandleExecute(const Frame& frame) {
     return finish(ErrorFrame(frame.request_id, run_status), false, 0);
   }
 
-  // Render NodeIds to names under the shared graph guard: a MutateGraph
-  // writer may be appending nodes concurrently, and the name table must
-  // be stable while we read it. Node ids are append-only, so ids from the
-  // finished execution stay valid.
+  // Render the cursor's rows once, straight into wire form, under the
+  // shared graph guard: a MutateGraph writer may be appending nodes
+  // concurrently, and the name table must be stable while we read it.
+  // Node ids are append-only, so ids from the finished execution stay
+  // valid.
   auto rendered = std::make_shared<CachedResult>();
   rendered->arity =
       static_cast<uint16_t>(stmt.query().head_nodes().size());
-  rendered->truncated = server_capped && tuples.size() >= row_cap;
   {
     auto guard = db_->SharedReadGuard();
     const GraphDb& graph = db_->graph();
-    rendered->rows.reserve(tuples.size());
-    for (const auto& tuple : tuples) {
-      std::vector<std::string> row;
-      row.reserve(tuple.size());
-      for (NodeId node : tuple) row.push_back(graph.NodeName(node));
-      rendered->rows.push_back(std::move(row));
+    WireWriter w(&rendered->bytes);
+    for (bool more = any; more; more = rows.Next()) {
+      for (NodeId node : rows.row()) w.Str(graph.NodeName(node));
+      rendered->offsets.push_back(rendered->bytes.size());
     }
   }
+  rendered->truncated = server_capped && rendered->num_rows() >= row_cap;
   CachedResultPtr result = rendered;
 
   // Memoize complete results, but only when no MutateGraph raced the run:
@@ -377,26 +385,25 @@ Frame Session::HandleExecute(const Frame& frame) {
                         /*from_cache=*/false);
   const bool sent_rows = page.type == MsgType::kRows;
   return finish(std::move(page), sent_rows,
-                sent_rows ? result->rows.size() : 0);
+                sent_rows ? result->num_rows() : 0);
 }
 
 Frame Session::RowsPage(uint32_t request_id, CachedResultPtr result,
                         size_t offset, uint32_t page_size, bool from_cache) {
   Status page_status = Status::OK();
-  RowsReply reply = BuildPage(result, offset, page_size, &page_status);
+  const size_t end = PageEnd(*result, offset, page_size, &page_status);
   if (!page_status.ok()) {
     stats_->executes_error.fetch_add(1, std::memory_order_relaxed);
     return ErrorFrame(request_id, page_status);
   }
-  if (from_cache) reply.flags |= kRowsFlagFromCache;
-  if ((reply.flags & kRowsFlagDone) == 0) {
+  uint64_t cursor_id = 0;
+  if (end < result->num_rows()) {
     std::lock_guard<std::mutex> lock(mutex_);
-    uint64_t cursor_id = next_cursor_id_++;
-    cursors_[cursor_id] =
-        CursorState{std::move(result), offset + reply.rows.size()};
-    reply.cursor_id = cursor_id;
+    cursor_id = next_cursor_id_++;
+    cursors_[cursor_id] = CursorState{result, end};
   }
-  return MakeFrame(MsgType::kRows, request_id, reply);
+  return PageFrame(request_id, *result, offset, end, cursor_id,
+                   from_cache ? kRowsFlagFromCache : 0);
 }
 
 Frame Session::HandleFetch(const Frame& frame) {
@@ -418,23 +425,24 @@ Frame Session::HandleFetch(const Frame& frame) {
                                        std::to_string(req.cursor_id)));
   }
   Status page_status = Status::OK();
-  RowsReply reply =
-      BuildPage(it->second.result, it->second.offset, page_size, &page_status);
+  const CachedResultPtr result = it->second.result;
+  const size_t offset = it->second.offset;
+  const size_t end = PageEnd(*result, offset, page_size, &page_status);
   if (!page_status.ok()) {
     // An unsendable row blocks this cursor for good: drop it so the
     // client isn't invited to re-fetch into the same error forever.
     cursors_.erase(it);
     return ErrorFrame(frame.request_id, page_status);
   }
-  stats_->rows_returned.fetch_add(reply.rows.size(),
-                                  std::memory_order_relaxed);
-  if (reply.flags & kRowsFlagDone) {
+  stats_->rows_returned.fetch_add(end - offset, std::memory_order_relaxed);
+  uint64_t cursor_id = 0;
+  if (end >= result->num_rows()) {
     cursors_.erase(it);
   } else {
-    it->second.offset += reply.rows.size();
-    reply.cursor_id = req.cursor_id;
+    it->second.offset = end;
+    cursor_id = req.cursor_id;
   }
-  return MakeFrame(MsgType::kRows, frame.request_id, reply);
+  return PageFrame(frame.request_id, *result, offset, end, cursor_id, 0);
 }
 
 Frame Session::HandleCancel(const Frame& frame) {

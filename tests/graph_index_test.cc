@@ -378,15 +378,26 @@ TEST_P(EngineIndexEquivalence, CrpqMatchesMonolithicProduct) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineIndexEquivalence,
                          ::testing::Range(0, 10));
 
+// The all-pairs forward scan of the intersection of `languages`.
+RowBuffer ReachabilityPairs(
+    const GraphDb& g, const std::vector<const RegularRelation*>& languages,
+    const GraphIndex& index) {
+  return ReachabilityPairsDirected(
+      g, BuildScanLanguage(g.alphabet().size(), languages), index,
+      /*sources=*/nullptr, /*targets=*/nullptr, SearchDirection::kForward,
+      /*scan_stats=*/nullptr, /*meet_checks=*/nullptr, /*num_threads=*/1,
+      /*cancel=*/nullptr);
+}
+
 // ReachabilityPairs (the CRPQ building block) under Σ* is plain
-// reachability: pair-for-pair, in (source, target) order, what a BFS over
+// reachability: row for row, in (source, target) order, what a BFS over
 // the GraphDb out-lists finds — empty paths included.
 TEST(GraphIndex, ReachabilityPairsMatchOutListBfs) {
   for (int seed = 0; seed < 20; ++seed) {
     Rng rng(seed);
     auto alphabet = Alphabet::FromLabels({"a", "b", "c"});
     GraphDb g = RandomGraph(alphabet, 10, 30, &rng);
-    std::vector<std::pair<NodeId, NodeId>> want;
+    RowBuffer want(2);
     for (NodeId s = 0; s < g.num_nodes(); ++s) {
       std::set<NodeId> seen = {s};
       std::queue<NodeId> work;
@@ -398,11 +409,10 @@ TEST(GraphIndex, ReachabilityPairsMatchOutListBfs) {
           if (seen.insert(to).second) work.push(to);
         }
       }
-      for (NodeId t : seen) want.emplace_back(s, t);
+      for (NodeId t : seen) want.push_back(std::vector<NodeId>{s, t});
     }
     auto index = GraphIndex::Build(g);
-    EXPECT_EQ(ReachabilityPairs(g, {}, *index), want) << "seed " << seed;
-    EXPECT_EQ(ReachabilityPairs(g, {}), want) << "seed " << seed;
+    EXPECT_TRUE(ReachabilityPairs(g, {}, *index) == want) << "seed " << seed;
   }
 }
 

@@ -21,6 +21,7 @@
 #include "graph/graph.h"
 #include "graph/index.h"
 #include "query/parser.h"
+#include "server/protocol.h"
 #include "server/result_cache.h"
 #include "snapshot_compare.h"
 #include "util/random.h"
@@ -525,7 +526,8 @@ TEST(DatabaseDelta, ResultCacheEntriesMissAfterSnapshotSwap) {
   GraphIndexPtr old_snap = db.graph_index();
   auto result = std::make_shared<CachedResult>();
   result->arity = 1;
-  result->rows = {{"eva"}};
+  WireWriter(&result->bytes).Str("eva");
+  result->offsets.push_back(result->bytes.size());
   cache.Insert("q1", old_snap, result);
   ASSERT_NE(cache.Lookup("q1", old_snap), nullptr);
 

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -455,7 +456,7 @@ TEST(ParallelExecution, StreamedJoinOrderAndLimitCutIdenticalAcrossLanes) {
     EvalStats stats;
     Status st = EvaluateProduct(g, query, options, sink, stats);
     EXPECT_TRUE(st.ok()) << st.ToString();
-    return sink.tuples;  // emission order: never sorted
+    return sink.tuples.ToVectors();  // emission order: never sorted
   };
   for (const char* text : kQueries) {
     SCOPED_TRACE(text);
@@ -475,41 +476,14 @@ TEST(ParallelExecution, StreamedJoinOrderAndLimitCutIdenticalAcrossLanes) {
   }
 }
 
-// EvalStats::Merge: counters add, operator profiles append, the engine
-// tag is adopted when unset — the barrier-point primitive behind all of
-// the above.
-TEST(ParallelStats, MergeAccumulates) {
-  EvalStats a;
-  a.engine = "product";
-  a.configs_explored = 10;
-  a.arcs_explored = 20;
-  a.start_assignments = 3;
-  OperatorStats op_a;
-  op_a.op = "ProductExpand";
-  op_a.threads = 4;
-  a.operators.push_back(op_a);
-
-  EvalStats b;
-  b.configs_explored = 5;
-  b.arcs_explored = 7;
-  b.join_tuples = 2;
-  OperatorStats op_b;
-  op_b.op = "HashJoin";
-  b.operators.push_back(op_b);
-
-  EvalStats merged;
-  merged.Merge(a);
-  merged.Merge(b);
-  EXPECT_EQ(merged.engine, "product");
-  EXPECT_EQ(merged.configs_explored, 15u);
-  EXPECT_EQ(merged.arcs_explored, 27u);
-  EXPECT_EQ(merged.start_assignments, 3u);
-  EXPECT_EQ(merged.join_tuples, 2u);
-  ASSERT_EQ(merged.operators.size(), 2u);
-  EXPECT_EQ(merged.operators[0].op, "ProductExpand");
-  EXPECT_EQ(merged.operators[0].threads, 4);
-  EXPECT_NE(merged.operators[0].Describe().find("threads=4"),
-            std::string::npos);
+// An operator's profile line names the lanes it ran on.
+TEST(ParallelStats, DescribeShowsLanes) {
+  OperatorStats op;
+  op.op = "ProductExpand";
+  op.threads = 4;
+  EXPECT_NE(op.Describe().find("threads=4"), std::string::npos);
+  op.threads = 1;
+  EXPECT_EQ(op.Describe().find("threads="), std::string::npos);
 }
 
 // The planner records its chosen per-operator parallelism in Explain.
@@ -581,16 +555,15 @@ TEST(ParallelExecution, FewSeedRowsMatchSerial) {
   // Three answers with distinct x values: seed rows that bind every
   // anchor of the direction (x forward, y and z backward, all three
   // bidirectionally) and lead to answers.
-  std::set<std::vector<NodeId>> all;
+  RowBuffer all(comp.vars.size());
   EvalStats unseeded;
   ASSERT_TRUE(ExecuteComponentOp(rq, comp, options, fixed, nullptr, -1.0,
                                  SearchDirection::kForward, 1, unseeded, &all,
                                  nullptr)
                   .ok());
-  BindingTable answers;
-  answers.vars = comp.vars;
+  BindingTable answers(comp.vars);
   std::set<NodeId> xs;
-  for (const std::vector<NodeId>& row : all) {
+  for (std::span<const NodeId> row : all) {
     if (answers.rows.size() < 3 && xs.insert(row[0]).second) {
       answers.rows.push_back(row);
     }
@@ -610,7 +583,7 @@ TEST(ParallelExecution, FewSeedRowsMatchSerial) {
     const BindingTable seeds = ProjectDistinct(answers, c.seed_vars);
     ASSERT_GE(seeds.rows.size(), 2u);
     ASSERT_LT(seeds.rows.size(), 4u);
-    std::set<std::vector<NodeId>> serial_rows, parallel_rows;
+    RowBuffer serial_rows(comp.vars.size()), parallel_rows(comp.vars.size());
     EvalStats serial, parallel;
     ASSERT_TRUE(ExecuteComponentOp(rq, comp, options, fixed, &seeds, -1.0,
                                    c.direction, 1, serial, &serial_rows,

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -30,14 +31,20 @@ NodeId SkewedKey(Rng* rng, int cold_range) {
   return static_cast<NodeId>(9 + rng->Below(cold_range));        // cold
 }
 
-// Distinct rows (the BindingTable contract), preserving first-seen order.
-void Dedup(BindingTable* t) {
+// A table over `vars` holding the distinct `rows` (the BindingTable
+// contract), in first-seen order.
+BindingTable Table(std::vector<int> vars,
+                   const std::vector<std::vector<NodeId>>& rows) {
+  BindingTable t(std::move(vars));
   std::set<std::vector<NodeId>> seen;
-  std::vector<std::vector<NodeId>> rows;
-  for (auto& row : t->rows) {
-    if (seen.insert(row).second) rows.push_back(std::move(row));
+  for (const std::vector<NodeId>& row : rows) {
+    if (seen.insert(row).second) t.rows.push_back(row);
   }
-  t->rows = std::move(rows);
+  return t;
+}
+
+std::vector<NodeId> RowOf(std::span<const NodeId> row) {
+  return {row.begin(), row.end()};
 }
 
 // left(v0, v1) and right(v1, v2) joined on the skewed column v1. The
@@ -45,16 +52,15 @@ void Dedup(BindingTable* t) {
 // genuinely removes rows.
 void BuildSkewedTables(BindingTable* left, BindingTable* right) {
   Rng rng(97);
-  left->vars = {0, 1};
-  right->vars = {1, 2};
+  std::vector<std::vector<NodeId>> left_rows, right_rows;
   for (int i = 0; i < 3000; ++i) {
-    left->rows.push_back({static_cast<NodeId>(rng.Below(4000)),
-                          SkewedKey(&rng, /*cold_range=*/400)});
-    right->rows.push_back({SkewedKey(&rng, /*cold_range=*/200),
-                           static_cast<NodeId>(rng.Below(4000))});
+    left_rows.push_back({static_cast<NodeId>(rng.Below(4000)),
+                         SkewedKey(&rng, /*cold_range=*/400)});
+    right_rows.push_back({SkewedKey(&rng, /*cold_range=*/200),
+                          static_cast<NodeId>(rng.Below(4000))});
   }
-  Dedup(left);
-  Dedup(right);
+  *left = Table({0, 1}, left_rows);
+  *right = Table({1, 2}, right_rows);
 }
 
 const OperatorStats& LastOp(const EvalStats& stats) {
@@ -67,15 +73,15 @@ const OperatorStats& LastOp(const EvalStats& stats) {
 std::vector<std::vector<NodeId>> NestedLoopSemiJoin(
     const BindingTable& target, const BindingTable& filter) {
   std::vector<std::vector<NodeId>> kept;
-  for (const std::vector<NodeId>& trow : target.rows) {
-    for (const std::vector<NodeId>& frow : filter.rows) {
+  for (std::span<const NodeId> trow : target.rows) {
+    for (std::span<const NodeId> frow : filter.rows) {
       bool match = true;
       for (size_t fc = 0; fc < filter.vars.size() && match; ++fc) {
         const int tc = target.ColumnOf(filter.vars[fc]);
         match = tc < 0 || trow[tc] == frow[fc];
       }
       if (match) {
-        kept.push_back(trow);
+        kept.push_back(RowOf(trow));
         break;
       }
     }
@@ -108,13 +114,13 @@ void ExpectHashJoinMatchesReference(const BindingTable& left,
   EXPECT_EQ(got.vars, vars);
 
   uint64_t tuples = 0, mismatches = 0;
-  for (const std::vector<NodeId>& lrow : left.rows) {
-    for (const std::vector<NodeId>& rrow : right.rows) {
+  for (std::span<const NodeId> lrow : left.rows) {
+    for (std::span<const NodeId> rrow : right.rows) {
       bool match = true;
       for (const auto& [lc, rc] : shared) match = match && lrow[lc] == rrow[rc];
       if (!match) continue;
       if (tuples < got.rows.size()) {
-        const std::vector<NodeId>& row = got.rows[tuples];
+        std::span<const NodeId> row = got.rows[tuples];
         bool same = std::equal(lrow.begin(), lrow.end(), row.begin());
         for (size_t j = 0; j < extra.size(); ++j) {
           same = same && row[lrow.size() + j] == rrow[extra[j]];
@@ -151,13 +157,13 @@ TEST(JoinOps, SkewedSemiJoinFilterMatchesNestedLoopReference) {
   // first row survives, so compaction keeps a row in its own slot.
   ASSERT_LT(want.size(), left.rows.size());
   ASSERT_FALSE(want.empty());
-  ASSERT_EQ(want.front(), left.rows.front());
+  ASSERT_EQ(want.front(), RowOf(left.rows[0]));
 
   EvalStats stats;
   BindingTable target = left;
   EXPECT_TRUE(SemiJoinFilterOp(&target, right, stats));
   EXPECT_EQ(target.vars, left.vars);
-  EXPECT_EQ(target.rows, want);  // content AND order
+  EXPECT_EQ(target.rows.ToVectors(), want);  // content AND order
   const OperatorStats& op = LastOp(stats);
   EXPECT_EQ(op.op, "SemiJoinFilter");
   EXPECT_EQ(op.build_rows, right.rows.size());
@@ -171,24 +177,21 @@ TEST(JoinOps, SkewedSemiJoinFilterMatchesNestedLoopReference) {
 // side.
 TEST(JoinOps, TinyKeySpaceMatchesNestedLoopReference) {
   Rng rng(7);
-  BindingTable left, right;
-  left.vars = {0, 1};
-  right.vars = {1, 2};
+  std::vector<std::vector<NodeId>> left_rows, right_rows;
   for (int i = 0; i < 2000; ++i) {
-    left.rows.push_back({static_cast<NodeId>(rng.Below(3000)),
+    left_rows.push_back({static_cast<NodeId>(rng.Below(3000)),
                          static_cast<NodeId>(rng.Below(3))});
-    right.rows.push_back({static_cast<NodeId>(rng.Below(3)),
+    right_rows.push_back({static_cast<NodeId>(rng.Below(3)),
                           static_cast<NodeId>(rng.Below(3000))});
   }
-  Dedup(&left);
-  Dedup(&right);
+  const BindingTable left = Table({0, 1}, left_rows);
+  const BindingTable right = Table({1, 2}, right_rows);
   ExpectHashJoinMatchesReference(left, right);
 
   // Semi-join: only the right rows with key 0 filter, so the left rows
   // keyed 1 and 2 go.
-  BindingTable filter;
-  filter.vars = right.vars;
-  for (const std::vector<NodeId>& row : right.rows) {
+  BindingTable filter(right.vars);
+  for (std::span<const NodeId> row : right.rows) {
     if (row[0] == 0) filter.rows.push_back(row);
   }
   const std::vector<std::vector<NodeId>> want =
@@ -196,7 +199,7 @@ TEST(JoinOps, TinyKeySpaceMatchesNestedLoopReference) {
   EvalStats stats;
   BindingTable target = left;
   EXPECT_TRUE(SemiJoinFilterOp(&target, filter, stats));
-  EXPECT_EQ(target.rows, want);
+  EXPECT_EQ(target.rows.ToVectors(), want);
   EXPECT_EQ(LastOp(stats).build_rows, filter.rows.size());
   EXPECT_EQ(LastOp(stats).probe_rows, left.rows.size());
 }
@@ -217,7 +220,7 @@ void NestedLoopJoin(const std::vector<BindingTable>& tables, size_t k,
   }
   if (k > 0) ++*probes;
   const BindingTable& t = tables[k];
-  for (const std::vector<NodeId>& row : t.rows) {
+  for (std::span<const NodeId> row : t.rows) {
     std::vector<int> bound;
     bool ok = true;
     for (size_t c = 0; c < t.vars.size() && ok; ++c) {
@@ -241,19 +244,16 @@ void NestedLoopJoin(const std::vector<BindingTable>& tables, size_t k,
 std::vector<BindingTable> RandomJoinTables(Rng* rng) {
   const size_t n = 1 + rng->Below(4);
   const bool tiny = rng->Chance(0.3);
-  std::vector<BindingTable> tables(n);
+  std::vector<BindingTable> tables;
   for (size_t k = 0; k < n; ++k) {
-    BindingTable& t = tables[k];
     std::vector<int> vars = {0, 1, 2, 3, 4};
     for (size_t i = vars.size() - 1; i > 0; --i) {
       std::swap(vars[i], vars[rng->Below(i + 1)]);
     }
     const bool large = k > 0 && k + 1 == n && rng->Chance(0.3);
     vars.resize((large ? 2 : 1) + rng->Below(2));
-    t.vars = vars;
-    const uint64_t rows = large ? 5000 : 1 + rng->Below(30);
-    for (uint64_t r = 0; r < rows; ++r) {
-      std::vector<NodeId> row;
+    std::vector<std::vector<NodeId>> rows(large ? 5000 : 1 + rng->Below(30));
+    for (std::vector<NodeId>& row : rows) {
       for (size_t c = 0; c < vars.size(); ++c) {
         if (large && c > 0) {
           row.push_back(static_cast<NodeId>(rng->Below(4000)));
@@ -262,9 +262,8 @@ std::vector<BindingTable> RandomJoinTables(Rng* rng) {
                              : SkewedKey(rng, /*cold_range=*/40));
         }
       }
-      t.rows.push_back(std::move(row));
     }
-    Dedup(&t);
+    tables.push_back(Table(vars, rows));
   }
   return tables;
 }
@@ -335,9 +334,7 @@ TEST(StreamJoin, NoTablesIsTheUnitAndCancelStops) {
                });
   EXPECT_EQ(calls, 1);
 
-  BindingTable t;
-  t.vars = {0};
-  t.rows = {{1}, {2}, {3}};
+  const BindingTable t = Table({0}, {{1}, {2}, {3}});
   CancellationToken cancel;
   cancel.Cancel();
   calls = 0;

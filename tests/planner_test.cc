@@ -429,17 +429,23 @@ TEST(EvaluatorDispatch, EngineSelectionIdenticalWithAndWithoutCompiled) {
 
 // ---- binding-table operators ------------------------------------------------
 
+// A table over `vars` with the given (distinct) rows.
+BindingTable Table(std::vector<int> vars,
+                   const std::vector<std::vector<NodeId>>& rows) {
+  BindingTable t(std::move(vars));
+  for (const std::vector<NodeId>& row : rows) t.rows.push_back(row);
+  return t;
+}
+
 TEST(BindingTableOps, HashJoinOnSharedVarsAndCross) {
-  BindingTable left;
-  left.vars = {0, 1};
-  left.rows = {{10, 20}, {11, 21}, {12, 22}};
-  BindingTable right;
-  right.vars = {1, 2};
-  right.rows = {{20, 30}, {20, 31}, {21, 32}, {99, 33}};
+  const BindingTable left = Table({0, 1}, {{10, 20}, {11, 21}, {12, 22}});
+  const BindingTable right =
+      Table({1, 2}, {{20, 30}, {20, 31}, {21, 32}, {99, 33}});
   EvalStats stats;
   BindingTable joined = HashJoinOp(left, right, {0, 1, 2}, stats);
   EXPECT_EQ(joined.vars, (std::vector<int>{0, 1, 2}));
-  std::set<std::vector<NodeId>> rows(joined.rows.begin(), joined.rows.end());
+  const std::vector<std::vector<NodeId>> joined_rows = joined.rows.ToVectors();
+  std::set<std::vector<NodeId>> rows(joined_rows.begin(), joined_rows.end());
   EXPECT_EQ(rows, (std::set<std::vector<NodeId>>{
                       {10, 20, 30}, {10, 20, 31}, {11, 21, 32}}));
   ASSERT_EQ(stats.operators.size(), 1u);
@@ -447,44 +453,38 @@ TEST(BindingTableOps, HashJoinOnSharedVarsAndCross) {
   EXPECT_EQ(stats.operators[0].rows_out, 3u);
 
   // No shared vars: Cartesian product.
-  BindingTable disjoint;
-  disjoint.vars = {5};
-  disjoint.rows = {{1}, {2}};
+  const BindingTable disjoint = Table({5}, {{1}, {2}});
   BindingTable cross = HashJoinOp(left, disjoint, {0, 1, 5}, stats);
   EXPECT_EQ(cross.rows.size(), 6u);
 
   // A projection keeps each distinct projected row once.
   BindingTable projected = HashJoinOp(left, right, {1}, stats);
   EXPECT_EQ(projected.vars, (std::vector<int>{1}));
-  EXPECT_EQ(projected.rows, (std::vector<std::vector<NodeId>>{{20}, {21}}));
+  EXPECT_EQ(projected.rows.ToVectors(),
+            (std::vector<std::vector<NodeId>>{{20}, {21}}));
   EXPECT_EQ(stats.operators.back().rows_out, 2u);
 }
 
 TEST(BindingTableOps, SemiJoinFilterAndProjectDistinct) {
-  BindingTable target;
-  target.vars = {0, 1};
-  target.rows = {{1, 5}, {2, 6}, {3, 7}};
-  BindingTable filter;
-  filter.vars = {1};
-  filter.rows = {{5}, {7}};
+  BindingTable target = Table({0, 1}, {{1, 5}, {2, 6}, {3, 7}});
+  const BindingTable filter = Table({1}, {{5}, {7}});
   EvalStats stats;
   EXPECT_TRUE(SemiJoinFilterOp(&target, filter, stats));
-  EXPECT_EQ(target.rows, (std::vector<std::vector<NodeId>>{{1, 5}, {3, 7}}));
+  EXPECT_EQ(target.rows.ToVectors(),
+            (std::vector<std::vector<NodeId>>{{1, 5}, {3, 7}}));
   ASSERT_EQ(stats.operators.size(), 1u);
   EXPECT_EQ(stats.operators[0].op, "SemiJoinFilter");
   // Second application is a no-op and records nothing.
   EXPECT_FALSE(SemiJoinFilterOp(&target, filter, stats));
   EXPECT_EQ(stats.operators.size(), 1u);
   // No shared variables: untouched.
-  BindingTable unrelated;
-  unrelated.vars = {9};
-  unrelated.rows = {{1}};
+  const BindingTable unrelated = Table({9}, {{1}});
   EXPECT_FALSE(SemiJoinFilterOp(&target, unrelated, stats));
   EXPECT_EQ(target.rows.size(), 2u);
 
   BindingTable projected = ProjectDistinct(target, {1});
   EXPECT_EQ(projected.vars, (std::vector<int>{1}));
-  EXPECT_EQ(projected.rows,
+  EXPECT_EQ(projected.rows.ToVectors(),
             (std::vector<std::vector<NodeId>>{{5}, {7}}));
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -117,6 +118,26 @@ TEST(ServerProtocol, UnframeableLengthIsFatal) {
   EXPECT_GE(ts.server->stats().frames_malformed.load(), 1u);
 }
 
+// The session sends pages as byte slices of rows encoded once; the
+// payload must be the one Encode(RowsReply) gives for the same rows.
+TEST(ServerProtocol, PreEncodedRowsEncodeLikeRowsReply) {
+  RowsReply reply;
+  reply.cursor_id = 42;
+  reply.flags = kRowsFlagTruncated;
+  reply.arity = 2;
+  reply.rows = {{"a", "bcd"}, {"", std::string(300, 'z')}};
+  std::vector<uint8_t> names;
+  WireWriter w(&names);
+  for (const auto& row : reply.rows) {
+    for (const std::string& name : row) w.Str(name);
+  }
+  std::vector<uint8_t> want, got;
+  Encode(reply, &want);
+  EncodeRows(reply.cursor_id, reply.flags, reply.arity,
+             static_cast<uint32_t>(reply.rows.size()), names, &got);
+  EXPECT_EQ(got, want);
+}
+
 TEST(ServerProtocol, MalformedPayloadSurvivable) {
   TestServer ts(10);
   ASSERT_TRUE(ts.start_status.ok());
@@ -185,6 +206,95 @@ TEST(ServerSession, PrepareExecuteFetchPages) {
   EXPECT_TRUE(client.CloseStmt(stmt_id).ok());
   Client::RowsPage gone;
   EXPECT_FALSE(client.Execute(stmt_id, spec, &gone).ok());
+}
+
+// A result larger than one frame: long node names make the frame's byte
+// budget, not the row count, end each page when the page size is large.
+// Over the wire the pages concatenate to exactly the rows and order of
+// an in-process cursor run, hence to ExecuteAll's rows, and every page
+// ends where the byte budget (or the page size) puts its end: a page
+// takes rows while their encoded names, each a u32 length plus its
+// bytes, stay within kMaxFrameBody - 64.
+TEST(ServerSession, MultiPageResultMatchesInProcessExecution) {
+  GraphDb g;
+  NodeId prev = -1;
+  for (int i = 0; i < 30; ++i) {
+    const NodeId v =
+        g.AddNode("v" + std::to_string(i) + std::string(24000 + 101 * i, 'x'));
+    if (prev >= 0) g.AddEdge(prev, "a", v);
+    prev = v;
+  }
+  Database db(std::move(g));
+  Server server(&db, ServingOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  auto prepared = db.Prepare(kPairsQuery);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ExecuteOptions exec;
+  exec.build_path_answers = false;
+  auto cursor = prepared.value().Execute({}, exec);
+  ASSERT_TRUE(cursor.ok());
+  std::vector<std::vector<std::string>> want;
+  while (cursor.value().Next()) {
+    std::vector<std::string> row;
+    for (NodeId v : cursor.value().tuple()) {
+      row.push_back(db.graph().NodeName(v));
+    }
+    want.push_back(std::move(row));
+  }
+  ASSERT_EQ(want.size(), 30u * 29u / 2u);
+  auto all = prepared.value().ExecuteAll();
+  ASSERT_TRUE(all.ok());
+  std::vector<std::vector<std::string>> sorted_want;
+  for (const std::vector<NodeId>& tuple : all.value().tuples()) {
+    std::vector<std::string> row;
+    for (NodeId v : tuple) row.push_back(db.graph().NodeName(v));
+    sorted_want.push_back(std::move(row));
+  }
+  std::sort(sorted_want.begin(), sorted_want.end());
+
+  for (uint32_t page_size : {65536u, 100u}) {
+    SCOPED_TRACE("page_size " + std::to_string(page_size));
+    // The rows each page must carry.
+    std::vector<size_t> want_pages;
+    for (size_t begin = 0; begin < want.size();) {
+      size_t end = begin, bytes = 0;
+      while (end < want.size() && end - begin < page_size) {
+        size_t row_bytes = 0;
+        for (const std::string& name : want[end]) row_bytes += 4 + name.size();
+        if (bytes + row_bytes > kMaxFrameBody - 64) break;
+        bytes += row_bytes;
+        ++end;
+      }
+      want_pages.push_back(end - begin);
+      begin = end;
+    }
+    ASSERT_GE(want_pages.size(), 2u);
+
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    uint32_t stmt_id = 0;
+    ASSERT_TRUE(client.Prepare(kPairsQuery, &stmt_id).ok());
+    Client::ExecuteSpec spec;
+    spec.page_size = page_size;
+    spec.bypass_cache = true;
+    Client::RowsPage page;
+    ASSERT_TRUE(client.Execute(stmt_id, spec, &page).ok());
+    std::vector<std::vector<std::string>> got;
+    std::vector<size_t> got_pages;
+    while (true) {
+      got_pages.push_back(page.rows.size());
+      for (auto& row : page.rows) got.push_back(std::move(row));
+      if (page.done) break;
+      ASSERT_LT(got_pages.size(), want_pages.size());
+      ASSERT_TRUE(client.Fetch(page.cursor_id, page_size, &page).ok());
+    }
+    EXPECT_EQ(got_pages, want_pages);
+    EXPECT_TRUE(got == want) << "rows or their order differ";
+    std::sort(got.begin(), got.end());
+    EXPECT_TRUE(got == sorted_want);
+  }
+  server.Stop();
 }
 
 TEST(ServerSession, RowLimitOverWire) {
