@@ -62,10 +62,17 @@ bool ResultCursor::Next() {
   size_t next = (rows_returned_ == 0) ? 0 : pos_ + 1;
   if (next >= sink_.tuples.size()) return false;
   pos_ = next;
-  const std::span<const NodeId> current = sink_.tuples[pos_];
-  tuple_.assign(current.begin(), current.end());
   ++rows_returned_;
   return true;
+}
+
+const std::vector<NodeId>& ResultCursor::tuple() const {
+  if (rows_returned_ > 0 && tuple_pos_ != pos_) {
+    const std::span<const NodeId> current = row();
+    tuple_.assign(current.begin(), current.end());
+    tuple_pos_ = pos_;
+  }
+  return tuple_;
 }
 
 bool ResultCursor::exists() {

@@ -13,9 +13,9 @@
 //     ...
 //   }
 //
-// The engine's rows stay packed in one buffer (core/row_set.h); tuple()
-// copies the current one into a row buffer that each Next() refills,
-// and row() reads it in place.
+// The engine's rows stay packed in one buffer (core/row_set.h); row()
+// reads the current one in place, and tuple() copies it into a row
+// buffer on its first call after each Next().
 
 #ifndef ECRPQ_API_RESULT_CURSOR_H_
 #define ECRPQ_API_RESULT_CURSOR_H_
@@ -45,8 +45,8 @@ class ResultCursor {
   bool Next();
 
   /// The current tuple; valid after Next() returned true, until the next
-  /// Next() (which refills it).
-  const std::vector<NodeId>& tuple() const { return tuple_; }
+  /// Next().
+  const std::vector<NodeId>& tuple() const;
 
   /// The current tuple read in place from the engine's packed rows; valid
   /// after Next() returned true, as long as the cursor lives.
@@ -112,7 +112,9 @@ class ResultCursor {
   EvalStats stats_;
   Status status_;
   size_t pos_ = 0;
-  std::vector<NodeId> tuple_;  // the current row, refilled by Next()
+  // The row at tuple_pos_, copied out by tuple().
+  mutable std::vector<NodeId> tuple_;
+  mutable size_t tuple_pos_ = SIZE_MAX;
   uint64_t rows_returned_ = 0;
 };
 

@@ -385,7 +385,7 @@ class ComponentSearch {
   template <typename Emit>
   void ProcessConfig(const ProductConfig& current,
                      const std::vector<NodeId>& anchor_nodes,
-                     const std::vector<NodeId>& fixed, RowBuffer* results,
+                     const std::vector<NodeId>& fixed, PackedRowSet* results,
                      bool* accepted, Emit&& emit) {
     *accepted = false;
     if (Accepting(current)) {
@@ -394,7 +394,7 @@ class ComponentSearch {
       const std::vector<NodeId>& ends =
           backward_ ? anchor_nodes : current.nodes;
       if (ConsistentAssignment(starts, ends, fixed, &scratch_assignment_)) {
-        if (results != nullptr) results->push_back(scratch_assignment_);
+        if (results != nullptr) results->Insert(scratch_assignment_);
         *accepted = true;
       }
     }
@@ -422,7 +422,7 @@ class ComponentSearch {
   // popped-configuration counter checked against max_configs; `cancel`
   // (optional) stops the search cooperatively.
   Status Run(const std::vector<NodeId>& anchor_nodes,
-             const std::vector<NodeId>& fixed, RowBuffer* results,
+             const std::vector<NodeId>& fixed, PackedRowSet* results,
              ProductGraphSink* sink, std::atomic<uint64_t>* configs_budget,
              CancellationToken* cancel) {
     ProductConfig init;
@@ -765,7 +765,7 @@ bool DeriveAnchorNodes(const ResolvedQuery& rq, const ComponentSpec& comp,
 // assignments (merged into EvalStats at the operator barrier).
 Status EnumerateAndRun(const ResolvedQuery& rq, ComponentSearch& search,
                        const std::vector<NodeId>& fixed,
-                       uint64_t* start_assignments, RowBuffer* results,
+                       uint64_t* start_assignments, PackedRowSet* results,
                        ProductGraphSink* sink,
                        std::atomic<uint64_t>* configs_budget,
                        CancellationToken* cancel) {
@@ -824,11 +824,12 @@ struct BidirCounters {
 // Per-lane state of the ProductExpand drivers (the serial path is one
 // lane).
 struct ExpandLane {
-  explicit ExpandLane(size_t arity) : results(arity) {}
+  ExpandLane(size_t arity, bool keep) : results(arity), keep_rows(keep) {}
 
   std::unique_ptr<SubsetPool> pool;
   std::unique_ptr<ComponentSearch> search;
-  RowBuffer results;  // accepted assignments, possibly repeated
+  PackedRowSet results;  // distinct accepted assignments
+  bool keep_rows;  // false in a graph-recording run (no result buffer)
   uint64_t start_assignments = 0;
   BidirCounters bidir;  // bidirectional overlays only
   Status status;
@@ -842,6 +843,7 @@ struct ExpandLane {
     }
     return *search;
   }
+  PackedRowSet* rows() { return keep_rows ? &results : nullptr; }
 };
 
 // Applies one seed row on top of `fixed`; false when they disagree.
@@ -886,7 +888,7 @@ Status BidirectionalProductSearch(const ResolvedQuery& rq,
                                   std::atomic<uint64_t>* configs_budget,
                                   CancellationToken* cancel,
                                   BidirCounters* counters,
-                                  RowBuffer* results) {
+                                  PackedRowSet* results) {
   SubsetPool pool;
   ComponentSearch fwd_search(rq, comp, options, &pool, /*backward=*/false);
   ComponentSearch bwd_search(rq, comp, options, &pool, /*backward=*/true);
@@ -1007,7 +1009,7 @@ Status BidirectionalProductSearch(const ResolvedQuery& rq,
   counters->visited_configs += fwd.visited.size() + bwd.visited.size();
   counters->meet_checks += meet_checks;
   if (!status.ok()) return status;
-  if (found && results != nullptr) results->push_back(assignment);
+  if (found && results != nullptr) results->Insert(assignment);
   return Status::OK();
 }
 
@@ -1031,12 +1033,12 @@ Status ExpandOverlay(const ResolvedQuery& rq, const ComponentSpec& comp,
     ++lane.start_assignments;
     return BidirectionalProductSearch(rq, comp, options, starts, ends,
                                       overlay, configs_budget, cancel,
-                                      &lane.bidir, &lane.results);
+                                      &lane.bidir, lane.rows());
   }
   ComponentSearch& search = lane.Search(
       rq, comp, options, direction == SearchDirection::kBackward);
   return EnumerateAndRun(rq, search, overlay, &lane.start_assignments,
-                         &lane.results, sink, configs_budget, cancel);
+                         lane.rows(), sink, configs_budget, cancel);
 }
 
 // Runs the ProductExpand searches of `items` independent overlays on
@@ -1054,7 +1056,9 @@ Status MorselExpand(int num_lanes, size_t items, size_t arity,
                     OperatorStats& op, RowBuffer* results,
                     const std::function<Status(size_t, ExpandLane&)>& run) {
   std::vector<ExpandLane> lanes;
-  for (int i = 0; i < num_lanes; ++i) lanes.emplace_back(arity);
+  for (int i = 0; i < num_lanes; ++i) {
+    lanes.emplace_back(arity, /*keep_rows=*/results != nullptr);
+  }
   std::atomic<bool> failed{false};
   const size_t grain = std::max<size_t>(1, items / (num_lanes * 8));
   ParallelMorsels(
@@ -1091,7 +1095,7 @@ Status MorselExpand(int num_lanes, size_t items, size_t arity,
       op.frontier_expansions += lane.search->frontier_expansions();
       stats.arcs_explored += lane.search->arcs_explored();
     }
-    if (results != nullptr) results->Append(lane.results);
+    if (results != nullptr) results->Append(std::move(lane.results).TakeRows());
   }
   if (combined.ok() && cancel != nullptr && cancel->cancelled()) {
     return Status::Cancelled(kCancelledMessage);
@@ -1381,7 +1385,7 @@ Status ExecuteComponentOp(const ResolvedQuery& rq, const ComponentSpec& comp,
             pinned[first_unbound] = order[i];
             return EnumerateAndRun(
                 rq, lane.Search(rq, comp, options, backward), pinned,
-                &lane.start_assignments, &lane.results, /*sink=*/nullptr,
+                &lane.start_assignments, lane.rows(), /*sink=*/nullptr,
                 &configs_budget, cancel);
           });
     } else {

@@ -46,12 +46,12 @@
 // seed rows, start assignments) into morsels pulled by worker lanes. A
 // leaf with a single anchor assignment is one product search (or one
 // scan BFS) and runs on one lane. Workers accumulate into private stats
-// and flat row buffers; at the operator barrier the buffers are
-// concatenated and one sort-unique pass gives the leaf its rows in
-// lexicographic order, so results and counters are
-// thread-count-independent; num_threads == 1 runs everything on the
-// calling thread. Every row, from leaf to sink, lives in a packed
-// fixed-arity RowBuffer (core/row_set.h). Joins and
+// and row buffers (a product lane's deduplicated as rows arrive); at the
+// operator barrier the buffers are concatenated and one sort-unique pass
+// gives the leaf its rows in lexicographic order, so results and
+// counters are thread-count-independent; num_threads == 1 runs
+// everything on the calling thread. Every row, from leaf to sink, lives
+// in a packed fixed-arity RowBuffer (core/row_set.h). Joins and
 // semi-joins run serially on the calling thread, each over one flat
 // hash index of its build side (ops.cc).
 //

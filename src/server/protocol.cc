@@ -306,14 +306,13 @@ void EncodeRows(uint64_t cursor_id, uint8_t flags, uint16_t arity,
 }
 
 void Encode(const RowsReply& m, std::vector<uint8_t>* out) {
-  WireWriter w(out);
-  w.U64(m.cursor_id);
-  w.U8(m.flags);
-  w.U16(m.arity);
-  w.U32(static_cast<uint32_t>(m.rows.size()));
+  std::vector<uint8_t> rows;
+  WireWriter w(&rows);
   for (const auto& row : m.rows) {
     for (const std::string& value : row) w.Str(value);
   }
+  EncodeRows(m.cursor_id, m.flags, m.arity,
+             static_cast<uint32_t>(m.rows.size()), rows, out);
 }
 
 Status Decode(const std::vector<uint8_t>& payload, RowsReply* m) {

@@ -215,8 +215,8 @@ void Encode(const HelloReply& m, std::vector<uint8_t>* out);
 void Encode(const PrepareReply& m, std::vector<uint8_t>* out);
 void Encode(const RowsReply& m, std::vector<uint8_t>* out);
 /// A ROWS payload whose `count` rows are already wire-encoded in `rows`
-/// (arity u32-length-prefixed names each, as Encode(RowsReply) writes
-/// them): the same bytes, without re-encoding the names.
+/// (arity u32-length-prefixed names each). Encode(RowsReply) encodes its
+/// names and calls this, so the header is written in one place.
 void EncodeRows(uint64_t cursor_id, uint8_t flags, uint16_t arity,
                 uint32_t count, std::span<const uint8_t> rows,
                 std::vector<uint8_t>* out);

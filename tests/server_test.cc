@@ -118,24 +118,33 @@ TEST(ServerProtocol, UnframeableLengthIsFatal) {
   EXPECT_GE(ts.server->stats().frames_malformed.load(), 1u);
 }
 
-// The session sends pages as byte slices of rows encoded once; the
-// payload must be the one Encode(RowsReply) gives for the same rows.
-TEST(ServerProtocol, PreEncodedRowsEncodeLikeRowsReply) {
+// A ROWS payload is cursor id (u64), flags (u8), arity (u16) and row
+// count (u32), little-endian, then every name u32-length-prefixed in row
+// order; the session's pre-encoded pages rely on that layout.
+TEST(ServerProtocol, RowsPayloadLayout) {
   RowsReply reply;
   reply.cursor_id = 42;
   reply.flags = kRowsFlagTruncated;
   reply.arity = 2;
-  reply.rows = {{"a", "bcd"}, {"", std::string(300, 'z')}};
-  std::vector<uint8_t> names;
-  WireWriter w(&names);
-  for (const auto& row : reply.rows) {
-    for (const std::string& name : row) w.Str(name);
-  }
-  std::vector<uint8_t> want, got;
-  Encode(reply, &want);
-  EncodeRows(reply.cursor_id, reply.flags, reply.arity,
-             static_cast<uint32_t>(reply.rows.size()), names, &got);
+  reply.rows = {{"a", "bc"}, {"", "d"}};
+  std::vector<uint8_t> got;
+  Encode(reply, &got);
+  const std::vector<uint8_t> want = {
+      42, 0, 0, 0, 0, 0, 0, 0,  // cursor id
+      kRowsFlagTruncated,       // flags
+      2, 0,                     // arity
+      2, 0, 0, 0,               // rows
+      1, 0, 0, 0, 'a',          // row 0
+      2, 0, 0, 0, 'b', 'c',     //
+      0, 0, 0, 0,               // row 1
+      1, 0, 0, 0, 'd'};
   EXPECT_EQ(got, want);
+  RowsReply decoded;
+  ASSERT_TRUE(Decode(got, &decoded).ok());
+  EXPECT_EQ(decoded.cursor_id, reply.cursor_id);
+  EXPECT_EQ(decoded.flags, reply.flags);
+  EXPECT_EQ(decoded.arity, reply.arity);
+  EXPECT_EQ(decoded.rows, reply.rows);
 }
 
 TEST(ServerProtocol, MalformedPayloadSurvivable) {
