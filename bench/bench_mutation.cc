@@ -13,7 +13,7 @@
 //                                        against a fresh Build of the
 //                                        same graph; must be ~1.0x
 //
-// Three case families:
+// Case families:
 //
 //   IndexWriteToRead/{delta,rebuild}/batch/N
 //       pure index level: base snapshot + N-edge batch (10% removals)
@@ -30,6 +30,9 @@
 //   ReadThroughput/{fresh,compacted,chain/32}
 //       200k row probes against a fresh-built index, a compacted one,
 //       and a 32-segment delta chain (the overlay-directory tax).
+//   GraphLoad
+//       a 131k-node named seed graph through AddNode, AddEdges,
+//       GraphIndex::Build and TakeAdjacency, with the VmRSS it leaves.
 //   Checkpoint/{encode,decode}, DurableReopen
 //       the full-graph checkpoint every compaction and MutateGraph
 //       publishes: encoding the 3M-edge graph from its snapshot, decoding
@@ -37,8 +40,10 @@
 //       dir holding it (recovery time, sealing the snapshot included).
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <unordered_set>
@@ -134,6 +139,66 @@ BenchProps GraphProps(const GraphDb& g, int batch) {
           {"edges", static_cast<double>(g.num_edges())},
           {"batch", static_cast<double>(batch)}};
 }
+
+// ---- GraphLoad: the builder every seed graph goes through ------------------
+
+// Resident set size of this process, in MB.
+double VmRssMb() {
+  long pages = 0, resident = 0;
+  if (FILE* f = std::fopen("/proc/self/statm", "r")) {
+    if (std::fscanf(f, "%ld %ld", &pages, &resident) != 2) resident = 0;
+    std::fclose(f);
+  }
+  return static_cast<double>(resident) * sysconf(_SC_PAGESIZE) / (1 << 20);
+}
+
+// A seed graph of serve_rpq's size loaded the way a Database takes it:
+// 131,072 named nodes, 393,216 power-law edges through AddEdges, then
+// GraphIndex::Build and TakeAdjacency, which leaves the catalog. Prop
+// rss_live_mb: VmRSS growth over the process before the first load, with
+// the catalog and snapshot of the last load live. Registered first so
+// that a full run measures it before any other case has grown the heap.
+void GraphLoad(benchmark::State& state) {
+  constexpr int kLoadNodes = 1 << 17;
+  constexpr int kLoadEdges = 3 * kLoadNodes;
+  auto alphabet = Alphabet::FromLabels({"a", "b", "c", "d"});
+  std::vector<Edge> edges;
+  {
+    Rng rng(7);
+    const GraphDb source =
+        PowerLawGraph(alphabet, kLoadNodes, kLoadEdges, &rng);
+    edges.reserve(source.num_edges());
+    for (NodeId v = 0; v < source.num_nodes(); ++v) {
+      for (const auto& [label, to] : source.Out(v)) {
+        edges.push_back({v, label, to});
+      }
+    }
+  }
+  std::vector<std::string> names;
+  for (int i = 0; i < kLoadNodes; ++i) {
+    names.push_back(std::to_string(i));
+    names.back().insert(0, 1, 'v');
+  }
+  const double rss_before = VmRssMb();
+  double rss_live = 0;
+  MedianTimer timer;
+  for (auto _ : state) {
+    timer.Begin();
+    GraphDb g(alphabet);
+    for (const std::string& name : names) g.AddNode(name);
+    g.AddEdges(edges);
+    GraphIndexPtr index = GraphIndex::Build(g);
+    g.TakeAdjacency();
+    timer.End();
+    rss_live = VmRssMb();
+    benchmark::DoNotOptimize(index.get());
+  }
+  RecordBenchCase("GraphLoad", timer,
+                  {{"nodes", static_cast<double>(kLoadNodes)},
+                   {"edges", static_cast<double>(edges.size())},
+                   {"rss_live_mb", rss_live - rss_before}});
+}
+BENCHMARK(GraphLoad)->Unit(benchmark::kMillisecond);
 
 // ---- IndexWriteToRead: pure GraphIndex level ------------------------------
 

@@ -5,6 +5,8 @@
         --seconds 18 --pairs 10 --scratch /tmp/ab
     scripts/ab_bench.py BASE CHANGE --gbench bench_parallel_scaling \\
         --filter 'large/JoinPipeline/threads/1' --pairs 6 --scratch /tmp/ab
+    scripts/ab_bench.py BASE CHANGE --perfbench serve_rpq \\
+        --setup-only 40 --scratch /tmp/ab
 
 BASE and CHANGE are git revisions, or WORKTREE for the files of the
 current checkout including uncommitted changes. Each side is unpacked
@@ -22,6 +24,13 @@ sides and reads every metric the perfbench binary prints (run.py's JSON
 line wins where both give one, as for the setup_s median); a pair that
 is not `correct` or has failed operations is reported. A Google Benchmark pair
 runs the binary with --benchmark_filter and reads each case's real time.
+
+--setup-only N replaces the pairs of full runs with N pairs of perfbench
+processes that stop after their setup (the processes run.py adds to a
+run for its setup_s median), alternated the same way, at seed
+--seed-start + i. A setup-only process takes well under a second, so
+enough pairs to judge setup_s fit where ten full pairs cannot: a full
+run gives one setup_s median of five processes per 18 s.
 
 The report gives, per metric, each side's median, quartiles and IQR, the
 change of the medians, and the number of pairs the change won. Higher is
@@ -141,6 +150,31 @@ def perfbench_once(directory, args, seed):
     return metrics, ok
 
 
+def setup_only_once(directory, args, seed):
+    """The metrics of one perfbench process that stops after its setup."""
+    # run.py builds into <build dir>/perfbench; the binary is in there.
+    out_dir = os.path.join(directory, BUILD_DIR, "perfbench")
+    scratch = os.path.join(out_dir, "ab-setup-only")
+    data_dir = os.path.join(scratch, "data")
+    shutil.rmtree(scratch, ignore_errors=True)
+    os.makedirs(data_dir)
+    cmd = [os.path.join(out_dir, "perfbench"),
+           "--workload", args.perfbench, "--seed", str(seed),
+           "--seconds", "1", "--trace", "0", "--data-dir", data_dir,
+           "--trace-out", os.path.join(scratch, "trace.tsv"),
+           "--setup-only", "1"]
+    try:
+        proc = run(cmd, cwd=directory, check=False)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    results = [l for l in proc.stdout.splitlines() if l.startswith("RESULT ")]
+    if proc.returncode != 0 or not results:
+        sys.exit(f"ab_bench: setup-only run failed in {directory}\n"
+                 f"{proc.stdout[-4000:]}")
+    result = json.loads(results[-1][len("RESULT "):])
+    return {name: m["value"] for name, m in result["metrics"].items()}, True
+
+
 def gbench_once(binary, directory, args):
     cmd = [binary, f"--benchmark_filter={args.filter}",
            "--benchmark_format=json"]
@@ -232,7 +266,13 @@ def main():
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--filter", default=".")
     parser.add_argument("--min-time", default="")
+    parser.add_argument("--setup-only", type=int, default=0, metavar="N",
+                        help="with --perfbench: N pairs of setup-only "
+                             "processes instead of --pairs full runs")
     args = parser.parse_args()
+    if args.setup_only and not args.perfbench:
+        parser.error("--setup-only needs --perfbench")
+    pairs = args.setup_only or args.pairs
 
     scratch = os.path.abspath(args.scratch)
     os.makedirs(scratch, exist_ok=True)
@@ -247,15 +287,16 @@ def main():
             perfbench_once(directory, argparse.Namespace(
                 perfbench=args.perfbench, seconds=1, trace=0),
                 args.seed_start)
-            runner[label] = (lambda d: lambda i: perfbench_once(
-                d, args, args.seed_start + i))(directory)
+            once = setup_only_once if args.setup_only else perfbench_once
+            runner[label] = (lambda d, f: lambda i: f(
+                d, args, args.seed_start + i))(directory, once)
         else:
             binary = build_gbench(directory, args.gbench)
             runner[label] = (lambda b, d: lambda i: gbench_once(
                 b, d, args))(binary, directory)
     samples = {"base": {}, "change": {}}
     failures = {"base": [], "change": []}
-    for i in range(args.pairs):
+    for i in range(pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for label in order:
             metrics, ok = runner[label](i)
@@ -263,8 +304,8 @@ def main():
                 failures[label].append(i)
             for name, value in metrics.items():
                 samples[label].setdefault(name, []).append(value)
-        log(f"pair {i + 1}/{args.pairs} done")
-    report(samples, higher_is_better(sides["change"]), failures, args.pairs)
+        log(f"pair {i + 1}/{pairs} done")
+    report(samples, higher_is_better(sides["change"]), failures, pairs)
 
 if __name__ == "__main__":
     main()

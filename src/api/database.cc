@@ -94,7 +94,7 @@ void Database::MutateGraph(const std::function<void(GraphDb&)>& fn) {
       },
       [&] {
         ++k;
-        return std::pair<Symbol, NodeId>(labels[k - 1], targets[k - 1]);
+        return GraphDb::Arc(labels[k - 1], targets[k - 1]);
       });
   fn(scratch);
   GraphIndexPtr built = GraphIndex::Build(scratch);
@@ -222,17 +222,10 @@ Result<std::unique_ptr<Database>> Database::OpenDurable(
     std::unique_lock<std::shared_mutex> lock(db->graph_mutex_);
     GraphIndexPtr snapshot = GraphIndex::Build(seed);
     db->index_full_builds_.fetch_add(1, std::memory_order_relaxed);
-    // The seed's out-lists are one small heap block per node: a second
-    // thread frees them while the first checkpoint is written.
-    std::thread release([lists = seed.TakeAdjacency()]() mutable {
-      GraphDb::OutLists().swap(lists);
-    });
     db->InstallLocked(std::move(seed), std::move(snapshot));
     // The initial checkpoint pins node/symbol ids for id-level records;
     // a durable dir must never exist without one.
-    Status st = db->WriteCheckpointLocked(/*required=*/true);
-    release.join();
-    ECRPQ_RETURN_IF_ERROR(st);
+    ECRPQ_RETURN_IF_ERROR(db->WriteCheckpointLocked(/*required=*/true));
   }
   if (recovery != nullptr) *recovery = info;
   return db;

@@ -17,9 +17,8 @@
 // only adjacency, plus a GraphDb catalog of node names, labels and counts
 // with no out-lists (GraphDb::TakeAdjacency). The constructor and
 // OpenDurable build the first snapshot from the seed graph and free the
-// seed's out-lists (a fresh durable dir frees them on a second thread while
-// its first checkpoint is written); writes advance the snapshot by deltas,
-// and compaction folds the deltas into a new base.
+// seed's arc arena; writes advance the snapshot by deltas, and compaction
+// folds the deltas into a new base.
 //
 // Concurrency model
 // -----------------
@@ -348,7 +347,7 @@ class Database {
   }
 
   /// Installs a catalog and the snapshot of the same graph (the
-  /// constructor, recovery and MutateGraph), freeing whatever out-lists
+  /// constructor, recovery and MutateGraph), freeing the arc arena
   /// `catalog` still holds. Caller holds the exclusive graph lock, or is
   /// the only user of a Database under construction.
   void InstallLocked(GraphDb catalog, GraphIndexPtr snapshot);

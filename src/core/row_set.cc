@@ -1,10 +1,34 @@
 #include "core/row_set.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cstring>
 #include <numeric>
 
 namespace ecrpq {
+
+namespace {
+
+// Sorts rows of arity K as fixed-width values and drops duplicates: each
+// row is one std::array, compared and moved directly instead of through a
+// row-id permutation and indirect comparisons. `data` is freed once copied,
+// so at most two copies of the rows are live.
+template <size_t K>
+std::vector<NodeId> SortUniqueFixed(std::vector<NodeId> data) {
+  using Row = std::array<NodeId, K>;
+  static_assert(sizeof(Row) == K * sizeof(NodeId));
+  std::vector<Row> rows(data.size() / K);
+  std::memcpy(rows.data(), data.data(), data.size() * sizeof(NodeId));
+  data = std::vector<NodeId>();  // frees; `= {}` would keep the capacity
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  data.resize(rows.size() * K);
+  std::memcpy(data.data(), rows.data(), data.size() * sizeof(NodeId));
+  return data;
+}
+
+}  // namespace
 
 bool RowBuffer::Ascending(bool strict) const {
   for (size_t r = 1; r < size_; ++r) {
@@ -34,6 +58,7 @@ void RowBuffer::SortUnique() {
       keys[r] = uint64_t{static_cast<uint32_t>(data_[2 * r]) ^ kSign} << 32 |
                 (static_cast<uint32_t>(data_[2 * r + 1]) ^ kSign);
     }
+    data_ = std::vector<NodeId>();  // freed: the keys hold the rows
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     out.reserve(2 * keys.size());
@@ -41,6 +66,10 @@ void RowBuffer::SortUnique() {
       out.push_back(static_cast<NodeId>((key >> 32) ^ kSign));
       out.push_back(static_cast<NodeId>(static_cast<uint32_t>(key) ^ kSign));
     }
+  } else if (arity_ == 3) {
+    out = SortUniqueFixed<3>(std::move(data_));
+  } else if (arity_ == 4) {
+    out = SortUniqueFixed<4>(std::move(data_));
   } else {
     for (uint32_t r : SortedOrder()) {
       std::span<const NodeId> row = (*this)[r];

@@ -5,8 +5,15 @@
 // viewed as an NFA over Σ without initial/final states (the paper uses this
 // equivalence throughout); `ToNfa` realizes that view with a chosen set of
 // initial/final nodes.
-// Each edge is stored once, in its source's out-list (GraphIndex derives
-// the in-side), and each node name once, in a table of names by id.
+// Each edge is stored once, as a (label, target) arc in its source's row
+// (GraphIndex derives the in-side), and each node name once. Both live in
+// flat arenas, with no heap object per node: every row is a {begin, len,
+// cap} slice of one page-mapped arc arena, and every name a slice of one
+// char arena, ending at the node's offset. A row that runs out of room
+// moves to the arena's end with twice the room (or grows in place when it
+// already ends the arena); bulk construction and copies lay rows out
+// exactly. Out() and StoredName() are views into the arenas: a view is
+// valid until the next mutation of the graph.
 //
 // A GraphDb is the builder of a graph: generators, loaders and seeds fill
 // one, and GraphIndex::Build turns it into the CSR snapshot the engines
@@ -20,6 +27,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -27,6 +35,7 @@
 
 #include "automata/alphabet.h"
 #include "automata/nfa.h"
+#include "util/page_alloc.h"
 #include "util/status.h"
 
 namespace ecrpq {
@@ -72,12 +81,21 @@ struct GraphMutation {
 /// A finite Σ-labeled directed graph database.
 class GraphDb {
  public:
+  /// One outgoing edge of a node: (label, target).
+  using Arc = std::pair<Symbol, NodeId>;
+
   /// Creates an empty graph over `alphabet` (shared; may be grown by
   /// AddEdge with unseen labels).
   explicit GraphDb(AlphabetPtr alphabet);
 
   /// Creates an empty graph with a fresh alphabet.
   GraphDb();
+
+  /// A copy lays its rows out exactly (no room left over, no dead arcs).
+  GraphDb(const GraphDb& other);
+  GraphDb& operator=(const GraphDb& other);
+  GraphDb(GraphDb&&) = default;
+  GraphDb& operator=(GraphDb&&) = default;
 
   /// Adds an anonymous node.
   NodeId AddNode();
@@ -98,8 +116,12 @@ class GraphDb {
 
   /// The name `node` was created with; empty for anonymous nodes (so,
   /// unlike NodeName, a name that merely looks like "n<id>" is never
-  /// synthesized).
-  const std::string& StoredName(NodeId node) const { return names_[node]; }
+  /// synthesized). A view into the name arena, valid until the next node
+  /// is added.
+  std::string_view StoredName(NodeId node) const {
+    const uint32_t begin = node == 0 ? 0 : name_ends_[node - 1];
+    return {name_chars_.data() + begin, name_ends_[node] - begin};
+  }
 
   /// Adds an edge with an already-interned label symbol.
   void AddEdge(NodeId from, Symbol label, NodeId to);
@@ -114,26 +136,26 @@ class GraphDb {
   bool RemoveEdge(NodeId from, Symbol label, NodeId to);
 
   /// Bulk-adds `edges` (already-interned labels, existing node ids) with
-  /// size-then-fill adjacency construction: one degree-counting pass, one
-  /// exact reservation per touched node, one fill pass — no per-edge
-  /// vector reallocation. Equivalent to calling AddEdge per element in
-  /// order (per-node adjacency order is identical), but O(V + E) with
-  /// one allocation per touched node instead of the amortized-doubling
-  /// churn that dominates multi-million-edge loads.
+  /// size-then-fill construction: one degree-counting pass, one arena
+  /// growth that gives each touched row the room it lacks, one fill pass.
+  /// Equivalent to calling AddEdge per element in order (per-node
+  /// adjacency order is identical), but O(V + E); on a graph without
+  /// edges the rows come out exactly laid out, in node order.
   void AddEdges(const std::vector<Edge>& edges);
 
-  /// Outgoing (label, target) lists, by node.
-  using OutLists = std::vector<std::vector<std::pair<Symbol, NodeId>>>;
-
-  /// Gives up every out-list and keeps names, labels, num_edges() and
+  /// Frees the arc arena and keeps names, labels, num_edges() and
   /// version(): what is left is the catalog of a graph whose edges live
   /// elsewhere (a Database's GraphIndex snapshot). A catalog still adds
   /// nodes; its edge changes are recorded with CountEdges. Out, HasEdge,
   /// AddEdge, AddEdges, RemoveEdge and ToNfa need the out-lists and abort
-  /// on a catalog. The caller decides where the returned lists are freed.
-  [[nodiscard]] OutLists TakeAdjacency() {
+  /// on a catalog. The arena is page-mapped once it reaches a MiB, so
+  /// freeing it returns its memory to the system at once.
+  void TakeAdjacency() {
     has_adjacency_ = false;
-    return std::exchange(out_, {});
+    // Assigning {} would only clear them (vector's initializer_list
+    // assignment keeps the capacity).
+    arcs_ = PageVector<Arc>();
+    rows_ = PageVector<Row>();
   }
   bool has_adjacency() const { return has_adjacency_; }
 
@@ -150,19 +172,19 @@ class GraphDb {
   /// Gives a catalog its out-lists back from a caller's own encoding:
   /// every node v, in id order, gets degree(v) edges, each the (label,
   /// target) pair the next next_arc() call returns. The degrees must sum
-  /// to num_edges(). The graph is the same, so version() does not move.
+  /// to num_edges(), which sizes the arena up front; the rows are laid out
+  /// exactly. The graph is the same, so version() does not move.
   template <typename DegreeFn, typename ArcFn>
   void RestoreAdjacency(DegreeFn degree, ArcFn next_arc) {
     ECRPQ_DCHECK(!has_adjacency_);
-    out_.resize(names_.size());
-    int64_t restored = 0;
+    rows_.resize(name_ends_.size());
+    arcs_.reserve(num_edges_);
     for (NodeId v = 0; v < num_nodes(); ++v) {
-      const int d = degree(v);
-      out_[v].reserve(d);
-      for (int k = 0; k < d; ++k) out_[v].push_back(next_arc());
-      restored += d;
+      const uint32_t d = static_cast<uint32_t>(degree(v));
+      rows_[v] = {static_cast<uint32_t>(arcs_.size()), d, d};
+      for (uint32_t k = 0; k < d; ++k) arcs_.push_back(next_arc());
     }
-    ECRPQ_DCHECK(restored == num_edges_);
+    ECRPQ_DCHECK(arcs_.size() == static_cast<size_t>(num_edges_));
     has_adjacency_ = true;
   }
 
@@ -172,8 +194,12 @@ class GraphDb {
   static GraphDb FromEdges(AlphabetPtr alphabet, int num_nodes,
                            const std::vector<Edge>& edges);
 
-  int num_nodes() const { return static_cast<int>(names_.size()); }
+  int num_nodes() const { return static_cast<int>(name_ends_.size()); }
   int num_edges() const { return num_edges_; }
+
+  /// Arcs the arc arena holds, live or dead: num_edges() plus the room of
+  /// rows that grew incrementally and the places rows moved away from.
+  size_t arena_arcs() const { return arcs_.size(); }
 
   /// Monotone mutation counter: bumped by every node/edge addition and
   /// every removal. Snapshots (GraphIndex) record the version they were
@@ -185,10 +211,12 @@ class GraphDb {
   const Alphabet& alphabet() const { return *alphabet_; }
   const AlphabetPtr& alphabet_ptr() const { return alphabet_; }
 
-  /// Outgoing (label, target) pairs of `node`, in insertion order.
-  const std::vector<std::pair<Symbol, NodeId>>& Out(NodeId node) const {
+  /// Outgoing (label, target) arcs of `node`, in insertion order: a view
+  /// into the arc arena, valid until the next mutation of the graph.
+  std::span<const Arc> Out(NodeId node) const {
     CheckAdjacency();
-    return out_[node];
+    const Row& row = rows_[node];
+    return {arcs_.data() + row.begin, row.len};
   }
 
   /// True if the edge (from, label, to) exists.
@@ -204,23 +232,44 @@ class GraphDb {
   Nfa ToNfaAllStates() const;
 
  private:
+  /// A node's arcs are arcs_[begin, begin + len), with room up to cap.
+  struct Row {
+    uint32_t begin = 0;
+    uint32_t len = 0;
+    uint32_t cap = 0;
+  };
+
   /// Aborts, in every build type, when the out-lists were given up: a
   /// catalog answering Out or HasEdge with empty rows would read as a
   /// graph without edges.
   void CheckAdjacency() const {
-    if (!has_adjacency_) [[unlikely]] AbortNoAdjacency();
+    if (!has_adjacency_) [[unlikely]] {
+      Abort("edges read or written through a catalog without out-lists (a "
+            "Database's edges are in its graph_index())");
+    }
   }
-  [[noreturn]] static void AbortNoAdjacency();
+  [[noreturn]] static void Abort(const char* what);
+  /// Arcs the arena grows by so that `row` has room for `extra` more.
+  size_t GrowthFor(const Row& row, uint32_t extra) const;
+  /// Gives node v's row room for `extra` more arcs (see the header
+  /// comment); the arena must already have GrowthFor(...) capacity to
+  /// spare when the caller wants no reallocation.
+  void MakeRoom(NodeId v, uint32_t extra);
+  NodeId AppendNode(std::string_view name);
   static uint32_t NameHash(std::string_view name);
   /// The slot holding `name`, or the empty slot where it would go.
   size_t FindSlot(std::string_view name, uint32_t hash) const;
   void GrowNameTable();
 
   AlphabetPtr alphabet_;
-  OutLists out_;
-  bool has_adjacency_ = true;       // false once TakeAdjacency ran
-  std::vector<std::string> names_;  // empty string = anonymous
-  // Open-addressing name table over names_: each slot holds
+  PageVector<Arc> arcs_;
+  PageVector<Row> rows_;       // one per node while has_adjacency_
+  bool has_adjacency_ = true;  // false once TakeAdjacency ran
+  // Node v's name is name_chars_[name_ends_[v - 1], name_ends_[v]) (from 0
+  // for v = 0); an empty slice is an anonymous node.
+  PageVector<char> name_chars_;
+  PageVector<uint32_t> name_ends_;
+  // Open-addressing name table over the names: each slot holds
   // hash32 << 32 | (id + 1), 0 = empty. Power-of-two size, at most half
   // full; growth rehashes the stored hashes, never the names.
   std::vector<uint64_t> name_slots_;

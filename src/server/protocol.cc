@@ -94,7 +94,7 @@ void WireWriter::U64(uint64_t v) {
   for (int i = 0; i < 8; ++i) out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
 }
 
-void WireWriter::Str(const std::string& s) {
+void WireWriter::Str(std::string_view s) {
   U32(static_cast<uint32_t>(s.size()));
   out_->insert(out_->end(), s.begin(), s.end());
 }

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -98,7 +99,7 @@ class WireWriter {
   void U16(uint16_t v);
   void U32(uint32_t v);
   void U64(uint64_t v);
-  void Str(const std::string& s);
+  void Str(std::string_view s);
 
  private:
   std::vector<uint8_t>* out_;

@@ -368,7 +368,16 @@ Frame Session::HandleExecute(const Frame& frame) {
     const GraphDb& graph = db_->graph();
     WireWriter w(&rendered->bytes);
     for (bool more = any; more; more = rows.Next()) {
-      for (NodeId node : rows.row()) w.Str(graph.NodeName(node));
+      for (NodeId node : rows.row()) {
+        // Stored names go out as views of the name arena; only an
+        // anonymous node's "n<id>" is built as a string.
+        const std::string_view name = graph.StoredName(node);
+        if (!name.empty()) {
+          w.Str(name);
+        } else {
+          w.Str(graph.NodeName(node));
+        }
+      }
       rendered->offsets.push_back(rendered->bytes.size());
     }
   }

@@ -220,7 +220,7 @@ CheckpointLayout Measure(const GraphDb& graph) {
     layout.size += 4 + alphabet.Label(s).size();
   }
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    const std::string& name = graph.StoredName(v);
+    const std::string_view name = graph.StoredName(v);
     if (name.empty()) continue;
     ++layout.num_named;
     layout.size += 8 + name.size();
@@ -247,7 +247,7 @@ class ChunkWriter {
     Bytes(buf, 4);
   }
 
-  void Str(const std::string& s) {
+  void Str(std::string_view s) {
     U32(static_cast<uint32_t>(s.size()));
     Bytes(s.data(), s.size());
   }
@@ -320,7 +320,7 @@ Status EncodeCheckpoint(const GraphDb& graph, const GraphIndex& snapshot,
   w.U32(Measure(graph).num_named);
   for (Symbol s = 0; s < alphabet.size(); ++s) w.Str(alphabet.Label(s));
   for (NodeId v = 0; v < num_nodes; ++v) {
-    const std::string& name = graph.StoredName(v);
+    const std::string_view name = graph.StoredName(v);
     if (name.empty()) continue;
     w.U32(static_cast<uint32_t>(v));
     w.Str(name);
@@ -407,7 +407,7 @@ Result<DecodedCheckpoint> DecodeCheckpoint(std::string_view image) {
   // are created in bulk. The graph is a catalog from the start: its edges
   // go into the rows below.
   GraphDb graph(alphabet);
-  (void)graph.TakeAdjacency();
+  graph.TakeAdjacency();
   for (uint32_t i = 0; i < num_named; ++i) {
     uint32_t id;
     std::string_view name;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <span>
@@ -354,6 +355,34 @@ TEST(PackedRowSet, MatchesStdSet) {
         for (NodeId& v : row) v = static_cast<NodeId>(rng.Below(range));
         ASSERT_EQ(rows.Insert(row), reference.insert(row).second)
             << "width " << width << " range " << range << " row " << i;
+      }
+    }
+  }
+}
+
+// SortUnique (pair keys at arity 2, fixed-width rows at 3 and 4, the row
+// permutation above) against SortedOrder plus adjacent-duplicate removal,
+// on random rows with many repeats and negative ids (the sort is signed).
+TEST(RowBuffer, SortUniqueMatchesSortedOrder) {
+  Rng rng(91);
+  for (size_t arity = 1; arity <= 5; ++arity) {
+    for (int range : {3, 1000}) {
+      RowBuffer rows(arity);
+      for (int i = 0; i < 4000; ++i) {
+        std::span<NodeId> row = rows.Append();
+        for (NodeId& v : row) v = static_cast<NodeId>(rng.Below(range)) - 1;
+      }
+      RowBuffer want(arity);
+      for (uint32_t r : rows.SortedOrder()) {
+        if (want.empty() ||
+            !std::ranges::equal(rows[r], want[want.size() - 1])) {
+          want.push_back(rows[r]);
+        }
+      }
+      rows.SortUnique();
+      EXPECT_EQ(rows, want) << "arity " << arity << " range " << range;
+      if (range == 3) {
+        EXPECT_LT(want.size(), 4000u);  // duplicates were dropped
       }
     }
   }

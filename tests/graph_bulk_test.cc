@@ -38,7 +38,9 @@ void ExpectSameAdjacency(const GraphDb& a, const GraphDb& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
   ASSERT_EQ(a.num_edges(), b.num_edges());
   for (NodeId v = 0; v < a.num_nodes(); ++v) {
-    ASSERT_EQ(a.Out(v), b.Out(v)) << "out-adjacency of node " << v;
+    const std::vector<GraphDb::Arc> a_out(a.Out(v).begin(), a.Out(v).end());
+    const std::vector<GraphDb::Arc> b_out(b.Out(v).begin(), b.Out(v).end());
+    ASSERT_EQ(a_out, b_out) << "out-adjacency of node " << v;
   }
 }
 

@@ -344,8 +344,9 @@ TEST(GraphIo, CatalogAndSnapshotTextMatchesGraphText) {
   ASSERT_EQ(h.num_edges(), expected.num_edges());
   for (NodeId v = 0; v < h.num_nodes(); ++v) {
     EXPECT_EQ(h.NodeName(v), expected.NodeName(v)) << v;
-    auto out = h.Out(v);
-    auto want = expected.Out(v);
+    std::vector<GraphDb::Arc> out(h.Out(v).begin(), h.Out(v).end());
+    std::vector<GraphDb::Arc> want(expected.Out(v).begin(),
+                                   expected.Out(v).end());
     std::sort(out.begin(), out.end());
     std::sort(want.begin(), want.end());
     EXPECT_EQ(out, want) << h.NodeName(v);

@@ -76,7 +76,8 @@ GraphIndex::Delta RandomBatch(GraphDb* g, Rng* rng, int* next_label) {
     // Wipe one node's whole out-row: the empty merged row (tombstone)
     // must shadow its base row.
     const NodeId v = static_cast<NodeId>(rng->Below(g->num_nodes()));
-    const auto out = g->Out(v);  // copy: RemoveEdge mutates it
+    // A copy: RemoveEdge shifts the arcs the Out view shows.
+    const std::vector<GraphDb::Arc> out(g->Out(v).begin(), g->Out(v).end());
     for (const auto& [label, to] : out) {
       EXPECT_TRUE(g->RemoveEdge(v, label, to)) << "wipe edge must exist";
       d.removed.push_back({v, label, to});

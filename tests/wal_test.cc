@@ -17,6 +17,7 @@
 #include "api/database.h"
 #include "graph/graph.h"
 #include "graph/index.h"
+#include "reference_graph.h"
 #include "snapshot_compare.h"
 #include "util/crc32c.h"
 #include "util/io.h"
@@ -276,48 +277,6 @@ TEST(WalFormat, CheckpointRoundTripsRandomGraphsWithAwkwardNames) {
     }
     EXPECT_EQ(EncodeCheckpoint(d, *snapshot), image);
   }
-}
-
-// The checkpoint layout documented in wal_format.h, encoded in one pass
-// into one string. With sorted rows it is the byte-for-byte oracle for
-// the streaming encoder, which writes the snapshot's (label, target)-
-// sorted rows; with insertion-ordered rows it is the image encoders wrote
-// from GraphDb out-lists before the snapshot was the only adjacency.
-std::string ReferenceCheckpoint(const GraphDb& g, bool sorted_rows) {
-  std::string out = "ECRPQCKP";
-  auto u32 = [&](uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-  };
-  auto str = [&](const std::string& s) {
-    u32(static_cast<uint32_t>(s.size()));
-    out += s;
-  };
-  uint32_t named = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) named += !g.StoredName(v).empty();
-  u32(2);
-  u32(static_cast<uint32_t>(g.num_nodes()));
-  u32(static_cast<uint32_t>(g.num_edges()));
-  u32(static_cast<uint32_t>(g.alphabet().size()));
-  u32(named);
-  for (Symbol s = 0; s < g.alphabet().size(); ++s) str(g.alphabet().Label(s));
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (g.StoredName(v).empty()) continue;
-    u32(static_cast<uint32_t>(v));
-    str(g.StoredName(v));
-  }
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    u32(static_cast<uint32_t>(g.Out(v).size()));
-  }
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    std::vector<std::pair<Symbol, NodeId>> row = g.Out(v);
-    if (sorted_rows) std::sort(row.begin(), row.end());
-    for (const auto& [label, to] : row) {
-      u32(static_cast<uint32_t>(label));
-      u32(static_cast<uint32_t>(to));
-    }
-  }
-  u32(crc32c::Mask(crc32c::Value(out.data(), out.size())));
-  return out;
 }
 
 // Records what a streamed checkpoint appends, call by call.
@@ -645,7 +604,8 @@ TEST(WalRecovery, ReopensInsertionOrderedCheckpointsWithTail) {
     if (g.alphabet().size() == 0) g.alphabet_ptr()->Intern("x");
     bool unsorted = false;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      unsorted |= !std::is_sorted(g.Out(v).begin(), g.Out(v).end());
+      const std::span<const GraphDb::Arc> out = g.Out(v);
+      unsorted |= !std::is_sorted(out.begin(), out.end());
     }
     TempDir dir;
     {
